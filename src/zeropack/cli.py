@@ -3,8 +3,8 @@
 Reports are flat JSON (or CSV for scans) with deterministic key order and
 float formatting, so identical configs and seeds produce byte-identical
 output.  Exit codes: 0 success, 2 non-convergence, 3 I/O error, 4 usage
-error.  Parameter sweeps run their elements concurrently up to --jobs, with
-output assembled in input order.
+error, 5 numerical error.  Parameter sweeps run their elements concurrently
+up to --jobs, with output assembled in input order.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .dbar import CutoffSpec, equality_gap, minimal_correction
-from .errors import ZeropackError
+from .dbar import default_cutoff, equality_gap, minimal_correction
+from .errors import ConditioningError, NumericError, ZeropackError
 from .functionals import DEFAULT_RESOLUTION, FunctionalSpec, default_grid, density
 from .lattice_sigma import abrikosov_candidate, lattice_normalize, scan_csv
 from .optimize import OptimizerConfig, degree_schedule, minimize
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_IO = 3
 EXIT_USAGE = 4
+EXIT_NUMERIC = 5
 
 
 class UsageError(Exception):
@@ -224,16 +226,15 @@ def cmd_dbar_check(args) -> int:
         f = _load_poly(args.poly)
     else:
         f = minimize(spec, degree_schedule(geometry, param), _optimizer_config(args)).minimizer
-    delta = args.delta
-    if delta is None:
-        delta = 1.0 - param if geometry == "hyperbolic" else min(0.999999, param**-0.5)
-    cut = CutoffSpec(delta=delta, r=param if geometry == "hyperbolic" else 1.0)
+    cut = default_cutoff(geometry, param)
+    if args.delta is not None:
+        cut = replace(cut, delta=args.delta)
     corr = minimal_correction(f, cut, geometry, param, args.resolution)
     payload = _with_provenance(
         {
             "geometry": geometry,
             "param": param,
-            "delta": delta,
+            "delta": cut.delta,
             "degree": corr.degree_bound,
             "dbar_lhs": corr.lhs,
             "dbar_rhs": corr.rhs,
@@ -340,6 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     except IOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (ConditioningError, NumericError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ZeropackError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigurationError
+from .errors import ConfigurationError
 from .functionals import (
     DEFAULT_RESOLUTION,
     FunctionalSpec,
@@ -34,7 +34,7 @@ from .functionals import (
     density,
 )
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
-from .poly import ComplexPolynomial, poly_eval, vandermonde, weight_values
+from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, gram, poly_eval, vandermonde, weight_values
 from .quadrature import Disk, QuadratureGrid, TruncatedPlane, build_grid, default_r_cut
 
 __all__ = [
@@ -42,15 +42,13 @@ __all__ = [
     "CorrectionResult",
     "GapReport",
     "cutoff",
+    "default_cutoff",
     "dbar_cutoff",
     "project_polynomial",
     "minimal_correction",
     "obstacle_function",
     "equality_gap",
 ]
-
-HYPERBOLIC = "hyperbolic"
-PLANAR = "planar"
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,16 @@ class CutoffSpec:
             raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
         if not 0.0 < self.r <= 1.0:
             raise ConfigurationError(f"r must lie in (0,1], got {self.r}")
+
+
+def default_cutoff(geometry: str, param: float) -> CutoffSpec:
+    """Cut-off at the geometry's core radius with the default boundary-layer width.
+
+    The cut-off needs a strict plateau, so the width pairing of default_delta
+    is clamped just below 1 (planar gamma <= 1, hyperbolic r near 0).
+    """
+    delta = min(default_delta(FunctionalSpec(geometry=geometry, param=param)), 0.999999)
+    return CutoffSpec(delta=delta, r=param if geometry == HYPERBOLIC else 1.0)
 
 
 def cutoff(z, spec: CutoffSpec):
@@ -91,14 +99,6 @@ def dbar_cutoff(z, spec: CutoffSpec):
     return out if out.ndim else complex(out)
 
 
-def _solve_pd(A: np.ndarray, rhs: np.ndarray, context: str) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError(f"{context}: normal equations singular; increase the grid resolution") from exc
-    return np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
-
-
 def project_polynomial(
     g: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     weight: str,
@@ -114,12 +114,10 @@ def project_polynomial(
     values = np.asarray(g(grid.nodes) if callable(g) else g, dtype=complex)
     if values.shape != grid.nodes.shape:
         raise ConfigurationError("sampled function must match the grid nodes")
+    G = gram(weight, n, grid, gamma)
     wv = weight_values(weight, grid.nodes, gamma) * grid.weights
-    V = vandermonde(grid.nodes, n)
-    A = V.conj().T @ (wv[:, None] * V)
-    A = 0.5 * (A + A.conj().T)
-    rhs = V.conj().T @ (wv * values)
-    return ComplexPolynomial(_solve_pd(A, rhs, f"projection at degree bound {n}"))
+    rhs = np.conj(vandermonde(grid.nodes, n).T @ np.conj(wv * values))
+    return ComplexPolynomial(G.solve(rhs))
 
 
 @dataclass(frozen=True)
@@ -323,13 +321,11 @@ def equality_gap(
     """
     spec = FunctionalSpec(geometry=geometry, param=param)
     n = degree_schedule(geometry, param)
-    # The cut-off needs a strict plateau, so the planar pairing gamma^{-1/2}
-    # is clamped just below 1 when gamma <= 1.
-    delta = min(default_delta(spec), 0.999999)
+    cut = default_cutoff(geometry, param)
+    delta = cut.delta
     result = minimize(spec, n, config)
     f = result.minimizer
 
-    cut = CutoffSpec(delta=delta, r=param if geometry == HYPERBOLIC else 1.0)
     corr = minimal_correction(f, cut, geometry, param, resolution)
 
     starred_spec = FunctionalSpec(geometry=geometry, param=param, starred=True)

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigurationError
-from .poly import ComplexPolynomial, poly_eval, vandermonde
+from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, poly_eval, vandermonde
 from .quadrature import (
     Annulus,
     Disk,
@@ -51,11 +51,9 @@ __all__ = [
     "boundary_mass",
     "gradient",
     "quadratic_parts",
+    "quadratic_weights",
     "default_delta",
 ]
-
-HYPERBOLIC = "hyperbolic"
-PLANAR = "planar"
 
 DEFAULT_RESOLUTION = (128, 128)
 
@@ -243,14 +241,19 @@ def quadratic_parts(
     B the weighted L^1-type mass over the core region, C the measure of the
     core; all in the same normalization as density().
     """
+    a_wt, b_wt, c = quadratic_weights(spec, grid)
+    fv = _abs_beta(f, grid.nodes, spec.beta)
+    return float(np.sum(a_wt * fv**2)), float(np.sum(b_wt * fv)), c
+
+
+def quadratic_weights(spec: FunctionalSpec, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """Radial node weights (a, b) and C with quadratic_parts = (sum a*|f|^(2*beta), sum b*|f|^beta, C)."""
     _validate_grid(spec, grid)
     w, m, ind, domain, normalizer = _node_data(spec, grid)
-    fv = _abs_beta(f, grid.nodes, spec.beta)
-    wm = grid.weights * m
-    a = float(np.sum((w**2 * fv**2 * wm)[domain])) / normalizer
-    b = float(np.sum((w * fv * wm)[ind])) / normalizer
-    c = float(np.sum(wm[ind])) / normalizer
-    return a, b, c
+    wm = grid.weights * m / normalizer
+    a_wt = np.where(domain, w**2 * wm, 0.0)
+    b_wt = np.where(ind, w * wm, 0.0)
+    return a_wt, b_wt, float(np.sum(wm[ind]))
 
 
 def density(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigurationError, UndefinedScaleError
+from .errors import ConfigurationError, UndefinedScaleError
 from .functionals import (
     DEFAULT_RESOLUTION,
     DensityReport,
@@ -28,8 +28,9 @@ from .functionals import (
     default_grid,
     density,
     quadratic_parts,
+    quadratic_weights,
 )
-from .poly import ComplexPolynomial, vandermonde
+from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, gram_diagonal, vandermonde
 from .quadrature import QuadratureGrid
 
 __all__ = [
@@ -39,9 +40,6 @@ __all__ = [
     "optimal_scale",
     "minimize",
 ]
-
-HYPERBOLIC = "hyperbolic"
-PLANAR = "planar"
 
 
 @dataclass(frozen=True)
@@ -120,46 +118,33 @@ class _Workspace:
     """Precomputed node arrays for one (spec, grid, n) minimization."""
 
     def __init__(self, spec: FunctionalSpec, grid: QuadratureGrid, n: int):
-        from .functionals import _node_data, _validate_grid  # shared node bookkeeping
-
-        _validate_grid(spec, grid)
-        w, m, ind, domain, normalizer = _node_data(spec, grid)
-        wm = grid.weights * m / normalizer
+        self.a_wt, self.b_wt, self.c_val = quadratic_weights(spec, grid)
+        self.diagonal = gram_diagonal(grid, self.a_wt, n)
         self.V = vandermonde(grid.nodes, n)
-        self.a_wt = np.where(domain, w**2 * wm, 0.0)
-        self.b_wt = np.where(ind, w * wm, 0.0)
-        self.c_val = float(np.sum(wm[ind]))
-        G = (self.V * self.a_wt[:, None]).T @ self.V.conj()
-        self.G = 0.5 * (G + G.conj().T)
-        self.diag = np.sqrt(np.maximum(np.real(np.diag(self.G)), 1e-300))
 
     def value(self, c: np.ndarray) -> float:
         fv = np.abs(self.V @ c)
         return float(np.sum(self.a_wt * fv**2) - 2.0 * np.sum(self.b_wt * fv) + self.c_val)
 
-    def rescaled(self, c: np.ndarray) -> np.ndarray:
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """V^H y, without forming conj(V)."""
+        return np.conj(self.V.T @ np.conj(y))
+
+    def rescaled(self, c: np.ndarray) -> tuple[np.ndarray, float]:
+        """The optimal rescaling c*B/A and its value C - B^2/A."""
         fv = np.abs(self.V @ c)
         a = float(np.sum(self.a_wt * fv**2))
         b = float(np.sum(self.b_wt * fv))
         if a <= 0.0 or b <= 0.0:
-            return c
-        return c * (b / a)
+            return c, a - 2.0 * b + self.c_val
+        return c * (b / a), self.c_val - b * b / a
 
-    def irls_step(self, c: np.ndarray) -> np.ndarray:
+    def irls_step(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         fz = self.V @ c
         af = np.abs(fz)
         floor = 1e-14 * max(float(af.max()), 1e-300)
         u = fz / np.maximum(af, floor)
-        rhs = self.V.conj().T @ (self.b_wt * u)
-        try:
-            chol = np.linalg.cholesky(self.G)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(
-                f"IRLS normal equations singular at degree bound {self.V.shape[1]} "
-                f"with {self.V.shape[0]} nodes; increase resolution or lower the degree"
-            ) from exc
-        c_new = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
-        return self.rescaled(c_new)
+        return self.rescaled(self.adjoint(self.b_wt * u) / self.diagonal)
 
     def grad(self, c: np.ndarray) -> np.ndarray:
         fz = self.V @ c
@@ -193,8 +178,7 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: b
         iterations += 1
         improved = False
         if use_irls:
-            c_new = ws.irls_step(c)
-            v_new = ws.value(c_new)
+            c_new, v_new = ws.irls_step(c)
             if v_new <= val:
                 improved = True
         if not use_irls or not improved:
@@ -207,8 +191,7 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: b
                 break
             step = max(abs(val), 1e-8) / gnorm2
             for _ in range(60):
-                c_try = ws.rescaled(c - step * g)
-                v_try = ws.value(c_try)
+                c_try, v_try = ws.rescaled(c - step * g)
                 if v_try < val - 1e-4 * step * gnorm2:
                     c_new, v_new = c_try, v_try
                     improved = True
@@ -230,8 +213,7 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: b
         if use_irls and accepted % 10 == 0:
             direction = c - snapshot
             for theta in (16.0, 8.0, 4.0, 2.0):
-                candidate = ws.rescaled(c + theta * direction)
-                v_cand = ws.value(candidate)
+                candidate, v_cand = ws.rescaled(c + theta * direction)
                 if v_cand < val:
                     c, val = candidate, v_cand
                     history.append(val)
@@ -251,13 +233,7 @@ def _deterministic_init(spec: FunctionalSpec, grid: QuadratureGrid, ws: _Workspa
 
     cand = abrikosov_candidate(lattice_normalize(math.pi / 3.0, 1.0), 1.0)
     fvals = cand.f0_values(np.sqrt(spec.param) * grid.nodes)
-    rhs = ws.V.conj().T @ (ws.a_wt * fvals)
-    try:
-        chol = np.linalg.cholesky(ws.G)
-        c = np.linalg.solve(chol.conj().T, np.linalg.solve(chol, rhs))
-    except np.linalg.LinAlgError:
-        c = np.zeros(n, dtype=complex)
-        c[0] = 1.0
+    c = ws.adjoint(ws.a_wt * fvals) / ws.diagonal
     if not np.all(np.isfinite(c)) or not np.any(np.abs(c) > 0):
         c = np.zeros(n, dtype=complex)
         c[0] = 1.0
@@ -294,7 +270,7 @@ def minimize(
         else:
             rng = np.random.default_rng(config.seed * 7919 + rs)
             raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            c0 = raw / (np.sqrt(2.0) * ws.diag)
+            c0 = raw / np.sqrt(2.0 * ws.diagonal)
         c, val, iterations, converged, history = _descend(ws, c0, config, use_irls)
         restart_values.append(val)
         if best is None or val < best[1] - 1e-12:

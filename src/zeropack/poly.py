@@ -23,6 +23,7 @@ __all__ = [
     "poly_eval",
     "dilate",
     "gram",
+    "gram_diagonal",
     "weight_values",
 ]
 
@@ -91,47 +92,34 @@ def weight_values(weight: str, z: np.ndarray, gamma: float | None = None) -> np.
 
 @dataclass(frozen=True)
 class WeightedGram:
-    """Matrix of weighted monomial inner products <z^j, z^k>."""
+    """Weighted monomial inner products <z^j, z^k>, diagonal on ring grids."""
 
     weight: str
     gamma: float | None
     n: int
-    matrix: np.ndarray
+    diagonal: np.ndarray
 
     def norm_squared(self, p: ComplexPolynomial) -> float:
         c = np.zeros(self.n, dtype=complex)
         c[: len(p.coeffs)] = p.coeffs[: self.n]
-        return float(np.real(c @ self.matrix @ np.conj(c)))
+        return float(np.sum(self.diagonal * np.abs(c) ** 2))
 
     def orthonormal_scales(self) -> np.ndarray:
         """1/sqrt of the diagonal; rescales monomials to unit weighted norm."""
-        return 1.0 / np.sqrt(np.real(np.diag(self.matrix)))
+        return 1.0 / np.sqrt(self.diagonal)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve G c = rhs via Cholesky; the Gram is Hermitian PD by construction."""
-        try:
-            chol = np.linalg.cholesky(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError(
-                f"Gram matrix of degree bound {self.n} is numerically singular; "
-                "increase the grid resolution or lower the degree"
-            ) from exc
-        y = np.linalg.solve(chol, rhs)
-        return np.linalg.solve(chol.conj().T, y)
+        """Solve G c = rhs for a coefficient vector rhs."""
+        return rhs / self.diagonal
 
 
 def _check_weight_region(weight: str, grid: QuadratureGrid) -> None:
     region = grid.region
     if weight == HYPERBOLIC:
-        ok = isinstance(region, Disk) and abs(region.center) == 0 and region.radius <= 1.0 + 1e-12
+        ok = isinstance(region, Disk) and region.radius <= 1.0 + 1e-12
         ok = ok or (isinstance(region, Annulus) and region.r_out <= 1.0 + 1e-12)
         if not ok:
             raise ConfigurationError("hyperbolic weight needs a grid inside the unit disk")
-    elif weight == PLANAR:
-        if not isinstance(region, (TruncatedPlane, Disk, Annulus)):
-            raise ConfigurationError("planar weight needs a truncated-plane (or radial) grid")
-    else:
-        raise ConfigurationError(f"unknown weight tag {weight!r}")
 
 
 def vandermonde(z: np.ndarray, n: int) -> np.ndarray:
@@ -139,13 +127,29 @@ def vandermonde(z: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(z, dtype=complex)[:, None] ** np.arange(n)[None, :]
 
 
-def gram(weight: str, n: int, grid: QuadratureGrid, gamma: float | None = None) -> WeightedGram:
-    """Weighted monomial Gram matrix G[j, k] = integral z^j conj(z)^k e^{-phi} dA."""
+def gram_diagonal(grid: QuadratureGrid, node_weight: np.ndarray, n: int) -> np.ndarray:
+    """Quadrature Gram diagonal sum_i w_i |z_i|^(2k), k < n, for a radial node weight w.
+
+    On rings centred at 0 with n_ang equispaced angles, the rule sums the
+    off-diagonal factor e^{i(j-k)theta} to zero for 0 < |j-k| < n_ang, so for
+    n <= n_ang the weighted normal equations are exactly this diagonal.
+    """
     if n < 1:
         raise ConfigurationError(f"degree bound must be >= 1, got {n}")
-    _check_weight_region(weight, grid)
+    region = grid.region
+    if not (isinstance(region, (Annulus, TruncatedPlane)) or (isinstance(region, Disk) and region.center == 0)):
+        raise ConfigurationError(f"weighted solves need a ring grid centred at 0, got {region!r}")
+    n_ang = grid.resolution[1]
+    if n > n_ang:
+        raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")
+    diagonal = node_weight @ np.abs(grid.nodes)[:, None] ** (2 * np.arange(n))
+    if not np.all(diagonal > 0.0):
+        raise ConditioningError(f"Gram diagonal underflows at degree bound {n}; lower the degree")
+    return diagonal
+
+
+def gram(weight: str, n: int, grid: QuadratureGrid, gamma: float | None = None) -> WeightedGram:
+    """Weighted monomial Gram matrix G[j, k] = integral z^j conj(z)^k e^{-phi} dA."""
     wv = weight_values(weight, grid.nodes, gamma)
-    V = vandermonde(grid.nodes, n)
-    G = (V * (grid.weights * wv)[:, None]).T @ V.conj()
-    G = 0.5 * (G + G.conj().T)
-    return WeightedGram(weight=weight, gamma=gamma, n=n, matrix=G)
+    _check_weight_region(weight, grid)
+    return WeightedGram(weight=weight, gamma=gamma, n=n, diagonal=gram_diagonal(grid, grid.weights * wv, n))

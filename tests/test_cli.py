@@ -228,6 +228,17 @@ def test_config_file_mirrors_flags(tmp_path, capsys):
     assert json.loads(out2.read_text())["degree"] == 2
 
 
+def test_numerical_failure_exit_code(capsys):
+    # At this degree the planar Gram diagonal underflows to zero.
+    code, _, err = run(
+        capsys,
+        "minimize", "--geometry", "planar", "--gamma", "1000", "--degree", "400",
+        "--resolution", "8x512", "--restarts", "1",
+    )
+    assert code == 5
+    assert err.startswith("numerical error:")
+
+
 def test_minimize_rejects_csv_format(capsys):
     code, _, _ = run(capsys, "minimize", "--geometry", "planar", "--gamma", "1", "--format", "csv")
     assert code == 4

@@ -17,6 +17,7 @@ from zeropack import (
     dbar_cutoff,
     default_r_cut,
     equality_gap,
+    gram,
     integrate,
     minimal_correction,
     minimize,
@@ -102,6 +103,25 @@ def test_project_idempotent_on_polynomials(rng):
         q = project_polynomial(lambda z: poly_eval(p, z), "hyperbolic", 8, grid)
         assert np.max(np.abs(q.coeffs[:5] - p.coeffs)) < 1e-10
         assert np.max(np.abs(q.coeffs[5:])) < 1e-10
+
+
+def test_project_idempotent_planar_degree_64(rng):
+    # The Gram diagonal spans 68 orders of magnitude here, far beyond what a
+    # dense solve of the normal equations can resolve.
+    n = 64
+    grid = build_grid(TruncatedPlane(default_r_cut(n, 1.0)), (128, 256))
+    scales = gram("planar", n, grid, gamma=1.0).orthonormal_scales()
+    raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    p = ComplexPolynomial(raw * scales)
+    q = project_polynomial(lambda z: poly_eval(p, z), "planar", n, grid, gamma=1.0)
+    assert np.max(np.abs((q.coeffs - p.coeffs) / scales)) < 1e-10 * np.max(np.abs(raw))
+
+
+def test_project_rejects_non_ring_grids():
+    with pytest.raises(ConfigurationError, match="at least 20 angles"):
+        project_polynomial(lambda z: z, "hyperbolic", 20, build_grid(Disk(0, 1), (32, 16)))
+    with pytest.raises(ConfigurationError):
+        project_polynomial(lambda z: z, "planar", 4, build_grid(Disk(0.5, 1.0), (32, 32)), gamma=1.0)
 
 
 def test_project_antiholomorphic_to_zero():

@@ -146,10 +146,13 @@ def test_minimize_validation():
     with pytest.raises(ConfigurationError):
         minimize(FunctionalSpec("planar", 1.0, beta=2.0), 2)
     # grid geometry must match the spec
-    from zeropack import TruncatedPlane, build_grid
+    from zeropack import Disk, TruncatedPlane, build_grid
 
     with pytest.raises(ConfigurationError):
         minimize(FunctionalSpec("hyperbolic", 0.8), 2, grid=build_grid(TruncatedPlane(3.0), (32, 32)))
+    # 16 equispaced angles cannot integrate |f|^2 exactly for 20 coefficients
+    with pytest.raises(ConfigurationError, match="at least 20 angles"):
+        minimize(FunctionalSpec("planar", 8.0), 20, grid=build_grid(Disk(0, 1), (32, 16)))
     with pytest.raises(ConfigurationError):
         OptimizerConfig(tolerance=-1.0)
     with pytest.raises(ConfigurationError):

@@ -68,35 +68,44 @@ def test_gram_hyperbolic_diagonal():
     grid = build_grid(Disk(0, 1), (128, 64))
     G = gram("hyperbolic", 16, grid)
     for j in range(16):
-        assert abs(G.matrix[j, j].real - 1.0 / ((j + 1) * (j + 2))) < 1e-10
+        assert abs(G.diagonal[j] - 1.0 / ((j + 1) * (j + 2))) < 1e-10
 
 
 def test_gram_planar_diagonal_factorials():
-    # Oracle: Gaussian moments, 2*int_0^inf r^(2j+1) e^{-r^2} dr = j! at gamma = 1/2.
-    n = 11
-    grid = build_grid(TruncatedPlane(default_r_cut(n, 0.5)), (160, 64))
-    G = gram("planar", n, grid, gamma=0.5)
-    for j in range(n):
-        assert abs(G.matrix[j, j].real - math.factorial(j)) < 1e-8 * math.factorial(j)
+    # Oracle: Gaussian moments, 2*int_0^inf r^(2j+1) e^{-2 gamma r^2} dr = j!/(2 gamma)^(j+1).
+    for gamma, n in ((0.5, 11), (8.0, 26)):
+        grid = build_grid(TruncatedPlane(default_r_cut(n, gamma)), (160, 64))
+        G = gram("planar", n, grid, gamma=gamma)
+        for j in range(n):
+            exact = math.factorial(j) / (2.0 * gamma) ** (j + 1)
+            assert abs(G.diagonal[j] - exact) < 1e-8 * exact
 
 
-def test_gram_offdiagonal_zero():
-    grid = build_grid(Disk(0, 1), (64, 64))
-    G = gram("hyperbolic", 8, grid)
-    assert abs(G.matrix[0, 1]) < 1e-12
-    off = G.matrix - np.diag(np.diag(G.matrix))
-    assert np.max(np.abs(off)) < 1e-12
+def test_gram_diagonal_matches_dense_reference(rng):
+    # Reference: the dense quadrature Gram V^H diag(w) V and a general solver.
+    for weight, gamma, n, region in (
+        ("hyperbolic", None, 64, Disk(0, 1)),
+        ("planar", 8.0, 26, TruncatedPlane(default_r_cut(26, 8.0))),
+    ):
+        grid = build_grid(region, (128, 256))
+        w = weight_values(weight, grid.nodes, gamma) * grid.weights
+        V = grid.nodes[:, None] ** np.arange(n)[None, :]
+        dense = V.conj().T @ (w[:, None] * V)
+        d = np.real(np.diag(dense))
+        off = np.abs(dense - np.diag(np.diag(dense)))
+        assert np.all(off <= 1e-14 * np.sqrt(np.outer(d, d)))
+
+        G = gram(weight, n, grid, gamma=gamma)
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(G.solve(rhs) - ref)) < 1e-10 * np.max(np.abs(ref))
 
 
-def test_gram_hermitian_cholesky_degree_64():
-    grid = build_grid(Disk(0, 1), (128, 256))
-    G = gram("hyperbolic", 64, grid)
-    assert np.max(np.abs(G.matrix - G.matrix.conj().T)) < 1e-14
-    np.linalg.cholesky(G.matrix)  # PD with the default grids
-
-    gp = build_grid(TruncatedPlane(default_r_cut(64, 1.0)), (128, 256))
-    Gp = gram("planar", 64, gp, gamma=1.0)
-    np.linalg.cholesky(Gp.matrix)
+def test_gram_rejects_non_ring_grids():
+    with pytest.raises(ConfigurationError, match="at least 20 angles"):
+        gram("hyperbolic", 20, build_grid(Disk(0, 1), (32, 16)))
+    with pytest.raises(ConfigurationError):
+        gram("planar", 4, build_grid(Disk(0.5, 1.0), (32, 32)), gamma=1.0)
 
 
 def test_norm_via_gram_matches_integral(rng):
@@ -124,7 +133,7 @@ def test_orthonormal_scales():
     G = gram("hyperbolic", 6, grid)
     s = G.orthonormal_scales()
     for j in range(6):
-        assert abs(s[j] ** 2 * G.matrix[j, j].real - 1.0) < 1e-12
+        assert abs(s[j] ** 2 * G.diagonal[j] - 1.0) < 1e-12
 
 
 def test_serialization_roundtrip(rng):
