@@ -81,20 +81,48 @@ def test_gram_planar_diagonal_factorials():
             assert abs(G.diagonal[j] - exact) < 1e-8 * exact
 
 
-def test_gram_diagonal_matches_dense_reference(rng):
-    # Reference: the dense quadrature Gram V^H diag(w) V and a general solver.
-    for weight, gamma, n, region in (
-        ("hyperbolic", None, 64, Disk(0, 1)),
-        ("planar", 8.0, 26, TruncatedPlane(default_r_cut(26, 8.0))),
-    ):
-        grid = build_grid(region, (128, 256))
-        w = weight_values(weight, grid.nodes, gamma) * grid.weights
-        V = grid.nodes[:, None] ** np.arange(n)[None, :]
-        dense = V.conj().T @ (w[:, None] * V)
+def _dense_gram(weight, n, grid, gamma=None):
+    # Reference: the dense quadrature Gram V^H diag(w) V.
+    w = weight_values(weight, grid.nodes, gamma) * grid.weights
+    V = grid.nodes[:, None] ** np.arange(n)[None, :]
+    return V.conj().T @ (w[:, None] * V)
+
+
+_DENSE_CASES = (
+    ("hyperbolic", None, 64, Disk(0, 1)),
+    ("planar", 8.0, 26, TruncatedPlane(default_r_cut(26, 8.0))),
+)
+
+
+def test_gram_offdiagonal_zero():
+    grid = build_grid(Disk(0, 1), (64, 64))
+    dense = _dense_gram("hyperbolic", 8, grid)
+    off = dense - np.diag(np.diag(dense))
+    assert np.max(np.abs(off)) < 1e-12
+    assert np.allclose(gram("hyperbolic", 8, grid).diagonal, np.real(np.diag(dense)), rtol=1e-14, atol=0)
+
+    for weight, gamma, n, region in _DENSE_CASES:
+        dense = _dense_gram(weight, n, build_grid(region, (128, 256)), gamma)
         d = np.real(np.diag(dense))
         off = np.abs(dense - np.diag(np.diag(dense)))
         assert np.all(off <= 1e-14 * np.sqrt(np.outer(d, d)))
 
+
+def test_gram_hermitian_cholesky_degree_64(rng):
+    grid = build_grid(Disk(0, 1), (128, 256))
+    dense = _dense_gram("hyperbolic", 64, grid)
+    assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
+    np.linalg.cholesky(dense)  # PD with the default grids
+    assert np.all(gram("hyperbolic", 64, grid).diagonal > 0)
+
+    gp = build_grid(TruncatedPlane(default_r_cut(64, 1.0)), (128, 256))
+    np.linalg.cholesky(_dense_gram("planar", 64, gp, 1.0))
+    assert np.all(gram("planar", 64, gp, gamma=1.0).diagonal > 0)
+
+    # The diagonal divide agrees with a general solve of the dense system.
+    for weight, gamma, n, region in _DENSE_CASES:
+        grid = build_grid(region, (128, 256))
+        dense = _dense_gram(weight, n, grid, gamma)
         G = gram(weight, n, grid, gamma=gamma)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = np.linalg.solve(dense, rhs)
