@@ -21,7 +21,7 @@ from . import __version__
 from .dbar import default_cutoff, equality_gap, minimal_correction
 from .errors import ConditioningError, NumericError, ZeropackError
 from .functionals import DEFAULT_RESOLUTION, FunctionalSpec, default_grid, density
-from .lattice_sigma import abrikosov_candidate, lattice_normalize, scan_csv
+from .lattice_sigma import abrikosov_candidate, cell_average_density, lattice_normalize, scan_csv
 from .optimize import OptimizerConfig, degree_schedule, minimize
 from .poly import ComplexPolynomial
 
@@ -73,15 +73,34 @@ def _geometry_params(args) -> tuple[str, list[float]]:
     raise UsageError("--geometry must be hyperbolic or planar")
 
 
-def _dump_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _json_text(payload: dict) -> str:
+    """Deterministic JSON text plus a newline; a non-finite number is a numerical error."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericError(f"non-finite value in the report: {exc}") from exc
+
+
+def _write_text(text: str, out: str | None) -> None:
     if out is None:
-        print(text)
-    else:
-        try:
-            Path(out).write_text(text + "\n")
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise IOError(str(exc)) from exc
+
+
+def _dump_json(payload: dict, out: str | None) -> None:
+    _write_text(_json_text(payload), out)
+
+
+def _map(fn, items: list, jobs: int) -> list:
+    """fn over items in input order, on up to `jobs` threads."""
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def _with_provenance(payload: dict, resolution: tuple[int, int]) -> dict:
@@ -124,41 +143,29 @@ def cmd_lattice_scan(args) -> int:
     ]
 
     def one(theta: float) -> tuple[float, float]:
-        from .lattice_sigma import cell_average_density
-
         cand = abrikosov_candidate(lattice_normalize(theta, args.beta), args.beta)
         return theta, cell_average_density(cand, args.resolution, optimize_scale=True)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(one, thetas))
-    else:
-        rows = [one(t) for t in thetas]
-
-    if args.format == "json":
-        text = json.dumps({"rows": [[t, v] for t, v in rows]}, indent=2, sort_keys=True) + "\n"
-    else:
-        text = scan_csv(rows)
+    rows = _map(one, thetas, args.jobs)
+    text = _json_text({"rows": [[t, v] for t, v in rows]}) if args.format == "json" else scan_csv(rows)
     if args.out is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise IOError(str(exc)) from exc
-        argmin = min(range(len(rows)), key=lambda i: rows[i][1])
-        sidecar = _with_provenance(
-            {
-                "beta": args.beta,
-                "steps": args.steps,
-                "theta_min": args.theta_min,
-                "theta_max": args.theta_max,
-                "argmin_theta": rows[argmin][0],
-                "min_value": rows[argmin][1],
-            },
-            args.resolution,
-        )
-        _dump_json(sidecar, str(Path(args.out).with_suffix(".summary.json")))
+        _write_text(text, None)
+        return EXIT_OK
+    argmin = min(range(len(rows)), key=lambda i: rows[i][1])
+    sidecar = _with_provenance(
+        {
+            "beta": args.beta,
+            "steps": args.steps,
+            "theta_min": args.theta_min,
+            "theta_max": args.theta_max,
+            "argmin_theta": rows[argmin][0],
+            "min_value": rows[argmin][1],
+        },
+        args.resolution,
+    )
+    sidecar_text = _json_text(sidecar)
+    _write_text(text, args.out)
+    _write_text(sidecar_text, str(Path(args.out).with_suffix(".summary.json")))
     return EXIT_OK
 
 
@@ -167,14 +174,7 @@ def cmd_gap(args) -> int:
     config = _optimizer_config(args)
     resolution = args.resolution
 
-    def one(param: float):
-        return equality_gap(geometry, param, config, resolution)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, params))
-    else:
-        reports = [one(p) for p in params]
+    reports = _map(lambda param: equality_gap(geometry, param, config, resolution), params, args.jobs)
 
     gaps = [rep.gap for rep in reports]
     payload = _with_provenance(

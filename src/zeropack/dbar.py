@@ -181,7 +181,7 @@ def minimal_correction(
     z = grid.nodes
     chi_f = cutoff(z, spec) * poly_eval(f, z)
     gamma = param if geometry == PLANAR else None
-    weight = PLANAR if geometry == PLANAR else HYPERBOLIC
+    weight = geometry
     nu = project_polynomial(chi_f, weight, n, grid, gamma)
     u = chi_f - poly_eval(nu, z)
 
@@ -264,8 +264,7 @@ class GapReport:
 
 
 def _proof_components(
-    geometry: str,
-    param: float,
+    spec: FunctionalSpec,
     f: ComplexPolynomial,
     u: np.ndarray,
     cut: CutoffSpec,
@@ -275,33 +274,24 @@ def _proof_components(
 
     Exterior mass of u beyond the core region, the L^1 mass of u over the
     core, and the cross/quadratic u-term perturbing the L^2 mass of the
-    repaired polynomial; each is controlled by the dbar bound at any fixed
-    parameter (the remaining perturbations come from the cut-off's bite on f
-    and shrink only with the boundary layer).
+    repaired polynomial, each against the spec's envelope w, m as in
+    density(); each is controlled by the dbar bound at any fixed parameter
+    (the remaining perturbations come from the cut-off's bite on f and shrink
+    only with the boundary layer).
     """
     z = grid.nodes
+    au = np.abs(u)
+    # The cross term first, so that its complex temporaries never coexist with
+    # the envelope arrays; this keeps equality_gap's peak memory where it was.
+    cross = au**2 - 2.0 * np.real(cutoff(z, cut) * poly_eval(f, z) * np.conj(u))
     absz = np.abs(z)
-    chi_f = cutoff(z, cut) * poly_eval(f, z)
-    if geometry == HYPERBOLIC:
-        r = param
-        log_norm = math.log(1.0 / (1.0 - r * r))
-        one_minus = 1.0 - absz**2
-        ext_mask = absz > r
-        core = absz < r
-        ext = float(np.sum((np.abs(u) ** 2 * one_minus * grid.weights)[ext_mask])) / log_norm
-        l1 = float(np.sum((np.abs(u) * grid.weights)[core])) / log_norm
-        cross = (np.abs(u) ** 2 - 2.0 * np.real(chi_f * np.conj(u))) * one_minus
-        l2 = abs(float(np.sum((cross * grid.weights)[core]))) / log_norm
-    else:
-        gamma = param
-        w2 = np.exp(-2.0 * gamma * absz**2)
-        w1 = np.exp(-gamma * absz**2)
-        ext_mask = absz > 1.0
-        core = absz < 1.0
-        ext = float(np.sum((np.abs(u) ** 2 * w2 * grid.weights)[ext_mask]))
-        l1 = float(np.sum((np.abs(u) * w1 * grid.weights)[core]))
-        cross = (np.abs(u) ** 2 - 2.0 * np.real(chi_f * np.conj(u))) * w2
-        l2 = abs(float(np.sum((cross * grid.weights)[core])))
+    w, m = spec.envelope(absz)
+    w1 = w * m * grid.weights / spec.log_normalizer
+    w2 = w * w1
+    core = absz < spec.indicator_radius
+    ext = float(np.sum((au**2 * w2)[absz > spec.indicator_radius]))
+    l1 = float(np.sum((au * w1)[core]))
+    l2 = abs(float(np.sum((cross * w2)[core])))
     return ext, l1, l2
 
 
@@ -332,9 +322,8 @@ def equality_gap(
     starred_grid = default_grid(starred_spec, resolution, degree=n)
     rho_star = density(corr.nu, starred_spec, starred_grid).value
 
-    bm1 = boundary_mass(f, param, delta, 1, geometry, resolution=resolution)
-    bm2 = boundary_mass(f, param, delta, 2, geometry, resolution=resolution)
-    ext, l1p, l2p = _proof_components(geometry, param, f, corr.u_values, cut, corr.grid)
+    bm1, bm2 = boundary_mass(f, spec, delta, resolution)
+    ext, l1p, l2p = _proof_components(spec, f, corr.u_values, cut, corr.grid)
 
     return GapReport(
         geometry=geometry,

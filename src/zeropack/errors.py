@@ -14,9 +14,9 @@ class InvalidLatticeError(ZeropackError):
 
 
 class NumericError(ZeropackError):
-    """Non-finite value encountered during quadrature.
+    """Non-finite value encountered during quadrature or in a report.
 
-    Carries the offending node in ``.node``.
+    Carries the offending quadrature node, if any, in ``.node``.
     """
 
     def __init__(self, message, node=None):

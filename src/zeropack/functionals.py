@@ -46,8 +46,6 @@ __all__ = [
     "default_grid",
     "discrepancy",
     "density",
-    "density_dilated",
-    "ell",
     "boundary_mass",
     "gradient",
     "quadratic_parts",
@@ -104,6 +102,17 @@ class FunctionalSpec:
         if self.geometry == HYPERBOLIC:
             return math.log(1.0 / (1.0 - self.param**2))
         return 1.0
+
+    def envelope(self, absz):
+        """Weight w and measure density m (w.r.t. dA) at |z|, with alpha in force.
+
+        Hyperbolic: w = 1 - (alpha|z|)^2, m = alpha^2 / w.  Planar:
+        w = exp(-alpha*gamma*|z|^2), m = 1.
+        """
+        if self.geometry == HYPERBOLIC:
+            w = 1.0 - (self.alpha * absz) ** 2
+            return w, self.alpha**2 / w
+        return np.exp(-self.alpha * self.param * absz**2), np.ones_like(absz)
 
 
 def default_delta(spec: FunctionalSpec) -> float:
@@ -172,15 +181,11 @@ def _node_data(spec: FunctionalSpec, grid: QuadratureGrid):
         domain = np.ones_like(ind)
     else:
         domain = ind
+    w, m = spec.envelope(absz)
     if spec.geometry == HYPERBOLIC:
-        one_minus = 1.0 - (spec.alpha * absz) ** 2
-        w = one_minus
-        m = spec.alpha**2 / one_minus
-        base = 1.0 - absz**2
-        normalizer = float(np.sum(grid.weights[ind] / base[ind]))
+        # The core area stays undilated whatever alpha is.
+        normalizer = float(np.sum(grid.weights[ind] / (1.0 - absz[ind] ** 2)))
     else:
-        w = np.exp(-spec.alpha * spec.param * absz**2)
-        m = np.ones_like(absz)
         normalizer = 1.0
     return w, m, ind, domain, normalizer
 
@@ -195,10 +200,7 @@ def discrepancy(f: ComplexPolynomial, z, spec: FunctionalSpec):
     z = np.asarray(z, dtype=complex)
     absz = np.abs(z)
     ind = (absz < spec.indicator_radius).astype(float)
-    if spec.geometry == HYPERBOLIC:
-        w = 1.0 - (spec.alpha * absz) ** 2
-    else:
-        w = np.exp(-spec.alpha * spec.param * absz**2)
+    w, _ = spec.envelope(absz)
     out = (w * _abs_beta(f, z, spec.beta) - ind) ** 2
     return out if out.ndim else float(out)
 
@@ -264,8 +266,11 @@ def density(
     """Evaluate the density functional of f, with diagnostics.
 
     The report's ell values are the L^1/L^2 masses of the variational identity
-    (equal at any stationary scaling); the boundary masses use the default
-    boundary-layer pairing for the geometry.
+    (equal at any stationary scaling): ell_k is the integral of (w|f|^beta)^k
+    against m dA over the core, over the spec's log_normalizer, with w, m its
+    envelope; for the hyperbolic geometry that is (1/log(1/(1-r^2))) times the
+    integral of |f|^k (1-|z|^2)^(k-1) dA over D(0, r).  The boundary masses use
+    the default boundary-layer pairing for the geometry.
     """
     if grid is None:
         grid = default_grid(spec)
@@ -275,14 +280,8 @@ def density(
     terms = (w * fv - ind) ** 2 * m * grid.weights
     value = float(np.sum(terms[domain])) / normalizer
 
-    log_norm = spec.log_normalizer
-    wm = grid.weights * m
-    ell1 = float(np.sum((w * fv * wm)[ind])) / log_norm
-    ell2 = float(np.sum((w**2 * fv**2 * wm)[ind])) / log_norm
-
-    delta = default_delta(spec)
-    bm1 = boundary_mass(f, spec.param, delta, 1, spec.geometry, resolution=grid.resolution, beta=spec.beta)
-    bm2 = boundary_mass(f, spec.param, delta, 2, spec.geometry, resolution=grid.resolution, beta=spec.beta)
+    ell1, ell2 = _masses(w[ind], fv[ind], (grid.weights * m)[ind], spec.log_normalizer)
+    bm1, bm2 = boundary_mass(f, spec, default_delta(spec), grid.resolution)
 
     return DensityReport(
         value=value,
@@ -296,60 +295,33 @@ def density(
     )
 
 
-def density_dilated(f: ComplexPolynomial, spec: FunctionalSpec, grid: QuadratureGrid | None = None) -> float:
-    """Density value with the extra dilation parameter alpha in force."""
-    return density(f, spec, grid).value
-
-
-def ell(f: ComplexPolynomial, r: float, k: int, grid: QuadratureGrid) -> float:
-    """Weighted L^k mass of a hyperbolic minimizer over the core disk.
-
-    (1/log(1/(1-r^2))) * integral over D(0,r) of |f|^k (1-|z|^2)^(k-1) dA.
-    The weight exponent is k-1 on (1-|z|^2): this is the combination produced
-    by expanding the scaling variation of the density, which is what makes the
-    two masses equal at a minimizer.
-    """
-    if not 0.0 < r < 1.0:
-        raise ConfigurationError(f"radius must lie in (0,1), got {r}")
-    if k not in (1, 2):
-        raise ConfigurationError(f"k must be 1 or 2, got {k}")
-    absz = np.abs(grid.nodes)
-    mask = absz < r
-    af = np.abs(poly_eval(f, grid.nodes[mask]))
-    vals = af**k * (1.0 - absz[mask] ** 2) ** (k - 1)
-    return float(np.sum(vals * grid.weights[mask])) / math.log(1.0 / (1.0 - r**2))
+def _masses(w: np.ndarray, fv: np.ndarray, wm: np.ndarray, log_norm: float) -> tuple[float, float]:
+    """The L^1 and L^2 masses sum(w |f|^beta wm) and sum((w |f|^beta)^2 wm), over log_norm."""
+    return float(np.sum(w * fv * wm)) / log_norm, float(np.sum(w**2 * fv**2 * wm)) / log_norm
 
 
 def boundary_mass(
     f: ComplexPolynomial,
-    param: float,
+    spec: FunctionalSpec,
     delta: float,
-    p: int,
-    geometry: str = HYPERBOLIC,
     resolution: tuple[int, int] = (96, 128),
-    beta: float = 1.0,
-) -> float:
-    """Mass of f in the boundary layer of relative width delta.
+) -> tuple[float, float]:
+    """The (L^1, L^2) masses of f in the boundary layer of relative width delta.
 
-    Hyperbolic: (1/log(1/(1-r^2))) * integral over A((1-delta)r, r) of
-    |f|^p (1-|z|^2)^(p-1) dA.  Planar: integral over A(1-delta, 1) of
-    |f|^(p*beta) exp(-p*gamma*|z|^2) dA.
+    The layer is the annulus A((1-delta)R, R) under the indicator radius R;
+    the masses are those of density()'s ell1/ell2 taken over it with the
+    undilated envelope.  Hyperbolic, for p = 1, 2:
+    (1/log(1/(1-r^2))) * integral of |f|^p (1-|z|^2)^(p-1) dA.  Planar:
+    integral of |f|^(p*beta) exp(-p*gamma*|z|^2) dA.
     """
     if not 0.0 < delta <= 1.0:
         raise ConfigurationError(f"delta must lie in (0,1], got {delta}")
-    if p not in (1, 2):
-        raise ConfigurationError(f"p must be 1 or 2, got {p}")
-    outer = param if geometry == HYPERBOLIC else 1.0
+    base = FunctionalSpec(spec.geometry, spec.param, beta=spec.beta)
+    outer = base.indicator_radius
     inner = (1.0 - delta) * outer
-    region = Disk(0.0, outer) if inner <= 0.0 else Annulus(inner, outer)
-    grid = build_grid(region, resolution)
-    absz = np.abs(grid.nodes)
-    af = np.abs(poly_eval(f, grid.nodes))
-    if geometry == HYPERBOLIC:
-        vals = af**p * (1.0 - absz**2) ** (p - 1)
-        return float(np.sum(vals * grid.weights)) / math.log(1.0 / (1.0 - param**2))
-    vals = af ** (p * beta) * np.exp(-p * param * absz**2)
-    return float(np.sum(vals * grid.weights))
+    grid = build_grid(Disk(0.0, outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
+    w, m = base.envelope(np.abs(grid.nodes))
+    return _masses(w, _abs_beta(f, grid.nodes, base.beta), grid.weights * m, base.log_normalizer)
 
 
 def gradient(

@@ -163,17 +163,13 @@ def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray
     """Weighted sum of the integrand over the grid nodes.
 
     ``integrand`` may be a vectorized callable of the complex nodes or an array
-    of precomputed node values.  numpy's pairwise summation keeps the reduction
-    deterministic for a fixed grid.
+    of precomputed node values; either way the values must have the nodes'
+    shape.  numpy's pairwise summation keeps the reduction deterministic for a
+    fixed grid.
     """
-    if callable(integrand):
-        values = np.asarray(integrand(grid.nodes))
-        if values.shape != grid.nodes.shape:
-            values = np.asarray([integrand(z) for z in grid.nodes])
-    else:
-        values = np.asarray(integrand)
-        if values.shape != grid.nodes.shape:
-            raise NumericError(f"integrand values have shape {values.shape}, expected {grid.nodes.shape}")
+    values = np.asarray(integrand(grid.nodes) if callable(integrand) else integrand)
+    if values.shape != grid.nodes.shape:
+        raise NumericError(f"integrand values have shape {values.shape}, expected {grid.nodes.shape}")
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericError(f"non-finite integrand value at node {grid.nodes[bad]}", node=grid.nodes[bad])

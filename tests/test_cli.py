@@ -239,6 +239,23 @@ def test_numerical_failure_exit_code(capsys):
     assert err.startswith("numerical error:")
 
 
+def test_nonfinite_report_is_numerical_error(tmp_path, capsys):
+    # Overflowing coefficients make the report non-finite; no JSON with
+    # Infinity or NaN is written, and the run exits 5.
+    poly = tmp_path / "p.json"
+    poly.write_text("[[1e300, 0], [1e300, 0]]")
+    for command, resolution in (("eval", "16x16"), ("dbar-check", "32x32")):
+        out = tmp_path / f"{command}.json"
+        code, _, err = run(
+            capsys,
+            command, "--geometry", "planar", "--gamma", "2", "--poly", str(poly),
+            "--resolution", resolution, "--out", str(out),
+        )
+        assert code == 5
+        assert err.startswith("numerical error:")
+        assert not out.exists()
+
+
 def test_minimize_rejects_csv_format(capsys):
     code, _, _ = run(capsys, "minimize", "--geometry", "planar", "--gamma", "1", "--format", "csv")
     assert code == 4

@@ -14,10 +14,8 @@ from zeropack import (
     default_delta,
     default_grid,
     density,
-    density_dilated,
     dilate,
     discrepancy,
-    ell,
     gradient,
     integrate,
     poly_eval,
@@ -127,26 +125,38 @@ def test_starred_grid_requirements():
 
 def test_ell_zero_and_constant():
     r = 0.6
+    spec = FunctionalSpec("hyperbolic", r)
     grid = build_grid(Disk(0, r), (96, 64))
-    assert ell(ZERO, r, 1, grid) == 0.0
-    assert ell(ZERO, r, 2, grid) == 0.0
+    rep = density(ZERO, spec, grid)
+    assert rep.ell1 == 0.0
+    assert rep.ell2 == 0.0
     # Oracle: area of D(0,r) under dA divided by the hyperbolic normalizer.
     c = 1.7
     expect = c * r * r / hyperbolic_norm(r)
-    assert abs(ell(ComplexPolynomial([c]), r, 1, grid) - expect) < 1e-12
-
-
-def test_ell_validation():
-    grid = build_grid(Disk(0, 0.5), (16, 16))
-    with pytest.raises(ConfigurationError):
-        ell(ZERO, 1.5, 1, grid)
-    with pytest.raises(ConfigurationError):
-        ell(ZERO, 0.5, 3, grid)
+    assert abs(density(ComplexPolynomial([c]), spec, grid).ell1 - expect) < 1e-12
 
 
 def test_boundary_mass_zero_poly():
-    assert boundary_mass(ZERO, 0.8, 0.2, 1) == 0.0
-    assert boundary_mass(ZERO, 4.0, 0.5, 2, "planar") == 0.0
+    assert boundary_mass(ZERO, FunctionalSpec("hyperbolic", 0.8), 0.2) == (0.0, 0.0)
+    assert boundary_mass(ZERO, FunctionalSpec("planar", 4.0), 0.5) == (0.0, 0.0)
+
+
+def test_boundary_mass_full_layer_is_density_ell(rng):
+    # With delta = 1 the layer is the whole core disk, so the pair equals the
+    # ell masses of density() on the same disk grid.
+    res = (64, 48)
+    for spec in (
+        FunctionalSpec("hyperbolic", 0.8),
+        FunctionalSpec("planar", 2.0),
+        FunctionalSpec("planar", 2.0, beta=2.0),
+    ):
+        grid = build_grid(Disk(0, spec.indicator_radius), res)
+        for _ in range(3):
+            f = random_poly(rng, 6)
+            rep = density(f, spec, grid)
+            l1, l2 = boundary_mass(f, spec, 1.0, res)
+            assert abs(l1 - rep.ell1) <= 1e-12 * abs(rep.ell1)
+            assert abs(l2 - rep.ell2) <= 1e-12 * abs(rep.ell2)
 
 
 def test_boundary_mass_cauchy_schwarz(rng):
@@ -156,15 +166,14 @@ def test_boundary_mass_cauchy_schwarz(rng):
     area_ratio = 1.0 - math.log(1.0 / (1.0 - r * r * (1 - delta) ** 2)) / L
     for _ in range(20):
         f = random_poly(rng, 7)
-        b1 = boundary_mass(f, r, delta, 1)
-        b2 = boundary_mass(f, r, delta, 2)
+        b1, b2 = boundary_mass(f, FunctionalSpec("hyperbolic", r), delta)
         assert b1 <= math.sqrt(b2) * math.sqrt(area_ratio) + 1e-9
 
 
 def test_boundary_mass_full_layer_allowed():
     # delta = 1 covers the whole disk; needed by the planar pairing at gamma = 1.
     f = ComplexPolynomial([1.0])
-    val = boundary_mass(f, 1.0, 1.0, 1, "planar")
+    val, _ = boundary_mass(f, FunctionalSpec("planar", 1.0), 1.0)
     assert abs(val - (1 - math.exp(-1.0))) < 1e-10
 
 
@@ -180,7 +189,7 @@ def test_density_dilated_alpha_one_reduces(rng):
     dil = FunctionalSpec("hyperbolic", r, alpha=1.0)
     for _ in range(20):
         f = random_poly(rng, 5)
-        assert abs(density_dilated(f, dil) - density(f, plain).value) < 1e-12
+        assert abs(density(f, dil).value - density(f, plain).value) < 1e-12
 
 
 def test_density_dilated_rescaling_identity(rng):
@@ -188,7 +197,7 @@ def test_density_dilated_rescaling_identity(rng):
     r, a = 0.8, 0.9
     for _ in range(5):
         f = random_poly(rng, 6)
-        lhs = density_dilated(f, FunctionalSpec("hyperbolic", r, alpha=a))
+        lhs = density(f, FunctionalSpec("hyperbolic", r, alpha=a)).value
         rhs = (
             math.log(1 / (1 - a * a * r * r))
             / hyperbolic_norm(r)
@@ -206,7 +215,7 @@ def test_density_dilated_substitution_identity(rng):
     for _ in range(5):
         f = random_poly(rng, 6)
         g = dilate(f, 1 - d)
-        lhs = density_dilated(g, FunctionalSpec("hyperbolic", r, alpha=1 - d))
+        lhs = density(g, FunctionalSpec("hyperbolic", r, alpha=1 - d)).value
         rhs = (
             integrate(
                 grid,
@@ -223,7 +232,7 @@ def test_planar_dilated_formula(rng):
     grid = build_grid(Disk(0, 1), (96, 96))
     for _ in range(5):
         f = random_poly(rng, 5)
-        lhs = density_dilated(f, FunctionalSpec("planar", g, alpha=a), grid)
+        lhs = density(f, FunctionalSpec("planar", g, alpha=a), grid).value
         rhs = integrate(
             grid, lambda z: (np.abs(poly_eval(f, z)) * np.exp(-a * g * np.abs(z) ** 2) - 1) ** 2
         )
@@ -360,9 +369,8 @@ def test_ell_equality_at_minimizer_standalone():
     r = 0.8
     res = minimize(FunctionalSpec("hyperbolic", r), degree_schedule("hyperbolic", r), OptimizerConfig(restarts=3, seed=1))
     assert res.converged
-    grid = build_grid(Disk(0, r), (128, 128))
-    e1 = ell(res.minimizer, r, 1, grid)
-    e2 = ell(res.minimizer, r, 2, grid)
+    rep = density(res.minimizer, FunctionalSpec("hyperbolic", r), build_grid(Disk(0, r), (128, 128)))
+    e1, e2 = rep.ell1, rep.ell2
     assert abs(e1 - e2) < 1e-5
     assert abs(res.value - (1.0 - e1)) < 1e-5
 

@@ -149,6 +149,13 @@ def test_integrate_accepts_value_array():
         integrate(grid, vals[:-1])
 
 
+def test_integrate_callable_must_return_node_shape():
+    # A callable's output is checked like a value array; there is no per-node fallback.
+    grid = build_grid(Disk(0, 1), (8, 8))
+    with pytest.raises(NumericError):
+        integrate(grid, lambda z: 1.0)
+
+
 def test_default_r_cut_dominates_growth():
     for n, gamma in ((4, 1.0), (16, 8.0), (26, 8.0), (11, 0.5)):
         rc = default_r_cut(n, gamma)
