@@ -24,7 +24,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .functionals import (
     DEFAULT_RESOLUTION,
     FunctionalSpec,
@@ -34,7 +34,7 @@ from .functionals import (
     density,
 )
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
-from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, gram, poly_eval, vandermonde, weight_values
+from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, gram, ring_vandermonde, vandermonde, weight_values
 from .quadrature import Disk, QuadratureGrid, TruncatedPlane, build_grid, default_r_cut
 
 __all__ = [
@@ -109,15 +109,13 @@ def project_polynomial(
     """Weighted L^2 projection of g onto the n-coefficient polynomial space.
 
     Characterized by <g - p, z^k> = 0 for every k < n in the weighted inner
-    product; solved through the normal equations on the grid.
+    product; on a ring grid the normal equations are a divide by the Gram diagonal.
     """
     values = np.asarray(g(grid.nodes) if callable(g) else g, dtype=complex)
     if values.shape != grid.nodes.shape:
         raise ConfigurationError("sampled function must match the grid nodes")
-    G = gram(weight, n, grid, gamma)
     wv = weight_values(weight, grid.nodes, gamma) * grid.weights
-    rhs = np.conj(vandermonde(grid.nodes, n).T @ np.conj(wv * values))
-    return ComplexPolynomial(G.solve(rhs))
+    return ComplexPolynomial(ring_vandermonde(grid, n).adjoint(wv * values) / gram(weight, n, grid, gamma))
 
 
 @dataclass(frozen=True)
@@ -134,7 +132,7 @@ class CorrectionResult:
     gamma: float | None
 
     def orthogonality_residual(self) -> float:
-        """max_k |<u, z^k>| relative to ||u||, in the correction's weighted inner product."""
+        """max_k |<u, z^k>| / ||u|| in the weighted inner product, via the dense Vandermonde matrix."""
         wv = weight_values(self.weight, self.grid.nodes, self.gamma) * self.grid.weights
         V = vandermonde(self.grid.nodes, self.degree_bound)
         inner = np.abs(V.conj().T @ (wv * self.u_values))
@@ -179,20 +177,23 @@ def minimal_correction(
     n = degree_schedule(geometry, param)
     grid = correction_grid(geometry, param, spec, resolution, degree=n)
     z = grid.nodes
-    chi_f = cutoff(z, spec) * poly_eval(f, z)
+    fz = f.on_grid(grid)
+    f2 = np.abs(fz) ** 2
+    chi_f = cutoff(z, spec) * fz
     gamma = param if geometry == PLANAR else None
     weight = geometry
     nu = project_polynomial(chi_f, weight, n, grid, gamma)
-    u = chi_f - poly_eval(nu, z)
+    u = chi_f - nu.on_grid(grid)
 
     wv = weight_values(weight, z, gamma)
     lhs = float(np.sum(np.abs(u) ** 2 * wv * grid.weights))
     dchi2 = np.abs(dbar_cutoff(z, spec)) ** 2
-    f2 = np.abs(poly_eval(f, z)) ** 2
     if geometry == HYPERBOLIC:
         rhs = float(np.sum(dchi2 * f2 * (1.0 - np.abs(z) ** 2) ** 3 * grid.weights))
     else:
         rhs = float(np.sum(dchi2 * f2 * wv * grid.weights)) / (2.0 * param)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NumericError(f"non-finite correction bound: lhs {lhs}, rhs {rhs}")
     return CorrectionResult(
         u_values=u, nu=nu, lhs=lhs, rhs=rhs, degree_bound=n, grid=grid, weight=weight, gamma=gamma
     )
@@ -283,7 +284,7 @@ def _proof_components(
     au = np.abs(u)
     # The cross term first, so that its complex temporaries never coexist with
     # the envelope arrays; this keeps equality_gap's peak memory where it was.
-    cross = au**2 - 2.0 * np.real(cutoff(z, cut) * poly_eval(f, z) * np.conj(u))
+    cross = au**2 - 2.0 * np.real(cutoff(z, cut) * f.on_grid(grid) * np.conj(u))
     absz = np.abs(z)
     w, m = spec.envelope(absz)
     w1 = w * m * grid.weights / spec.log_normalizer

@@ -28,8 +28,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, poly_eval, vandermonde
+from .errors import ConfigurationError, NumericError
+from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, poly_eval, ring_vandermonde
 from .quadrature import (
     Annulus,
     Disk,
@@ -165,12 +165,11 @@ def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
         if spec.starred:
             if not isinstance(region, TruncatedPlane):
                 raise ConfigurationError("starred planar densities need a truncated-plane grid")
-        else:
-            ok = isinstance(region, TruncatedPlane) or (
-                isinstance(region, Disk) and abs(region.center) == 0 and region.radius >= 1.0 - 1e-12
-            )
-            if not ok:
-                raise ConfigurationError("planar densities need a grid covering the unit disk")
+        elif not (isinstance(region, TruncatedPlane) or (isinstance(region, Disk) and abs(region.center) == 0)):
+            raise ConfigurationError("planar densities need a grid covering the unit disk")
+        radius = region.r_cut if isinstance(region, TruncatedPlane) else region.radius
+        if radius < 1.0 - 1e-12:
+            raise ConfigurationError(f"grid radius {radius} does not cover the unit disk")
 
 
 def _node_data(spec: FunctionalSpec, grid: QuadratureGrid):
@@ -190,18 +189,13 @@ def _node_data(spec: FunctionalSpec, grid: QuadratureGrid):
     return w, m, ind, domain, normalizer
 
 
-def _abs_beta(f: ComplexPolynomial, z: np.ndarray, beta: float) -> np.ndarray:
-    af = np.abs(poly_eval(f, z))
-    return af if beta == 1.0 else af**beta
-
-
 def discrepancy(f: ComplexPolynomial, z, spec: FunctionalSpec):
     """Pointwise squared mismatch (w(z)|f(z)|^beta - 1_core(z))^2."""
     z = np.asarray(z, dtype=complex)
     absz = np.abs(z)
     ind = (absz < spec.indicator_radius).astype(float)
     w, _ = spec.envelope(absz)
-    out = (w * _abs_beta(f, z, spec.beta) - ind) ** 2
+    out = (w * np.abs(poly_eval(f, z)) ** spec.beta - ind) ** 2
     return out if out.ndim else float(out)
 
 
@@ -244,7 +238,7 @@ def quadratic_parts(
     core; all in the same normalization as density().
     """
     a_wt, b_wt, c = quadratic_weights(spec, grid)
-    fv = _abs_beta(f, grid.nodes, spec.beta)
+    fv = np.abs(f.on_grid(grid)) ** spec.beta
     return float(np.sum(a_wt * fv**2)), float(np.sum(b_wt * fv)), c
 
 
@@ -276,12 +270,16 @@ def density(
         grid = default_grid(spec)
     _validate_grid(spec, grid)
     w, m, ind, domain, normalizer = _node_data(spec, grid)
-    fv = _abs_beta(f, grid.nodes, spec.beta)
+    fv = np.abs(f.on_grid(grid)) ** spec.beta
     terms = (w * fv - ind) ** 2 * m * grid.weights
     value = float(np.sum(terms[domain])) / normalizer
 
     ell1, ell2 = _masses(w[ind], fv[ind], (grid.weights * m)[ind], spec.log_normalizer)
     bm1, bm2 = boundary_mass(f, spec, default_delta(spec), grid.resolution)
+    if not all(map(math.isfinite, (value, ell1, ell2, bm1, bm2))):
+        raise NumericError(
+            f"non-finite density: value {value}, ell1 {ell1}, ell2 {ell2}, boundary masses {bm1}, {bm2}"
+        )
 
     return DensityReport(
         value=value,
@@ -321,7 +319,7 @@ def boundary_mass(
     inner = (1.0 - delta) * outer
     grid = build_grid(Disk(0.0, outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
     w, m = base.envelope(np.abs(grid.nodes))
-    return _masses(w, _abs_beta(f, grid.nodes, base.beta), grid.weights * m, base.log_normalizer)
+    return _masses(w, np.abs(f.on_grid(grid)) ** base.beta, grid.weights * m, base.log_normalizer)
 
 
 def gradient(
@@ -341,22 +339,18 @@ def gradient(
         grid = default_grid(spec)
     _validate_grid(spec, grid)
     w, m, ind, domain, normalizer = _node_data(spec, grid)
-    n = len(f.coeffs)
-    fz = poly_eval(f, grid.nodes)
+    V = ring_vandermonde(grid, len(f.coeffs))
+    fz = V @ f.coeffs
     af = np.abs(fz)
     floor = 1e-14 * max(float(af.max()), 1e-300)
     clipped = af < floor
     safe = np.maximum(af, floor)
     u = fz / safe
     beta = spec.beta
-    fv = af if beta == 1.0 else af**beta
-    q = 2.0 * (w * fv - ind) * w * beta * (safe ** (beta - 1.0)) * m * grid.weights / normalizer
+    q = 2.0 * (w * af**beta - ind) * w * beta * (safe ** (beta - 1.0)) * m * grid.weights / normalizer
     q = np.where(domain & ~clipped, q, 0.0)
-    V = vandermonde(grid.nodes, n)
-    t = V.T @ (q * np.conj(u))
-    out = np.empty(2 * n)
-    out[0::2] = np.real(t)
-    out[1::2] = -np.imag(t)
+    # Entries 2j and 2j+1 are the real and imaginary parts of (V^H (q u))_j.
+    out = V.adjoint(q * u).view(np.float64)
     if full_output:
         return out, bool(np.any(clipped & domain))
     return out

@@ -1,10 +1,11 @@
-"""Complex polynomials in the monomial basis and weighted Gram matrices.
+"""Complex polynomials in the monomial basis, ring products and weighted Grams.
 
 The search space is the set of polynomials of degree at most n-1, stored as a
 coefficient vector c[0..n-1] against the monomial basis.  Coefficients stay in
 the monomial basis throughout: the radial weights used here make the Gram
 matrices diagonal, so conditioning is benign and coefficients remain directly
-interpretable.
+interpretable.  On rings centred at 0, z^k = r^k e^{ik theta} factors the
+Vandermonde matrix, and every polynomial-on-grid product uses that factoring.
 """
 
 from __future__ import annotations
@@ -15,15 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, ConfigurationError
-from .quadrature import Annulus, Disk, QuadratureGrid, TruncatedPlane
+from .quadrature import QuadratureGrid
 
 __all__ = [
     "ComplexPolynomial",
-    "WeightedGram",
+    "RingVandermonde",
     "poly_eval",
     "dilate",
     "gram",
     "gram_diagonal",
+    "ring_vandermonde",
     "weight_values",
 ]
 
@@ -49,6 +51,10 @@ class ComplexPolynomial:
     def __call__(self, z):
         return poly_eval(self, z)
 
+    def on_grid(self, grid: QuadratureGrid) -> np.ndarray:
+        """Values at the nodes of a ring grid, through the ring product."""
+        return ring_vandermonde(grid, len(self.coeffs)) @ self.coeffs
+
     def to_json(self) -> str:
         """JSON array of [re, im] pairs, index = monomial power."""
         return json.dumps([[float(c.real), float(c.imag)] for c in self.coeffs])
@@ -60,7 +66,7 @@ class ComplexPolynomial:
 
 
 def poly_eval(p: ComplexPolynomial, z):
-    """Horner evaluation of p at z (scalar or array)."""
+    """Horner evaluation of p at arbitrary points z; ``p.on_grid`` serves grid nodes."""
     z = np.asarray(z, dtype=complex)
     acc = np.zeros_like(z)
     for c in p.coeffs[::-1]:
@@ -90,41 +96,36 @@ def weight_values(weight: str, z: np.ndarray, gamma: float | None = None) -> np.
     raise ConfigurationError(f"unknown weight tag {weight!r}")
 
 
-@dataclass(frozen=True)
-class WeightedGram:
-    """Weighted monomial inner products <z^j, z^k>, diagonal on ring grids."""
-
-    weight: str
-    gamma: float | None
-    n: int
-    diagonal: np.ndarray
-
-    def norm_squared(self, p: ComplexPolynomial) -> float:
-        c = np.zeros(self.n, dtype=complex)
-        c[: len(p.coeffs)] = p.coeffs[: self.n]
-        return float(np.sum(self.diagonal * np.abs(c) ** 2))
-
-    def orthonormal_scales(self) -> np.ndarray:
-        """1/sqrt of the diagonal; rescales monomials to unit weighted norm."""
-        return 1.0 / np.sqrt(self.diagonal)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve G c = rhs for a coefficient vector rhs."""
-        return rhs / self.diagonal
-
-
-def _check_weight_region(weight: str, grid: QuadratureGrid) -> None:
-    region = grid.region
-    if weight == HYPERBOLIC:
-        ok = isinstance(region, Disk) and region.radius <= 1.0 + 1e-12
-        ok = ok or (isinstance(region, Annulus) and region.r_out <= 1.0 + 1e-12)
-        if not ok:
-            raise ConfigurationError("hyperbolic weight needs a grid inside the unit disk")
-
-
 def vandermonde(z: np.ndarray, n: int) -> np.ndarray:
     """Matrix V[i, k] = z_i**k for k < n."""
     return np.asarray(z, dtype=complex)[:, None] ** np.arange(n)[None, :]
+
+
+@dataclass(frozen=True)
+class RingVandermonde:
+    """V[i, k] = z_i**k on a ring grid, as radial[j, k] * angular[a, k] for node i = j*n_ang + a.
+
+    radial = vandermonde(radii, n) and angular = vandermonde(phases, n); exact for any n.
+    """
+
+    radial: np.ndarray
+    angular: np.ndarray
+
+    def __matmul__(self, c: np.ndarray) -> np.ndarray:
+        """V @ c: the polynomial with coefficients c at every node."""
+        return ((self.radial * c) @ self.angular.T).ravel()
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """V^H y, for node values y."""
+        y = np.reshape(y, (len(self.radial), len(self.angular)))
+        return np.sum(self.radial * (y @ self.angular.conj()), axis=0)
+
+
+def ring_vandermonde(grid: QuadratureGrid, n: int) -> RingVandermonde:
+    """The factored Vandermonde matrix of the grid's nodes for k < n."""
+    if grid.radii is None:
+        raise ConfigurationError(f"ring products need a ring grid centred at 0, got {grid.region!r}")
+    return RingVandermonde(vandermonde(grid.radii, n), vandermonde(grid.phases, n))
 
 
 def gram_diagonal(grid: QuadratureGrid, node_weight: np.ndarray, n: int) -> np.ndarray:
@@ -136,20 +137,21 @@ def gram_diagonal(grid: QuadratureGrid, node_weight: np.ndarray, n: int) -> np.n
     """
     if n < 1:
         raise ConfigurationError(f"degree bound must be >= 1, got {n}")
-    region = grid.region
-    if not (isinstance(region, (Annulus, TruncatedPlane)) or (isinstance(region, Disk) and region.center == 0)):
-        raise ConfigurationError(f"weighted solves need a ring grid centred at 0, got {region!r}")
+    if grid.radii is None:
+        raise ConfigurationError(f"weighted solves need a ring grid centred at 0, got {grid.region!r}")
     n_ang = grid.resolution[1]
     if n > n_ang:
         raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")
-    diagonal = node_weight @ np.abs(grid.nodes)[:, None] ** (2 * np.arange(n))
+    ring_weight = np.reshape(node_weight, (len(grid.radii), n_ang)).sum(axis=1)
+    diagonal = ring_weight @ grid.radii[:, None] ** (2 * np.arange(n))
     if not np.all(diagonal > 0.0):
         raise ConditioningError(f"Gram diagonal underflows at degree bound {n}; lower the degree")
     return diagonal
 
 
-def gram(weight: str, n: int, grid: QuadratureGrid, gamma: float | None = None) -> WeightedGram:
-    """Weighted monomial Gram matrix G[j, k] = integral z^j conj(z)^k e^{-phi} dA."""
+def gram(weight: str, n: int, grid: QuadratureGrid, gamma: float | None = None) -> np.ndarray:
+    """Diagonal G[k] = integral |z|^(2k) e^{-phi} dA of the (diagonal) weighted monomial Gram matrix."""
     wv = weight_values(weight, grid.nodes, gamma)
-    _check_weight_region(weight, grid)
-    return WeightedGram(weight=weight, gamma=gamma, n=n, diagonal=gram_diagonal(grid, grid.weights * wv, n))
+    if weight == HYPERBOLIC and np.max(np.abs(grid.nodes)) > 1.0:
+        raise ConfigurationError("hyperbolic weight needs a grid inside the unit disk")
+    return gram_diagonal(grid, grid.weights * wv, n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,16 +63,26 @@ Region = Disk | Annulus | TruncatedPlane | Cell
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes and positive weights for one region, w.r.t. dA = dx dy / pi."""
+    """Nodes and positive weights for one region, w.r.t. dA = dx dy / pi.
+
+    On rings centred at 0, row j of ``nodes.reshape(-1, n_ang)`` is
+    ``radii[j] * phases``; ``radii`` is None for cells and off-centre disks.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     region: Region
     resolution: tuple[int, int]
+    radii: np.ndarray | None = None
 
     @property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
+
+    @property
+    def phases(self) -> np.ndarray:
+        """The n_ang equispaced unit phases e^{i theta} shared by every ring."""
+        return _phases(self.resolution[1])
 
 
 def normalized_area(region: Region) -> float:
@@ -87,9 +98,22 @@ def normalized_area(region: Region) -> float:
     raise InvalidRegionError(f"unknown region {region!r}")
 
 
+@lru_cache(maxsize=64)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1], read-only since they are shared."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _phases(n_ang: int) -> np.ndarray:
+    return np.exp(1j * (2.0 * math.pi * np.arange(n_ang) / n_ang))
+
+
 def _radial_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights for integral_a^b g(r) 2r dr."""
-    x, w = leggauss(n)
+    x, w = _gauss_legendre(n)
     r = 0.5 * (a + b) + 0.5 * (b - a) * x
     return r, w * (0.5 * (b - a)) * 2.0 * r
 
@@ -100,17 +124,17 @@ def _radial_region(
     b: float,
     resolution: tuple[int, int],
     radial_splits: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Ring-major nodes and weights, plus the ring radii if the rings are centred at 0."""
     n_rad, n_ang = resolution
     edges = [a, *sorted(s for s in radial_splits if a < s < b), b]
-    theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    phase = np.exp(1j * theta)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r, wr = _radial_rule(lo, hi, n_rad)
-        nodes.append((center + r[:, None] * phase[None, :]).ravel())
-        weights.append(np.broadcast_to(wr[:, None] / n_ang, (n_rad, n_ang)).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+    phase = _phases(n_ang)
+    rules = [_radial_rule(lo, hi, n_rad) for lo, hi in zip(edges[:-1], edges[1:])]
+    radii = np.concatenate([r for r, _ in rules])
+    wr = np.concatenate([w for _, w in rules])
+    nodes = (center + radii[:, None] * phase[None, :]).ravel()
+    weights = np.repeat(wr / n_ang, n_ang)
+    return nodes, weights, (radii if center == 0 else None)
 
 
 def build_grid(
@@ -128,18 +152,19 @@ def build_grid(
     if n_rad < 1 or n_ang < 1:
         raise InvalidRegionError(f"resolution must be >= 1, got {resolution}")
 
+    radii = None
     if isinstance(region, Disk):
         if region.radius <= 0:
             raise InvalidRegionError(f"disk radius must be positive, got {region.radius}")
-        nodes, weights = _radial_region(region.center, 0.0, region.radius, resolution, radial_splits)
+        nodes, weights, radii = _radial_region(region.center, 0.0, region.radius, resolution, radial_splits)
     elif isinstance(region, Annulus):
         if not 0 < region.r_in < region.r_out:
             raise InvalidRegionError(f"annulus needs 0 < r_in < r_out, got {region}")
-        nodes, weights = _radial_region(0.0, region.r_in, region.r_out, resolution, radial_splits)
+        nodes, weights, radii = _radial_region(0.0, region.r_in, region.r_out, resolution, radial_splits)
     elif isinstance(region, TruncatedPlane):
         if region.r_cut <= 0:
             raise InvalidRegionError(f"r_cut must be positive, got {region.r_cut}")
-        nodes, weights = _radial_region(0.0, 0.0, region.r_cut, resolution, radial_splits)
+        nodes, weights, radii = _radial_region(0.0, 0.0, region.r_cut, resolution, radial_splits)
     elif isinstance(region, Cell):
         area = (np.conj(region.omega1) * region.omega2).imag
         if area <= 0:
@@ -156,7 +181,7 @@ def build_grid(
     else:
         raise InvalidRegionError(f"unknown region {region!r}")
 
-    return QuadratureGrid(nodes=nodes, weights=weights, region=region, resolution=tuple(resolution))
+    return QuadratureGrid(nodes=nodes, weights=weights, region=region, resolution=tuple(resolution), radii=radii)
 
 
 def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> float:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,14 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "zeropack" in capsys.readouterr().out
+    # python -m zeropack runs the same command from a checkout, uninstalled.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "zeropack", "--version"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("zeropack ")
 
 
 def test_config_file_mirrors_flags(tmp_path, capsys):

@@ -10,6 +10,7 @@ from zeropack import (
     CutoffSpec,
     Disk,
     FunctionalSpec,
+    NumericError,
     OptimizerConfig,
     TruncatedPlane,
     build_grid,
@@ -110,7 +111,7 @@ def test_project_idempotent_planar_degree_64(rng):
     # dense solve of the normal equations can resolve.
     n = 64
     grid = build_grid(TruncatedPlane(default_r_cut(n, 1.0)), (128, 256))
-    scales = gram("planar", n, grid, gamma=1.0).orthonormal_scales()
+    scales = 1.0 / np.sqrt(gram("planar", n, grid, gamma=1.0))
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     p = ComplexPolynomial(raw * scales)
     q = project_polynomial(lambda z: poly_eval(p, z), "planar", n, grid, gamma=1.0)
@@ -318,3 +319,11 @@ def test_equality_gap_planar_proof_component_chains():
     f_mass = integrate(grid, lambda z: np.abs(poly_eval(f, z)) ** 2 * np.exp(-2 * gamma * np.abs(z) ** 2))
     assert rep.l2_perturbation <= lhs + 2.0 * math.sqrt(f_mass * lhs) + 1e-12
     assert rep.exterior_mass_u < 0.05
+
+
+def test_minimal_correction_nonfinite_is_numeric_error():
+    huge = ComplexPolynomial([1e300, 1e300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for geometry, param, r in (("planar", 2.0, 1.0), ("hyperbolic", 0.8, 0.8)):
+            with pytest.raises(NumericError):
+                minimal_correction(huge, CutoffSpec(0.2, r), geometry, param, (32, 32))

@@ -9,6 +9,8 @@ from zeropack import (
     ConfigurationError,
     Disk,
     FunctionalSpec,
+    NumericError,
+    TruncatedPlane,
     boundary_mass,
     build_grid,
     default_delta,
@@ -121,6 +123,14 @@ def test_starred_grid_requirements():
     spec_ps = FunctionalSpec("planar", 2.0, starred=True)
     with pytest.raises(ConfigurationError):
         density(ZERO, spec_ps, build_grid(Disk(0, 1), (32, 32)))
+    # A truncated plane short of the unit disk misses part of the core.
+    short = build_grid(TruncatedPlane(0.5), (64, 64))
+    one = ComplexPolynomial([1.0])
+    for spec in (FunctionalSpec("planar", 1.0), spec_ps):
+        with pytest.raises(ConfigurationError):
+            density(one, spec, short)
+        with pytest.raises(ConfigurationError):
+            gradient(one, spec, short)
 
 
 def test_ell_zero_and_constant():
@@ -388,3 +398,11 @@ def test_beta_family_constant_closed_form():
     cb = c**beta
     expect = cb * cb * (1 - math.exp(-2 * g)) / (2 * g) - 2 * cb * (1 - math.exp(-g)) / g + 1
     assert abs(density(ComplexPolynomial([c]), spec).value - expect) < 1e-9
+
+
+def test_density_nonfinite_is_numeric_error():
+    huge = ComplexPolynomial([1e300, 1e300])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in (FunctionalSpec("planar", 2.0), FunctionalSpec("hyperbolic", 0.8)):
+            with pytest.raises(NumericError):
+                density(huge, spec, default_grid(spec, (16, 16)))

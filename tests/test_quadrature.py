@@ -14,6 +14,7 @@ from zeropack import (
     default_r_cut,
     integrate,
 )
+from zeropack.quadrature import _gauss_legendre
 
 
 def test_total_weight_unit_disk():
@@ -162,3 +163,29 @@ def test_default_r_cut_dominates_growth():
         assert rc >= 3.0
         # Polynomial growth crushed at the cut relative to the unit scale.
         assert rc ** (2 * (n - 1)) * math.exp(-2.0 * gamma * rc * rc) < 1e-16
+
+
+def test_gauss_legendre_rule_cached_read_only():
+    first = build_grid(Disk(0, 1), (48, 16), radial_splits=(0.5,))
+    again = build_grid(Disk(0, 1), (48, 16), radial_splits=(0.5,))
+    assert first.nodes.tobytes() == again.nodes.tobytes()
+    assert first.weights.tobytes() == again.weights.tobytes()
+    x, w = _gauss_legendre(48)
+    assert _gauss_legendre(48)[0] is x
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(x, fresh_x) and np.array_equal(w, fresh_w)
+    # The inner panel [0, 0.5] maps the rule affinely, exactly as before caching.
+    assert np.array_equal(first.radii[:48], 0.25 + 0.25 * fresh_x)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_ring_layout_radii():
+    for region, splits in ((Disk(0, 1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))):
+        grid = build_grid(region, (12, 10), radial_splits=splits)
+        assert grid.radii.shape == (12 * (len(splits) + 1),)
+        rings = grid.nodes.reshape(-1, 10)
+        assert np.array_equal(rings, grid.radii[:, None] * grid.phases[None, :])
+    assert build_grid(Cell(1.0, 0.5 + 1j), (8, 8)).radii is None
+    assert build_grid(Disk(0.5, 1.0), (8, 8)).radii is None
