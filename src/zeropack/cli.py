@@ -114,14 +114,12 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 
 def cmd_minimize(args) -> int:
-    if args.format == "csv":
-        raise UsageError("minimize emits JSON only; csv is for lattice-scan")
     geometry, params = _geometry_params(args)
     if len(params) != 1:
         raise UsageError("minimize takes a single parameter, not a sweep")
     param = params[0]
     spec = FunctionalSpec(geometry=geometry, param=param)
-    n = args.degree if args.degree is not None else degree_schedule(geometry, param)
+    n = args.degree if args.degree is not None else degree_schedule(spec)
     resolution = args.resolution
     grid = default_grid(spec, resolution, degree=n)
     result = minimize(spec, n, _optimizer_config(args), grid)
@@ -174,7 +172,7 @@ def cmd_gap(args) -> int:
     config = _optimizer_config(args)
     resolution = args.resolution
 
-    reports = _map(lambda param: equality_gap(geometry, param, config, resolution), params, args.jobs)
+    reports = _map(lambda param: equality_gap(FunctionalSpec(geometry, param), config, resolution), params, args.jobs)
 
     gaps = [rep.gap for rep in reports]
     payload = _with_provenance(
@@ -225,11 +223,11 @@ def cmd_dbar_check(args) -> int:
     if args.poly is not None:
         f = _load_poly(args.poly)
     else:
-        f = minimize(spec, degree_schedule(geometry, param), _optimizer_config(args)).minimizer
-    cut = default_cutoff(geometry, param)
+        f = minimize(spec, degree_schedule(spec), _optimizer_config(args)).minimizer
+    cut = default_cutoff(spec)
     if args.delta is not None:
         cut = replace(cut, delta=args.delta)
-    corr = minimal_correction(f, cut, geometry, param, args.resolution)
+    corr = minimal_correction(f, spec, cut, args.resolution)
     payload = _with_provenance(
         {
             "geometry": geometry,
@@ -290,7 +288,6 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--restarts", type=int, default=3)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=["json", "csv"], default=None)
         p.add_argument("--config", type=str, default=None, help="flat key = value file mirroring the flags")
 
     p_min = sub.add_parser("minimize", help="minimize a density over polynomial coefficients")
@@ -300,6 +297,7 @@ def build_parser() -> _Parser:
 
     p_scan = sub.add_parser("lattice-scan", help="cell-average density across lattice angles")
     common(p_scan)
+    p_scan.add_argument("--format", choices=["json", "csv"], default="csv")
     p_scan.add_argument("--beta", type=float, default=1.0)
     p_scan.add_argument("--theta-min", type=float, default=math.pi / 3 - 0.3)
     p_scan.add_argument("--theta-max", type=float, default=math.pi / 3 + 0.3)

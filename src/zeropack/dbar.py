@@ -11,15 +11,16 @@ The growth-control theorem then bounds the weighted L^2 mass of u by an
 explicit annulus integral of f against |dbar chi|^2, which is verified here
 numerically for every correction.
 
-Weights: exp(-2*gamma*|z|^2) on the plane (planar case), and (1 - |z|^2) on
-the unit disk with weight zero outside (hyperbolic case, where the weight's
-logarithm is allowed to be +infinity off the disk).
+The weight e^{-phi}, its support, the Laplacian factor of the bound and the
+obstacle are the FunctionalSpec's: exp(-2*gamma*|z|^2) on the plane (planar
+case), and (1 - |z|^2) on the unit disk (hyperbolic case, where phi is
+allowed to be +infinity off the disk).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -29,13 +30,12 @@ from .functionals import (
     DEFAULT_RESOLUTION,
     FunctionalSpec,
     boundary_mass,
-    default_delta,
     default_grid,
     density,
 )
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
-from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, gram, ring_vandermonde, vandermonde, weight_values
-from .quadrature import Disk, QuadratureGrid, TruncatedPlane, build_grid, default_r_cut
+from .poly import ComplexPolynomial, gram_diagonal, ring_vandermonde, vandermonde
+from .quadrature import QuadratureGrid, build_grid
 
 __all__ = [
     "CutoffSpec",
@@ -46,7 +46,6 @@ __all__ = [
     "dbar_cutoff",
     "project_polynomial",
     "minimal_correction",
-    "obstacle_function",
     "equality_gap",
 ]
 
@@ -65,14 +64,13 @@ class CutoffSpec:
             raise ConfigurationError(f"r must lie in (0,1], got {self.r}")
 
 
-def default_cutoff(geometry: str, param: float) -> CutoffSpec:
-    """Cut-off at the geometry's core radius with the default boundary-layer width.
+def default_cutoff(spec: FunctionalSpec) -> CutoffSpec:
+    """Cut-off at the spec's core radius with its default boundary-layer width.
 
-    The cut-off needs a strict plateau, so the width pairing of default_delta
-    is clamped just below 1 (planar gamma <= 1, hyperbolic r near 0).
+    The cut-off needs a strict plateau, so the width pairing is clamped just
+    below 1 (planar gamma <= 1, hyperbolic r near 0).
     """
-    delta = min(default_delta(FunctionalSpec(geometry=geometry, param=param)), 0.999999)
-    return CutoffSpec(delta=delta, r=param if geometry == HYPERBOLIC else 1.0)
+    return CutoffSpec(delta=min(spec.default_delta, 0.999999), r=spec.indicator_radius)
 
 
 def cutoff(z, spec: CutoffSpec):
@@ -101,26 +99,37 @@ def dbar_cutoff(z, spec: CutoffSpec):
 
 def project_polynomial(
     g: Callable[[np.ndarray], np.ndarray] | np.ndarray,
-    weight: str,
+    spec: FunctionalSpec,
     n: int,
     grid: QuadratureGrid,
-    gamma: float | None = None,
 ) -> ComplexPolynomial:
     """Weighted L^2 projection of g onto the n-coefficient polynomial space.
 
-    Characterized by <g - p, z^k> = 0 for every k < n in the weighted inner
-    product; on a ring grid the normal equations are a divide by the Gram diagonal.
+    Characterized by <g - p, z^k> = 0 for every k < n in the inner product of
+    the spec's dbar weight; the grid must stay inside the weight's support.
     """
     values = np.asarray(g(grid.nodes) if callable(g) else g, dtype=complex)
     if values.shape != grid.nodes.shape:
         raise ConfigurationError("sampled function must match the grid nodes")
-    wv = weight_values(weight, grid.nodes, gamma) * grid.weights
-    return ComplexPolynomial(ring_vandermonde(grid, n).adjoint(wv * values) / gram(weight, n, grid, gamma))
+    weight = spec.dbar_weight(np.abs(grid.nodes))
+    if not np.all(weight >= 0.0):
+        raise ConfigurationError(f"the grid leaves the support of the {spec.geometry} weight")
+    return _project(values, weight * grid.weights, grid, n)
+
+
+def _project(values: np.ndarray, node_weight: np.ndarray, grid: QuadratureGrid, n: int) -> ComplexPolynomial:
+    """On a ring grid the weighted normal equations are a divide by the Gram diagonal."""
+    coeffs = ring_vandermonde(grid, n).adjoint(node_weight * values) / gram_diagonal(grid, node_weight, n)
+    return ComplexPolynomial(coeffs)
 
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """Minimal dbar correction u = chi*f - nu and the two sides of its bound."""
+    """Minimal dbar correction u = chi*f - nu and the two sides of its bound.
+
+    weight is the node weight of the correction's inner product: the dbar
+    weight times the quadrature weights of grid.
+    """
 
     u_values: np.ndarray
     nu: ComplexPolynomial
@@ -128,99 +137,47 @@ class CorrectionResult:
     rhs: float
     degree_bound: int
     grid: QuadratureGrid
-    weight: str
-    gamma: float | None
+    weight: np.ndarray
 
     def orthogonality_residual(self) -> float:
         """max_k |<u, z^k>| / ||u|| in the weighted inner product, via the dense Vandermonde matrix."""
-        wv = weight_values(self.weight, self.grid.nodes, self.gamma) * self.grid.weights
         V = vandermonde(self.grid.nodes, self.degree_bound)
-        inner = np.abs(V.conj().T @ (wv * self.u_values))
-        norm = math.sqrt(max(float(np.sum(wv * np.abs(self.u_values) ** 2)), 1e-300))
-        return float(np.max(inner)) / norm
-
-
-def correction_grid(
-    geometry: str,
-    param: float,
-    spec: CutoffSpec,
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION,
-    degree: int | None = None,
-) -> QuadratureGrid:
-    """Grid split at the cut-off seams so radial panels stay smooth."""
-    n = degree if degree is not None else degree_schedule(geometry, param)
-    inner = (1.0 - spec.delta) * spec.r
-    if geometry == HYPERBOLIC:
-        return build_grid(Disk(0.0, 1.0), resolution, radial_splits=(inner, spec.r))
-    return build_grid(
-        TruncatedPlane(default_r_cut(n, param)), resolution, radial_splits=(inner, spec.r)
-    )
+        inner = np.abs(V.conj().T @ (self.weight * self.u_values))
+        return float(np.max(inner)) / math.sqrt(max(self.lhs, 1e-300))
 
 
 def minimal_correction(
     f: ComplexPolynomial,
-    spec: CutoffSpec,
-    geometry: str,
-    param: float,
+    spec: FunctionalSpec,
+    cut: CutoffSpec,
     resolution: tuple[int, int] = DEFAULT_RESOLUTION,
 ) -> CorrectionResult:
     """Minimal-norm correction of chi*f, with the growth-control bound.
 
-    lhs is the weighted L^2 mass of u over the weight's support; rhs is the
-    annulus integral of |f|^2 |dbar chi|^2 against the weight divided by the
-    Laplacian of the obstacle extension: (1-|z|^2)^3 in the hyperbolic case,
-    e^{-2*gamma*|z|^2}/(2*gamma) in the planar one.  The bound lhs <= rhs is
-    the theorem being verified; it requires only boundedness of f.
+    The grid covers the weight's support at the scheduled degree, split at
+    the cut-off seams so radial panels stay smooth.  lhs is the weighted L^2
+    mass of u; rhs is the annulus integral of |f|^2 |dbar chi|^2 against the
+    weight divided by the Laplacian of the obstacle extension: (1-|z|^2)^3 in
+    the hyperbolic case, e^{-2*gamma*|z|^2}/(2*gamma) in the planar one.  The
+    bound lhs <= rhs is the theorem being verified; it requires only
+    boundedness of f.
     """
-    if geometry not in (HYPERBOLIC, PLANAR):
-        raise ConfigurationError(f"unknown geometry {geometry!r}")
-    n = degree_schedule(geometry, param)
-    grid = correction_grid(geometry, param, spec, resolution, degree=n)
+    n = degree_schedule(spec)
+    grid = build_grid(spec.support(n), resolution, radial_splits=((1.0 - cut.delta) * cut.r, cut.r))
     z = grid.nodes
+    weight = spec.dbar_weight(np.abs(z))
+    weight *= grid.weights
     fz = f.on_grid(grid)
-    f2 = np.abs(fz) ** 2
-    chi_f = cutoff(z, spec) * fz
-    gamma = param if geometry == PLANAR else None
-    weight = geometry
-    nu = project_polynomial(chi_f, weight, n, grid, gamma)
+    chi_f = cutoff(z, cut) * fz
+    nu = _project(chi_f, weight, grid, n)
     u = chi_f - nu.on_grid(grid)
 
-    wv = weight_values(weight, z, gamma)
-    lhs = float(np.sum(np.abs(u) ** 2 * wv * grid.weights))
-    dchi2 = np.abs(dbar_cutoff(z, spec)) ** 2
-    if geometry == HYPERBOLIC:
-        rhs = float(np.sum(dchi2 * f2 * (1.0 - np.abs(z) ** 2) ** 3 * grid.weights))
-    else:
-        rhs = float(np.sum(dchi2 * f2 * wv * grid.weights)) / (2.0 * param)
+    lhs = float(np.sum(np.abs(u) ** 2 * weight))
+    dchi2 = np.abs(dbar_cutoff(z, cut)) ** 2
+    rhs = float(np.sum(dchi2 * np.abs(fz) ** 2 * weight / spec.laplacian(np.abs(z))))
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericError(f"non-finite correction bound: lhs {lhs}, rhs {rhs}")
-    return CorrectionResult(
-        u_values=u, nu=nu, lhs=lhs, rhs=rhs, degree_bound=n, grid=grid, weight=weight, gamma=gamma
-    )
-
-
-def obstacle_function(geometry: str, param: float, z):
-    """Minimal C^{1,1} subharmonic extension of the weight's logarithm.
-
-    Planar: 2*gamma*|z|^2 inside the unit disk, harmonic continuation
-    2*gamma*log|z|^2 + 2*gamma outside.  Hyperbolic: log(1/(1-|z|^2)) inside
-    D(0,r), then (r^2/(1-r^2))*log(|z|^2/r^2) + log(1/(1-r^2)); values and
-    normal derivatives match on the seam.
-    """
-    s2 = np.abs(np.asarray(z, dtype=complex)) ** 2
-    if geometry == PLANAR:
-        gamma = param
-        out = np.where(s2 < 1.0, 2.0 * gamma * s2, 2.0 * gamma * np.log(np.maximum(s2, 1e-300)) + 2.0 * gamma)
-    elif geometry == HYPERBOLIC:
-        r = param
-        if not 0.0 < r < 1.0:
-            raise ConfigurationError(f"hyperbolic radius must lie in (0,1), got {r}")
-        core = -np.log(np.maximum(1.0 - np.minimum(s2, r * r), 1e-300))
-        tail = (r * r / (1.0 - r * r)) * np.log(np.maximum(s2, 1e-300) / (r * r)) + math.log(1.0 / (1.0 - r * r))
-        out = np.where(s2 < r * r, core, tail)
-    else:
-        raise ConfigurationError(f"unknown geometry {geometry!r}")
-    return out if out.ndim else float(out)
+    return CorrectionResult(u_values=u, nu=nu, lhs=lhs, rhs=rhs, degree_bound=n, grid=grid, weight=weight)
 
 
 @dataclass(frozen=True)
@@ -257,8 +214,11 @@ class GapReport:
             "dbar_rhs": self.dbar_rhs,
             "boundary_mass_l1": self.boundary_mass_l1,
             "boundary_mass_l2": self.boundary_mass_l2,
+            "exterior_mass_u": self.exterior_mass_u,
+            "l1_perturbation": self.l1_perturbation,
+            "l2_perturbation": self.l2_perturbation,
         }
-        if self.geometry == HYPERBOLIC:
+        if self.sigma_sq_estimate is not None:
             # Upper-bound-derived estimate of the asymptotic variance, 1 - rho*.
             out["sigma_sq_estimate"] = self.sigma_sq_estimate
         return out
@@ -297,29 +257,29 @@ def _proof_components(
 
 
 def equality_gap(
-    geometry: str,
-    param: float,
+    spec: FunctionalSpec,
     config: OptimizerConfig = OptimizerConfig(),
     resolution: tuple[int, int] = DEFAULT_RESOLUTION,
 ) -> GapReport:
     """Minimize, cut off, correct, and compare the starred value of the repair.
 
-    Runs the unstarred minimization at the scheduled degree, builds the
-    corrected polynomial nu = chi*f - u with the default boundary-layer width,
-    and reports the starred density of nu next to the unstarred minimum; their
-    difference is the finite-parameter gap that the equality theorems send to
-    zero along subsequences.
+    Runs the unstarred minimization of spec at the scheduled degree, builds
+    the corrected polynomial nu = chi*f - u with the default boundary-layer
+    width, and reports the starred density of nu next to the unstarred
+    minimum; their difference is the finite-parameter gap that the equality
+    theorems send to zero along subsequences.
     """
-    spec = FunctionalSpec(geometry=geometry, param=param)
-    n = degree_schedule(geometry, param)
-    cut = default_cutoff(geometry, param)
+    if spec.starred:
+        raise ConfigurationError("equality_gap takes the unstarred functional")
+    n = degree_schedule(spec)
+    cut = default_cutoff(spec)
     delta = cut.delta
     result = minimize(spec, n, config)
     f = result.minimizer
 
-    corr = minimal_correction(f, cut, geometry, param, resolution)
+    corr = minimal_correction(f, spec, cut, resolution)
 
-    starred_spec = FunctionalSpec(geometry=geometry, param=param, starred=True)
+    starred_spec = replace(spec, starred=True)
     starred_grid = default_grid(starred_spec, resolution, degree=n)
     rho_star = density(corr.nu, starred_spec, starred_grid).value
 
@@ -327,8 +287,8 @@ def equality_gap(
     ext, l1p, l2p = _proof_components(spec, f, corr.u_values, cut, corr.grid)
 
     return GapReport(
-        geometry=geometry,
-        param=param,
+        geometry=spec.geometry,
+        param=spec.param,
         delta=delta,
         degree=n,
         rho_unstarred=result.value,
@@ -338,7 +298,7 @@ def equality_gap(
         dbar_rhs=corr.rhs,
         boundary_mass_l1=bm1,
         boundary_mass_l2=bm2,
-        sigma_sq_estimate=(1.0 - rho_star) if geometry == HYPERBOLIC else None,
+        sigma_sq_estimate=(1.0 - rho_star) if spec.reports_sigma_sq else None,
         exterior_mass_u=ext,
         l1_perturbation=l1p,
         l2_perturbation=l2p,

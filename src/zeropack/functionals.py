@@ -5,7 +5,10 @@ the metric density 1/(1-|z|^2) on a disk of radius r < 1; in the planar (Fock)
 geometry it is the Gaussian envelope exp(-gamma*|z|^2) on the unit disk.  Both
 densities measure the squared mismatch between a weighted |f| and the indicator
 of the core region, the starred variants extending the integral past the core
-so that mass left outside is punished in L^2.
+so that mass left outside is punished in L^2.  FunctionalSpec is the geometry
+object: every rule that differs between the two (core radius and mass,
+envelope, dbar weight and its Laplacian, obstacle, weight support, default
+widths) is one of its properties or methods.
 
 Conventions fixed here:
 
@@ -23,17 +26,18 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, poly_eval, ring_vandermonde
+from .poly import ComplexPolynomial, poly_eval, ring_vandermonde
 from .quadrature import (
     Annulus,
     Disk,
     QuadratureGrid,
+    Region,
     TruncatedPlane,
     build_grid,
     default_r_cut,
@@ -50,20 +54,22 @@ __all__ = [
     "gradient",
     "quadratic_parts",
     "quadratic_weights",
-    "default_delta",
 ]
 
 DEFAULT_RESOLUTION = (128, 128)
+HYPERBOLIC = "hyperbolic"
+PLANAR = "planar"
 
 
 @dataclass(frozen=True)
 class FunctionalSpec:
-    """Geometry tag plus the parameters pinning one density functional.
+    """One geometry plus the parameters pinning one density functional.
 
     param is the core radius r in (0, 1) for the hyperbolic geometry and the
     Gaussian exponent gamma > 0 for the planar one.  alpha dilates the weight
     envelope (hyperbolic requires 0 < alpha <= 1); beta is the modulus exponent
-    of the planar family.
+    of the planar family.  Every rule that differs between the geometries is a
+    property or method of the spec; no other module tests the geometry tag.
     """
 
     geometry: str
@@ -94,6 +100,7 @@ class FunctionalSpec:
 
     @property
     def indicator_radius(self) -> float:
+        """Radius R of the core region, which is also the cut-off radius: r, or 1 planar."""
         return self.param if self.geometry == HYPERBOLIC else 1.0
 
     @property
@@ -102,6 +109,43 @@ class FunctionalSpec:
         if self.geometry == HYPERBOLIC:
             return math.log(1.0 / (1.0 - self.param**2))
         return 1.0
+
+    @property
+    def core_mass(self) -> float:
+        """Mass of the Laplacian factor over the core: r^2/(1-r^2), or 2*gamma planar."""
+        if self.geometry == HYPERBOLIC:
+            return self.param**2 / (1.0 - self.param**2)
+        return 2.0 * self.param
+
+    @property
+    def default_delta(self) -> float:
+        """Boundary-layer width pairing: 1-r, or gamma^{-1/2} capped at 1 planar.
+
+        The cap keeps the planar pairing usable for gamma <= 1.
+        """
+        if self.geometry == HYPERBOLIC:
+            return 1.0 - self.param
+        return min(1.0, self.param**-0.5)
+
+    @property
+    def reports_sigma_sq(self) -> bool:
+        """Whether a gap run reports the variance estimate 1 - rho* (hyperbolic only)."""
+        return self.geometry == HYPERBOLIC
+
+    @property
+    def undilated(self) -> "FunctionalSpec":
+        """The same geometry, parameter and exponent, unstarred and with alpha = 1."""
+        return replace(self, starred=False, alpha=1.0)
+
+    def support(self, n: int) -> Region:
+        """Region carrying the weight for degree bound n.
+
+        The unit disk (hyperbolic), or the plane truncated where degree-n
+        polynomial growth is crushed by the Gaussian (planar).
+        """
+        if self.geometry == HYPERBOLIC:
+            return Disk(0.0, 1.0)
+        return TruncatedPlane(default_r_cut(n, self.param))
 
     def envelope(self, absz):
         """Weight w and measure density m (w.r.t. dA) at |z|, with alpha in force.
@@ -114,15 +158,38 @@ class FunctionalSpec:
             return w, self.alpha**2 / w
         return np.exp(-self.alpha * self.param * absz**2), np.ones_like(absz)
 
+    def dbar_weight(self, absz):
+        """The dbar weight e^{-phi} = w^2 m of the undilated envelope at |z|.
 
-def default_delta(spec: FunctionalSpec) -> float:
-    """Boundary-layer width pairing: 1-r (hyperbolic), gamma^{-1/2} (planar).
+        That is 1 - |z|^2 (hyperbolic; negative off the unit disk, where the
+        weight has no support) or exp(-2*gamma*|z|^2) (planar).
+        """
+        w, m = self.undilated.envelope(absz)
+        m *= w
+        m *= w
+        return m
 
-    The planar pairing is capped at 1 so that it stays usable for gamma <= 1.
-    """
-    if spec.geometry == HYPERBOLIC:
-        return 1.0 - spec.param
-    return min(1.0, spec.param**-0.5)
+    def laplacian(self, absz):
+        """The factor dd-bar phi of the dbar bound: (1-|z|^2)^-2, or 2*gamma planar."""
+        if self.geometry == HYPERBOLIC:
+            return (1.0 - absz**2) ** -2
+        return 2.0 * self.param
+
+    def obstacle(self, z):
+        """Minimal C^{1,1} subharmonic extension of phi = -log(dbar weight) off the core.
+
+        phi on the core D(0, R); outside, the harmonic c*log(|z|^2/R^2) + phi(R)
+        whose flux c is the core mass, so values and normal derivatives match
+        on the seam.  Planar: 2*gamma*|z|^2, then 2*gamma*log|z|^2 + 2*gamma.
+        Hyperbolic: log(1/(1-|z|^2)), then (r^2/(1-r^2))*log(|z|^2/r^2) +
+        log(1/(1-r^2)).
+        """
+        absz = np.abs(np.asarray(z, dtype=complex))
+        R = self.indicator_radius
+        phi = -np.log(self.dbar_weight(np.minimum(absz, R)))
+        tail = 2.0 * self.core_mass * np.log(np.maximum(absz, 1e-300) / R) - math.log(self.dbar_weight(R))
+        out = np.where(absz < R, phi, tail)
+        return out if out.ndim else float(out)
 
 
 def default_grid(
@@ -132,21 +199,16 @@ def default_grid(
 ) -> QuadratureGrid:
     """Grid matched to the functional's integration domain.
 
-    Starred grids are split radially at the indicator boundary so that the
-    discontinuous indicator never sits inside a smooth radial panel; the
-    starred/unstarred identity then holds to rounding rather than quadrature
-    error.  For starred planar integrals the plane is truncated where
-    degree-dependent polynomial growth is dominated by the Gaussian.
+    Unstarred grids are the core disk.  Starred grids cover the weight's
+    support for the degree bound (by default ten above the core mass), split
+    radially at the indicator boundary so that the discontinuous indicator
+    never sits inside a smooth radial panel; the starred/unstarred identity
+    then holds to rounding rather than quadrature error.
     """
-    if spec.geometry == HYPERBOLIC:
-        if spec.starred:
-            return build_grid(Disk(0.0, 1.0), resolution, radial_splits=(spec.param,))
-        return build_grid(Disk(0.0, spec.param), resolution)
-    if spec.starred:
-        n = degree if degree is not None else math.ceil(2.0 * spec.param) + 10
-        r_cut = default_r_cut(n, spec.param)
-        return build_grid(TruncatedPlane(r_cut), resolution, radial_splits=(1.0,))
-    return build_grid(Disk(0.0, 1.0), resolution)
+    if not spec.starred:
+        return build_grid(Disk(0.0, spec.indicator_radius), resolution)
+    n = degree if degree is not None else math.ceil(spec.core_mass) + 10
+    return build_grid(spec.support(n), resolution, radial_splits=(spec.indicator_radius,))
 
 
 def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
@@ -275,7 +337,7 @@ def density(
     value = float(np.sum(terms[domain])) / normalizer
 
     ell1, ell2 = _masses(w[ind], fv[ind], (grid.weights * m)[ind], spec.log_normalizer)
-    bm1, bm2 = boundary_mass(f, spec, default_delta(spec), grid.resolution)
+    bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
     if not all(map(math.isfinite, (value, ell1, ell2, bm1, bm2))):
         raise NumericError(
             f"non-finite density: value {value}, ell1 {ell1}, ell2 {ell2}, boundary masses {bm1}, {bm2}"
@@ -314,7 +376,7 @@ def boundary_mass(
     """
     if not 0.0 < delta <= 1.0:
         raise ConfigurationError(f"delta must lie in (0,1], got {delta}")
-    base = FunctionalSpec(spec.geometry, spec.param, beta=spec.beta)
+    base = spec.undilated
     outer = base.indicator_radius
     inner = (1.0 - delta) * outer
     grid = build_grid(Disk(0.0, outer) if inner <= 0.0 else Annulus(inner, outer), resolution)

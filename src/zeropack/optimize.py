@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, UndefinedScaleError
 from .functionals import (
     DEFAULT_RESOLUTION,
+    HYPERBOLIC,
     DensityReport,
     FunctionalSpec,
     default_grid,
@@ -31,7 +32,7 @@ from .functionals import (
     quadratic_parts,
     quadratic_weights,
 )
-from .poly import HYPERBOLIC, PLANAR, ComplexPolynomial, RingVandermonde, gram_diagonal, vandermonde
+from .poly import ComplexPolynomial, RingVandermonde, gram_diagonal, vandermonde
 from .quadrature import QuadratureGrid
 
 __all__ = [
@@ -83,25 +84,15 @@ class MinimizeResult:
         }
 
 
-def degree_schedule(geometry: str, param: float) -> int:
-    """Sufficient coefficient count: ceil(r^2/(1-r^2)) or ceil(2*gamma).
+def degree_schedule(spec: FunctionalSpec) -> int:
+    """Sufficient coefficient count: the core mass rounded up, ceil(r^2/(1-r^2)) or ceil(2*gamma).
 
-    Both are the (hyperbolic resp. scaled Euclidean) area of the core region,
-    matching the heuristic that each zero discretizes a fixed amount of mass.
-    The rounding guard keeps exact integer ratios (e.g. r = 1/sqrt(2)) from
-    spilling over to the next integer.
+    The core mass is the (hyperbolic resp. scaled Euclidean) area of the core
+    region, matching the heuristic that each zero discretizes a fixed amount
+    of mass.  The rounding guard keeps exact integer ratios (e.g.
+    r = 1/sqrt(2)) from spilling over to the next integer.
     """
-    if geometry == HYPERBOLIC:
-        if not 0.0 < param < 1.0:
-            raise ConfigurationError(f"hyperbolic radius must lie in (0,1), got {param}")
-        x = param**2 / (1.0 - param**2)
-    elif geometry == PLANAR:
-        if param <= 0:
-            raise ConfigurationError(f"gamma must be positive, got {param}")
-        x = 2.0 * param
-    else:
-        raise ConfigurationError(f"unknown geometry {geometry!r}")
-    return max(1, math.ceil(round(x, 9)))
+    return max(1, math.ceil(round(spec.core_mass, 9)))
 
 
 def optimal_scale(f: ComplexPolynomial, spec: FunctionalSpec, grid: QuadratureGrid | None = None) -> float:

@@ -1,4 +1,4 @@
-"""Complex polynomials in the monomial basis, ring products and weighted Grams.
+"""Complex polynomials in the monomial basis, ring products and Gram diagonals.
 
 The search space is the set of polynomials of degree at most n-1, stored as a
 coefficient vector c[0..n-1] against the monomial basis.  Coefficients stay in
@@ -23,14 +23,9 @@ __all__ = [
     "RingVandermonde",
     "poly_eval",
     "dilate",
-    "gram",
     "gram_diagonal",
     "ring_vandermonde",
-    "weight_values",
 ]
-
-HYPERBOLIC = "hyperbolic"
-PLANAR = "planar"
 
 
 @dataclass(frozen=True)
@@ -78,22 +73,6 @@ def dilate(p: ComplexPolynomial, alpha: complex) -> ComplexPolynomial:
     """Return q with q(z) = p(alpha * z), i.e. c_k -> c_k * alpha**k."""
     k = np.arange(len(p.coeffs))
     return ComplexPolynomial(p.coeffs * np.asarray(alpha, dtype=complex) ** k)
-
-
-def weight_values(weight: str, z: np.ndarray, gamma: float | None = None) -> np.ndarray:
-    """The weight e^{-phi} at the points z.
-
-    "hyperbolic": 1 - |z|^2 on the unit disk (0 outside, where phi = +inf);
-    "planar": e^{-2*gamma*|z|^2} on the plane.
-    """
-    a2 = np.abs(np.asarray(z, dtype=complex)) ** 2
-    if weight == HYPERBOLIC:
-        return np.maximum(1.0 - a2, 0.0)
-    if weight == PLANAR:
-        if gamma is None or gamma <= 0:
-            raise ConfigurationError("planar weight requires gamma > 0")
-        return np.exp(-2.0 * gamma * a2)
-    raise ConfigurationError(f"unknown weight tag {weight!r}")
 
 
 def vandermonde(z: np.ndarray, n: int) -> np.ndarray:
@@ -148,10 +127,3 @@ def gram_diagonal(grid: QuadratureGrid, node_weight: np.ndarray, n: int) -> np.n
         raise ConditioningError(f"Gram diagonal underflows at degree bound {n}; lower the degree")
     return diagonal
 
-
-def gram(weight: str, n: int, grid: QuadratureGrid, gamma: float | None = None) -> np.ndarray:
-    """Diagonal G[k] = integral |z|^(2k) e^{-phi} dA of the (diagonal) weighted monomial Gram matrix."""
-    wv = weight_values(weight, grid.nodes, gamma)
-    if weight == HYPERBOLIC and np.max(np.abs(grid.nodes)) > 1.0:
-        raise ConfigurationError("hyperbolic weight needs a grid inside the unit disk")
-    return gram_diagonal(grid, grid.weights * wv, n)

@@ -85,7 +85,7 @@ def test_criterion_03_variational_identities():
     for geometry, params in (("hyperbolic", (0.5, 0.8, 0.9)), ("planar", (1.0, 4.0, 8.0))):
         for p in params:
             spec = FunctionalSpec(geometry, p)
-            res = minimize(spec, degree_schedule(geometry, p), OptimizerConfig(restarts=3, seed=0))
+            res = minimize(spec, degree_schedule(spec), OptimizerConfig(restarts=3, seed=0))
             all_converged &= res.converged
             d = res.diagnostics
             worst_ell = max(worst_ell, abs(d.ell1 - d.ell2))
@@ -122,13 +122,12 @@ def test_criterion_05_dbar_bound():
     holds = True
     cases = []
     for geometry, param, delta in (("hyperbolic", 0.9, 0.1), ("planar", 8.0, 8**-0.5)):
+        spec = FunctionalSpec(geometry, param)
         cut = CutoffSpec(delta, 0.9 if geometry == "hyperbolic" else 1.0)
-        res = minimize(
-            FunctionalSpec(geometry, param), degree_schedule(geometry, param), OptimizerConfig(restarts=3, seed=0)
-        )
+        res = minimize(spec, degree_schedule(spec), OptimizerConfig(restarts=3, seed=0))
         fs = [res.minimizer] + rand_polys(505, 20, 7)
         for f in fs:
-            corr = minimal_correction(f, cut, geometry, param)
+            corr = minimal_correction(f, spec, cut)
             holds &= corr.lhs <= corr.rhs
             worst_orth = max(worst_orth, corr.orthogonality_residual())
         cases.append(f"{geometry}: lhs<=rhs for minimizer+20 random")
@@ -177,8 +176,8 @@ def test_criterion_08_degree_sufficiency():
     results = []
     ok = True
     for geometry, param in (("hyperbolic", 0.9), ("planar", 8.0)):
-        n = degree_schedule(geometry, param)
         spec = FunctionalSpec(geometry, param)
+        n = degree_schedule(spec)
         v1 = minimize(spec, n, OptimizerConfig(restarts=5, seed=0)).value
         v2 = minimize(spec, n + 10, OptimizerConfig(restarts=5, seed=0)).value
         diff = abs(v1 - v2)
@@ -201,7 +200,7 @@ def test_criterion_09_closed_form_optimizer():
 def test_criterion_10_gap_trend_soft():
     reports = {}
     for r in (0.7, 0.9, 0.95):
-        reports[r] = equality_gap("hyperbolic", r, OptimizerConfig(restarts=3, seed=0))
+        reports[r] = equality_gap(FunctionalSpec("hyperbolic", r), OptimizerConfig(restarts=3, seed=0))
     gaps = {r: rep.gap for r, rep in reports.items()}
     finite = all(np.isfinite(g) for g in gaps.values())
     trend = gaps[0.95] < gaps[0.7]

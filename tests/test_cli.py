@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zeropack.cli import main
@@ -256,21 +257,27 @@ def test_nonfinite_report_is_numerical_error(tmp_path, capsys):
     # Infinity or NaN is written, and the run exits 5.
     poly = tmp_path / "p.json"
     poly.write_text("[[1e300, 0], [1e300, 0]]")
-    for command, resolution in (("eval", "16x16"), ("dbar-check", "32x32")):
-        out = tmp_path / f"{command}.json"
-        code, _, err = run(
-            capsys,
-            command, "--geometry", "planar", "--gamma", "2", "--poly", str(poly),
-            "--resolution", resolution, "--out", str(out),
-        )
-        assert code == 5
-        assert err.startswith("numerical error:")
-        assert not out.exists()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for command, resolution in (("eval", "16x16"), ("dbar-check", "32x32")):
+            out = tmp_path / f"{command}.json"
+            code, _, err = run(
+                capsys,
+                command, "--geometry", "planar", "--gamma", "2", "--poly", str(poly),
+                "--resolution", resolution, "--out", str(out),
+            )
+            assert code == 5
+            assert err.startswith("numerical error:")
+            assert not out.exists()
 
 
 def test_minimize_rejects_csv_format(capsys):
-    code, _, _ = run(capsys, "minimize", "--geometry", "planar", "--gamma", "1", "--format", "csv")
-    assert code == 4
+    # Only lattice-scan has two output formats; every other command refuses --format.
+    for command in ("minimize", "gap", "eval", "dbar-check"):
+        code, _, _ = run(capsys, command, "--geometry", "planar", "--gamma", "1", "--format", "csv")
+        assert code == 4
+    code, out, _ = run(capsys, "lattice-scan", "--steps", "2", "--resolution", "64x64", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 2
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -18,19 +18,26 @@ from zeropack import (
     dbar_cutoff,
     default_r_cut,
     equality_gap,
-    gram,
     integrate,
     minimal_correction,
     minimize,
-    obstacle_function,
     poly_eval,
     project_polynomial,
 )
-from zeropack.poly import weight_values
+from zeropack.poly import gram_diagonal
 
 from conftest import random_poly
 
 CONFIGS = [(0.1, 0.9), (0.3, 1.0), (0.05, 0.7)]
+HYP = FunctionalSpec("hyperbolic", 0.9)
+
+
+def planar(gamma):
+    return FunctionalSpec("planar", gamma)
+
+
+def obstacle(geometry, param, z):
+    return FunctionalSpec(geometry, param).obstacle(z)
 
 
 def test_cutoff_spec_validation():
@@ -101,7 +108,7 @@ def test_project_idempotent_on_polynomials(rng):
     grid = build_grid(Disk(0, 1), (96, 64))
     for _ in range(5):
         p = random_poly(rng, 5)
-        q = project_polynomial(lambda z: poly_eval(p, z), "hyperbolic", 8, grid)
+        q = project_polynomial(lambda z: poly_eval(p, z), HYP, 8, grid)
         assert np.max(np.abs(q.coeffs[:5] - p.coeffs)) < 1e-10
         assert np.max(np.abs(q.coeffs[5:])) < 1e-10
 
@@ -111,34 +118,35 @@ def test_project_idempotent_planar_degree_64(rng):
     # dense solve of the normal equations can resolve.
     n = 64
     grid = build_grid(TruncatedPlane(default_r_cut(n, 1.0)), (128, 256))
-    scales = 1.0 / np.sqrt(gram("planar", n, grid, gamma=1.0))
+    weight = np.exp(-2.0 * np.abs(grid.nodes) ** 2) * grid.weights
+    scales = 1.0 / np.sqrt(gram_diagonal(grid, weight, n))
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     p = ComplexPolynomial(raw * scales)
-    q = project_polynomial(lambda z: poly_eval(p, z), "planar", n, grid, gamma=1.0)
+    q = project_polynomial(lambda z: poly_eval(p, z), planar(1.0), n, grid)
     assert np.max(np.abs((q.coeffs - p.coeffs) / scales)) < 1e-10 * np.max(np.abs(raw))
 
 
 def test_project_rejects_non_ring_grids():
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        project_polynomial(lambda z: z, "hyperbolic", 20, build_grid(Disk(0, 1), (32, 16)))
+        project_polynomial(lambda z: z, HYP, 20, build_grid(Disk(0, 1), (32, 16)))
     with pytest.raises(ConfigurationError):
-        project_polynomial(lambda z: z, "planar", 4, build_grid(Disk(0.5, 1.0), (32, 32)), gamma=1.0)
+        project_polynomial(lambda z: z, planar(1.0), 4, build_grid(Disk(0.5, 1.0), (32, 32)))
 
 
 def test_project_antiholomorphic_to_zero():
     n = 4
     grid = build_grid(TruncatedPlane(default_r_cut(n, 1.0)), (96, 64))
-    q = project_polynomial(lambda z: np.conj(z), "planar", n, grid, gamma=1.0)
+    q = project_polynomial(lambda z: np.conj(z), planar(1.0), n, grid)
     assert np.max(np.abs(q.coeffs)) < 1e-12
 
 
 def test_project_orthogonality_residuals(rng):
     grid = build_grid(Disk(0, 1), (96, 64))
     n = 6
-    wv = weight_values("hyperbolic", grid.nodes) * grid.weights
+    wv = (1 - np.abs(grid.nodes) ** 2) * grid.weights
     for _ in range(5):
         gv = np.cos(np.real(grid.nodes)) + 1j * np.abs(grid.nodes)
-        p = project_polynomial(gv, "hyperbolic", n, grid)
+        p = project_polynomial(gv, HYP, n, grid)
         resid = gv - poly_eval(p, grid.nodes)
         norm_g = math.sqrt(float(np.sum(wv * np.abs(gv) ** 2)))
         for k in range(n):
@@ -147,7 +155,7 @@ def test_project_orthogonality_residuals(rng):
 
 
 def test_minimal_correction_zero():
-    corr = minimal_correction(ComplexPolynomial([0.0]), CutoffSpec(0.1, 0.9), "hyperbolic", 0.9)
+    corr = minimal_correction(ComplexPolynomial([0.0]), HYP, CutoffSpec(0.1, 0.9))
     assert corr.lhs == 0.0
     assert corr.rhs == 0.0
     assert np.max(np.abs(corr.u_values)) == 0.0
@@ -158,23 +166,23 @@ def test_minimal_correction_bound_random(rng):
     cut_p = CutoffSpec(8**-0.5, 1.0)
     for _ in range(5):
         f = random_poly(rng, 6)
-        ch = minimal_correction(f, cut_h, "hyperbolic", 0.9)
+        ch = minimal_correction(f, HYP, cut_h)
         assert ch.lhs <= ch.rhs
         assert ch.orthogonality_residual() < 1e-9
-        cp = minimal_correction(f, cut_p, "planar", 8.0)
+        cp = minimal_correction(f, planar(8.0), cut_p)
         assert cp.lhs <= cp.rhs
         assert cp.orthogonality_residual() < 1e-9
 
 
 def test_minimal_correction_bound_minimizer():
-    res = minimize(FunctionalSpec("hyperbolic", 0.9), 5, OptimizerConfig(restarts=2, seed=1))
-    corr = minimal_correction(res.minimizer, CutoffSpec(0.1, 0.9), "hyperbolic", 0.9)
+    res = minimize(HYP, 5, OptimizerConfig(restarts=2, seed=1))
+    corr = minimal_correction(res.minimizer, HYP, CutoffSpec(0.1, 0.9))
     assert corr.lhs <= corr.rhs
     assert corr.nu.degree() <= corr.degree_bound - 1
 
 
 def test_minimal_correction_planar_degree_bound(rng):
-    corr = minimal_correction(random_poly(rng, 5), CutoffSpec(0.3, 1.0), "planar", 4.0)
+    corr = minimal_correction(random_poly(rng, 5), planar(4.0), CutoffSpec(0.3, 1.0))
     assert corr.degree_bound == 8
     assert corr.nu.degree() <= 7
 
@@ -182,9 +190,9 @@ def test_minimal_correction_planar_degree_bound(rng):
 def test_minimal_correction_minimality(rng):
     # Perturbing the projection along any monomial strictly increases the norm.
     f = random_poly(rng, 5)
-    corr = minimal_correction(f, CutoffSpec(0.2, 0.8), "hyperbolic", 0.8)
+    corr = minimal_correction(f, FunctionalSpec("hyperbolic", 0.8), CutoffSpec(0.2, 0.8))
     grid = corr.grid
-    wv = weight_values("hyperbolic", grid.nodes) * grid.weights
+    wv = (1 - np.abs(grid.nodes) ** 2) * grid.weights
     chi_f = cutoff(grid.nodes, CutoffSpec(0.2, 0.8)) * poly_eval(f, grid.nodes)
     base = float(np.sum(wv * np.abs(chi_f - poly_eval(corr.nu, grid.nodes)) ** 2))
     for k in range(corr.degree_bound):
@@ -196,22 +204,22 @@ def test_minimal_correction_minimality(rng):
 
 def test_obstacle_planar_seam():
     g = 3.0
-    assert abs(obstacle_function("planar", g, 1.0 + 0j) - 2 * g) < 1e-12
-    assert abs(obstacle_function("planar", g, 0.999999 + 0j) - 2 * g) < 1e-4
+    assert abs(obstacle("planar", g, 1.0 + 0j) - 2 * g) < 1e-12
+    assert abs(obstacle("planar", g, 0.999999 + 0j) - 2 * g) < 1e-4
     # harmonic branch outside
-    assert abs(obstacle_function("planar", g, 2.0 + 0j) - (2 * g * math.log(4.0) + 2 * g)) < 1e-12
+    assert abs(obstacle("planar", g, 2.0 + 0j) - (2 * g * math.log(4.0) + 2 * g)) < 1e-12
 
 
 def test_obstacle_hyperbolic_seam_and_slope():
     r = 0.8
     L = math.log(1 / (1 - r * r))
-    assert abs(obstacle_function("hyperbolic", r, r + 0j) - L) < 1e-12
+    assert abs(obstacle("hyperbolic", r, r + 0j) - L) < 1e-12
     # Radial derivative from outside at the seam: second-order one-sided stencil.
     h = 1e-5
     d = (
-        -3 * obstacle_function("hyperbolic", r, r + 0j)
-        + 4 * obstacle_function("hyperbolic", r, r + h + 0j)
-        - obstacle_function("hyperbolic", r, r + 2 * h + 0j)
+        -3 * obstacle("hyperbolic", r, r + 0j)
+        + 4 * obstacle("hyperbolic", r, r + h + 0j)
+        - obstacle("hyperbolic", r, r + 2 * h + 0j)
     ) / (2 * h)
     assert abs(d - 2 * r / (1 - r * r)) < 1e-8
 
@@ -220,9 +228,9 @@ def test_obstacle_planar_slope_matches():
     g = 2.0
     h = 1e-5
     d = (
-        -3 * obstacle_function("planar", g, 1.0 + 0j)
-        + 4 * obstacle_function("planar", g, 1.0 + h + 0j)
-        - obstacle_function("planar", g, 1.0 + 2 * h + 0j)
+        -3 * obstacle("planar", g, 1.0 + 0j)
+        + 4 * obstacle("planar", g, 1.0 + h + 0j)
+        - obstacle("planar", g, 1.0 + 2 * h + 0j)
     ) / (2 * h)
     assert abs(d - 4 * g) < 1e-7
 
@@ -235,12 +243,12 @@ def test_obstacle_laplacian_matches_bound_weights():
 
     def quarter_laplacian(geometry, param, z):
         vals = [
-            obstacle_function(geometry, param, z + h),
-            obstacle_function(geometry, param, z - h),
-            obstacle_function(geometry, param, z + 1j * h),
-            obstacle_function(geometry, param, z - 1j * h),
+            obstacle(geometry, param, z + h),
+            obstacle(geometry, param, z - h),
+            obstacle(geometry, param, z + 1j * h),
+            obstacle(geometry, param, z - 1j * h),
         ]
-        return (sum(vals) - 4 * obstacle_function(geometry, param, z)) / (4 * h * h)
+        return (sum(vals) - 4 * obstacle(geometry, param, z)) / (4 * h * h)
 
     r = 0.8
     for z in (0.1 + 0.2j, -0.4j, 0.5 + 0.1j):
@@ -249,6 +257,10 @@ def test_obstacle_laplacian_matches_bound_weights():
     g = 3.0
     for z in (0.2, 0.5j, -0.3 + 0.4j):
         assert abs(quarter_laplacian("planar", g, z) - 2 * g) < 1e-5 * g
+    # The spec's Laplacian factor of the bound is the same dd-bar phi.
+    for geometry, param, z in (("hyperbolic", r, 0.1 + 0.2j), ("hyperbolic", r, 0.5 + 0.1j), ("planar", g, 0.5j)):
+        expect = quarter_laplacian(geometry, param, z)
+        assert abs(FunctionalSpec(geometry, param).laplacian(abs(z)) - expect) < 1e-5 * expect
     # Outside the core both extensions are harmonic.
     assert abs(quarter_laplacian("hyperbolic", r, 0.95 + 0j)) < 1e-4
     assert abs(quarter_laplacian("planar", g, 1.5 + 0j)) < 1e-4
@@ -258,13 +270,13 @@ def test_obstacle_below_weight():
     # hat phi <= phi on the weight's support.
     r = 0.7
     s = np.linspace(0.01, 0.999, 200)
-    hat = obstacle_function("hyperbolic", r, s + 0j)
+    hat = obstacle("hyperbolic", r, s + 0j)
     phi = np.log(1 / (1 - s * s))
     assert np.all(hat <= phi + 1e-12)
 
 
 def test_equality_gap_hyperbolic_small():
-    rep = equality_gap("hyperbolic", 0.7, OptimizerConfig(restarts=2, seed=2), resolution=(96, 96))
+    rep = equality_gap(FunctionalSpec("hyperbolic", 0.7), OptimizerConfig(restarts=2, seed=2), resolution=(96, 96))
     assert rep.degree == 1
     assert rep.dbar_lhs <= rep.dbar_rhs
     # nu is admissible for the starred infimum, so its starred value cannot
@@ -285,18 +297,26 @@ def test_equality_gap_hyperbolic_small():
         "dbar_rhs",
         "boundary_mass_l1",
         "boundary_mass_l2",
+        "exterior_mass_u",
+        "l1_perturbation",
+        "l2_perturbation",
         "sigma_sq_estimate",
     }
 
 
 def test_equality_gap_planar_small():
-    rep = equality_gap("planar", 2.0, OptimizerConfig(restarts=2, seed=2), resolution=(96, 96))
+    rep = equality_gap(planar(2.0), OptimizerConfig(restarts=2, seed=2), resolution=(96, 96))
     assert rep.dbar_lhs <= rep.dbar_rhs
     assert rep.rho_starred_nu >= rep.rho_unstarred - 1e-6
     d = rep.to_json_dict()
     assert "sigma_sq_estimate" not in d
     for component in (rep.exterior_mass_u, rep.l1_perturbation, rep.l2_perturbation):
         assert np.isfinite(component) and component >= 0
+    assert d["exterior_mass_u"] == rep.exterior_mass_u
+    assert d["l1_perturbation"] == rep.l1_perturbation
+    assert d["l2_perturbation"] == rep.l2_perturbation
+    with pytest.raises(ConfigurationError):
+        equality_gap(FunctionalSpec("planar", 2.0, starred=True))
 
 
 def test_equality_gap_planar_proof_component_chains():
@@ -306,7 +326,7 @@ def test_equality_gap_planar_proof_component_chains():
     # gamma = 8 the u-L1 term still sits near 0.15, driven by the annulus
     # masses of the minimizer.)
     gamma = 8.0
-    rep = equality_gap("planar", gamma, OptimizerConfig(restarts=3, seed=0))
+    rep = equality_gap(planar(gamma), OptimizerConfig(restarts=3, seed=0))
     lhs = rep.dbar_lhs
     assert lhs <= rep.dbar_rhs
     assert 0.0 <= rep.exterior_mass_u <= lhs + 1e-12
@@ -326,4 +346,4 @@ def test_minimal_correction_nonfinite_is_numeric_error():
     with np.errstate(over="ignore", invalid="ignore"):
         for geometry, param, r in (("planar", 2.0, 1.0), ("hyperbolic", 0.8, 0.8)):
             with pytest.raises(NumericError):
-                minimal_correction(huge, CutoffSpec(0.2, r), geometry, param, (32, 32))
+                minimal_correction(huge, FunctionalSpec(geometry, param), CutoffSpec(0.2, r), (32, 32))

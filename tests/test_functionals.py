@@ -13,7 +13,6 @@ from zeropack import (
     TruncatedPlane,
     boundary_mass,
     build_grid,
-    default_delta,
     default_grid,
     density,
     dilate,
@@ -188,9 +187,18 @@ def test_boundary_mass_full_layer_allowed():
 
 
 def test_default_delta_pairings():
-    assert default_delta(FunctionalSpec("hyperbolic", 0.8)) == pytest.approx(0.2)
-    assert default_delta(FunctionalSpec("planar", 4.0)) == pytest.approx(0.5)
-    assert default_delta(FunctionalSpec("planar", 0.5)) == 1.0
+    assert FunctionalSpec("hyperbolic", 0.8).default_delta == pytest.approx(0.2)
+    assert FunctionalSpec("planar", 4.0).default_delta == pytest.approx(0.5)
+    assert FunctionalSpec("planar", 0.5).default_delta == 1.0
+
+
+def test_core_mass_is_laplacian_mass():
+    # The degree schedule and the obstacle's outer flux both read the core
+    # mass, the integral of the Laplacian factor dd-bar phi over the core disk.
+    for spec in (FunctionalSpec("hyperbolic", 0.9), FunctionalSpec("planar", 8.0)):
+        grid = build_grid(Disk(0, spec.indicator_radius), (64, 8))
+        mass = integrate(grid, np.broadcast_to(spec.laplacian(np.abs(grid.nodes)), grid.nodes.shape))
+        assert abs(mass - spec.core_mass) < 1e-10 * spec.core_mass
 
 
 def test_density_dilated_alpha_one_reduces(rng):
@@ -377,9 +385,10 @@ def test_ell_equality_at_minimizer_standalone():
     from zeropack import OptimizerConfig, degree_schedule, minimize
 
     r = 0.8
-    res = minimize(FunctionalSpec("hyperbolic", r), degree_schedule("hyperbolic", r), OptimizerConfig(restarts=3, seed=1))
+    spec = FunctionalSpec("hyperbolic", r)
+    res = minimize(spec, degree_schedule(spec), OptimizerConfig(restarts=3, seed=1))
     assert res.converged
-    rep = density(res.minimizer, FunctionalSpec("hyperbolic", r), build_grid(Disk(0, r), (128, 128)))
+    rep = density(res.minimizer, spec, build_grid(Disk(0, r), (128, 128)))
     e1, e2 = rep.ell1, rep.ell2
     assert abs(e1 - e2) < 1e-5
     assert abs(res.value - (1.0 - e1)) < 1e-5

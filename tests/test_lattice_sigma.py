@@ -122,6 +122,27 @@ def test_sigma_against_lattice_product(rng):
             assert abs(val - ref) / abs(ref) < 1e-8
 
 
+@pytest.mark.parametrize("theta", [1.0, PI / 3, 1.3, PI / 2])
+def test_sigma_and_eta1_against_mpmath_jtheta(theta):
+    # Oracle: the same theta-function formulas on mpmath's jtheta at 30 digits,
+    # eta1 = -pi^2/(12 w1) theta1'''(0)/theta1'(0) and
+    # sigma(z) = 2 w1/(pi theta1'(0)) e^{eta1 z^2/(2 w1)} theta1(pi z/(2 w1)).
+    mpmath = pytest.importorskip("mpmath")
+    lat = lattice_normalize(theta, 1.0)
+    w1 = lat.omega1
+    zs = [0.3 + 0.2j, -0.5 + 0.6j, 0.9 * lat.omega2 - 0.2, lat.omega1 + 0.4 * lat.omega2]
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(lat.tau))
+        t1p = mpmath.jtheta(1, 0, q, 1)
+        eta1 = -(mpmath.pi**2) / (12 * w1) * mpmath.jtheta(1, 0, q, 3) / t1p
+        pref = 2 * w1 / (mpmath.pi * t1p)
+        ref = [pref * mpmath.exp(eta1 * z**2 / (2 * w1)) * mpmath.jtheta(1, mpmath.pi * z / (2 * w1), q) for z in zs]
+    assert abs(lat.eta1 - complex(eta1)) < 1e-13 * abs(complex(eta1))
+    mine = sigma(np.array(zs), lat)
+    for got, want in zip(mine, map(complex, ref)):
+        assert abs(got - want) < 1e-13 * abs(want)
+
+
 def test_candidate_nu_consistency():
     # The two generator equations must give the same Gaussian exponent.
     for theta in (PI / 3, PI / 2, 2 * PI / 5):

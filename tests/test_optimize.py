@@ -21,15 +21,15 @@ from conftest import random_poly
 
 
 def test_degree_schedule_examples():
-    assert degree_schedule("hyperbolic", 0.9) == 5
-    assert degree_schedule("planar", 8.0) == 16
-    assert degree_schedule("hyperbolic", 1.0 / math.sqrt(2.0)) == 1
-    assert degree_schedule("hyperbolic", 0.5) == 1
-    assert degree_schedule("planar", 1.0) == 2
+    assert degree_schedule(FunctionalSpec("hyperbolic", 0.9)) == 5
+    assert degree_schedule(FunctionalSpec("planar", 8.0)) == 16
+    assert degree_schedule(FunctionalSpec("hyperbolic", 1.0 / math.sqrt(2.0))) == 1
+    assert degree_schedule(FunctionalSpec("hyperbolic", 0.5)) == 1
+    assert degree_schedule(FunctionalSpec("planar", 1.0)) == 2
     with pytest.raises(ConfigurationError):
-        degree_schedule("hyperbolic", 1.0)
+        degree_schedule(FunctionalSpec("hyperbolic", 1.0))
     with pytest.raises(ConfigurationError):
-        degree_schedule("spherical", 0.5)
+        degree_schedule(FunctionalSpec("spherical", 0.5))
 
 
 def test_optimal_scale_planar_constant():
@@ -86,7 +86,7 @@ def test_minimize_hyperbolic_degree_one_closed_form():
 )
 def test_ell_equality_at_minimizer(geometry, param):
     spec = FunctionalSpec(geometry, param)
-    n = degree_schedule(geometry, param)
+    n = degree_schedule(spec)
     res = minimize(spec, n, OptimizerConfig(restarts=3, seed=1))
     d = res.diagnostics
     assert abs(d.ell1 - d.ell2) < 1e-5

@@ -10,15 +10,16 @@ from zeropack import (
     ComplexPolynomial,
     ConfigurationError,
     Disk,
+    FunctionalSpec,
     TruncatedPlane,
     build_grid,
     default_r_cut,
     dilate,
-    gram,
     integrate,
     poly_eval,
+    project_polynomial,
 )
-from zeropack.poly import ring_vandermonde, vandermonde, weight_values
+from zeropack.poly import gram_diagonal, ring_vandermonde, vandermonde
 
 from conftest import random_poly
 
@@ -65,10 +66,23 @@ def test_dilate_evaluation_identity(rng):
         assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
 
 
+# The hyperbolic dbar weight 1-|z|^2 does not depend on r.
+HYP = FunctionalSpec("hyperbolic", 0.5)
+
+
+def planar(gamma):
+    return FunctionalSpec("planar", gamma)
+
+
+def dbar_gram(spec, n, grid):
+    # Gram diagonal of the spec's dbar weight.
+    return gram_diagonal(grid, spec.dbar_weight(np.abs(grid.nodes)) * grid.weights, n)
+
+
 def test_gram_hyperbolic_diagonal():
     # Oracle: 2*int_0^1 r^(2j+1) (1-r^2) dr = 1/((j+1)(j+2)).
     grid = build_grid(Disk(0, 1), (128, 64))
-    G = gram("hyperbolic", 16, grid)
+    G = dbar_gram(HYP, 16, grid)
     for j in range(16):
         assert abs(G[j] - 1.0 / ((j + 1) * (j + 2))) < 1e-10
 
@@ -77,34 +91,35 @@ def test_gram_planar_diagonal_factorials():
     # Oracle: Gaussian moments, 2*int_0^inf r^(2j+1) e^{-2 gamma r^2} dr = j!/(2 gamma)^(j+1).
     for gamma, n in ((0.5, 11), (8.0, 26)):
         grid = build_grid(TruncatedPlane(default_r_cut(n, gamma)), (160, 64))
-        G = gram("planar", n, grid, gamma=gamma)
+        G = dbar_gram(planar(gamma), n, grid)
         for j in range(n):
             exact = math.factorial(j) / (2.0 * gamma) ** (j + 1)
             assert abs(G[j] - exact) < 1e-8 * exact
 
 
-def _dense_gram(weight, n, grid, gamma=None):
-    # Reference: the dense quadrature Gram V^H diag(w) V.
-    w = weight_values(weight, grid.nodes, gamma) * grid.weights
+def _dense_gram(spec, n, grid):
+    # Reference: the dense quadrature Gram V^H diag(w) V, with the weight written out.
+    a2 = np.abs(grid.nodes) ** 2
+    w = (1 - a2 if spec.geometry == "hyperbolic" else np.exp(-2 * spec.param * a2)) * grid.weights
     V = grid.nodes[:, None] ** np.arange(n)[None, :]
     return V.conj().T @ (w[:, None] * V)
 
 
 _DENSE_CASES = (
-    ("hyperbolic", None, 64, Disk(0, 1)),
-    ("planar", 8.0, 26, TruncatedPlane(default_r_cut(26, 8.0))),
+    (HYP, 64, Disk(0, 1)),
+    (planar(8.0), 26, TruncatedPlane(default_r_cut(26, 8.0))),
 )
 
 
 def test_gram_offdiagonal_zero():
     grid = build_grid(Disk(0, 1), (64, 64))
-    dense = _dense_gram("hyperbolic", 8, grid)
+    dense = _dense_gram(HYP, 8, grid)
     off = dense - np.diag(np.diag(dense))
     assert np.max(np.abs(off)) < 1e-12
-    assert np.allclose(gram("hyperbolic", 8, grid), np.real(np.diag(dense)), rtol=1e-14, atol=0)
+    assert np.allclose(dbar_gram(HYP, 8, grid), np.real(np.diag(dense)), rtol=1e-14, atol=0)
 
-    for weight, gamma, n, region in _DENSE_CASES:
-        dense = _dense_gram(weight, n, build_grid(region, (128, 256)), gamma)
+    for spec, n, region in _DENSE_CASES:
+        dense = _dense_gram(spec, n, build_grid(region, (128, 256)))
         d = np.real(np.diag(dense))
         off = np.abs(dense - np.diag(np.diag(dense)))
         assert np.all(off <= 1e-14 * np.sqrt(np.outer(d, d)))
@@ -112,20 +127,20 @@ def test_gram_offdiagonal_zero():
 
 def test_gram_hermitian_cholesky_degree_64(rng):
     grid = build_grid(Disk(0, 1), (128, 256))
-    dense = _dense_gram("hyperbolic", 64, grid)
+    dense = _dense_gram(HYP, 64, grid)
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
     np.linalg.cholesky(dense)  # PD with the default grids
-    assert np.all(gram("hyperbolic", 64, grid) > 0)
+    assert np.all(dbar_gram(HYP, 64, grid) > 0)
 
     gp = build_grid(TruncatedPlane(default_r_cut(64, 1.0)), (128, 256))
-    np.linalg.cholesky(_dense_gram("planar", 64, gp, 1.0))
-    assert np.all(gram("planar", 64, gp, gamma=1.0) > 0)
+    np.linalg.cholesky(_dense_gram(planar(1.0), 64, gp))
+    assert np.all(dbar_gram(planar(1.0), 64, gp) > 0)
 
     # The diagonal divide agrees with a general solve of the dense system.
-    for weight, gamma, n, region in _DENSE_CASES:
+    for spec, n, region in _DENSE_CASES:
         grid = build_grid(region, (128, 256))
-        dense = _dense_gram(weight, n, grid, gamma)
-        G = gram(weight, n, grid, gamma=gamma)
+        dense = _dense_gram(spec, n, grid)
+        G = dbar_gram(spec, n, grid)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(rhs / G - ref)) < 1e-10 * np.max(np.abs(ref))
@@ -133,15 +148,15 @@ def test_gram_hermitian_cholesky_degree_64(rng):
 
 def test_gram_rejects_non_ring_grids():
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        gram("hyperbolic", 20, build_grid(Disk(0, 1), (32, 16)))
+        dbar_gram(HYP, 20, build_grid(Disk(0, 1), (32, 16)))
     with pytest.raises(ConfigurationError):
-        gram("planar", 4, build_grid(Disk(0.5, 1.0), (32, 32)), gamma=1.0)
+        dbar_gram(planar(1.0), 4, build_grid(Disk(0.5, 1.0), (32, 32)))
 
 
 def test_norm_via_gram_matches_integral(rng):
     grid = build_grid(Disk(0, 1), (96, 96))
     n = 9
-    G = gram("hyperbolic", n, grid)
+    G = dbar_gram(HYP, n, grid)
     for _ in range(5):
         p = random_poly(rng, n)
         direct = integrate(grid, lambda z: np.abs(poly_eval(p, z)) ** 2 * (1 - np.abs(z) ** 2))
@@ -149,13 +164,12 @@ def test_norm_via_gram_matches_integral(rng):
 
 
 def test_gram_weight_grid_mismatch():
+    # The hyperbolic weight has no support off the unit disk.
     grid = build_grid(TruncatedPlane(4.0), (32, 32))
+    with pytest.raises(ConfigurationError, match="support"):
+        project_polynomial(lambda z: z, HYP, 4, grid)
     with pytest.raises(ConfigurationError):
-        gram("hyperbolic", 4, grid)
-    with pytest.raises(ConfigurationError):
-        gram("planar", 4, build_grid(Disk(0, 1), (16, 16)))  # missing gamma
-    with pytest.raises(ConfigurationError):
-        weight_values("unknown", np.zeros(3, complex))
+        FunctionalSpec("unknown", 0.5)
 
 
 def test_serialization_roundtrip(rng):
