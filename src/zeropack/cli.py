@@ -65,10 +65,14 @@ def _geometry_params(args) -> tuple[str, list[float]]:
     if args.geometry == "hyperbolic":
         if args.r is None:
             raise UsageError("--r is required for hyperbolic geometry")
+        if args.gamma is not None:
+            raise UsageError("--gamma applies to planar geometry only")
         return "hyperbolic", _parse_sweep(args.r)
     if args.geometry == "planar":
         if args.gamma is None:
             raise UsageError("--gamma is required for planar geometry")
+        if args.r is not None:
+            raise UsageError("--r applies to hyperbolic geometry only")
         return "planar", _parse_sweep(args.gamma)
     raise UsageError("--geometry must be hyperbolic or planar")
 
@@ -279,14 +283,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"zeropack {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, sweep_ok=False):
-        p.add_argument("--geometry", choices=["hyperbolic", "planar"])
-        p.add_argument("--r", type=str, default=None, help="radius (comma list for sweeps)" if sweep_ok else "radius")
-        p.add_argument("--gamma", type=str, default=None, help="Gaussian exponent")
+    def common(p, sweep_ok=False, geometry=True):
+        if geometry:
+            p.add_argument("--geometry", choices=["hyperbolic", "planar"])
+            r_help = "radius (comma list for sweeps)" if sweep_ok else "radius"
+            p.add_argument("--r", type=str, default=None, help=r_help)
+            p.add_argument("--gamma", type=str, default=None, help="Gaussian exponent")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--restarts", type=int, default=3)
         p.add_argument("--resolution", type=_parse_resolution, default=DEFAULT_RESOLUTION, metavar="NRADxNANG")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--restarts", type=int, default=3)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None, help="flat key = value file mirroring the flags")
 
@@ -296,7 +302,7 @@ def build_parser() -> _Parser:
     p_min.set_defaults(func=cmd_minimize)
 
     p_scan = sub.add_parser("lattice-scan", help="cell-average density across lattice angles")
-    common(p_scan)
+    common(p_scan, geometry=False)
     p_scan.add_argument("--format", choices=["json", "csv"], default="csv")
     p_scan.add_argument("--beta", type=float, default=1.0)
     p_scan.add_argument("--theta-min", type=float, default=math.pi / 3 - 0.3)

@@ -125,10 +125,12 @@ def _project(values: np.ndarray, node_weight: np.ndarray, grid: QuadratureGrid, 
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """Minimal dbar correction u = chi*f - nu and the two sides of its bound.
+    """Minimal dbar correction u = chi*f - nu, the two sides of its bound and the gap terms.
 
     weight is the node weight of the correction's inner product: the dbar
-    weight times the quadrature weights of grid.
+    weight times the quadrature weights of grid.  The last three fields are
+    the correction-driven perturbation terms of the gap argument (see
+    _proof_components).
     """
 
     u_values: np.ndarray
@@ -138,6 +140,9 @@ class CorrectionResult:
     degree_bound: int
     grid: QuadratureGrid
     weight: np.ndarray
+    exterior_mass_u: float
+    l1_perturbation: float
+    l2_perturbation: float
 
     def orthogonality_residual(self) -> float:
         """max_k |<u, z^k>| / ||u|| in the weighted inner product, via the dense Vandermonde matrix."""
@@ -167,17 +172,32 @@ def minimal_correction(
     z = grid.nodes
     weight = spec.dbar_weight(np.abs(z))
     weight *= grid.weights
-    fz = f.on_grid(grid)
-    chi_f = cutoff(z, cut) * fz
+    # f's node values become chi*f in place once rhs has used them, so that
+    # f, chi*f and u never coexist.
+    chi_f = f.on_grid(grid)
+    rhs = float(
+        np.sum(np.abs(dbar_cutoff(z, cut)) ** 2 * np.abs(chi_f) ** 2 * weight / spec.laplacian(np.abs(z)))
+    )
+    chi_f *= cutoff(z, cut)
     nu = _project(chi_f, weight, grid, n)
     u = chi_f - nu.on_grid(grid)
 
     lhs = float(np.sum(np.abs(u) ** 2 * weight))
-    dchi2 = np.abs(dbar_cutoff(z, cut)) ** 2
-    rhs = float(np.sum(dchi2 * np.abs(fz) ** 2 * weight / spec.laplacian(np.abs(z))))
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericError(f"non-finite correction bound: lhs {lhs}, rhs {rhs}")
-    return CorrectionResult(u_values=u, nu=nu, lhs=lhs, rhs=rhs, degree_bound=n, grid=grid, weight=weight)
+    ext, l1p, l2p = _proof_components(spec, chi_f, u, grid)
+    return CorrectionResult(
+        u_values=u,
+        nu=nu,
+        lhs=lhs,
+        rhs=rhs,
+        degree_bound=n,
+        grid=grid,
+        weight=weight,
+        exterior_mass_u=ext,
+        l1_perturbation=l1p,
+        l2_perturbation=l2p,
+    )
 
 
 @dataclass(frozen=True)
@@ -225,11 +245,7 @@ class GapReport:
 
 
 def _proof_components(
-    spec: FunctionalSpec,
-    f: ComplexPolynomial,
-    u: np.ndarray,
-    cut: CutoffSpec,
-    grid: QuadratureGrid,
+    spec: FunctionalSpec, chi_f: np.ndarray, u: np.ndarray, grid: QuadratureGrid
 ) -> tuple[float, float, float]:
     """The three correction-driven perturbation terms of the gap argument.
 
@@ -240,12 +256,11 @@ def _proof_components(
     (the remaining perturbations come from the cut-off's bite on f and shrink
     only with the boundary layer).
     """
-    z = grid.nodes
     au = np.abs(u)
     # The cross term first, so that its complex temporaries never coexist with
-    # the envelope arrays; this keeps equality_gap's peak memory where it was.
-    cross = au**2 - 2.0 * np.real(cutoff(z, cut) * f.on_grid(grid) * np.conj(u))
-    absz = np.abs(z)
+    # the envelope arrays; this keeps minimal_correction's peak memory down.
+    cross = au**2 - 2.0 * np.real(chi_f * np.conj(u))
+    absz = np.abs(grid.nodes)
     w, m = spec.envelope(absz)
     w1 = w * m * grid.weights / spec.log_normalizer
     w2 = w * w1
@@ -284,7 +299,6 @@ def equality_gap(
     rho_star = density(corr.nu, starred_spec, starred_grid).value
 
     bm1, bm2 = boundary_mass(f, spec, delta, resolution)
-    ext, l1p, l2p = _proof_components(spec, f, corr.u_values, cut, corr.grid)
 
     return GapReport(
         geometry=spec.geometry,
@@ -299,8 +313,8 @@ def equality_gap(
         boundary_mass_l1=bm1,
         boundary_mass_l2=bm2,
         sigma_sq_estimate=(1.0 - rho_star) if spec.reports_sigma_sq else None,
-        exterior_mass_u=ext,
-        l1_perturbation=l1p,
-        l2_perturbation=l2p,
+        exterior_mass_u=corr.exterior_mass_u,
+        l1_perturbation=corr.l1_perturbation,
+        l2_perturbation=corr.l2_perturbation,
         minimize_result=result,
     )

@@ -106,6 +106,20 @@ def optimal_scale(f: ComplexPolynomial, spec: FunctionalSpec, grid: QuadratureGr
     return s if spec.beta == 1.0 else s ** (1.0 / spec.beta)
 
 
+@dataclass(frozen=True)
+class _Iterate:
+    """Coefficients c with their value, and the node values fz of a positive multiple of c.
+
+    The IRLS phase fz/|fz| and its relative floor do not change under a
+    positive rescale, so fz may belong to c before its optimal rescaling.
+    """
+
+    c: np.ndarray
+    value: float
+    fz: np.ndarray
+    af: np.ndarray
+
+
 class _Workspace:
     """Precomputed node arrays for one (spec, grid, n) minimization."""
 
@@ -117,25 +131,20 @@ class _Workspace:
         # bench/check_tracer.py expects to see called under minimize.
         self.V = RingVandermonde(vandermonde(grid.radii, n), vandermonde(grid.phases, n))
 
-    def value(self, c: np.ndarray) -> float:
-        fv = np.abs(self.V @ c)
-        return float(np.sum(self.a_wt * fv**2) - 2.0 * np.sum(self.b_wt * fv) + self.c_val)
-
-    def rescaled(self, c: np.ndarray) -> tuple[np.ndarray, float]:
-        """The optimal rescaling c*B/A and its value C - B^2/A."""
-        fv = np.abs(self.V @ c)
-        a = float(np.sum(self.a_wt * fv**2))
-        b = float(np.sum(self.b_wt * fv))
-        if a <= 0.0 or b <= 0.0:
-            return c, a - 2.0 * b + self.c_val
-        return c * (b / a), self.c_val - b * b / a
-
-    def irls_step(self, c: np.ndarray) -> tuple[np.ndarray, float]:
+    def iterate(self, c: np.ndarray, rescale: bool = True) -> _Iterate:
+        """c, or its optimal rescaling c*B/A with value C - B^2/A, from one ring product."""
         fz = self.V @ c
         af = np.abs(fz)
-        floor = 1e-14 * max(float(af.max()), 1e-300)
-        u = fz / np.maximum(af, floor)
-        return self.rescaled(self.V.adjoint(self.b_wt * u) / self.diagonal)
+        a = float(np.sum(self.a_wt * af**2))
+        b = float(np.sum(self.b_wt * af))
+        if not rescale or a <= 0.0 or b <= 0.0:
+            return _Iterate(c, a - 2.0 * b + self.c_val, fz, af)
+        return _Iterate(c * (b / a), self.c_val - b * b / a, fz, af)
+
+    def irls_step(self, it: _Iterate) -> _Iterate:
+        floor = 1e-14 * max(float(it.af.max()), 1e-300)
+        y = it.fz * (self.b_wt / np.maximum(it.af, floor))
+        return self.iterate(self.V.adjoint(y) / self.diagonal)
 
 
 def _canonicalize(c: np.ndarray) -> np.ndarray:
@@ -148,44 +157,44 @@ def _canonicalize(c: np.ndarray) -> np.ndarray:
 
 
 def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: bool):
-    val = ws.value(c)
-    history = [val]
+    it = ws.iterate(c, rescale=False)
+    history = [it.value]
     iterations = 0
     converged = False
-    snapshot = c.copy()
+    snapshot = it.c
     accepted = 0
     for _ in range(config.max_iterations):
         iterations += 1
         improved = False
         if use_irls:
-            c_new, v_new = ws.irls_step(c)
-            if v_new <= val:
+            new = ws.irls_step(it)
+            if new.value <= it.value:
                 improved = True
         if not use_irls or not improved:
             # Backtracking line search on the real-coordinate gradient; used as
             # the whole method when requested, else as the fallback step.  In
             # complex form, moving c by -step*g changes the value by
             # -step*|g|^2 to first order.
-            g = gradient(ComplexPolynomial(c), ws.spec, ws.grid).view(complex)
+            g = gradient(ComplexPolynomial(it.c), ws.spec, ws.grid).view(complex)
             gnorm2 = float(np.sum(np.abs(g) ** 2))
             if gnorm2 == 0.0:
                 converged = True
                 break
-            step = max(abs(val), 1e-8) / gnorm2
+            step = max(abs(it.value), 1e-8) / gnorm2
             for _ in range(60):
-                c_try, v_try = ws.rescaled(c - step * g)
-                if v_try < val - 1e-4 * step * gnorm2:
-                    c_new, v_new = c_try, v_try
+                trial = ws.iterate(it.c - step * g)
+                if trial.value < it.value - 1e-4 * step * gnorm2:
+                    new = trial
                     improved = True
                     break
                 step *= 0.5
             if not improved:
                 converged = True
                 break
-        drop = val - v_new
-        c, val = c_new, v_new
-        history.append(val)
-        if drop < config.tolerance * max(abs(val), 1e-30):
+        drop = it.value - new.value
+        it = new
+        history.append(it.value)
+        if drop < config.tolerance * max(abs(it.value), 1e-30):
             converged = True
             break
         # Secant extrapolation along the recent trajectory: flat valleys make
@@ -193,15 +202,15 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: b
         # only kept on strict decrease.
         accepted += 1
         if use_irls and accepted % 10 == 0:
-            direction = c - snapshot
+            direction = it.c - snapshot
             for theta in (16.0, 8.0, 4.0, 2.0):
-                candidate, v_cand = ws.rescaled(c + theta * direction)
-                if v_cand < val:
-                    c, val = candidate, v_cand
-                    history.append(val)
+                candidate = ws.iterate(it.c + theta * direction)
+                if candidate.value < it.value:
+                    it = candidate
+                    history.append(it.value)
                     break
-            snapshot = c.copy()
-    return c, val, iterations, converged, history
+            snapshot = it.c
+    return it.c, it.value, iterations, converged, history
 
 
 def _deterministic_init(spec: FunctionalSpec, grid: QuadratureGrid, ws: _Workspace, n: int) -> np.ndarray:

@@ -287,3 +287,21 @@ def test_config_file_errors(tmp_path, capsys):
     bad.write_text("geometry planar\n")
     code, _, _ = run(capsys, "minimize", "--config", str(bad))
     assert code == 4
+
+
+def test_flags_a_command_ignores_are_usage_errors(capsys):
+    # lattice-scan scans lattices: no geometry, parameter, seed or restarts.
+    scan = ["lattice-scan", "--steps", "2", "--resolution", "32x32"]
+    for flags in (["--geometry", "planar"], ["--r", "0.5"], ["--gamma", "3"], ["--seed", "1"], ["--restarts", "2"]):
+        code, out, _ = run(capsys, *scan, *flags)
+        assert code == 4, flags
+        assert out == ""
+    code, _, _ = run(capsys, *scan)
+    assert code == 0
+    # Each geometry takes its own parameter only.
+    for command in ("minimize", "gap", "eval", "dbar-check"):
+        for flags in (["--geometry", "planar", "--gamma", "1", "--r", "0.5"],
+                      ["--geometry", "hyperbolic", "--r", "0.5", "--gamma", "1"]):
+            code, _, err = run(capsys, command, *flags)
+            assert code == 4, (command, flags)
+            assert "applies to" in err

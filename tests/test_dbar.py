@@ -315,6 +315,28 @@ def test_equality_gap_planar_small():
     assert d["exterior_mass_u"] == rep.exterior_mass_u
     assert d["l1_perturbation"] == rep.l1_perturbation
     assert d["l2_perturbation"] == rep.l2_perturbation
+    # The terms come from the correction's own chi*f and u; recomputed with f
+    # evaluated by Horner on the correction grid they agree.
+    spec = planar(2.0)
+    f = rep.minimize_result.minimizer
+    corr = minimal_correction(f, spec, CutoffSpec(rep.delta, 1.0), (96, 96))
+    assert (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation) == (
+        rep.exterior_mass_u, rep.l1_perturbation, rep.l2_perturbation
+    )
+    z, u = corr.grid.nodes, corr.u_values
+    absz = np.abs(z)
+    w, m = spec.envelope(absz)
+    w1 = w * m * corr.grid.weights / spec.log_normalizer
+    core = absz < 1.0
+    chi_f = cutoff(z, CutoffSpec(rep.delta, 1.0)) * poly_eval(f, z)
+    cross = np.abs(u) ** 2 - 2.0 * np.real(chi_f * np.conj(u))
+    expect = (
+        np.sum((np.abs(u) ** 2 * w * w1)[absz > 1.0]),
+        np.sum((np.abs(u) * w1)[core]),
+        abs(np.sum((cross * w * w1)[core])),
+    )
+    for got, ref in zip((rep.exterior_mass_u, rep.l1_perturbation, rep.l2_perturbation), expect):
+        assert abs(got - ref) <= 1e-12 * ref
     with pytest.raises(ConfigurationError):
         equality_gap(FunctionalSpec("planar", 2.0, starred=True))
 

@@ -16,6 +16,9 @@ from zeropack import (
     minimize,
     optimal_scale,
 )
+from zeropack.functionals import DEFAULT_RESOLUTION
+from zeropack.optimize import _descend, _Workspace
+from zeropack.poly import RingVandermonde
 
 from conftest import random_poly
 
@@ -186,3 +189,49 @@ def test_starred_minimization_permitted():
     res_u = minimize(spec_u, 2, OptimizerConfig(restarts=2, seed=6))
     assert res_s.value >= res_u.value - 1e-8
     assert res_s.diagnostics.spec.starred
+
+
+def _workspace(spec, n):
+    return _Workspace(spec, default_grid(spec, DEFAULT_RESOLUTION, degree=n), n)
+
+
+def _random_start(ws, n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0 * ws.diagonal)
+
+
+def test_irls_step_makes_one_forward_product_and_one_adjoint(monkeypatch):
+    # Each IRLS step needs V^H of the reweighted phases and V of the new
+    # coefficients, once each; the iterate's node values serve the next step.
+    counts = {"forward": 0, "adjoint": 0, "steps": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    ws = _workspace(FunctionalSpec("planar", 2.0), 4)
+    c0 = _random_start(ws, 4, 1)
+    monkeypatch.setattr(RingVandermonde, "__matmul__", counting("forward", RingVandermonde.__matmul__))
+    monkeypatch.setattr(RingVandermonde, "adjoint", counting("adjoint", RingVandermonde.adjoint))
+    monkeypatch.setattr(_Workspace, "irls_step", counting("steps", _Workspace.irls_step))
+    _, _, iterations, converged, _ = _descend(ws, c0, OptimizerConfig(), True)
+    assert converged and iterations > 20
+    assert counts["adjoint"] == counts["steps"] == iterations
+    # Secant extrapolation tries at most four candidates every tenth step.
+    assert counts["forward"] <= counts["adjoint"] + 4 * (iterations // 10) + 1
+
+
+@pytest.mark.parametrize("geometry,param", [("hyperbolic", 0.9), ("planar", 8.0)])
+def test_descend_value_matches_fresh_density(geometry, param):
+    # The closed-form value C - B^2/A carried by the iterate must be the
+    # density of the returned coefficients, evaluated afresh.
+    spec = FunctionalSpec(geometry, param)
+    n = degree_schedule(spec)
+    ws = _workspace(spec, n)
+    c, value, _, _, history = _descend(ws, _random_start(ws, n, 2), OptimizerConfig(), True)
+    assert history[-1] == value
+    fresh = density(ComplexPolynomial(c), spec, ws.grid).value
+    assert abs(value - fresh) <= 1e-13 * abs(fresh)
