@@ -114,7 +114,8 @@ def _with_provenance(payload: dict, resolution: tuple[int, int]) -> dict:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(seed=args.seed, restarts=args.restarts)
+    """The search flags given, over OptimizerConfig's defaults."""
+    return OptimizerConfig(**{k: getattr(args, k) for k in ("seed", "restarts") if getattr(args, k) is not None})
 
 
 def cmd_minimize(args) -> int:
@@ -124,14 +125,14 @@ def cmd_minimize(args) -> int:
     param = params[0]
     spec = FunctionalSpec(geometry=geometry, param=param)
     n = args.degree if args.degree is not None else degree_schedule(spec)
-    resolution = args.resolution
-    grid = default_grid(spec, resolution, degree=n)
-    result = minimize(spec, n, _optimizer_config(args), grid)
-    payload = _with_provenance(result.to_json_dict(), resolution)
+    grid = default_grid(spec, args.resolution, degree=n)
+    config = _optimizer_config(args)
+    result = minimize(spec, n, config, grid)
+    payload = _with_provenance(result.to_json_dict(), grid.resolution)
     payload["degree"] = n
     payload["geometry"] = geometry
     payload["param"] = param
-    payload["seed"] = args.seed
+    payload["seed"] = config.seed
     _dump_json(payload, args.out)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
@@ -174,7 +175,7 @@ def cmd_lattice_scan(args) -> int:
 def cmd_gap(args) -> int:
     geometry, params = _geometry_params(args)
     config = _optimizer_config(args)
-    resolution = args.resolution
+    resolution = args.resolution or FunctionalSpec(geometry, params[0]).default_resolution
 
     reports = _map(lambda param: equality_gap(FunctionalSpec(geometry, param), config, resolution), params, args.jobs)
 
@@ -187,7 +188,7 @@ def cmd_gap(args) -> int:
                 "gaps": gaps,
                 "gap_trend_decreasing": all(b <= a for a, b in zip(gaps, gaps[1:])),
             },
-            "seed": args.seed,
+            "seed": config.seed,
         },
         resolution,
     )
@@ -214,7 +215,7 @@ def cmd_eval(args) -> int:
     spec = FunctionalSpec(geometry=geometry, param=params[0], starred=args.starred, beta=args.beta)
     grid = default_grid(spec, args.resolution, degree=max(len(f.coeffs), 1))
     report = density(f, spec, grid)
-    _dump_json(_with_provenance(report.to_json_dict(), args.resolution), args.out)
+    _dump_json(_with_provenance(report.to_json_dict(), grid.resolution), args.out)
     return EXIT_OK
 
 
@@ -225,6 +226,8 @@ def cmd_dbar_check(args) -> int:
     param = params[0]
     spec = FunctionalSpec(geometry=geometry, param=param)
     if args.poly is not None:
+        if args.seed is not None or args.restarts is not None:
+            raise UsageError("--seed and --restarts apply to the search that dbar-check runs without --poly")
         f = _load_poly(args.poly)
     else:
         f = minimize(spec, degree_schedule(spec), _optimizer_config(args)).minimizer
@@ -243,7 +246,7 @@ def cmd_dbar_check(args) -> int:
             "bound_satisfied": corr.lhs <= corr.rhs,
             "orthogonality_residual": corr.orthogonality_residual(),
         },
-        args.resolution,
+        corr.grid.resolution,
     )
     _dump_json(payload, args.out)
     return EXIT_OK
@@ -283,16 +286,23 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"zeropack {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, sweep_ok=False, geometry=True):
+    def common(p, sweep_ok=False, geometry=True, search=True, jobs=False):
+        # A command gets only the flags it reads: the others are usage errors.
         if geometry:
             p.add_argument("--geometry", choices=["hyperbolic", "planar"])
             r_help = "radius (comma list for sweeps)" if sweep_ok else "radius"
             p.add_argument("--r", type=str, default=None, help=r_help)
             p.add_argument("--gamma", type=str, default=None, help="Gaussian exponent")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--restarts", type=int, default=3)
-        p.add_argument("--resolution", type=_parse_resolution, default=DEFAULT_RESOLUTION, metavar="NRADxNANG")
-        p.add_argument("--jobs", type=int, default=1)
+        if search:
+            p.add_argument("--seed", type=int, default=None, help=f"default {OptimizerConfig.seed}")
+            p.add_argument("--restarts", type=int, default=None, help=f"default {OptimizerConfig.restarts}")
+        res_help = "default: the geometry's grid, 128x129 planar and 128x128 hyperbolic"
+        p.add_argument(
+            "--resolution", type=_parse_resolution, metavar="NRADxNANG",
+            default=None if geometry else DEFAULT_RESOLUTION, help=res_help if geometry else None,
+        )
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None, help="flat key = value file mirroring the flags")
 
@@ -302,7 +312,7 @@ def build_parser() -> _Parser:
     p_min.set_defaults(func=cmd_minimize)
 
     p_scan = sub.add_parser("lattice-scan", help="cell-average density across lattice angles")
-    common(p_scan, geometry=False)
+    common(p_scan, geometry=False, search=False, jobs=True)
     p_scan.add_argument("--format", choices=["json", "csv"], default="csv")
     p_scan.add_argument("--beta", type=float, default=1.0)
     p_scan.add_argument("--theta-min", type=float, default=math.pi / 3 - 0.3)
@@ -311,11 +321,11 @@ def build_parser() -> _Parser:
     p_scan.set_defaults(func=cmd_lattice_scan)
 
     p_gap = sub.add_parser("gap", help="equality-gap pipeline over a parameter sweep")
-    common(p_gap, sweep_ok=True)
+    common(p_gap, sweep_ok=True, jobs=True)
     p_gap.set_defaults(func=cmd_gap)
 
     p_eval = sub.add_parser("eval", help="evaluate a density for a polynomial from a JSON file")
-    common(p_eval)
+    common(p_eval, search=False)
     p_eval.add_argument("--poly", type=str, default=None, help="JSON array of [re, im] coefficient pairs")
     p_eval.add_argument("--starred", action="store_true")
     p_eval.add_argument("--beta", type=float, default=1.0)

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .functionals import (
-    DEFAULT_RESOLUTION,
     FunctionalSpec,
     boundary_mass,
     default_grid,
@@ -155,7 +154,7 @@ def minimal_correction(
     f: ComplexPolynomial,
     spec: FunctionalSpec,
     cut: CutoffSpec,
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION,
+    resolution: tuple[int, int] | None = None,
 ) -> CorrectionResult:
     """Minimal-norm correction of chi*f, with the growth-control bound.
 
@@ -168,6 +167,8 @@ def minimal_correction(
     boundedness of f.
     """
     n = degree_schedule(spec)
+    if resolution is None:
+        resolution = spec.default_resolution
     grid = build_grid(spec.support(n), resolution, radial_splits=((1.0 - cut.delta) * cut.r, cut.r))
     z = grid.nodes
     weight = spec.dbar_weight(np.abs(z))
@@ -274,7 +275,7 @@ def _proof_components(
 def equality_gap(
     spec: FunctionalSpec,
     config: OptimizerConfig = OptimizerConfig(),
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION,
+    resolution: tuple[int, int] | None = None,
 ) -> GapReport:
     """Minimize, cut off, correct, and compare the starred value of the repair.
 
@@ -287,6 +288,8 @@ def equality_gap(
     if spec.starred:
         raise ConfigurationError("equality_gap takes the unstarred functional")
     n = degree_schedule(spec)
+    if resolution is None:
+        resolution = spec.default_resolution
     cut = default_cutoff(spec)
     delta = cut.delta
     result = minimize(spec, n, config)

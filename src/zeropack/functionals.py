@@ -128,6 +128,23 @@ class FunctionalSpec:
         return min(1.0, self.param**-0.5)
 
     @property
+    def symmetry(self) -> int:
+        """Rotation order m of the minimizers' expected class z^j g(z^m): 3 planar, 1 hyperbolic.
+
+        The planar density is linked to Abrikosov's triangular vortex lattice,
+        whose 3-fold rotation the best planar minimizers carry.  Hyperbolic
+        minimizers share no order: at n = 10 the best is 3-fold at r = 0.9 and
+        has no rotation symmetry at r = 0.95.
+        """
+        return 3 if self.geometry == PLANAR else 1
+
+    @property
+    def default_resolution(self) -> tuple[int, int]:
+        """DEFAULT_RESOLUTION with the angle count rounded up to a multiple of the symmetry order."""
+        n_rad, n_ang = DEFAULT_RESOLUTION
+        return n_rad, -(-n_ang // self.symmetry) * self.symmetry
+
+    @property
     def reports_sigma_sq(self) -> bool:
         """Whether a gap run reports the variance estimate 1 - rho* (hyperbolic only)."""
         return self.geometry == HYPERBOLIC
@@ -194,10 +211,10 @@ class FunctionalSpec:
 
 def default_grid(
     spec: FunctionalSpec,
-    resolution: tuple[int, int] = DEFAULT_RESOLUTION,
+    resolution: tuple[int, int] | None = None,
     degree: int | None = None,
 ) -> QuadratureGrid:
-    """Grid matched to the functional's integration domain.
+    """Grid matched to the functional's integration domain, at spec.default_resolution by default.
 
     Unstarred grids are the core disk.  Starred grids cover the weight's
     support for the degree bound (by default ten above the core mass), split
@@ -205,6 +222,8 @@ def default_grid(
     never sits inside a smooth radial panel; the starred/unstarred identity
     then holds to rounding rather than quadrature error.
     """
+    if resolution is None:
+        resolution = spec.default_resolution
     if not spec.starred:
         return build_grid(Disk(0.0, spec.indicator_radius), resolution)
     n = degree if degree is not None else math.ceil(spec.core_mass) + 10

@@ -10,7 +10,9 @@ on the manifold where the two variational masses agree.
 
 The functional is nonconvex in the coefficients, so results are best-found
 values over restarts, not certified global minima; the identities asserted in
-tests hold at any stationary point.
+tests hold at any stationary point.  Restarts search the rotation classes
+z^j g(z^m) of the spec's symmetry order on one angular sector of the grid,
+and every few restarts the full space.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ import numpy as np
 
 from .errors import ConfigurationError, UndefinedScaleError
 from .functionals import (
-    DEFAULT_RESOLUTION,
-    HYPERBOLIC,
     DensityReport,
     FunctionalSpec,
     default_grid,
     density,
-    gradient,
     quadratic_parts,
     quadratic_weights,
 )
@@ -48,7 +47,6 @@ __all__ = [
 class OptimizerConfig:
     max_iterations: int = 1500
     tolerance: float = 1e-10
-    method: str = "irls"
     seed: int = 0
     restarts: int = 3
 
@@ -59,8 +57,6 @@ class OptimizerConfig:
             raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.restarts < 1:
             raise ConfigurationError(f"restarts must be >= 1, got {self.restarts}")
-        if self.method not in ("irls", "gradient-descent-with-line-search"):
-            raise ConfigurationError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +67,9 @@ class MinimizeResult:
     converged: bool
     diagnostics: DensityReport
     restart_values: list[float]
+    # Per restart: its class [m, j] ([1, 0] is the full space), value,
+    # iterations and converged flag.
+    restarts: list[dict] = field(default_factory=list)
     history: list[float] = field(default_factory=list, repr=False)
 
     def to_json_dict(self):
@@ -80,6 +79,7 @@ class MinimizeResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "restart_values": self.restart_values,
+            "restarts": self.restarts,
             "diagnostics": self.diagnostics.to_json_dict(),
         }
 
@@ -111,40 +111,72 @@ class _Iterate:
     """Coefficients c with their value, and the node values fz of a positive multiple of c.
 
     The IRLS phase fz/|fz| and its relative floor do not change under a
-    positive rescale, so fz may belong to c before its optimal rescaling.
+    positive rescale, so fz may belong to c before its optimal rescaling.  fz
+    and af = |fz| live in buffer slot ``slot`` of the workspace that made them.
     """
 
     c: np.ndarray
     value: float
     fz: np.ndarray
     af: np.ndarray
+    slot: int
+
+
+def _node_buffers(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node values and moduli for two slots (iterate and trial), and one real scratch array."""
+    return np.empty((2, size), dtype=complex), np.empty((2, size)), np.empty(size)
 
 
 class _Workspace:
-    """Precomputed node arrays for one (spec, grid, n) minimization."""
+    """Node arrays for one (spec, grid, n) minimization over the class z^j g(z^m).
 
-    def __init__(self, spec: FunctionalSpec, grid: QuadratureGrid, n: int):
+    The class holds the coefficients k = j (mod m); m must divide the grid's
+    angular count.  |f| of a class member is 2*pi/m-periodic in the angle, so
+    the workspace keeps the first n_ang/m angles of every ring with m times
+    their weights: its sums, its adjoint on the class coefficients and the
+    full grid's Gram diagonal are then exactly those of the full grid, and an
+    IRLS step keeps the class.  m = 1 is the full space.  Node-sized results
+    go into ``buffers`` (from _node_buffers, at least this grid's size), so a
+    step allocates no node array; several workspaces may share one set.
+    """
+
+    def __init__(self, spec: FunctionalSpec, grid: QuadratureGrid, n: int, m: int = 1, j: int = 0, buffers=None):
         self.spec, self.grid = spec, grid
-        self.a_wt, self.b_wt, self.c_val = quadratic_weights(spec, grid)
-        self.diagonal = gram_diagonal(grid, self.a_wt, n)
+        a_wt, b_wt, self.c_val = quadratic_weights(spec, grid)
+        rows, n_ang = len(grid.radii), grid.resolution[1]
+        sector = n_ang // m
+        self.a_wt = m * a_wt.reshape(rows, n_ang)[:, :sector].ravel()
+        self.b_wt = m * b_wt.reshape(rows, n_ang)[:, :sector].ravel()
+        self.diagonal = gram_diagonal(grid, a_wt, n)[j::m]
         # Factors built through this module's own vandermonde binding, which
         # bench/check_tracer.py expects to see called under minimize.
-        self.V = RingVandermonde(vandermonde(grid.radii, n), vandermonde(grid.phases, n))
+        self.V = RingVandermonde(
+            np.ascontiguousarray(vandermonde(grid.radii, n)[:, j::m]),
+            np.ascontiguousarray(vandermonde(grid.phases, n)[:sector, j::m]),
+        )
+        size = rows * sector
+        self.buffers = _node_buffers(size) if buffers is None else buffers
+        fz, af, scratch = self.buffers
+        self.fz, self.af, self.scratch = fz[:, :size], af[:, :size], scratch[:size]
 
-    def iterate(self, c: np.ndarray, rescale: bool = True) -> _Iterate:
-        """c, or its optimal rescaling c*B/A with value C - B^2/A, from one ring product."""
-        fz = self.V @ c
-        af = np.abs(fz)
-        a = float(np.sum(self.a_wt * af**2))
-        b = float(np.sum(self.b_wt * af))
+    def iterate(self, c: np.ndarray, slot: int = 0, rescale: bool = True) -> _Iterate:
+        """c, or its optimal rescaling c*B/A with value C - B^2/A, from one ring product into ``slot``."""
+        fz = self.V.__matmul__(c, out=self.fz[slot])
+        af = np.abs(fz, out=self.af[slot])
+        a = float(np.sum(np.multiply(self.a_wt, np.square(af, out=self.scratch), out=self.scratch)))
+        b = float(np.sum(np.multiply(self.b_wt, af, out=self.scratch)))
         if not rescale or a <= 0.0 or b <= 0.0:
-            return _Iterate(c, a - 2.0 * b + self.c_val, fz, af)
-        return _Iterate(c * (b / a), self.c_val - b * b / a, fz, af)
+            return _Iterate(c, a - 2.0 * b + self.c_val, fz, af, slot)
+        return _Iterate(c * (b / a), self.c_val - b * b / a, fz, af, slot)
 
     def irls_step(self, it: _Iterate) -> _Iterate:
+        """The reweighted solve from it, in the slot it does not use."""
+        slot = 1 - it.slot
         floor = 1e-14 * max(float(it.af.max()), 1e-300)
-        y = it.fz * (self.b_wt / np.maximum(it.af, floor))
-        return self.iterate(self.V.adjoint(y) / self.diagonal)
+        weight = np.maximum(it.af, floor, out=self.scratch)
+        np.divide(self.b_wt, weight, out=weight)
+        y = np.multiply(it.fz, weight, out=self.fz[slot])
+        return self.iterate(self.V.adjoint(y) / self.diagonal, slot)
 
 
 def _canonicalize(c: np.ndarray) -> np.ndarray:
@@ -156,41 +188,20 @@ def _canonicalize(c: np.ndarray) -> np.ndarray:
     return c * np.exp(-1j * np.angle(lead))
 
 
-def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: bool):
+def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig):
     it = ws.iterate(c, rescale=False)
     history = [it.value]
     iterations = 0
     converged = False
     snapshot = it.c
-    accepted = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        improved = False
-        if use_irls:
-            new = ws.irls_step(it)
-            if new.value <= it.value:
-                improved = True
-        if not use_irls or not improved:
-            # Backtracking line search on the real-coordinate gradient; used as
-            # the whole method when requested, else as the fallback step.  In
-            # complex form, moving c by -step*g changes the value by
-            # -step*|g|^2 to first order.
-            g = gradient(ComplexPolynomial(it.c), ws.spec, ws.grid).view(complex)
-            gnorm2 = float(np.sum(np.abs(g) ** 2))
-            if gnorm2 == 0.0:
-                converged = True
-                break
-            step = max(abs(it.value), 1e-8) / gnorm2
-            for _ in range(60):
-                trial = ws.iterate(it.c - step * g)
-                if trial.value < it.value - 1e-4 * step * gnorm2:
-                    new = trial
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                converged = True
-                break
+        new = ws.irls_step(it)
+        # The step minimizes a majorant that touches the value at it, so it
+        # can rise only by rounding: a rise means the iterate is stationary.
+        if not new.value <= it.value:
+            converged = True
+            break
         drop = it.value - new.value
         it = new
         history.append(it.value)
@@ -200,11 +211,10 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: b
         # Secant extrapolation along the recent trajectory: flat valleys make
         # plain reweighting crawl, and the jump is monotone-safe since it is
         # only kept on strict decrease.
-        accepted += 1
-        if use_irls and accepted % 10 == 0:
+        if iterations % 10 == 0:
             direction = it.c - snapshot
             for theta in (16.0, 8.0, 4.0, 2.0):
-                candidate = ws.iterate(it.c + theta * direction)
+                candidate = ws.iterate(it.c + theta * direction, 1 - it.slot)
                 if candidate.value < it.value:
                     it = candidate
                     history.append(it.value)
@@ -213,22 +223,15 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig, use_irls: b
     return it.c, it.value, iterations, converged, history
 
 
-def _deterministic_init(spec: FunctionalSpec, grid: QuadratureGrid, ws: _Workspace, n: int) -> np.ndarray:
-    if spec.geometry == HYPERBOLIC:
-        c = np.zeros(n, dtype=complex)
-        c[0] = 1.0 / (1.0 - spec.param**2 / 2.0)
-        return c
-    # Planar: project the triangular-lattice candidate, rescaled to the
-    # gamma-envelope, onto the coefficient space via the surrogate Gram.
-    from .lattice_sigma import abrikosov_candidate, lattice_normalize
+def _restart_classes(spec: FunctionalSpec, grid: QuadratureGrid, n: int, restarts: int) -> list[tuple[int, int]]:
+    """The class (m, j) that each restart searches; (1, 0) is the full space.
 
-    cand = abrikosov_candidate(lattice_normalize(math.pi / 3.0, 1.0), 1.0)
-    fvals = cand.f0_values(np.sqrt(spec.param) * grid.nodes)
-    c = ws.V.adjoint(ws.a_wt * fvals) / ws.diagonal
-    if not np.all(np.isfinite(c)) or not np.any(np.abs(c) > 0):
-        c = np.zeros(n, dtype=complex)
-        c[0] = 1.0
-    return c
+    m = gcd(spec.symmetry, n_ang), so that an IRLS step keeps the class.
+    Restart r searches class (m, j) when r mod (m+1) = j < m, and the full
+    space when r mod (m+1) = m or when the class has no coefficient (j >= n).
+    """
+    m = math.gcd(spec.symmetry, grid.resolution[1])
+    return [(m, r % (m + 1)) if r % (m + 1) < min(m, n) else (1, 0) for r in range(restarts)]
 
 
 def minimize(
@@ -239,9 +242,9 @@ def minimize(
 ) -> MinimizeResult:
     """Best-found minimizer of the density over the n-coefficient space.
 
-    Restart 0 is deterministic (constant for hyperbolic, lattice-candidate
-    projection for planar); the rest draw Gaussian coefficients scaled to unit
-    weighted norm per monomial.  Ties between restarts within 1e-12 go to the
+    Restart r draws Gaussian coefficients from seed*7919 + r, scaled to unit
+    weighted norm per monomial, keeps those of its class (_restart_classes)
+    and descends in that class.  Ties between restarts within 1e-12 go to the
     lowest restart index so results are reproducible under concurrency.
     """
     if n < 1:
@@ -249,22 +252,25 @@ def minimize(
     if spec.beta != 1.0:
         raise ConfigurationError("minimize handles the beta = 1 functionals only")
     if grid is None:
-        grid = default_grid(spec, DEFAULT_RESOLUTION, degree=n)
-    ws = _Workspace(spec, grid, n)
-    use_irls = config.method == "irls"
+        grid = default_grid(spec, degree=n)
+    full = _Workspace(spec, grid, n)
+    workspaces = {(1, 0): full}
 
     best = None
     restart_values: list[float] = []
-    for rs in range(config.restarts):
-        if rs == 0:
-            c0 = _deterministic_init(spec, grid, ws, n)
-        else:
-            rng = np.random.default_rng(config.seed * 7919 + rs)
-            raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            c0 = raw / np.sqrt(2.0 * ws.diagonal)
-        c, val, iterations, converged, history = _descend(ws, c0, config, use_irls)
+    restarts: list[dict] = []
+    for rs, (m, j) in enumerate(_restart_classes(spec, grid, n, config.restarts)):
+        if (m, j) not in workspaces:
+            workspaces[m, j] = _Workspace(spec, grid, n, m, j, full.buffers)
+        rng = np.random.default_rng(config.seed * 7919 + rs)
+        raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c0 = (raw / np.sqrt(2.0 * full.diagonal))[j::m]
+        c_class, val, iterations, converged, history = _descend(workspaces[m, j], c0, config)
         restart_values.append(val)
+        restarts.append({"class": [m, j], "value": val, "iterations": iterations, "converged": converged})
         if best is None or val < best[1] - 1e-12:
+            c = np.zeros(n, dtype=complex)
+            c[j::m] = c_class
             best = (c, val, iterations, converged, history)
 
     c, _, iterations, converged, history = best
@@ -277,5 +283,6 @@ def minimize(
         converged=converged,
         diagnostics=report,
         restart_values=restart_values,
+        restarts=restarts,
         history=history,
     )

@@ -90,9 +90,11 @@ class RingVandermonde:
     radial: np.ndarray
     angular: np.ndarray
 
-    def __matmul__(self, c: np.ndarray) -> np.ndarray:
-        """V @ c: the polynomial with coefficients c at every node."""
-        return ((self.radial * c) @ self.angular.T).ravel()
+    def __matmul__(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """V @ c: the polynomial with coefficients c at every node, written into ``out`` if given."""
+        if out is not None:
+            out = out.reshape(len(self.radial), len(self.angular))
+        return np.matmul(self.radial * c, self.angular.T, out=out).ravel()
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """V^H y, for node values y."""

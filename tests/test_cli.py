@@ -305,3 +305,51 @@ def test_flags_a_command_ignores_are_usage_errors(capsys):
             code, _, err = run(capsys, command, *flags)
             assert code == 4, (command, flags)
             assert "applies to" in err
+
+
+def test_search_and_jobs_flags_only_where_read(tmp_path, capsys):
+    # --jobs is read by the sweeps only, and --seed/--restarts only where a
+    # search runs: eval never searches, dbar-check not when given --poly.
+    poly = tmp_path / "p.json"
+    poly.write_text("[[1.0, 0.0], [0.2, 0.1]]")
+    planar = ["--geometry", "planar", "--gamma", "2", "--resolution", "32x32"]
+    refused = [
+        ["eval", *planar, "--poly", str(poly), "--seed", "5"],
+        ["eval", *planar, "--poly", str(poly), "--restarts", "9"],
+        ["eval", *planar, "--poly", str(poly), "--jobs", "4"],
+        ["minimize", *planar, "--degree", "1", "--jobs", "4"],
+        ["dbar-check", *planar, "--poly", str(poly), "--seed", "3"],
+        ["dbar-check", *planar, "--poly", str(poly), "--restarts", "7"],
+        ["dbar-check", *planar, "--jobs", "3"],
+    ]
+    for argv in refused:
+        code, out, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert out == "" and "usage" in err.lower()
+    accepted = [
+        ["eval", *planar, "--poly", str(poly)],
+        ["dbar-check", *planar, "--poly", str(poly)],
+        ["dbar-check", *planar, "--seed", "3", "--restarts", "2"],
+        ["gap", *planar, "--seed", "3", "--restarts", "2", "--jobs", "2"],
+    ]
+    for argv in accepted:
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_payload_reports_the_grid_used(capsys):
+    # Without --resolution each geometry runs on its spec's default grid:
+    # planar's angle count is rounded up to a multiple of its 3-fold symmetry.
+    cases = [
+        (["minimize", "--geometry", "planar", "--gamma", "1", "--degree", "1"], [128, 129]),
+        (["minimize", "--geometry", "hyperbolic", "--r", "0.5", "--degree", "1"], [128, 128]),
+        (["minimize", "--geometry", "planar", "--gamma", "1", "--degree", "1", "--resolution", "64x64"], [64, 64]),
+        (["gap", "--geometry", "planar", "--gamma", "0.5", "--restarts", "1"], [128, 129]),
+    ]
+    for argv, resolution in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        payload = json.loads(out)
+        assert payload["grid_resolution"] == resolution, argv
+        if argv[0] == "minimize":
+            assert payload["diagnostics"]["grid_resolution"] == resolution
+            assert payload["seed"] == 0 and len(payload["restarts"]) == 3

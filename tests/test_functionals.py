@@ -46,6 +46,18 @@ def test_spec_validation():
         FunctionalSpec("planar", 1.0, starred=True, alpha=0.5)
 
 
+def test_default_grid_angles_follow_the_symmetry():
+    # The default angular count is a multiple of the spec's rotation order,
+    # so the optimizer's classes z^j g(z^m) are exact on the default grid.
+    planar, hyperbolic = FunctionalSpec("planar", 8.0), FunctionalSpec("hyperbolic", 0.9)
+    assert (planar.symmetry, hyperbolic.symmetry) == (3, 1)
+    assert default_grid(planar).resolution == planar.default_resolution == (128, 129)
+    assert default_grid(hyperbolic).resolution == hyperbolic.default_resolution == (128, 128)
+    starred = default_grid(FunctionalSpec("planar", 8.0, starred=True), degree=16)
+    assert starred.resolution == (128, 129) and len(starred.radii) == 256
+    assert default_grid(planar, (64, 64)).resolution == (64, 64)
+
+
 def test_discrepancy_zero_function_inside():
     spec = FunctionalSpec("hyperbolic", 0.7)
     assert discrepancy(ZERO, 0.1 + 0.2j, spec) == 1.0

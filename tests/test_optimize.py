@@ -16,8 +16,7 @@ from zeropack import (
     minimize,
     optimal_scale,
 )
-from zeropack.functionals import DEFAULT_RESOLUTION
-from zeropack.optimize import _descend, _Workspace
+from zeropack.optimize import _descend, _restart_classes, _Workspace
 from zeropack.poly import RingVandermonde
 
 from conftest import random_poly
@@ -161,23 +160,20 @@ def test_minimize_validation():
     with pytest.raises(ConfigurationError):
         OptimizerConfig(restarts=0)
     with pytest.raises(ConfigurationError):
-        OptimizerConfig(method="newton")
-
-
-def test_gradient_descent_method_agrees():
-    spec = FunctionalSpec("planar", 1.0)
-    irls = minimize(spec, 1, OptimizerConfig(restarts=2))
-    gd = minimize(
-        spec, 1, OptimizerConfig(restarts=2, method="gradient-descent-with-line-search", max_iterations=2000)
-    )
-    assert abs(irls.value - gd.value) < 1e-6
+        OptimizerConfig(max_iterations=0)
 
 
 def test_minimize_result_json():
-    res = minimize(FunctionalSpec("planar", 1.0), 1, OptimizerConfig(restarts=2))
+    res = minimize(FunctionalSpec("planar", 2.0), 4, OptimizerConfig(restarts=5, seed=1))
     d = res.to_json_dict()
-    assert set(d) == {"minimizer", "value", "iterations", "converged", "restart_values", "diagnostics"}
+    assert set(d) == {"minimizer", "value", "iterations", "converged", "restart_values", "restarts", "diagnostics"}
     assert len(d["minimizer"][0]) == 2
+    # One entry per restart, in restart order, naming the class it searched.
+    assert [r["class"] for r in d["restarts"]] == [[3, 0], [3, 1], [3, 2], [1, 0], [3, 0]]
+    assert [r["value"] for r in d["restarts"]] == d["restart_values"]
+    assert all(set(r) == {"class", "value", "iterations", "converged"} for r in d["restarts"])
+    assert all(r["converged"] is True and r["iterations"] >= 1 for r in d["restarts"])
+    assert d == minimize(FunctionalSpec("planar", 2.0), 4, OptimizerConfig(restarts=5, seed=1)).to_json_dict()
 
 
 def test_starred_minimization_permitted():
@@ -191,13 +187,20 @@ def test_starred_minimization_permitted():
     assert res_s.diagnostics.spec.starred
 
 
-def _workspace(spec, n):
-    return _Workspace(spec, default_grid(spec, DEFAULT_RESOLUTION, degree=n), n)
+def _workspace(spec, n, m=1, j=0, grid=None):
+    return _Workspace(spec, grid or default_grid(spec, degree=n), n, m, j)
 
 
-def _random_start(ws, n, seed):
+def _random_start(ws, seed):
     rng = np.random.default_rng(seed)
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0 * ws.diagonal)
+    k = len(ws.diagonal)
+    return (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0 * ws.diagonal)
+
+
+def _embed(c, n, m, j):
+    full = np.zeros(n, dtype=complex)
+    full[j::m] = c
+    return full
 
 
 def test_irls_step_makes_one_forward_product_and_one_adjoint(monkeypatch):
@@ -213,25 +216,123 @@ def test_irls_step_makes_one_forward_product_and_one_adjoint(monkeypatch):
         return wrapped
 
     ws = _workspace(FunctionalSpec("planar", 2.0), 4)
-    c0 = _random_start(ws, 4, 1)
+    c0 = _random_start(ws, 1)
     monkeypatch.setattr(RingVandermonde, "__matmul__", counting("forward", RingVandermonde.__matmul__))
     monkeypatch.setattr(RingVandermonde, "adjoint", counting("adjoint", RingVandermonde.adjoint))
     monkeypatch.setattr(_Workspace, "irls_step", counting("steps", _Workspace.irls_step))
-    _, _, iterations, converged, _ = _descend(ws, c0, OptimizerConfig(), True)
+    _, _, iterations, converged, _ = _descend(ws, c0, OptimizerConfig())
     assert converged and iterations > 20
     assert counts["adjoint"] == counts["steps"] == iterations
     # Secant extrapolation tries at most four candidates every tenth step.
     assert counts["forward"] <= counts["adjoint"] + 4 * (iterations // 10) + 1
 
 
-@pytest.mark.parametrize("geometry,param", [("hyperbolic", 0.9), ("planar", 8.0)])
-def test_descend_value_matches_fresh_density(geometry, param):
+@pytest.mark.parametrize(
+    "geometry,param,m,j",
+    [
+        pytest.param("hyperbolic", 0.9, 1, 0, id="hyperbolic-0.9"),
+        pytest.param("planar", 8.0, 1, 0, id="planar-8.0"),
+        pytest.param("planar", 8.0, 3, 0, id="planar-8.0-class-3-0"),
+        pytest.param("planar", 8.0, 3, 1, id="planar-8.0-class-3-1"),
+    ],
+)
+def test_descend_value_matches_fresh_density(geometry, param, m, j):
     # The closed-form value C - B^2/A carried by the iterate must be the
-    # density of the returned coefficients, evaluated afresh.
+    # density of the returned coefficients, evaluated afresh on the full grid.
+    # Before every step, the node values the iterate carries in its buffer
+    # slot must still be those of its coefficients: a trial written into the
+    # iterate's slot would break this, most easily around accepted secant jumps.
     spec = FunctionalSpec(geometry, param)
     n = degree_schedule(spec)
-    ws = _workspace(spec, n)
-    c, value, _, _, history = _descend(ws, _random_start(ws, n, 2), OptimizerConfig(), True)
+    ws = _workspace(spec, n, m, j)
+    step = ws.irls_step
+    checked = []
+
+    def checked_step(it):
+        fresh = ws.V @ it.c
+        scale = np.vdot(fresh, it.fz).real / np.vdot(fresh, fresh).real
+        assert scale > 0.0
+        assert np.max(np.abs(it.fz - scale * fresh)) <= 1e-12 * np.max(np.abs(it.fz))
+        assert np.array_equal(it.af, np.abs(it.fz))
+        checked.append(it.slot)
+        return step(it)
+
+    ws.irls_step = checked_step
+    c, value, iterations, _, history = _descend(ws, _random_start(ws, 2), OptimizerConfig())
     assert history[-1] == value
-    fresh = density(ComplexPolynomial(c), spec, ws.grid).value
+    assert len(checked) == iterations and set(checked) == {0, 1}
+    # Every history entry past the start is a step or an accepted secant jump.
+    assert len(history) > iterations + 1, "no secant candidate was accepted"
+    fresh = density(ComplexPolynomial(_embed(c, n, m, j)), spec, ws.grid).value
     assert abs(value - fresh) <= 1e-13 * abs(fresh)
+
+
+@pytest.mark.parametrize(
+    "spec,resolution",
+    [
+        (FunctionalSpec("planar", 8.0), None),
+        (FunctionalSpec("planar", 8.0), (384, 384)),
+        (FunctionalSpec("planar", 8.0, starred=True), None),
+        (FunctionalSpec("hyperbolic", 0.9), (64, 96)),
+    ],
+)
+def test_class_workspace_value_is_full_grid_density(spec, resolution, rng):
+    # |f| of z^j g(z^3) is 2*pi/3-periodic, so the sector of n_ang/3 angles
+    # with thrice the weights sums to the full grid's density.  Starred grids
+    # are split radially, so their rows are counted by len(grid.radii).
+    n = 16
+    grid = default_grid(spec, resolution, degree=n)
+    rows, n_ang = len(grid.radii), grid.resolution[1]
+    full = _workspace(spec, n, grid=grid)
+    for j in range(3):
+        ws = _Workspace(spec, grid, n, 3, j, full.buffers)
+        assert ws.a_wt.shape == (rows * n_ang // 3,)
+        c = random_poly(rng, len(range(j, n, 3))).coeffs / np.sqrt(ws.diagonal)
+        expect = density(ComplexPolynomial(_embed(c, n, 3, j)), spec, grid).value
+        assert abs(ws.iterate(c, rescale=False).value - expect) <= 1e-13 * abs(expect)
+        rescaled = ws.iterate(c)
+        expect = density(ComplexPolynomial(_embed(rescaled.c, n, 3, j)), spec, grid).value
+        assert abs(rescaled.value - expect) <= 1e-13 * abs(expect)
+
+
+def test_irls_step_keeps_the_class(rng):
+    # When 3 divides the angular count, a full-space step from z^j g(z^3)
+    # leaves the other coefficients at rounding, and agrees with the class
+    # workspace's step on one sector: a fixed point in the class is one in
+    # the full space.  On 128 angles the class leaks.
+    spec = FunctionalSpec("planar", 8.0)
+    n = 16
+    for resolution, leak in (((128, 129), 1e-13), ((128, 128), None)):
+        grid = default_grid(spec, resolution, degree=n)
+        full = _workspace(spec, n, grid=grid)
+        for j in range(3):
+            ws = _Workspace(spec, grid, n, 3, j)
+            c = random_poly(rng, len(ws.diagonal)).coeffs / np.sqrt(ws.diagonal)
+            step = full.irls_step(full.iterate(_embed(c, n, 3, j)))
+            weighted = np.abs(step.c) * np.sqrt(full.diagonal)
+            other = np.delete(weighted, np.arange(j, n, 3))
+            if leak is None:
+                assert np.max(other) > 1e-6 * np.max(weighted)
+                continue
+            assert np.max(other) <= leak * np.max(weighted)
+            sector = ws.irls_step(ws.iterate(c))
+            assert np.max(np.abs(sector.c - step.c[j::3]) * np.sqrt(ws.diagonal)) <= leak * np.max(weighted)
+            assert abs(sector.value - step.value) <= 1e-13 * step.value
+
+
+def test_restart_schedule():
+    planar, hyperbolic = FunctionalSpec("planar", 8.0), FunctionalSpec("hyperbolic", 0.9)
+    grid = default_grid(planar, degree=16)
+    assert _restart_classes(planar, grid, 16, 12) == [(3, 0), (3, 1), (3, 2), (1, 0)] * 3
+    # An angle count that 3 does not divide would let the classes leak.
+    flat = default_grid(planar, (128, 128), degree=16)
+    assert _restart_classes(planar, flat, 16, 12) == [(1, 0)] * 12
+    assert _restart_classes(hyperbolic, default_grid(hyperbolic), 5, 12) == [(1, 0)] * 12
+    # A class with no coefficient below n runs in the full space instead.
+    assert _restart_classes(planar, grid, 2, 4) == [(3, 0), (3, 1), (1, 0), (1, 0)]
+    res = minimize(planar, 16, OptimizerConfig(restarts=4, seed=3), flat)
+    assert [r["class"] for r in res.restarts] == [[1, 0]] * 4
+    assert res.diagnostics.grid_resolution == (128, 128)
+    res = minimize(planar, 16, OptimizerConfig(restarts=4, seed=3))
+    assert res.diagnostics.grid_resolution == (128, 129)
+    assert all(r["converged"] for r in res.restarts)
