@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .dbar import default_cutoff, equality_gap, minimal_correction
-from .errors import ConditioningError, NumericError, ZeropackError
+from .errors import ConditioningError, ConfigurationError, NumericError, ZeropackError
 from .functionals import DEFAULT_RESOLUTION, FunctionalSpec, default_grid, density
 from .lattice_sigma import abrikosov_candidate, cell_average_density, lattice_normalize, scan_csv
 from .optimize import OptimizerConfig, degree_schedule, minimize
@@ -47,6 +47,16 @@ def _parse_resolution(text: str) -> tuple[int, int]:
         return int(a), int(b)
     except Exception as exc:
         raise UsageError(f"resolution must look like 128x64, got {text!r}") from exc
+
+
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError as exc:
+        raise UsageError(f"--jobs must be an integer, got {text!r}") from exc
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+    return jobs
 
 
 def _parse_sweep(text: str) -> list[float]:
@@ -202,7 +212,10 @@ def _load_poly(path: str) -> ComplexPolynomial:
         text = Path(path).read_text()
     except OSError as exc:
         raise IOError(str(exc)) from exc
-    return ComplexPolynomial.from_json(text)
+    try:
+        return ComplexPolynomial.from_json(text)
+    except ConfigurationError as exc:
+        raise UsageError(f"--poly {path}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
@@ -302,7 +315,7 @@ def build_parser() -> _Parser:
             default=None if geometry else DEFAULT_RESOLUTION, help=res_help if geometry else None,
         )
         if jobs:
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_parse_jobs, default=1)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--config", type=str, default=None, help="flat key = value file mirroring the flags")
 

@@ -68,7 +68,7 @@ class MinimizeResult:
     diagnostics: DensityReport
     restart_values: list[float]
     # Per restart: its class [m, j] ([1, 0] is the full space), value,
-    # iterations and converged flag.
+    # iterations, accepted secant jumps ("extrapolations") and converged flag.
     restarts: list[dict] = field(default_factory=list)
     history: list[float] = field(default_factory=list, repr=False)
 
@@ -145,7 +145,6 @@ class _Workspace:
         a_wt, b_wt, self.c_val = quadratic_weights(spec, grid)
         rows, n_ang = len(grid.radii), grid.resolution[1]
         sector = n_ang // m
-        self.a_wt = m * a_wt.reshape(rows, n_ang)[:, :sector].ravel()
         self.b_wt = m * b_wt.reshape(rows, n_ang)[:, :sector].ravel()
         self.diagonal = gram_diagonal(grid, a_wt, n)[j::m]
         # Factors built through this module's own vandermonde binding, which
@@ -163,8 +162,9 @@ class _Workspace:
         """c, or its optimal rescaling c*B/A with value C - B^2/A, from one ring product into ``slot``."""
         fz = self.V.__matmul__(c, out=self.fz[slot])
         af = np.abs(fz, out=self.af[slot])
-        a = float(np.sum(np.multiply(self.a_wt, np.square(af, out=self.scratch), out=self.scratch)))
-        b = float(np.sum(np.multiply(self.b_wt, af, out=self.scratch)))
+        # A = sum a|f|^2 is the Gram norm c^H G c = sum_k G_k |c_k|^2, by Parseval on each ring.
+        a = float(np.vdot(c, self.diagonal * c).real)
+        b = float(np.dot(self.b_wt, af))
         if not rescale or a <= 0.0 or b <= 0.0:
             return _Iterate(c, a - 2.0 * b + self.c_val, fz, af, slot)
         return _Iterate(c * (b / a), self.c_val - b * b / a, fz, af, slot)
@@ -189,13 +189,13 @@ def _canonicalize(c: np.ndarray) -> np.ndarray:
 
 
 def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig):
+    """Coefficients, value, step counts (iterations, accepted secant jumps, converged flag) and value history."""
     it = ws.iterate(c, rescale=False)
     history = [it.value]
-    iterations = 0
+    extrapolations = 0
     converged = False
     snapshot = it.c
-    for _ in range(config.max_iterations):
-        iterations += 1
+    for iterations in range(1, config.max_iterations + 1):
         new = ws.irls_step(it)
         # The step minimizes a majorant that touches the value at it, so it
         # can rise only by rounding: a rise means the iterate is stationary.
@@ -218,9 +218,11 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig):
                 if candidate.value < it.value:
                     it = candidate
                     history.append(it.value)
+                    extrapolations += 1
                     break
             snapshot = it.c
-    return it.c, it.value, iterations, converged, history
+    steps = {"iterations": iterations, "extrapolations": extrapolations, "converged": converged}
+    return it.c, it.value, steps, history
 
 
 def _restart_classes(spec: FunctionalSpec, grid: QuadratureGrid, n: int, restarts: int) -> list[tuple[int, int]]:
@@ -257,7 +259,6 @@ def minimize(
     workspaces = {(1, 0): full}
 
     best = None
-    restart_values: list[float] = []
     restarts: list[dict] = []
     for rs, (m, j) in enumerate(_restart_classes(spec, grid, n, config.restarts)):
         if (m, j) not in workspaces:
@@ -265,24 +266,23 @@ def minimize(
         rng = np.random.default_rng(config.seed * 7919 + rs)
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c0 = (raw / np.sqrt(2.0 * full.diagonal))[j::m]
-        c_class, val, iterations, converged, history = _descend(workspaces[m, j], c0, config)
-        restart_values.append(val)
-        restarts.append({"class": [m, j], "value": val, "iterations": iterations, "converged": converged})
+        c_class, val, steps, history = _descend(workspaces[m, j], c0, config)
+        restarts.append({"class": [m, j], "value": val, **steps})
         if best is None or val < best[1] - 1e-12:
             c = np.zeros(n, dtype=complex)
             c[j::m] = c_class
-            best = (c, val, iterations, converged, history)
+            best = (c, val, steps, history)
 
-    c, _, iterations, converged, history = best
+    c, _, steps, history = best
     minimizer = ComplexPolynomial(_canonicalize(c))
     report = density(minimizer, spec, default_grid(spec, grid.resolution, degree=n))
     return MinimizeResult(
         minimizer=minimizer,
         value=report.value,
-        iterations=iterations,
-        converged=converged,
+        iterations=steps["iterations"],
+        converged=steps["converged"],
         diagnostics=report,
-        restart_values=restart_values,
+        restart_values=[r["value"] for r in restarts],
         restarts=restarts,
         history=history,
     )

@@ -56,7 +56,16 @@ class ComplexPolynomial:
 
     @staticmethod
     def from_json(text: str) -> "ComplexPolynomial":
-        pairs = json.loads(text)
+        """Inverse of ``to_json``; text of any other shape raises ConfigurationError."""
+        try:
+            pairs = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"polynomial file is not valid JSON: {exc}") from exc
+        if not isinstance(pairs, list):
+            raise ConfigurationError(f"expected a JSON array of [re, im] pairs, got a {type(pairs).__name__}")
+        for k, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
+                raise ConfigurationError(f"coefficient {k} must be a pair of numbers [re, im], got {json.dumps(pair)}")
         return ComplexPolynomial(np.array([complex(re, im) for re, im in pairs]))
 
 

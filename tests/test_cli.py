@@ -199,6 +199,35 @@ def test_dbar_check_with_poly(tmp_path, capsys):
     assert payload["orthogonality_residual"] < 1e-9
 
 
+@pytest.mark.parametrize(
+    "text,problem",
+    [
+        pytest.param("[[1, 0]", "not valid JSON", id="bad-json"),
+        pytest.param('[[1, "a"]]', 'coefficient 0 must be a pair of numbers [re, im], got [1, "a"]', id="non-numeric"),
+        pytest.param("[1, 2]", "coefficient 0 must be a pair of numbers [re, im], got 1", id="flat-list"),
+        pytest.param("[[1, 0], [1, 2, 3]]", "coefficient 1 must be a pair of numbers [re, im], got [1, 2, 3]", id="triple"),
+    ],
+)
+def test_malformed_poly_file_is_usage_error(tmp_path, capsys, text, problem):
+    poly = tmp_path / "p.json"
+    poly.write_text(text)
+    planar = ["--geometry", "planar", "--gamma", "2", "--resolution", "32x32", "--poly", str(poly)]
+    for command in ("eval", "dbar-check"):
+        code, out, err = run(capsys, command, *planar)
+        assert code == 4, (command, err)
+        assert out == "" and "Traceback" not in err
+        assert f"--poly {poly}: " in err and problem in err
+
+
+def test_jobs_below_one_is_usage_error(capsys):
+    gap = ["gap", "--geometry", "planar", "--gamma", "1", "--resolution", "32x32"]
+    scan = ["lattice-scan", "--steps", "2", "--resolution", "16x16"]
+    for argv, jobs in ((gap, "0"), (gap, "-3"), (scan, "0")):
+        code, out, err = run(capsys, *argv, "--jobs", jobs)
+        assert code == 4 and out == ""
+        assert f"--jobs must be >= 1, got {jobs}" in err
+
+
 def test_jobs_concurrent_matches_serial(tmp_path, capsys):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     base = [

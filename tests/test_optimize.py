@@ -16,7 +16,8 @@ from zeropack import (
     minimize,
     optimal_scale,
 )
-from zeropack.optimize import _descend, _restart_classes, _Workspace
+from zeropack.functionals import quadratic_weights
+from zeropack.optimize import _descend, _Iterate, _restart_classes, _Workspace
 from zeropack.poly import RingVandermonde
 
 from conftest import random_poly
@@ -171,8 +172,11 @@ def test_minimize_result_json():
     # One entry per restart, in restart order, naming the class it searched.
     assert [r["class"] for r in d["restarts"]] == [[3, 0], [3, 1], [3, 2], [1, 0], [3, 0]]
     assert [r["value"] for r in d["restarts"]] == d["restart_values"]
-    assert all(set(r) == {"class", "value", "iterations", "converged"} for r in d["restarts"])
+    assert all(set(r) == {"class", "value", "iterations", "extrapolations", "converged"} for r in d["restarts"])
     assert all(r["converged"] is True and r["iterations"] >= 1 for r in d["restarts"])
+    # A secant jump is tried every tenth step and at most one is accepted each time.
+    assert all(type(r["extrapolations"]) is int for r in d["restarts"])
+    assert all(0 <= r["extrapolations"] <= r["iterations"] // 10 for r in d["restarts"])
     assert d == minimize(FunctionalSpec("planar", 2.0), 4, OptimizerConfig(restarts=5, seed=1)).to_json_dict()
 
 
@@ -220,8 +224,9 @@ def test_irls_step_makes_one_forward_product_and_one_adjoint(monkeypatch):
     monkeypatch.setattr(RingVandermonde, "__matmul__", counting("forward", RingVandermonde.__matmul__))
     monkeypatch.setattr(RingVandermonde, "adjoint", counting("adjoint", RingVandermonde.adjoint))
     monkeypatch.setattr(_Workspace, "irls_step", counting("steps", _Workspace.irls_step))
-    _, _, iterations, converged, _ = _descend(ws, c0, OptimizerConfig())
-    assert converged and iterations > 20
+    _, _, steps, _ = _descend(ws, c0, OptimizerConfig())
+    iterations = steps["iterations"]
+    assert steps["converged"] and iterations > 20
     assert counts["adjoint"] == counts["steps"] == iterations
     # Secant extrapolation tries at most four candidates every tenth step.
     assert counts["forward"] <= counts["adjoint"] + 4 * (iterations // 10) + 1
@@ -258,13 +263,59 @@ def test_descend_value_matches_fresh_density(geometry, param, m, j):
         return step(it)
 
     ws.irls_step = checked_step
-    c, value, iterations, _, history = _descend(ws, _random_start(ws, 2), OptimizerConfig())
+    c, value, steps, history = _descend(ws, _random_start(ws, 2), OptimizerConfig())
     assert history[-1] == value
-    assert len(checked) == iterations and set(checked) == {0, 1}
+    assert len(checked) == steps["iterations"] and set(checked) == {0, 1}
     # Every history entry past the start is a step or an accepted secant jump.
-    assert len(history) > iterations + 1, "no secant candidate was accepted"
+    assert len(history) > steps["iterations"] + 1, "no secant candidate was accepted"
+    # The last step is not in the history when it rose.
+    assert len(history) - 1 - steps["extrapolations"] in (steps["iterations"] - 1, steps["iterations"])
     fresh = density(ComplexPolynomial(_embed(c, n, m, j)), spec, ws.grid).value
     assert abs(value - fresh) <= 1e-13 * abs(fresh)
+
+
+class _NodeSumWorkspace(_Workspace):
+    """Reference: A = sum a|f|^2 summed over the sector's nodes with quadratic_weights, not from the Gram norm."""
+
+    def __init__(self, spec, grid, n, m=1, j=0):
+        super().__init__(spec, grid, n, m, j)
+        a_wt = quadratic_weights(spec, grid)[0]
+        rows, n_ang = len(grid.radii), grid.resolution[1]
+        self.a_wt = m * a_wt.reshape(rows, n_ang)[:, : n_ang // m].ravel()
+
+    def iterate(self, c, slot=0, rescale=True):
+        fz = self.V.__matmul__(c, out=self.fz[slot])
+        af = np.abs(fz, out=self.af[slot])
+        a, b = float(np.sum(self.a_wt * af**2)), float(np.sum(self.b_wt * af))
+        if not rescale or a <= 0.0 or b <= 0.0:
+            return _Iterate(c, a - 2.0 * b + self.c_val, fz, af, slot)
+        return _Iterate(c * (b / a), self.c_val - b * b / a, fz, af, slot)
+
+
+@pytest.mark.parametrize(
+    "spec,n,m,j",
+    [
+        pytest.param(FunctionalSpec("planar", 2.0), 4, 1, 0, id="planar-2.0-full"),
+        pytest.param(FunctionalSpec("planar", 2.0), 4, 3, 1, id="planar-2.0-class-3-1"),
+        pytest.param(FunctionalSpec("planar", 8.0), 16, 3, 1, id="planar-8.0-class-3-1"),
+        pytest.param(FunctionalSpec("hyperbolic", 0.7), 4, 1, 0, id="hyperbolic-0.7"),
+    ],
+)
+def test_gram_norm_step_matches_node_sums(spec, n, m, j):
+    # By Parseval on each equispaced ring, the Gram norm sum_k G_k |c_k|^2 is
+    # the node sum of a|f|^2 for a radial weight a, in the full space and on a
+    # class sector: the descent takes the same steps to the same values.
+    grid = default_grid(spec, degree=n)
+    ws, ref = _Workspace(spec, grid, n, m, j), _NodeSumWorkspace(spec, grid, n, m, j)
+    c0 = _random_start(ws, 4)
+    c, value, steps, history = _descend(ws, c0, OptimizerConfig())
+    c_ref, value_ref, steps_ref, history_ref = _descend(ref, c0, OptimizerConfig())
+    assert steps == steps_ref
+    assert len(history) == len(history_ref)
+    assert np.max(np.abs(np.subtract(history, history_ref)) / np.abs(history_ref)) <= 1e-12
+    assert abs(value - value_ref) <= 1e-12 * abs(value_ref)
+    weighted = np.sqrt(ws.diagonal)
+    assert np.max(np.abs(c - c_ref) * weighted) <= 1e-12 * np.max(np.abs(c_ref) * weighted)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +337,7 @@ def test_class_workspace_value_is_full_grid_density(spec, resolution, rng):
     full = _workspace(spec, n, grid=grid)
     for j in range(3):
         ws = _Workspace(spec, grid, n, 3, j, full.buffers)
-        assert ws.a_wt.shape == (rows * n_ang // 3,)
+        assert ws.b_wt.shape == (rows * n_ang // 3,)
         c = random_poly(rng, len(range(j, n, 3))).coeffs / np.sqrt(ws.diagonal)
         expect = density(ComplexPolynomial(_embed(c, n, 3, j)), spec, grid).value
         assert abs(ws.iterate(c, rescale=False).value - expect) <= 1e-13 * abs(expect)
