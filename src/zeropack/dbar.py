@@ -82,7 +82,7 @@ def cutoff(z, spec: CutoffSpec):
 
 
 def dbar_cutoff(z, spec: CutoffSpec):
-    """dbar chi = chi'(|z|) * z/(2|z|), supported on the cut-off annulus.
+    """dbar chi = chi'(|z|) * z/(2|z|), supported on the cut-off annulus; at a radius z = r, |dbar chi| of its ring.
 
     chi'(s) = -2(r - s)/(delta r)^2 there; the seam circles take their
     annulus-side value (chi is Lipschitz, the seams have measure zero).
@@ -110,25 +110,25 @@ def project_polynomial(
     values = np.asarray(g(grid.nodes) if callable(g) else g, dtype=complex)
     if values.shape != grid.nodes.shape:
         raise ConfigurationError("sampled function must match the grid nodes")
-    weight = spec.dbar_weight(np.abs(grid.nodes))
+    weight = grid.ring_weights * spec.dbar_weight(grid.radii)
     if not np.all(weight >= 0.0):
         raise ConfigurationError(f"the grid leaves the support of the {spec.geometry} weight")
-    return _project(values, weight * grid.weights, grid, n)
+    return _project(values, weight, grid, n)
 
 
-def _project(values: np.ndarray, node_weight: np.ndarray, grid: QuadratureGrid, n: int) -> ComplexPolynomial:
+def _project(values: np.ndarray, ring_weight: np.ndarray, grid: QuadratureGrid, n: int) -> ComplexPolynomial:
     """On a ring grid the weighted normal equations are a divide by the Gram diagonal."""
-    coeffs = ring_vandermonde(grid, n).adjoint(node_weight * values) / gram_diagonal(grid, node_weight, n)
-    return ComplexPolynomial(coeffs)
+    y = np.reshape(values, (len(ring_weight), -1)) * ring_weight[:, None]
+    return ComplexPolynomial(ring_vandermonde(grid, n).adjoint(y) / gram_diagonal(grid, ring_weight, n))
 
 
 @dataclass(frozen=True)
 class CorrectionResult:
     """Minimal dbar correction u = chi*f - nu, the two sides of its bound and the gap terms.
 
-    weight is the node weight of the correction's inner product: the dbar
-    weight times the quadrature weights of grid.  The last three fields are
-    the correction-driven perturbation terms of the gap argument (see
+    weight is the node weight of the correction's inner product on each ring of
+    grid: the dbar weight times the ring's quadrature weight.  The last three
+    fields are the correction-driven perturbation terms of the gap argument (see
     _proof_components).
     """
 
@@ -146,7 +146,7 @@ class CorrectionResult:
     def orthogonality_residual(self) -> float:
         """max_k |<u, z^k>| / ||u|| in the weighted inner product, via the dense Vandermonde matrix."""
         V = vandermonde(self.grid.nodes, self.degree_bound)
-        inner = np.abs(V.conj().T @ (self.weight * self.u_values))
+        inner = np.abs(V.conj().T @ (np.repeat(self.weight, self.grid.resolution[1]) * self.u_values))
         return float(np.max(inner)) / math.sqrt(max(self.lhs, 1e-300))
 
 
@@ -170,25 +170,22 @@ def minimal_correction(
     if resolution is None:
         resolution = spec.default_resolution
     grid = build_grid(spec.support(n), resolution, radial_splits=((1.0 - cut.delta) * cut.r, cut.r))
-    z = grid.nodes
-    weight = spec.dbar_weight(np.abs(z))
-    weight *= grid.weights
+    r = grid.radii
+    weight = spec.dbar_weight(r) * grid.ring_weights
     # f's node values become chi*f in place once rhs has used them, so that
     # f, chi*f and u never coexist.
-    chi_f = f.on_grid(grid)
-    rhs = float(
-        np.sum(np.abs(dbar_cutoff(z, cut)) ** 2 * np.abs(chi_f) ** 2 * weight / spec.laplacian(np.abs(z)))
-    )
-    chi_f *= cutoff(z, cut)
+    chi_f = f.on_grid(grid).reshape(len(r), -1)
+    rhs = float((np.abs(dbar_cutoff(r, cut)) ** 2 * weight / spec.laplacian(r)) @ grid.ring_sums(np.abs(chi_f) ** 2))
+    chi_f *= cutoff(r, cut)[:, None]
     nu = _project(chi_f, weight, grid, n)
-    u = chi_f - nu.on_grid(grid)
+    u = chi_f - nu.on_grid(grid).reshape(chi_f.shape)
 
-    lhs = float(np.sum(np.abs(u) ** 2 * weight))
+    lhs = float(weight @ grid.ring_sums(np.abs(u) ** 2))
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericError(f"non-finite correction bound: lhs {lhs}, rhs {rhs}")
     ext, l1p, l2p = _proof_components(spec, chi_f, u, grid)
     return CorrectionResult(
-        u_values=u,
+        u_values=u.ravel(),
         nu=nu,
         lhs=lhs,
         rhs=rhs,
@@ -258,17 +255,15 @@ def _proof_components(
     only with the boundary layer).
     """
     au = np.abs(u)
-    # The cross term first, so that its complex temporaries never coexist with
-    # the envelope arrays; this keeps minimal_correction's peak memory down.
-    cross = au**2 - 2.0 * np.real(chi_f * np.conj(u))
-    absz = np.abs(grid.nodes)
-    w, m = spec.envelope(absz)
-    w1 = w * m * grid.weights / spec.log_normalizer
+    cross = grid.ring_sums(au**2 - 2.0 * np.real(chi_f * np.conj(u)))
+    r = grid.radii
+    w, m = spec.envelope(r)
+    w1 = w * m * grid.ring_weights / spec.log_normalizer
     w2 = w * w1
-    core = absz < spec.indicator_radius
-    ext = float(np.sum((au**2 * w2)[absz > spec.indicator_radius]))
-    l1 = float(np.sum((au * w1)[core]))
-    l2 = abs(float(np.sum((cross * w2)[core])))
+    core = r < spec.indicator_radius
+    ext = float(np.sum((w2 * grid.ring_sums(au**2))[r > spec.indicator_radius]))
+    l1 = float(np.sum((w1 * grid.ring_sums(au))[core]))
+    l2 = abs(float(np.sum((w2 * cross)[core])))
     return ext, l1, l2
 
 

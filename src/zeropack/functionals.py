@@ -89,12 +89,12 @@ class FunctionalSpec:
             if self.beta != 1.0:
                 raise ConfigurationError("the exponent family is planar only")
         else:
-            if self.param <= 0.0:
-                raise ConfigurationError(f"gamma must be positive, got {self.param}")
-            if self.alpha <= 0.0:
-                raise ConfigurationError(f"planar dilation must be positive, got {self.alpha}")
-        if self.beta <= 0.0:
-            raise ConfigurationError(f"beta must be positive, got {self.beta}")
+            if not 0.0 < self.param < math.inf:
+                raise ConfigurationError(f"gamma must be positive and finite, got {self.param}")
+            if not 0.0 < self.alpha < math.inf:
+                raise ConfigurationError(f"planar dilation must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.beta < math.inf:
+            raise ConfigurationError(f"beta must be positive and finite, got {self.beta}")
         if self.starred and self.alpha != 1.0:
             raise ConfigurationError("dilated functionals are defined unstarred only")
 
@@ -253,21 +253,15 @@ def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
             raise ConfigurationError(f"grid radius {radius} does not cover the unit disk")
 
 
-def _node_data(spec: FunctionalSpec, grid: QuadratureGrid):
-    """Envelope w, measure density m (w.r.t. dA), indicator and domain masks."""
-    absz = np.abs(grid.nodes)
-    ind = absz < spec.indicator_radius
-    if spec.starred:
-        domain = np.ones_like(ind)
-    else:
-        domain = ind
-    w, m = spec.envelope(absz)
-    if spec.geometry == HYPERBOLIC:
-        # The core area stays undilated whatever alpha is.
-        normalizer = float(np.sum(grid.weights[ind] / (1.0 - absz[ind] ** 2)))
-    else:
-        normalizer = 1.0
-    return w, m, ind, domain, normalizer
+def _ring_data(spec: FunctionalSpec, grid: QuadratureGrid):
+    """Per ring: envelope w, node weight times measure density m, and the indicator; then the normalizer."""
+    r, rw = grid.radii, grid.ring_weights
+    ind = r < spec.indicator_radius
+    w, m = spec.envelope(r)
+    # The hyperbolic core area stays undilated whatever alpha is; at alpha = 1
+    # it is summed exactly as C is, so the zero polynomial scores exactly 1.
+    area = grid.resolution[1] * float(np.sum(rw[ind] * spec.undilated.envelope(r[ind])[1]))
+    return w, rw * m, ind, area if spec.geometry == HYPERBOLIC else 1.0
 
 
 def discrepancy(f: ComplexPolynomial, z, spec: FunctionalSpec):
@@ -318,19 +312,24 @@ def quadratic_parts(
     B the weighted L^1-type mass over the core region, C the measure of the
     core; all in the same normalization as density().
     """
-    a_wt, b_wt, c = quadratic_weights(spec, grid)
-    fv = np.abs(f.on_grid(grid)) ** spec.beta
-    return float(np.sum(a_wt * fv**2)), float(np.sum(b_wt * fv)), c
+    return _parts(f, spec, grid)[0]
 
 
 def quadratic_weights(spec: FunctionalSpec, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, float]:
-    """Radial node weights (a, b) and C with quadratic_parts = (sum a*|f|^(2*beta), sum b*|f|^beta, C)."""
+    """Per-ring node weights (a, b) and C: A and B are a and b against the ring sums of |f|^(2*beta) and |f|^beta."""
     _validate_grid(spec, grid)
-    w, m, ind, domain, normalizer = _node_data(spec, grid)
-    wm = grid.weights * m / normalizer
-    a_wt = np.where(domain, w**2 * wm, 0.0)
-    b_wt = np.where(ind, w * wm, 0.0)
-    return a_wt, b_wt, float(np.sum(wm[ind]))
+    w, mass, ind, normalizer = _ring_data(spec, grid)
+    wm = mass / normalizer
+    c = grid.resolution[1] * float(np.sum(mass[ind])) / normalizer
+    return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c
+
+
+def _parts(f: ComplexPolynomial, spec: FunctionalSpec, grid: QuadratureGrid):
+    """(A, B, C) of quadratic_parts, and the ring sums s1, s2 of |f|^beta and |f|^(2*beta) it comes from."""
+    a, b, c = quadratic_weights(spec, grid)
+    fv = np.abs(f.on_grid(grid)) ** spec.beta
+    s1, s2 = grid.ring_sums(fv), grid.ring_sums(fv * fv)
+    return (float(a @ s2), float(b @ s1), c), s1, s2
 
 
 def density(
@@ -349,13 +348,10 @@ def density(
     """
     if grid is None:
         grid = default_grid(spec)
-    _validate_grid(spec, grid)
-    w, m, ind, domain, normalizer = _node_data(spec, grid)
-    fv = np.abs(f.on_grid(grid)) ** spec.beta
-    terms = (w * fv - ind) ** 2 * m * grid.weights
-    value = float(np.sum(terms[domain])) / normalizer
-
-    ell1, ell2 = _masses(w[ind], fv[ind], (grid.weights * m)[ind], spec.log_normalizer)
+    (a, b, c), s1, s2 = _parts(f, spec, grid)
+    value = a - 2.0 * b + c
+    w, mass, ind, _ = _ring_data(spec, grid)
+    ell1, ell2 = _masses(w[ind], mass[ind], s1[ind], s2[ind], spec.log_normalizer)
     bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
     if not all(map(math.isfinite, (value, ell1, ell2, bm1, bm2))):
         raise NumericError(
@@ -374,9 +370,9 @@ def density(
     )
 
 
-def _masses(w: np.ndarray, fv: np.ndarray, wm: np.ndarray, log_norm: float) -> tuple[float, float]:
-    """The L^1 and L^2 masses sum(w |f|^beta wm) and sum((w |f|^beta)^2 wm), over log_norm."""
-    return float(np.sum(w * fv * wm)) / log_norm, float(np.sum(w**2 * fv**2 * wm)) / log_norm
+def _masses(w: np.ndarray, mass: np.ndarray, s1: np.ndarray, s2: np.ndarray, log_norm: float) -> tuple[float, float]:
+    """The L^1 and L^2 masses over log_norm, from the ring sums s1, s2 of |f|^beta and |f|^(2*beta)."""
+    return float(np.sum(w * mass * s1)) / log_norm, float(np.sum(w**2 * mass * s2)) / log_norm
 
 
 def boundary_mass(
@@ -399,8 +395,9 @@ def boundary_mass(
     outer = base.indicator_radius
     inner = (1.0 - delta) * outer
     grid = build_grid(Disk(0.0, outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
-    w, m = base.envelope(np.abs(grid.nodes))
-    return _masses(w, np.abs(f.on_grid(grid)) ** base.beta, grid.weights * m, base.log_normalizer)
+    w, m = base.envelope(grid.radii)
+    fv = np.abs(f.on_grid(grid)) ** base.beta
+    return _masses(w, grid.ring_weights * m, grid.ring_sums(fv), grid.ring_sums(fv * fv), base.log_normalizer)
 
 
 def gradient(
@@ -414,24 +411,21 @@ def gradient(
     Layout: entry 2j is d/d(Re c_j), entry 2j+1 is d/d(Im c_j).  Nodes where
     |f| falls below 1e-14 of its grid maximum contribute zero (the modulus is
     not differentiable there); with ``full_output`` the subgradient flag saying
-    whether any node was clipped is returned alongside.
+    whether any node the density weighs was clipped is returned alongside.
     """
     if grid is None:
         grid = default_grid(spec)
-    _validate_grid(spec, grid)
-    w, m, ind, domain, normalizer = _node_data(spec, grid)
+    a, b, _ = quadratic_weights(spec, grid)
     V = ring_vandermonde(grid, len(f.coeffs))
-    fz = V @ f.coeffs
+    fz = np.reshape(V @ f.coeffs, (len(a), -1))
     af = np.abs(fz)
     floor = 1e-14 * max(float(af.max()), 1e-300)
     clipped = af < floor
     safe = np.maximum(af, floor)
-    u = fz / safe
     beta = spec.beta
-    q = 2.0 * (w * af**beta - ind) * w * beta * (safe ** (beta - 1.0)) * m * grid.weights / normalizer
-    q = np.where(domain & ~clipped, q, 0.0)
-    # Entries 2j and 2j+1 are the real and imaginary parts of (V^H (q u))_j.
-    out = V.adjoint(q * u).view(np.float64)
+    q = np.where(clipped, 0.0, 2.0 * beta * (a[:, None] * af**beta - b[:, None]) * safe ** (beta - 2.0))
+    # Entries 2j and 2j+1 are the real and imaginary parts of (V^H (q f))_j.
+    out = V.adjoint(q * fz).view(np.float64)
     if full_output:
-        return out, bool(np.any(clipped & domain))
+        return out, bool(np.any(clipped & (a > 0.0)[:, None]))
     return out

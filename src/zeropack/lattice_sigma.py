@@ -102,8 +102,8 @@ def lattice_normalize(theta: float, beta: float) -> Lattice:
     """
     if not 0.0 < theta < math.pi:
         raise InvalidLatticeError(f"theta must lie in (0, pi), got {theta}")
-    if beta <= 0:
-        raise InvalidLatticeError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise InvalidLatticeError(f"beta must be positive and finite, got {beta}")
     w1 = complex(math.sqrt(math.pi * beta / (8.0 * math.sin(theta))))
     w2 = w1 * complex(math.cos(theta), math.sin(theta))
     eta1 = _eta_for(w1, w2)
@@ -171,8 +171,8 @@ def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate
     lattice is normalized for this beta, so a disagreement is reported as a
     normalization error rather than silently averaged away.
     """
-    if beta <= 0:
-        raise NormalizationError(f"beta must be positive, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise NormalizationError(f"beta must be positive and finite, got {beta}")
     nus = [
         (2.0 * np.conj(w) / beta - eta) / (2.0 * w)
         for w, eta in ((lattice.omega1, lattice.eta1), (lattice.omega2, lattice.eta2))

@@ -51,8 +51,10 @@ class OptimizerConfig:
     restarts: int = 3
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ConfigurationError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:
             raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.restarts < 1:
@@ -142,18 +144,17 @@ class _Workspace:
 
     def __init__(self, spec: FunctionalSpec, grid: QuadratureGrid, n: int, m: int = 1, j: int = 0, buffers=None):
         self.spec, self.grid = spec, grid
-        a_wt, b_wt, self.c_val = quadratic_weights(spec, grid)
-        rows, n_ang = len(grid.radii), grid.resolution[1]
-        sector = n_ang // m
-        self.b_wt = m * b_wt.reshape(rows, n_ang)[:, :sector].ravel()
-        self.diagonal = gram_diagonal(grid, a_wt, n)[j::m]
+        a, b, self.c_val = quadratic_weights(spec, grid)
+        sector = grid.resolution[1] // m
+        self.b_wt = np.repeat(m * b, sector)
+        self.diagonal = gram_diagonal(grid, a, n)[j::m]
         # Factors built through this module's own vandermonde binding, which
         # bench/check_tracer.py expects to see called under minimize.
         self.V = RingVandermonde(
             np.ascontiguousarray(vandermonde(grid.radii, n)[:, j::m]),
             np.ascontiguousarray(vandermonde(grid.phases, n)[:sector, j::m]),
         )
-        size = rows * sector
+        size = len(self.b_wt)
         self.buffers = _node_buffers(size) if buffers is None else buffers
         fz, af, scratch = self.buffers
         self.fz, self.af, self.scratch = fz[:, :size], af[:, :size], scratch[:size]

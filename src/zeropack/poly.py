@@ -118,8 +118,8 @@ def ring_vandermonde(grid: QuadratureGrid, n: int) -> RingVandermonde:
     return RingVandermonde(vandermonde(grid.radii, n), vandermonde(grid.phases, n))
 
 
-def gram_diagonal(grid: QuadratureGrid, node_weight: np.ndarray, n: int) -> np.ndarray:
-    """Quadrature Gram diagonal sum_i w_i |z_i|^(2k), k < n, for a radial node weight w.
+def gram_diagonal(grid: QuadratureGrid, ring_weight: np.ndarray, n: int) -> np.ndarray:
+    """Quadrature Gram diagonal sum_i w_i |z_i|^(2k), k < n, for the node weight w_i = ring_weight[j] on ring j.
 
     On rings centred at 0 with n_ang equispaced angles, the rule sums the
     off-diagonal factor e^{i(j-k)theta} to zero for 0 < |j-k| < n_ang, so for
@@ -132,8 +132,7 @@ def gram_diagonal(grid: QuadratureGrid, node_weight: np.ndarray, n: int) -> np.n
     n_ang = grid.resolution[1]
     if n > n_ang:
         raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")
-    ring_weight = np.reshape(node_weight, (len(grid.radii), n_ang)).sum(axis=1)
-    diagonal = ring_weight @ grid.radii[:, None] ** (2 * np.arange(n))
+    diagonal = (n_ang * ring_weight) @ grid.radii[:, None] ** (2 * np.arange(n))
     if not np.all(diagonal > 0.0):
         raise ConditioningError(f"Gram diagonal underflows at degree bound {n}; lower the degree")
     return diagonal

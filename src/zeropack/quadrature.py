@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidRegionError, NumericError
+from .errors import ConfigurationError, InvalidRegionError, NumericError
 
 __all__ = [
     "Disk",
@@ -65,8 +65,8 @@ Region = Disk | Annulus | TruncatedPlane | Cell
 class QuadratureGrid:
     """Nodes and positive weights for one region, w.r.t. dA = dx dy / pi.
 
-    On rings centred at 0, row j of ``nodes.reshape(-1, n_ang)`` is
-    ``radii[j] * phases``; ``radii`` is None for cells and off-centre disks.
+    On rings centred at 0, row j of ``nodes.reshape(-1, n_ang)`` is ``radii[j] * phases``,
+    each of weight ``ring_weights[j]``; ``radii`` is None for cells and off-centre disks.
     """
 
     nodes: np.ndarray
@@ -83,6 +83,17 @@ class QuadratureGrid:
     def phases(self) -> np.ndarray:
         """The n_ang equispaced unit phases e^{i theta} shared by every ring."""
         return _phases(self.resolution[1])
+
+    @property
+    def ring_weights(self) -> np.ndarray:
+        """The node weight on each ring, one entry per radius; ConfigurationError off ring grids."""
+        if self.radii is None:
+            raise ConfigurationError(f"ring data need a ring grid centred at 0, got {self.region!r}")
+        return self.weights[:: self.resolution[1]]
+
+    def ring_sums(self, values: np.ndarray) -> np.ndarray:
+        """The angular sum of node values over each ring, one entry per radius."""
+        return np.reshape(values, (len(self.ring_weights), self.resolution[1])).sum(axis=1)
 
 
 def normalized_area(region: Region) -> float:

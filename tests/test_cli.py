@@ -382,3 +382,40 @@ def test_payload_reports_the_grid_used(capsys):
         if argv[0] == "minimize":
             assert payload["diagnostics"]["grid_resolution"] == resolution
             assert payload["seed"] == 0 and len(payload["restarts"]) == 3
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "minimize", "--geometry", "hyperbolic", "--r", "0.5", "--seed", "-1")
+    assert code == 4
+    assert err.startswith("usage error:") and "seed" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_nonfinite_geometry_parameters_are_usage_errors(tmp_path, capsys, value):
+    # The input is at fault, so none of these is a traceback or a numerical error.
+    poly = tmp_path / "p.json"
+    poly.write_text("[[1.0, 0.0]]")
+    for argv in (
+        ["minimize", "--geometry", "planar", "--gamma", value],
+        ["gap", "--geometry", "planar", "--gamma", value],
+        ["eval", "--geometry", "planar", "--gamma", "2", "--poly", str(poly), "--beta", value],
+        ["eval", "--geometry", "planar", "--gamma", value, "--poly", str(poly)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert err.startswith("usage error:") and out == "", argv
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_lattice_scan_nonfinite_beta_is_usage_error(tmp_path, capsys, value, fmt):
+    out_path = tmp_path / f"scan.{fmt}"
+    for out in ([], ["--out", str(out_path)]):
+        code, stdout, err = run(
+            capsys,
+            "lattice-scan", "--beta", value, "--steps", "3", "--resolution", "16x16", "--format", fmt, *out,
+        )
+        assert code == 4
+        assert err.startswith("usage error:") and "beta" in err
+        assert stdout == "" and not out_path.exists()

@@ -16,7 +16,10 @@ from zeropack import (
     build_grid,
     cutoff,
     dbar_cutoff,
+    default_cutoff,
+    default_grid,
     default_r_cut,
+    density,
     equality_gap,
     integrate,
     minimal_correction,
@@ -24,6 +27,7 @@ from zeropack import (
     poly_eval,
     project_polynomial,
 )
+from zeropack import dbar
 from zeropack.poly import gram_diagonal
 
 from conftest import random_poly
@@ -118,7 +122,7 @@ def test_project_idempotent_planar_degree_64(rng):
     # dense solve of the normal equations can resolve.
     n = 64
     grid = build_grid(TruncatedPlane(default_r_cut(n, 1.0)), (128, 256))
-    weight = np.exp(-2.0 * np.abs(grid.nodes) ** 2) * grid.weights
+    weight = np.exp(-2.0 * grid.radii**2) * grid.ring_weights
     scales = 1.0 / np.sqrt(gram_diagonal(grid, weight, n))
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     p = ComplexPolynomial(raw * scales)
@@ -369,3 +373,62 @@ def test_minimal_correction_nonfinite_is_numeric_error():
         for geometry, param, r in (("planar", 2.0, 1.0), ("hyperbolic", 0.8, 0.8)):
             with pytest.raises(NumericError):
                 minimal_correction(huge, FunctionalSpec(geometry, param), CutoffSpec(0.2, r), (32, 32))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [planar(2.0), FunctionalSpec("planar", 2.0, alpha=0.8), HYP, FunctionalSpec("hyperbolic", 0.8, alpha=0.7)],
+    ids=lambda s: f"{s.geometry}-{s.param}-a{s.alpha}",
+)
+def test_correction_ring_sums_match_node_sums(spec, rng):
+    # The bound's two sides, with the dbar weight, its Laplacian and the
+    # cut-off written out node by node on the correction's own grid.
+    cut = default_cutoff(spec)
+    f = random_poly(rng, 6)
+    corr = minimal_correction(f, spec, cut, (64, 64))
+    z, wts = corr.grid.nodes, corr.grid.weights
+    a2 = np.abs(z) ** 2
+    if spec.geometry == "hyperbolic":
+        weight, laplacian = 1.0 - a2, (1.0 - a2) ** -2
+    else:
+        weight, laplacian = np.exp(-2.0 * spec.param * a2), 2.0 * spec.param
+    lhs = float(np.sum(np.abs(corr.u_values) ** 2 * weight * wts))
+    rhs = float(np.sum(np.abs(dbar_cutoff(z, cut)) ** 2 * np.abs(poly_eval(f, z)) ** 2 * weight / laplacian * wts))
+    assert abs(corr.lhs - lhs) <= 1e-13 * lhs
+    assert abs(corr.rhs - rhs) <= 1e-13 * rhs
+    # The per-ring weight, expanded to the nodes, is the node weight.  Near
+    # |z| = 1, 1 - |z|^2 magnifies the rounding of the node moduli, so the
+    # comparison is against the largest weight.
+    node_weight = weight * wts
+    assert np.max(np.abs(np.repeat(corr.weight, corr.grid.resolution[1]) - node_weight)) <= 1e-13 * node_weight.max()
+
+
+@pytest.mark.parametrize("spec", [planar(2.0), FunctionalSpec("hyperbolic", 0.7)], ids=lambda s: s.geometry)
+def test_radial_factors_see_one_value_per_ring(spec, monkeypatch, rng):
+    # Envelope, dbar weight, Laplacian and cut-off are radial: the pipeline
+    # evaluates each on the grid's radii, never on its nodes.
+    seen = []
+
+    def record(fn, arg):
+        def wrapped(*args, **kwargs):
+            seen.append(np.size(args[arg]))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("envelope", "dbar_weight", "laplacian"):
+        monkeypatch.setattr(FunctionalSpec, name, record(getattr(FunctionalSpec, name), 1))
+    for name in ("cutoff", "dbar_cutoff"):
+        monkeypatch.setattr(dbar, name, record(getattr(dbar, name), 0))
+
+    resolution = (32, 33)
+    grid = default_grid(spec, resolution)
+    density(random_poly(rng, 4), spec, grid)
+    assert seen and max(seen) <= len(grid.radii)
+    seen.clear()
+    corr = minimal_correction(random_poly(rng, 4), spec, default_cutoff(spec), resolution)
+    assert seen and max(seen) <= len(corr.grid.radii) < corr.grid.nodes.size
+    seen.clear()
+    equality_gap(spec, OptimizerConfig(restarts=2), resolution)
+    # The search runs on the spec's default grid, the rest on the resolution's.
+    assert seen and max(seen) <= max(len(default_grid(spec).radii), len(corr.grid.radii))

@@ -44,6 +44,14 @@ def test_spec_validation():
         FunctionalSpec("spherical", 0.5)
     with pytest.raises(ConfigurationError):
         FunctionalSpec("planar", 1.0, starred=True, alpha=0.5)
+    for value in (math.nan, math.inf, -math.inf):
+        for geometry, param in (("planar", 2.0), ("hyperbolic", 0.5)):
+            with pytest.raises(ConfigurationError):
+                FunctionalSpec(geometry, value)
+            with pytest.raises(ConfigurationError):
+                FunctionalSpec(geometry, param, alpha=value)
+        with pytest.raises(ConfigurationError):
+            FunctionalSpec("planar", 2.0, beta=value)
 
 
 def test_default_grid_angles_follow_the_symmetry():
@@ -427,3 +435,71 @@ def test_density_nonfinite_is_numeric_error():
         for spec in (FunctionalSpec("planar", 2.0), FunctionalSpec("hyperbolic", 0.8)):
             with pytest.raises(NumericError):
                 density(huge, spec, default_grid(spec, (16, 16)))
+
+
+def _node_envelope(spec, absz):
+    # The envelope written out node by node: hyperbolic w = 1 - (alpha|z|)^2,
+    # m = alpha^2/w; planar w = exp(-alpha*gamma*|z|^2), m = 1.
+    if spec.geometry == "hyperbolic":
+        w = 1.0 - (spec.alpha * absz) ** 2
+        return w, spec.alpha**2 / w
+    return np.exp(-spec.alpha * spec.param * absz**2), np.ones_like(absz)
+
+
+def _node_masses(f, spec, grid):
+    # Reference for density() and quadratic_parts(): sums over the grid's nodes.
+    absz = np.abs(grid.nodes)
+    core = absz < spec.indicator_radius
+    domain = np.ones_like(core) if spec.starred else core
+    w, m = _node_envelope(spec, absz)
+    fv = np.abs(poly_eval(f, grid.nodes)) ** spec.beta
+    wm = m * grid.weights
+    normalizer = float(np.sum(grid.weights[core] / (1.0 - absz[core] ** 2))) if spec.geometry == "hyperbolic" else 1.0
+    log_norm = spec.log_normalizer
+    return {
+        "value": float(np.sum(((w * fv - core) ** 2 * wm)[domain])) / normalizer,
+        "ell1": float(np.sum((w * fv * wm)[core])) / log_norm,
+        "ell2": float(np.sum(((w * fv) ** 2 * wm)[core])) / log_norm,
+        "A": float(np.sum(((w * fv) ** 2 * wm)[domain])) / normalizer,
+        "B": float(np.sum((w * fv * wm)[core])) / normalizer,
+        "C": float(np.sum(wm[core])) / normalizer,
+    }
+
+
+def _node_boundary_masses(f, spec, delta, resolution):
+    base = spec.undilated
+    R = base.indicator_radius
+    grid = build_grid(Annulus((1.0 - delta) * R, R), resolution)
+    w, m = _node_envelope(base, np.abs(grid.nodes))
+    wf = w * np.abs(poly_eval(f, grid.nodes)) ** base.beta
+    return tuple(float(np.sum(wf**k * m * grid.weights)) / base.log_normalizer for k in (1, 2))
+
+
+RING_CASES = [
+    FunctionalSpec("planar", 2.0),
+    FunctionalSpec("planar", 2.0, starred=True),
+    FunctionalSpec("planar", 2.0, alpha=0.8),
+    FunctionalSpec("planar", 2.0, beta=1.5),
+    FunctionalSpec("hyperbolic", 0.8),
+    FunctionalSpec("hyperbolic", 0.8, starred=True),
+    FunctionalSpec("hyperbolic", 0.8, alpha=0.7),
+]
+
+
+@pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-a{s.alpha}-b{s.beta}")
+def test_ring_masses_match_node_sums(spec, rng):
+    # Every radial factor is evaluated once per ring and every node sum is a
+    # ring sum against it; the node-by-node formulas give the same numbers.
+    from zeropack.functionals import quadratic_parts
+
+    grid = default_grid(spec, (64, 64), degree=6)
+    for _ in range(3):
+        f = random_poly(rng, 6)
+        ref = _node_masses(f, spec, grid)
+        rep = density(f, spec, grid)
+        got = dict(zip(("A", "B", "C"), quadratic_parts(f, spec, grid)), value=rep.value, ell1=rep.ell1, ell2=rep.ell2)
+        for key, expect in ref.items():
+            assert abs(got[key] - expect) <= 1e-13 * abs(expect), key
+        bm = boundary_mass(f, spec, spec.default_delta, (64, 64))
+        for got_k, expect in zip(bm, _node_boundary_masses(f, spec, spec.default_delta, (64, 64))):
+            assert abs(got_k - expect) <= 1e-13 * abs(expect)

@@ -156,6 +156,14 @@ def test_candidate_nu_consistency():
         assert abs(cand.nu - nus[0]) < 1e-10
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_nonfinite_beta_rejected(beta):
+    with pytest.raises(InvalidLatticeError, match="finite"):
+        lattice_normalize(PI / 3, beta)
+    with pytest.raises(NormalizationError, match="finite"):
+        abrikosov_candidate(lattice_normalize(PI / 3, 1.0), beta)
+
+
 def test_candidate_normalization_mismatch_rejected():
     lat = lattice_normalize(PI / 3, 1.0)
     with pytest.raises(NormalizationError):

@@ -162,6 +162,10 @@ def test_minimize_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ConfigurationError):
         OptimizerConfig(max_iterations=0)
+    # A negative seed would reach numpy's default_rng as a negative seed*7919 + r.
+    for field, value in (("seed", -1), ("tolerance", math.nan), ("tolerance", math.inf)):
+        with pytest.raises(ConfigurationError, match=field):
+            OptimizerConfig(**{field: value})
 
 
 def test_minimize_result_json():
@@ -279,9 +283,8 @@ class _NodeSumWorkspace(_Workspace):
 
     def __init__(self, spec, grid, n, m=1, j=0):
         super().__init__(spec, grid, n, m, j)
-        a_wt = quadratic_weights(spec, grid)[0]
-        rows, n_ang = len(grid.radii), grid.resolution[1]
-        self.a_wt = m * a_wt.reshape(rows, n_ang)[:, : n_ang // m].ravel()
+        a = quadratic_weights(spec, grid)[0]
+        self.a_wt = np.repeat(m * a, grid.resolution[1] // m)
 
     def iterate(self, c, slot=0, rescale=True):
         fz = self.V.__matmul__(c, out=self.fz[slot])

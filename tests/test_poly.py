@@ -76,7 +76,7 @@ def planar(gamma):
 
 def dbar_gram(spec, n, grid):
     # Gram diagonal of the spec's dbar weight.
-    return gram_diagonal(grid, spec.dbar_weight(np.abs(grid.nodes)) * grid.weights, n)
+    return gram_diagonal(grid, spec.dbar_weight(grid.radii) * grid.ring_weights, n)
 
 
 def test_gram_hyperbolic_diagonal():
@@ -149,8 +149,9 @@ def test_gram_hermitian_cholesky_degree_64(rng):
 def test_gram_rejects_non_ring_grids():
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
         dbar_gram(HYP, 20, build_grid(Disk(0, 1), (32, 16)))
+    # An off-centre disk has no radii to evaluate a ring weight on.
     with pytest.raises(ConfigurationError):
-        dbar_gram(planar(1.0), 4, build_grid(Disk(0.5, 1.0), (32, 32)))
+        gram_diagonal(build_grid(Disk(0.5, 1.0), (32, 32)), np.ones(32), 4)
 
 
 def test_norm_via_gram_matches_integral(rng):
