@@ -218,6 +218,8 @@ class GapReport:
     l1_perturbation: float
     l2_perturbation: float
     minimize_result: MinimizeResult
+    # The quadrature-error estimate of rho_unstarred (DensityReport.quad_err).
+    quad_err: float
 
     def to_json_dict(self) -> dict[str, Any]:
         out = {
@@ -226,6 +228,7 @@ class GapReport:
             "delta": self.delta,
             "degree": self.degree,
             "rho_unstarred": self.rho_unstarred,
+            "quad_err": self.quad_err,
             "rho_starred_nu": self.rho_starred_nu,
             "gap": self.gap,
             "dbar_lhs": self.dbar_lhs,
@@ -252,16 +255,20 @@ def _proof_components(
     repaired polynomial, each against the spec's envelope w, m as in
     density(); each is controlled by the dbar bound at any fixed parameter
     (the remaining perturbations come from the cut-off's bite on f and shrink
-    only with the boundary layer).
+    only with the boundary layer).  chi_f and u hold node values, one row per
+    ring of grid.
     """
     au = np.abs(u)
-    cross = grid.ring_sums(au**2 - 2.0 * np.real(chi_f * np.conj(u)))
+    # Per ring, the sums of |u|^2 and of Re(chi_f conj(u)) = Re chi_f Re u +
+    # Im chi_f Im u, with no node temporary.
+    u2 = np.einsum("ij,ij->i", au, au)
+    cross = u2 - 2.0 * np.einsum("ij,ij->i", chi_f.view(np.float64), u.view(np.float64))
     r = grid.radii
     w, m = spec.envelope(r)
     w1 = w * m * grid.ring_weights / spec.log_normalizer
     w2 = w * w1
     core = r < spec.indicator_radius
-    ext = float(np.sum((w2 * grid.ring_sums(au**2))[r > spec.indicator_radius]))
+    ext = float(np.sum((w2 * u2)[r > spec.indicator_radius]))
     l1 = float(np.sum((w1 * grid.ring_sums(au))[core]))
     l2 = abs(float(np.sum((w2 * cross)[core])))
     return ext, l1, l2
@@ -315,4 +322,5 @@ def equality_gap(
         l1_perturbation=corr.l1_perturbation,
         l2_perturbation=corr.l2_perturbation,
         minimize_result=result,
+        quad_err=result.diagnostics.quad_err,
     )

@@ -276,7 +276,11 @@ def discrepancy(f: ComplexPolynomial, z, spec: FunctionalSpec):
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Evaluated density plus the diagnostics driving the variational identities."""
+    """Evaluated density plus the diagnostics driving the variational identities.
+
+    quad_err estimates the value's quadrature error: its change when the
+    grid's radii are kept and its angles doubled.
+    """
 
     value: float
     ell1: float
@@ -286,10 +290,12 @@ class DensityReport:
     spec: FunctionalSpec
     grid_resolution: tuple[int, int]
     grid_region: str
+    quad_err: float
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "value": self.value,
+            "quad_err": self.quad_err,
             "ell1": self.ell1,
             "ell2": self.ell2,
             "boundary_mass_l1": self.boundary_mass_l1,
@@ -312,7 +318,9 @@ def quadratic_parts(
     B the weighted L^1-type mass over the core region, C the measure of the
     core; all in the same normalization as density().
     """
-    return _parts(f, spec, grid)[0]
+    a, b, c = quadratic_weights(spec, grid)
+    s1, s2 = _ring_powers(f, grid, spec.beta)
+    return float(a @ s2), float(b @ s1), c
 
 
 def quadratic_weights(spec: FunctionalSpec, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, float]:
@@ -324,12 +332,10 @@ def quadratic_weights(spec: FunctionalSpec, grid: QuadratureGrid) -> tuple[np.nd
     return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c
 
 
-def _parts(f: ComplexPolynomial, spec: FunctionalSpec, grid: QuadratureGrid):
-    """(A, B, C) of quadratic_parts, and the ring sums s1, s2 of |f|^beta and |f|^(2*beta) it comes from."""
-    a, b, c = quadratic_weights(spec, grid)
-    fv = np.abs(f.on_grid(grid)) ** spec.beta
-    s1, s2 = grid.ring_sums(fv), grid.ring_sums(fv * fv)
-    return (float(a @ s2), float(b @ s1), c), s1, s2
+def _ring_powers(f: ComplexPolynomial, grid: QuadratureGrid, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ring sums of |f|^beta and |f|^(2*beta)."""
+    fv = np.abs(f.on_grid(grid)) ** beta
+    return grid.ring_sums(fv), grid.ring_sums(fv * fv)
 
 
 def density(
@@ -345,17 +351,27 @@ def density(
     envelope; for the hyperbolic geometry that is (1/log(1/(1-r^2))) times the
     integral of |f|^k (1-|z|^2)^(k-1) dA over D(0, r).  The boundary masses use
     the default boundary-layer pairing for the geometry.
+
+    quad_err is |value(f turned) - value(f)| / 2, with f turned by half an
+    angle step onto the midpoints of the grid's angles (grid.half_turn): the
+    change of the value on the same radii with twice the angles.  It leaves
+    out the radial error.
     """
     if grid is None:
         grid = default_grid(spec)
-    (a, b, c), s1, s2 = _parts(f, spec, grid)
-    value = a - 2.0 * b + c
+    a, b, c = quadratic_weights(spec, grid)
+    s1, s2 = _ring_powers(f, grid, spec.beta)
+    value = float(a @ s2) - 2.0 * float(b @ s1) + c
+    turned = ComplexPolynomial(f.coeffs * grid.half_turn(len(f.coeffs)))
+    t1, t2 = _ring_powers(turned, grid, spec.beta)
+    quad_err = abs(float(a @ (t2 - s2)) - 2.0 * float(b @ (t1 - s1))) / 2.0
     w, mass, ind, _ = _ring_data(spec, grid)
     ell1, ell2 = _masses(w[ind], mass[ind], s1[ind], s2[ind], spec.log_normalizer)
     bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
-    if not all(map(math.isfinite, (value, ell1, ell2, bm1, bm2))):
+    if not all(map(math.isfinite, (value, quad_err, ell1, ell2, bm1, bm2))):
         raise NumericError(
-            f"non-finite density: value {value}, ell1 {ell1}, ell2 {ell2}, boundary masses {bm1}, {bm2}"
+            f"non-finite density: value {value}, quad_err {quad_err}, ell1 {ell1}, ell2 {ell2}, "
+            f"boundary masses {bm1}, {bm2}"
         )
 
     return DensityReport(
@@ -367,6 +383,7 @@ def density(
         spec=spec,
         grid_resolution=grid.resolution,
         grid_region=type(grid.region).__name__,
+        quad_err=quad_err,
     )
 
 
@@ -396,8 +413,7 @@ def boundary_mass(
     inner = (1.0 - delta) * outer
     grid = build_grid(Disk(0.0, outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
     w, m = base.envelope(grid.radii)
-    fv = np.abs(f.on_grid(grid)) ** base.beta
-    return _masses(w, grid.ring_weights * m, grid.ring_sums(fv), grid.ring_sums(fv * fv), base.log_normalizer)
+    return _masses(w, grid.ring_weights * m, *_ring_powers(f, grid, base.beta), base.log_normalizer)
 
 
 def gradient(

@@ -13,6 +13,14 @@ values over restarts, not certified global minima; the identities asserted in
 tests hold at any stationary point.  Restarts search the rotation classes
 z^j g(z^m) of the spec's symmetry order on one angular sector of the grid,
 and every few restarts the full space.
+
+A restart descends only as far as its grid resolves.  Turning the iterate by
+half an angle step puts the workspace's own ring product on the midpoints of
+the grid's angles, so one more product gives the change of the value on
+twice the angles: the quadrature-error estimate quad_err.  A restart stops
+once its recent decrease is below a fixed fraction of that estimate; it
+then counts as converged, since the decrease left is below what the grid
+can resolve.
 """
 
 from __future__ import annotations
@@ -42,6 +50,15 @@ __all__ = [
     "minimize",
 ]
 
+# Why a descent ended: the value rose (rounding at a stationary point), a
+# step's relative drop fell below the tolerance, the decrease left fell below
+# the grid's quadrature error, or the iteration cap.
+STOP_REASONS = ("stationary", "tolerance", "quad_err", "cap")
+# A restart stops at a secant checkpoint past QUAD_ERR_BURN_IN steps once its
+# last two 10-step window drops are both below QUAD_ERR_FRACTION * quad_err.
+QUAD_ERR_FRACTION = 0.03
+QUAD_ERR_BURN_IN = 20
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -70,9 +87,21 @@ class MinimizeResult:
     diagnostics: DensityReport
     restart_values: list[float]
     # Per restart: its class [m, j] ([1, 0] is the full space), value,
-    # iterations, accepted secant jumps ("extrapolations") and converged flag.
+    # iterations, accepted secant jumps ("extrapolations"), converged flag and
+    # why it stopped ("stop", one of STOP_REASONS).
     restarts: list[dict] = field(default_factory=list)
     history: list[float] = field(default_factory=list, repr=False)
+
+    @property
+    def capped(self) -> int:
+        """The number of restarts that hit the iteration cap."""
+        return sum(r["stop"] == "cap" for r in self.restarts)
+
+    @property
+    def tied(self) -> int:
+        """The number of restarts within the winner's quad_err of the best restart value."""
+        best = min(self.restart_values)
+        return sum(v - best <= self.diagnostics.quad_err for v in self.restart_values)
 
     def to_json_dict(self):
         return {
@@ -82,6 +111,8 @@ class MinimizeResult:
             "converged": self.converged,
             "restart_values": self.restart_values,
             "restarts": self.restarts,
+            "capped": self.capped,
+            "tied": self.tied,
             "diagnostics": self.diagnostics.to_json_dict(),
         }
 
@@ -154,6 +185,8 @@ class _Workspace:
             np.ascontiguousarray(vandermonde(grid.radii, n)[:, j::m]),
             np.ascontiguousarray(vandermonde(grid.phases, n)[:sector, j::m]),
         )
+        # Turning by half an angle step keeps the class.
+        self.half_turn = grid.half_turn(n)[j::m]
         size = len(self.b_wt)
         self.buffers = _node_buffers(size) if buffers is None else buffers
         fz, af, scratch = self.buffers
@@ -179,6 +212,19 @@ class _Workspace:
         y = np.multiply(it.fz, weight, out=self.fz[slot])
         return self.iterate(self.V.adjoint(y) / self.diagonal, slot)
 
+    def quad_err(self, it: _Iterate) -> float:
+        """|value on twice the angles - value| of a rescaled iterate, from one ring product in the slot it does not use.
+
+        The doubled grid is this one plus its angle midpoints, where the
+        turned iterate's product lands, and A is exact in the angle.  So the
+        doubled value is value + (B - B(turned)), and a rescaled iterate has
+        B = C - value.
+        """
+        slot = 1 - it.slot
+        fz = self.V.__matmul__(it.c * self.half_turn, out=self.fz[slot])
+        b = float(np.dot(self.b_wt, np.abs(fz, out=self.af[slot])))
+        return abs(b - (self.c_val - it.value))
+
 
 def _canonicalize(c: np.ndarray) -> np.ndarray:
     """Rotate the free global phase so the leading nonzero coefficient is >= 0."""
@@ -190,29 +236,54 @@ def _canonicalize(c: np.ndarray) -> np.ndarray:
 
 
 def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig):
-    """Coefficients, value, step counts (iterations, accepted secant jumps, converged flag) and value history."""
+    """Coefficients, value, step counts (iterations, accepted secant jumps, converged flag, stop reason) and value history.
+
+    The descent ends at the first of: a step that does not decrease the
+    value ("stationary"), a step whose drop is below config.tolerance
+    relative to the value ("tolerance"), the quadrature-error rule
+    ("quad_err") and config.max_iterations steps ("cap").  The rule looks at
+    the windows between secant checkpoints, each of one jump and the 10
+    steps after it, and is checked before the checkpoint's jump is tried.
+    Past QUAD_ERR_BURN_IN steps, when a window drops by less than
+    QUAD_ERR_FRACTION times the restart's last estimate (none at first), it
+    takes a fresh ws.quad_err, and stops if that window and the one before
+    both dropped by less than QUAD_ERR_FRACTION times the fresh estimate.
+    Every stop but the cap counts as converged.  The rule sees only the
+    recent decrease, so it can stop a restart on the plateau of a saddle
+    that a longer descent would have left.
+    """
     it = ws.iterate(c, rescale=False)
     history = [it.value]
     extrapolations = 0
-    converged = False
-    snapshot = it.c
+    stop = "cap"
+    snapshot, mark = it.c, it.value
+    drops = (math.inf, math.inf)
+    estimate = math.inf
     for iterations in range(1, config.max_iterations + 1):
         new = ws.irls_step(it)
         # The step minimizes a majorant that touches the value at it, so it
         # can rise only by rounding: a rise means the iterate is stationary.
         if not new.value <= it.value:
-            converged = True
+            stop = "stationary"
             break
         drop = it.value - new.value
         it = new
         history.append(it.value)
         if drop < config.tolerance * max(abs(it.value), 1e-30):
-            converged = True
+            stop = "tolerance"
             break
-        # Secant extrapolation along the recent trajectory: flat valleys make
-        # plain reweighting crawl, and the jump is monotone-safe since it is
-        # only kept on strict decrease.
         if iterations % 10 == 0:
+            drops, mark = (drops[1], mark - it.value), it.value
+            # A fresh estimate only when the window already looks small
+            # against the last one keeps the extra ring products rare.
+            if iterations >= QUAD_ERR_BURN_IN and drops[1] < QUAD_ERR_FRACTION * estimate:
+                estimate = ws.quad_err(it)
+                if max(drops) < QUAD_ERR_FRACTION * estimate:
+                    stop = "quad_err"
+                    break
+            # Secant extrapolation along the recent trajectory: flat valleys make
+            # plain reweighting crawl, and the jump is monotone-safe since it is
+            # only kept on strict decrease.
             direction = it.c - snapshot
             for theta in (16.0, 8.0, 4.0, 2.0):
                 candidate = ws.iterate(it.c + theta * direction, 1 - it.slot)
@@ -222,7 +293,7 @@ def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig):
                     extrapolations += 1
                     break
             snapshot = it.c
-    steps = {"iterations": iterations, "extrapolations": extrapolations, "converged": converged}
+    steps = {"iterations": iterations, "extrapolations": extrapolations, "converged": stop != "cap", "stop": stop}
     return it.c, it.value, steps, history
 
 
@@ -248,7 +319,9 @@ def minimize(
     Restart r draws Gaussian coefficients from seed*7919 + r, scaled to unit
     weighted norm per monomial, keeps those of its class (_restart_classes)
     and descends in that class.  Ties between restarts within 1e-12 go to the
-    lowest restart index so results are reproducible under concurrency.
+    lowest restart index so results are reproducible under concurrency; the
+    result's ``tied`` counts the restarts within the winner's quad_err, which
+    the grid cannot tell apart, without changing the winner.
     """
     if n < 1:
         raise ConfigurationError(f"degree bound must be >= 1, got {n}")

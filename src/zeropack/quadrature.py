@@ -84,6 +84,15 @@ class QuadratureGrid:
         """The n_ang equispaced unit phases e^{i theta} shared by every ring."""
         return _phases(self.resolution[1])
 
+    def half_turn(self, n: int) -> np.ndarray:
+        """The factors e^{i pi k / n_ang}, k < n, that turn a polynomial by half an angle step.
+
+        With c_k -> c_k e^{i pi k / n_ang}, the turned polynomial's values on
+        the rings are the original's on the midpoints of the grid's angles,
+        which complete the grid with twice the angles.
+        """
+        return np.exp(1j * math.pi * np.arange(n) / self.resolution[1])
+
     @property
     def ring_weights(self) -> np.ndarray:
         """The node weight on each ring, one entry per radius; ConfigurationError off ring grids."""

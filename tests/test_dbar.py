@@ -289,12 +289,14 @@ def test_equality_gap_hyperbolic_small():
     d = rep.to_json_dict()
     assert "sigma_sq_estimate" in d
     assert abs(d["sigma_sq_estimate"] - (1 - rep.rho_starred_nu)) < 1e-15
+    assert d["quad_err"] == rep.minimize_result.diagnostics.quad_err
     assert set(d) == {
         "geometry",
         "param",
         "delta",
         "degree",
         "rho_unstarred",
+        "quad_err",
         "rho_starred_nu",
         "gap",
         "dbar_lhs",

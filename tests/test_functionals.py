@@ -366,6 +366,7 @@ def test_density_report_json_fields():
     d = rep.to_json_dict()
     assert set(d) == {
         "value",
+        "quad_err",
         "ell1",
         "ell2",
         "boundary_mass_l1",
@@ -503,3 +504,19 @@ def test_ring_masses_match_node_sums(spec, rng):
         bm = boundary_mass(f, spec, spec.default_delta, (64, 64))
         for got_k, expect in zip(bm, _node_boundary_masses(f, spec, spec.default_delta, (64, 64))):
             assert abs(got_k - expect) <= 1e-13 * abs(expect)
+
+
+@pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-a{s.alpha}-b{s.beta}")
+def test_quad_err_is_the_doubled_angle_change(spec, rng):
+    # The grid with the same radii and twice the angles is this grid plus its
+    # angle midpoints, where f turned by half an angle step lands: quad_err is
+    # exactly the change of the value on that grid, for any beta.
+    n_rad, n_ang = 48, 32
+    grid = default_grid(spec, (n_rad, n_ang), degree=6)
+    doubled = default_grid(spec, (n_rad, 2 * n_ang), degree=6)
+    for _ in range(3):
+        f = random_poly(rng, 6)
+        rep = density(f, spec, grid)
+        expect = abs(density(f, spec, doubled).value - rep.value)
+        assert expect > 1e-9
+        assert abs(rep.quad_err - expect) <= 1e-12

@@ -17,7 +17,7 @@ from zeropack import (
     optimal_scale,
 )
 from zeropack.functionals import quadratic_weights
-from zeropack.optimize import _descend, _Iterate, _restart_classes, _Workspace
+from zeropack.optimize import STOP_REASONS, _descend, _Iterate, _restart_classes, _Workspace
 from zeropack.poly import RingVandermonde
 
 from conftest import random_poly
@@ -171,13 +171,20 @@ def test_minimize_validation():
 def test_minimize_result_json():
     res = minimize(FunctionalSpec("planar", 2.0), 4, OptimizerConfig(restarts=5, seed=1))
     d = res.to_json_dict()
-    assert set(d) == {"minimizer", "value", "iterations", "converged", "restart_values", "restarts", "diagnostics"}
+    assert set(d) == {
+        "minimizer", "value", "iterations", "converged", "restart_values", "restarts", "capped", "tied", "diagnostics",
+    }
     assert len(d["minimizer"][0]) == 2
     # One entry per restart, in restart order, naming the class it searched.
     assert [r["class"] for r in d["restarts"]] == [[3, 0], [3, 1], [3, 2], [1, 0], [3, 0]]
     assert [r["value"] for r in d["restarts"]] == d["restart_values"]
-    assert all(set(r) == {"class", "value", "iterations", "extrapolations", "converged"} for r in d["restarts"])
+    assert all(set(r) == {"class", "value", "iterations", "extrapolations", "converged", "stop"} for r in d["restarts"])
     assert all(r["converged"] is True and r["iterations"] >= 1 for r in d["restarts"])
+    assert all(r["stop"] in STOP_REASONS and r["converged"] == (r["stop"] != "cap") for r in d["restarts"])
+    assert d["capped"] == 0
+    # The winner is the lowest value whatever the ties within quad_err.
+    best = min(d["restart_values"])
+    assert d["tied"] == sum(v - best <= d["diagnostics"]["quad_err"] for v in d["restart_values"]) >= 1
     # A secant jump is tried every tenth step and at most one is accepted each time.
     assert all(type(r["extrapolations"]) is int for r in d["restarts"])
     assert all(0 <= r["extrapolations"] <= r["iterations"] // 10 for r in d["restarts"])
@@ -390,3 +397,59 @@ def test_restart_schedule():
     res = minimize(planar, 16, OptimizerConfig(restarts=4, seed=3))
     assert res.diagnostics.grid_resolution == (128, 129)
     assert all(r["converged"] for r in res.restarts)
+
+
+QUAD_ERR_CASES = [
+    pytest.param(FunctionalSpec("planar", 8.0), None, 1, 0, id="planar-8.0-full"),
+    pytest.param(FunctionalSpec("planar", 8.0), None, 3, 1, id="planar-8.0-class-3-1"),
+    pytest.param(FunctionalSpec("planar", 8.0, starred=True), None, 3, 1, id="planar-8.0-starred-class-3-1"),
+    pytest.param(FunctionalSpec("hyperbolic", 0.9), None, 1, 0, id="hyperbolic-0.9"),
+    pytest.param(FunctionalSpec("hyperbolic", 0.9), (64, 96), 3, 1, id="hyperbolic-0.9-class-3-1"),
+]
+
+
+@pytest.mark.parametrize("spec,resolution,m,j", QUAD_ERR_CASES)
+def test_workspace_quad_err_is_the_doubled_angle_change(spec, resolution, m, j):
+    # The half-turned iterate's ring product lands on the angle midpoints, so
+    # quad_err is the change of the density on the same radii with twice the
+    # angles, at rescaled iterates along a descent.  Starred grids are split
+    # radially at the core.
+    n = degree_schedule(spec)
+    grid = default_grid(spec, resolution, degree=n)
+    n_rad, n_ang = grid.resolution
+    doubled = default_grid(spec, (n_rad, 2 * n_ang), degree=n)
+    ws = _Workspace(spec, grid, n, m, j)
+    it = ws.iterate(_random_start(ws, 5))
+    for _ in range(3):
+        f = ComplexPolynomial(_embed(it.c, n, m, j))
+        expect = abs(density(f, spec, doubled).value - density(f, spec, grid).value)
+        assert expect > 1e-9
+        assert abs(ws.quad_err(it) - expect) <= 1e-12
+        for _ in range(15):
+            it = ws.irls_step(it)
+
+
+@pytest.mark.parametrize(
+    "spec,m,j",
+    [
+        pytest.param(FunctionalSpec("planar", 8.0), 1, 0, id="planar-8.0-full"),
+        pytest.param(FunctionalSpec("planar", 8.0), 3, 1, id="planar-8.0-class-3-1"),
+        pytest.param(FunctionalSpec("hyperbolic", 0.9), 1, 0, id="hyperbolic-0.9"),
+    ],
+)
+def test_quad_err_stop_leaves_less_than_the_grid_resolves(spec, m, j, monkeypatch):
+    # A restart stopped by the rule is converged, its history is monotone,
+    # and running it on to the tolerance (the rule switched off) gains less
+    # than its quadrature error.
+    n = degree_schedule(spec)
+    ws = _workspace(spec, n, m, j)
+    c0 = _random_start(ws, 7)
+    c, value, steps, history = _descend(ws, c0, OptimizerConfig())
+    assert steps["stop"] == "quad_err" and steps["converged"] is True
+    assert all(b <= a for a, b in zip(history[:-1], history[1:]))
+    assert history[-1] == value
+    q = density(ComplexPolynomial(_embed(c, n, m, j)), spec, ws.grid).quad_err
+    monkeypatch.setattr("zeropack.optimize.QUAD_ERR_FRACTION", 0.0)
+    _, full_value, full_steps, _ = _descend(ws, c0, OptimizerConfig())
+    assert full_steps["stop"] != "quad_err" and full_steps["iterations"] > steps["iterations"]
+    assert 0.0 <= value - full_value < q
