@@ -30,7 +30,7 @@ from .functionals import (
     FunctionalSpec,
     boundary_mass,
     default_grid,
-    density,
+    quadratic_parts,
 )
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
 from .poly import ComplexPolynomial, gram_diagonal, ring_vandermonde, vandermonde
@@ -108,7 +108,7 @@ def project_polynomial(
     the spec's dbar weight; the grid must stay inside the weight's support.
     """
     values = np.asarray(g(grid.nodes) if callable(g) else g, dtype=complex)
-    if values.shape != grid.nodes.shape:
+    if values.shape != (grid.size,):
         raise ConfigurationError("sampled function must match the grid nodes")
     weight = grid.ring_weights * spec.dbar_weight(grid.radii)
     if not np.all(weight >= 0.0):
@@ -285,7 +285,8 @@ def equality_gap(
     the corrected polynomial nu = chi*f - u with the default boundary-layer
     width, and reports the starred density of nu next to the unstarred
     minimum; their difference is the finite-parameter gap that the equality
-    theorems send to zero along subsequences.
+    theorems send to zero along subsequences.  The starred value is
+    A - 2B + C of quadratic_parts, density()'s value without its diagnostics.
     """
     if spec.starred:
         raise ConfigurationError("equality_gap takes the unstarred functional")
@@ -301,7 +302,10 @@ def equality_gap(
 
     starred_spec = replace(spec, starred=True)
     starred_grid = default_grid(starred_spec, resolution, degree=n)
-    rho_star = density(corr.nu, starred_spec, starred_grid).value
+    a, b, c = quadratic_parts(corr.nu, starred_spec, starred_grid)
+    rho_star = a - 2.0 * b + c
+    if not math.isfinite(rho_star):
+        raise NumericError(f"non-finite starred density of the correction: {rho_star}")
 
     bm1, bm2 = boundary_mass(f, spec, delta, resolution)
 

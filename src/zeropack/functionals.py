@@ -253,17 +253,6 @@ def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
             raise ConfigurationError(f"grid radius {radius} does not cover the unit disk")
 
 
-def _ring_data(spec: FunctionalSpec, grid: QuadratureGrid):
-    """Per ring: envelope w, node weight times measure density m, and the indicator; then the normalizer."""
-    r, rw = grid.radii, grid.ring_weights
-    ind = r < spec.indicator_radius
-    w, m = spec.envelope(r)
-    # The hyperbolic core area stays undilated whatever alpha is; at alpha = 1
-    # it is summed exactly as C is, so the zero polynomial scores exactly 1.
-    area = grid.resolution[1] * float(np.sum(rw[ind] * spec.undilated.envelope(r[ind])[1]))
-    return w, rw * m, ind, area if spec.geometry == HYPERBOLIC else 1.0
-
-
 def discrepancy(f: ComplexPolynomial, z, spec: FunctionalSpec):
     """Pointwise squared mismatch (w(z)|f(z)|^beta - 1_core(z))^2."""
     z = np.asarray(z, dtype=complex)
@@ -325,11 +314,23 @@ def quadratic_parts(
 
 def quadratic_weights(spec: FunctionalSpec, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-ring node weights (a, b) and C: A and B are a and b against the ring sums of |f|^(2*beta) and |f|^beta."""
+    return _ring_data(spec, grid)[:3]
+
+
+def _ring_data(spec: FunctionalSpec, grid: QuadratureGrid):
+    """quadratic_weights' a, b, C, then per ring: envelope w, node weight times measure density m, indicator."""
     _validate_grid(spec, grid)
-    w, mass, ind, normalizer = _ring_data(spec, grid)
+    r, rw = grid.radii, grid.ring_weights
+    ind = r < spec.indicator_radius
+    w, m = spec.envelope(r)
+    mass = rw * m
+    # The hyperbolic core area stays undilated whatever alpha is; at alpha = 1
+    # it is summed exactly as C is, so the zero polynomial scores exactly 1.
+    area = grid.resolution[1] * float(np.sum(rw[ind] * spec.undilated.envelope(r[ind])[1]))
+    normalizer = area if spec.geometry == HYPERBOLIC else 1.0
     wm = mass / normalizer
     c = grid.resolution[1] * float(np.sum(mass[ind])) / normalizer
-    return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c
+    return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c, w, mass, ind
 
 
 def _ring_powers(f: ComplexPolynomial, grid: QuadratureGrid, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -359,13 +360,12 @@ def density(
     """
     if grid is None:
         grid = default_grid(spec)
-    a, b, c = quadratic_weights(spec, grid)
+    a, b, c, w, mass, ind = _ring_data(spec, grid)
     s1, s2 = _ring_powers(f, grid, spec.beta)
     value = float(a @ s2) - 2.0 * float(b @ s1) + c
     turned = ComplexPolynomial(f.coeffs * grid.half_turn(len(f.coeffs)))
     t1, t2 = _ring_powers(turned, grid, spec.beta)
     quad_err = abs(float(a @ (t2 - s2)) - 2.0 * float(b @ (t1 - s1))) / 2.0
-    w, mass, ind, _ = _ring_data(spec, grid)
     ell1, ell2 = _masses(w[ind], mass[ind], s1[ind], s2[ind], spec.log_normalizer)
     bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
     if not all(map(math.isfinite, (value, quad_err, ell1, ell2, bm1, bm2))):

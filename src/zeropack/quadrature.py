@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,24 +65,38 @@ Region = Disk | Annulus | TruncatedPlane | Cell
 class QuadratureGrid:
     """Nodes and positive weights for one region, w.r.t. dA = dx dy / pi.
 
-    On rings centred at 0, row j of ``nodes.reshape(-1, n_ang)`` is ``radii[j] * phases``,
-    each of weight ``ring_weights[j]``; ``radii`` is None for cells and off-centre disks.
+    Row j of ``nodes.reshape(-1, n_ang)`` has n_ang nodes of weight ``row_weights[j]``.  On
+    rings centred at 0 it is ``radii[j] * phases``, and nodes and weights are derived on first
+    use; cells and off-centre disks store their nodes and have ``radii`` None.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
     region: Region
     resolution: tuple[int, int]
+    row_weights: np.ndarray
     radii: np.ndarray | None = None
+    stored_nodes: np.ndarray | None = None
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return self.stored_nodes if self.radii is None else (self.radii[:, None] * self.phases).ravel()
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return np.repeat(self.row_weights, self.resolution[1])
+
+    @property
+    def size(self) -> int:
+        """The node count, known without building the nodes."""
+        return len(self.row_weights) * self.resolution[1]
 
     @property
     def total_weight(self) -> float:
-        return float(np.sum(self.weights))
+        return self.resolution[1] * float(np.sum(self.row_weights))
 
     @property
     def phases(self) -> np.ndarray:
         """The n_ang equispaced unit phases e^{i theta} shared by every ring."""
-        return _phases(self.resolution[1])
+        return np.exp(1j * (2.0 * math.pi * np.arange(self.resolution[1]) / self.resolution[1]))
 
     def half_turn(self, n: int) -> np.ndarray:
         """The factors e^{i pi k / n_ang}, k < n, that turn a polynomial by half an angle step.
@@ -98,11 +112,11 @@ class QuadratureGrid:
         """The node weight on each ring, one entry per radius; ConfigurationError off ring grids."""
         if self.radii is None:
             raise ConfigurationError(f"ring data need a ring grid centred at 0, got {self.region!r}")
-        return self.weights[:: self.resolution[1]]
+        return self.row_weights
 
     def ring_sums(self, values: np.ndarray) -> np.ndarray:
-        """The angular sum of node values over each ring, one entry per radius."""
-        return np.reshape(values, (len(self.ring_weights), self.resolution[1])).sum(axis=1)
+        """The sum of node values over each row (ring), one entry per row."""
+        return np.reshape(values, (len(self.row_weights), self.resolution[1])).sum(axis=1)
 
 
 def normalized_area(region: Region) -> float:
@@ -127,34 +141,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _phases(n_ang: int) -> np.ndarray:
-    return np.exp(1j * (2.0 * math.pi * np.arange(n_ang) / n_ang))
-
-
-def _radial_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for integral_a^b g(r) 2r dr."""
+def _radial_rule(edges: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights for integral g(r) 2r dr, n on each panel between consecutive edges."""
     x, w = _gauss_legendre(n)
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     r = 0.5 * (a + b) + 0.5 * (b - a) * x
-    return r, w * (0.5 * (b - a)) * 2.0 * r
-
-
-def _radial_region(
-    center: complex,
-    a: float,
-    b: float,
-    resolution: tuple[int, int],
-    radial_splits: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Ring-major nodes and weights, plus the ring radii if the rings are centred at 0."""
-    n_rad, n_ang = resolution
-    edges = [a, *sorted(s for s in radial_splits if a < s < b), b]
-    phase = _phases(n_ang)
-    rules = [_radial_rule(lo, hi, n_rad) for lo, hi in zip(edges[:-1], edges[1:])]
-    radii = np.concatenate([r for r, _ in rules])
-    wr = np.concatenate([w for _, w in rules])
-    nodes = (center + radii[:, None] * phase[None, :]).ravel()
-    weights = np.repeat(wr / n_ang, n_ang)
-    return nodes, weights, (radii if center == 0 else None)
+    return r.ravel(), (w * (0.5 * (b - a)) * 2.0 * r).ravel()
 
 
 def build_grid(
@@ -172,19 +164,18 @@ def build_grid(
     if n_rad < 1 or n_ang < 1:
         raise InvalidRegionError(f"resolution must be >= 1, got {resolution}")
 
-    radii = None
     if isinstance(region, Disk):
         if region.radius <= 0:
             raise InvalidRegionError(f"disk radius must be positive, got {region.radius}")
-        nodes, weights, radii = _radial_region(region.center, 0.0, region.radius, resolution, radial_splits)
+        center, a, b = region.center, 0.0, region.radius
     elif isinstance(region, Annulus):
         if not 0 < region.r_in < region.r_out:
             raise InvalidRegionError(f"annulus needs 0 < r_in < r_out, got {region}")
-        nodes, weights, radii = _radial_region(0.0, region.r_in, region.r_out, resolution, radial_splits)
+        center, a, b = 0.0, region.r_in, region.r_out
     elif isinstance(region, TruncatedPlane):
         if region.r_cut <= 0:
             raise InvalidRegionError(f"r_cut must be positive, got {region.r_cut}")
-        nodes, weights, radii = _radial_region(0.0, 0.0, region.r_cut, resolution, radial_splits)
+        center, a, b = 0.0, 0.0, region.r_cut
     elif isinstance(region, Cell):
         area = (np.conj(region.omega1) * region.omega2).imag
         if area <= 0:
@@ -196,12 +187,16 @@ def build_grid(
         v = (np.arange(n_v) + 0.5) / n_v
         uu, vv = np.meshgrid(u, v, indexing="ij")
         nodes = (2.0 * uu * region.omega1 + 2.0 * vv * region.omega2).ravel()
-        cell_measure = normalized_area(region)
-        weights = np.full(nodes.shape, cell_measure / (n_u * n_v))
+        row_weights = np.full(n_u, normalized_area(region) / (n_u * n_v))
+        return QuadratureGrid(region, tuple(resolution), row_weights, stored_nodes=nodes)
     else:
         raise InvalidRegionError(f"unknown region {region!r}")
 
-    return QuadratureGrid(nodes=nodes, weights=weights, region=region, resolution=tuple(resolution), radii=radii)
+    radii, wr = _radial_rule([a, *sorted(s for s in radial_splits if a < s < b), b], n_rad)
+    grid = QuadratureGrid(region, tuple(resolution), wr / n_ang, radii)
+    if center == 0:
+        return grid
+    return QuadratureGrid(region, grid.resolution, grid.row_weights, stored_nodes=center + grid.nodes)
 
 
 def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> float:
@@ -209,16 +204,16 @@ def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray
 
     ``integrand`` may be a vectorized callable of the complex nodes or an array
     of precomputed node values; either way the values must have the nodes'
-    shape.  numpy's pairwise summation keeps the reduction deterministic for a
-    fixed grid.
+    shape.  Row sums against the row weights keep the reduction deterministic
+    for a fixed grid, and an array of values needs no node array.
     """
     values = np.asarray(integrand(grid.nodes) if callable(integrand) else integrand)
-    if values.shape != grid.nodes.shape:
-        raise NumericError(f"integrand values have shape {values.shape}, expected {grid.nodes.shape}")
+    if values.shape != (grid.size,):
+        raise NumericError(f"integrand values have shape {values.shape}, expected {(grid.size,)}")
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericError(f"non-finite integrand value at node {grid.nodes[bad]}", node=grid.nodes[bad])
-    return float(np.sum(np.real(values) * grid.weights))
+    return float(grid.row_weights @ grid.ring_sums(np.real(values)))
 
 
 def default_r_cut(n: int, gamma: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from zeropack import (
     FunctionalSpec,
     NumericError,
     OptimizerConfig,
+    QuadratureGrid,
     TruncatedPlane,
     build_grid,
     cutoff,
@@ -135,6 +137,15 @@ def test_project_rejects_non_ring_grids():
         project_polynomial(lambda z: z, HYP, 20, build_grid(Disk(0, 1), (32, 16)))
     with pytest.raises(ConfigurationError):
         project_polynomial(lambda z: z, planar(1.0), 4, build_grid(Disk(0.5, 1.0), (32, 32)))
+
+
+def test_project_rejects_values_of_the_wrong_shape():
+    grid = build_grid(Disk(0, 1), (16, 16))
+    values = np.ones(16 * 16, dtype=complex)
+    assert np.all(np.isfinite(project_polynomial(values, HYP, 4, grid).coeffs))
+    for bad in (values[:-1], values.reshape(16, 16), np.ones(17 * 16)):
+        with pytest.raises(ConfigurationError, match="match the grid nodes"):
+            project_polynomial(bad, HYP, 4, grid)
 
 
 def test_project_antiholomorphic_to_zero():
@@ -434,3 +445,45 @@ def test_radial_factors_see_one_value_per_ring(spec, monkeypatch, rng):
     equality_gap(spec, OptimizerConfig(restarts=2), resolution)
     # The search runs on the spec's default grid, the rest on the resolution's.
     assert seen and max(seen) <= max(len(default_grid(spec).radii), len(corr.grid.radii))
+
+
+@pytest.mark.parametrize("spec", [planar(2.0), FunctionalSpec("hyperbolic", 0.7)], ids=lambda s: s.geometry)
+def test_starred_gap_value_is_the_density_value(spec):
+    resolution = (64, 64)
+    rep = equality_gap(spec, OptimizerConfig(restarts=2, seed=1), resolution)
+    corr = minimal_correction(rep.minimize_result.minimizer, spec, default_cutoff(spec), resolution)
+    starred = FunctionalSpec(spec.geometry, spec.param, starred=True)
+    assert rep.rho_starred_nu == density(corr.nu, starred, default_grid(starred, resolution, degree=rep.degree)).value
+    assert rep.gap == rep.rho_starred_nu - rep.rho_unstarred
+
+
+def test_nonfinite_starred_gap_value_is_numeric_error(monkeypatch):
+    def blown_up(*args, **kwargs):
+        corr = minimal_correction(*args, **kwargs)
+        return dataclasses.replace(corr, nu=ComplexPolynomial(corr.nu.coeffs * 1e200))
+
+    monkeypatch.setattr(dbar, "minimal_correction", blown_up)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            equality_gap(planar(2.0), OptimizerConfig(restarts=2), (32, 33))
+
+
+def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch):
+    # Ring grids derive nodes and weights on first use; the gap pipeline,
+    # from the search to the starred value, reads only their ring data.
+    def ring_grids_refuse(name):
+        derived = getattr(QuadratureGrid, name)
+
+        def get(grid):
+            assert grid.radii is None, f"a ring grid built its {name}"
+            return derived.__get__(grid, QuadratureGrid)
+
+        return property(get)
+
+    for name in ("nodes", "weights"):
+        monkeypatch.setattr(QuadratureGrid, name, ring_grids_refuse(name))
+    for spec in (planar(2.0), FunctionalSpec("hyperbolic", 0.7)):
+        rep = equality_gap(spec, OptimizerConfig(restarts=2), (32, 33))
+        assert math.isfinite(rep.gap)
+    with pytest.raises(AssertionError, match="built its nodes"):
+        build_grid(Disk(0, 1), (8, 8)).nodes

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,7 +186,45 @@ def test_ring_layout_radii():
     for region, splits in ((Disk(0, 1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))):
         grid = build_grid(region, (12, 10), radial_splits=splits)
         assert grid.radii.shape == (12 * (len(splits) + 1),)
-        rings = grid.nodes.reshape(-1, 10)
-        assert np.array_equal(rings, grid.radii[:, None] * grid.phases[None, :])
+        # Nodes and weights are derived, once, from the radii and ring weights.
+        assert grid.size == grid.radii.size * 10
+        assert grid.nodes.tobytes() == (grid.radii[:, None] * grid.phases).ravel().tobytes()
+        assert grid.weights.tobytes() == np.repeat(grid.ring_weights, 10).tobytes()
+        assert grid.nodes is grid.nodes and grid.weights is grid.weights
     assert build_grid(Cell(1.0, 0.5 + 1j), (8, 8)).radii is None
     assert build_grid(Disk(0.5, 1.0), (8, 8)).radii is None
+
+
+def test_ring_grid_builds_no_node_arrays():
+    # A 1024x1024 disk grid with node arrays holds 16 MB of nodes and 8 MB of
+    # weights; a ring grid stores 1024 radii and 1024 ring weights.  The
+    # Gauss-Legendre rule is cached, and its 8 MB eigensolve is left out.
+    _gauss_legendre(1024)
+    tracemalloc.start()
+    try:
+        grid = build_grid(Disk(0, 1), (1024, 1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert abs(grid.total_weight - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "region,resolution,splits,expect",
+    [
+        (Disk(0, 0.7), (33, 17), (0.2, 0.5), (0.4899999999999999, 0.36599899978347916, 0.12004999999999995)),
+        (TruncatedPlane(4.0), (12, 10), (1.0, 2.5), (16.0, 0.7788007699519007, 128.0)),
+        (Disk(0.5, 1.0), (8, 8), (), (1.0, 0.4743598377379734, 0.7500000000000004)),
+        (Cell(1.0, 0.5 + 1j), (32, 48), (), (1.2732395447351623, 0.12363143671561999, 5.092313454055441)),
+    ],
+    ids=["split-disk", "split-plane", "off-centre-disk", "cell"],
+)
+def test_total_weight_and_integrate_keep_their_values(region, resolution, splits, expect):
+    # The expected values are node-by-node sums against the node weights;
+    # total_weight and integrate sum each row first, so only rounding differs.
+    grid = build_grid(region, resolution, radial_splits=splits)
+    vals = np.cos(np.real(grid.nodes)) * np.exp(-np.abs(grid.nodes) ** 2)
+    got = (grid.total_weight, integrate(grid, vals), integrate(grid, lambda z: np.abs(z) ** 2))
+    for value, ref in zip(got, expect):
+        assert abs(value - ref) <= 1e-14 * abs(ref)
