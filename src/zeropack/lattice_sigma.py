@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidLatticeError, NormalizationError
-from .quadrature import Cell, build_grid
+from .errors import ConfigurationError, InvalidLatticeError, NormalizationError, NumericError
+from .quadrature import Cell, build_grid, integrate
 
 __all__ = [
     "Lattice",
@@ -40,37 +40,30 @@ __all__ = [
 ]
 
 
-def _theta_term_count(tau: complex, im_v_max: float) -> int:
-    """Terms needed for 1e-18 relative truncation of the theta-1 series."""
+def _theta_series(tau: complex, im_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_n = (-1)^n e^{i pi tau (n+1/2)^2} and frequencies 2n+1 of theta_1.
+
+    theta_1(v | tau) = 2 * sum c_n sin((2n+1) v), with enough terms for 1e-18
+    relative truncation wherever |Im v| <= im_max.
+    """
     decay = -math.pi * tau.imag
-    n = 1
-    while n < 200:
-        if n * (n + 1) * decay + 2.0 * n * im_v_max < math.log(1e-18):
-            return n + 1
-        n += 1
-    return 200
+    limit = math.log(1e-18)
+    terms = next((n + 1 for n in range(1, 200) if n * (n + 1) * decay + 2.0 * n * im_max < limit), 200)
+    n = np.arange(terms)
+    return (-1.0) ** n * np.exp(1j * math.pi * tau * (n + 0.5) ** 2), 2 * n + 1
 
 
 def _theta1(v: np.ndarray, tau: complex) -> np.ndarray:
-    """theta_1(v | tau) = 2 * sum (-1)^n e^{i pi tau (n+1/2)^2} sin((2n+1)v)."""
+    """theta_1(v | tau) at arbitrary points v."""
     v = np.asarray(v, dtype=complex)
-    im_max = float(np.max(np.abs(v.imag))) if v.size else 0.0
-    terms = _theta_term_count(tau, im_max)
-    n = np.arange(terms)
-    coeff = (-1.0) ** n * np.exp(1j * math.pi * tau * (n + 0.5) ** 2)
-    return 2.0 * np.tensordot(coeff, np.sin(np.multiply.outer(2 * n + 1, v)), axes=(0, 0))
+    coeff, k = _theta_series(tau, float(np.max(np.abs(v.imag))) if v.size else 0.0)
+    return 2.0 * np.tensordot(coeff, np.sin(np.multiply.outer(k, v)), axes=(0, 0))
 
 
-def _theta1_prime0(tau: complex) -> complex:
-    n = np.arange(_theta_term_count(tau, 0.0))
-    coeff = (-1.0) ** n * np.exp(1j * math.pi * tau * (n + 0.5) ** 2)
-    return 2.0 * complex(np.sum(coeff * (2 * n + 1)))
-
-
-def _theta1_ppp0(tau: complex) -> complex:
-    n = np.arange(_theta_term_count(tau, 0.0))
-    coeff = (-1.0) ** n * np.exp(1j * math.pi * tau * (n + 0.5) ** 2)
-    return -2.0 * complex(np.sum(coeff * (2 * n + 1) ** 3))
+def _theta1_derivatives0(tau: complex) -> tuple[complex, complex]:
+    """theta_1'(0 | tau) and theta_1'''(0 | tau)."""
+    coeff, k = _theta_series(tau, 0.0)
+    return 2.0 * complex(np.sum(coeff * k)), -2.0 * complex(np.sum(coeff * k**3))
 
 
 def _eta_for(w1: complex, w2: complex) -> complex:
@@ -78,7 +71,8 @@ def _eta_for(w1: complex, w2: complex) -> complex:
     tau = w2 / w1
     if tau.imag <= 0:
         raise InvalidLatticeError(f"basis not positively oriented: tau = {tau}")
-    return -(math.pi**2) / (12.0 * w1) * _theta1_ppp0(tau) / _theta1_prime0(tau)
+    prime, ppp = _theta1_derivatives0(tau)
+    return -(math.pi**2) / (12.0 * w1) * ppp / prime
 
 
 @dataclass(frozen=True)
@@ -111,7 +105,8 @@ def lattice_normalize(theta: float, beta: float) -> Lattice:
     eta2 = _eta_for(w2, -w1)
     legendre = eta1 * w2 - eta2 * w1
     if abs(legendre - 1j * math.pi / 2.0) > 1e-10:
-        raise InvalidLatticeError(f"Legendre relation violated: {legendre}")
+        # A valid angle: the theta series lost their digits to cancellation.
+        raise NumericError(f"Legendre relation violated at theta = {theta}: {legendre}")
     return Lattice(omega1=w1, omega2=w2, theta=theta, eta1=eta1, eta2=eta2, tau=w2 / w1)
 
 
@@ -127,7 +122,7 @@ def sigma(z, lattice: Lattice):
     z = np.asarray(z, dtype=complex)
     w1 = lattice.omega1
     v = math.pi * z / (2.0 * w1)
-    pref = 2.0 * w1 / (math.pi * _theta1_prime0(lattice.tau))
+    pref = 2.0 * w1 / (math.pi * _theta1_derivatives0(lattice.tau)[0])
     out = pref * np.exp(lattice.eta1 * z**2 / (2.0 * w1)) * _theta1(v, lattice.tau)
     return out if out.ndim else complex(out)
 
@@ -145,23 +140,40 @@ class QuasiperiodicCandidate:
         z = np.asarray(z, dtype=complex)
         return np.exp(self.nu * z**2) * sigma(z, self.lattice)
 
+    def _modulus_factors(self) -> tuple[complex, complex]:
+        """(pref, c) with f0(z) = pref * e^{c z^2} * theta_1(pi z / (2 omega1) | tau).
+
+        pref = 2 omega1 / (pi theta_1'(0)) is sigma's, and c = nu + eta1/(2 omega1)
+        joins the Gaussians of e^{nu z^2} and of sigma, either of which can
+        overflow where their product does not.
+        """
+        lat = self.lattice
+        pref = 2.0 * lat.omega1 / (math.pi * _theta1_derivatives0(lat.tau)[0])
+        return pref, self.nu + lat.eta1 / (2.0 * lat.omega1)
+
     def envelope(self, z) -> np.ndarray:
-        """g(z) = scale * |f0(z)|^beta * e^{-|z|^2}; doubly periodic by design."""
+        """g(z) = scale * |f0(z)|^beta * e^{-|z|^2}; doubly periodic by design.
+
+        Formed as scale * |pref theta_1|^beta * exp(beta Re(c z^2) - |z|^2), with
+        one real exponent.
+        """
         z = np.asarray(z, dtype=complex)
-        return self.scale * np.abs(self.f0_values(z)) ** self.beta * np.exp(-np.abs(z) ** 2)
+        pref, c = self._modulus_factors()
+        theta = _theta1(math.pi * z / (2.0 * self.lattice.omega1), self.lattice.tau)
+        return self.scale * np.abs(pref * theta) ** self.beta * np.exp(self.beta * (c * z**2).real - np.abs(z) ** 2)
 
     def periodicity_residual(self, n_points: int = 1000, seed: int = 0) -> float:
-        """max |g(z + 2*omega_j) - g(z)| / sup g over a random test grid."""
+        """max |g(z + 2*omega_j) - g(z)| / sup g over a random test grid; NumericError if not finite."""
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 1.0, n_points)
         v = rng.uniform(0.0, 1.0, n_points)
         z = 2.0 * u * self.lattice.omega1 + 2.0 * v * self.lattice.omega2
         g = self.envelope(z)
-        sup = max(float(np.max(g)), 1e-300)
-        res = 0.0
-        for w in (self.lattice.omega1, self.lattice.omega2):
-            res = max(res, float(np.max(np.abs(self.envelope(z + 2.0 * w) - g))))
-        return res / sup
+        shifted = np.array([self.envelope(z + 2.0 * w) for w in (self.lattice.omega1, self.lattice.omega2)])
+        res = float(np.max(np.abs(shifted - g))) / max(float(np.max(g)), 1e-300)
+        if not math.isfinite(res):
+            raise NumericError(f"envelope periodicity residual is not finite at theta = {self.lattice.theta}")
+        return res
 
 
 def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate:
@@ -185,12 +197,34 @@ def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate
 
 
 def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tuple[float, float]:
-    grid = build_grid(Cell(cand.lattice.omega1, cand.lattice.omega2), resolution)
-    g = np.abs(cand.f0_values(grid.nodes)) ** cand.beta * np.exp(-np.abs(grid.nodes) ** 2)
-    total = float(np.sum(grid.weights))
-    m1 = float(np.sum(g * grid.weights)) / total
-    m2 = float(np.sum(g**2 * grid.weights)) / total
-    return m1, m2
+    """Cell means of g = |f0|^beta e^{-|z|^2} and of g^2, from the cell grid's axes.
+
+    A node z = 2u omega1 + 2v omega2 has theta argument pi z/(2 omega1) = pi u
+    + pi tau v, and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so
+    pref * theta_1 on the u x v grid is one (n_u x 2T) @ (2T x n_v) product of
+    per-axis sines and cosines.  beta Re(c z^2) - |z|^2 is a quadratic form in
+    (u, v), exponentiated once.
+    """
+    lat = cand.lattice
+    w1, w2 = lat.omega1, lat.omega2
+    grid = build_grid(Cell(w1, w2), resolution)
+    u, v = grid.cell_axes
+    pref, c = cand._modulus_factors()
+    b = math.pi * lat.tau * v
+    coeff, k = _theta_series(lat.tau, float(np.max(np.abs(b.imag))))
+    ka, kb = np.multiply.outer(math.pi * u, k), np.multiply.outer(k, b)
+    right = (2.0 * pref * np.tile(coeff, 2))[:, None] * np.concatenate([np.cos(kb), np.sin(kb)])
+    theta = np.concatenate([np.sin(ka), np.cos(ka)], axis=1) @ right
+
+    def form(p: complex, q: complex) -> float:
+        # The (p, q) coefficient of beta Re(c z^2) - |z|^2 at z = 2u w1 + 2v w2.
+        return 4.0 * (cand.beta * (c * p * q).real - (np.conj(p) * q).real)
+
+    exponent = np.add.outer(form(w1, w1) * u**2, form(w2, w2) * v**2)
+    exponent += np.multiply.outer(u, 2.0 * form(w1, w2) * v)
+    g = np.abs(theta).ravel() ** cand.beta
+    g *= np.exp(exponent, out=exponent).ravel()
+    return integrate(grid, g) / grid.total_weight, integrate(grid, g * g) / grid.total_weight
 
 
 def optimal_cell_scale(cand: QuasiperiodicCandidate, resolution: tuple[int, int] = (256, 256)) -> float:

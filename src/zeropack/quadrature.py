@@ -66,19 +66,26 @@ class QuadratureGrid:
     """Nodes and positive weights for one region, w.r.t. dA = dx dy / pi.
 
     Row j of ``nodes.reshape(-1, n_ang)`` has n_ang nodes of weight ``row_weights[j]``.  On
-    rings centred at 0 it is ``radii[j] * phases``, and nodes and weights are derived on first
-    use; cells and off-centre disks store their nodes and have ``radii`` None.
+    rings centred at 0 it is ``radii[j] * phases``; on a cell it is ``2 u[j] omega1 + 2 v omega2``
+    for the midpoint axes ``(u, v) = cell_axes`` in cell coordinates.  Both derive nodes and
+    weights on first use; off-centre disks store their nodes, and only ring grids have ``radii``.
     """
 
     region: Region
     resolution: tuple[int, int]
     row_weights: np.ndarray
     radii: np.ndarray | None = None
+    cell_axes: tuple[np.ndarray, np.ndarray] | None = None
     stored_nodes: np.ndarray | None = None
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        return self.stored_nodes if self.radii is None else (self.radii[:, None] * self.phases).ravel()
+        if self.radii is not None:
+            return (self.radii[:, None] * self.phases).ravel()
+        if self.cell_axes is not None:
+            u, v = self.cell_axes
+            return (2.0 * u[:, None] * self.region.omega1 + 2.0 * v[None, :] * self.region.omega2).ravel()
+        return self.stored_nodes
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -183,12 +190,9 @@ def build_grid(
         n_u, n_v = resolution
         # Midpoint offset keeps nodes off the lattice points, where integrands
         # built from |sigma| are only Lipschitz.
-        u = (np.arange(n_u) + 0.5) / n_u
-        v = (np.arange(n_v) + 0.5) / n_v
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        nodes = (2.0 * uu * region.omega1 + 2.0 * vv * region.omega2).ravel()
+        axes = ((np.arange(n_u) + 0.5) / n_u, (np.arange(n_v) + 0.5) / n_v)
         row_weights = np.full(n_u, normalized_area(region) / (n_u * n_v))
-        return QuadratureGrid(region, tuple(resolution), row_weights, stored_nodes=nodes)
+        return QuadratureGrid(region, tuple(resolution), row_weights, cell_axes=axes)
     else:
         raise InvalidRegionError(f"unknown region {region!r}")
 

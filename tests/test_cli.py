@@ -421,6 +421,20 @@ def test_lattice_scan_nonfinite_beta_is_usage_error(tmp_path, capsys, value, fmt
         assert stdout == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("lo,hi", [("0.02", "0.1"), ("2.9", "3.1")])
+def test_lattice_scan_failed_legendre_relation_is_numerical_error(tmp_path, capsys, lo, hi):
+    # theta = 0.02 and 3.1 are valid angles whose theta series lose their
+    # digits to cancellation: a numerical failure, not a usage error.
+    out_path = tmp_path / "scan.csv"
+    for out in ([], ["--out", str(out_path)]):
+        code, stdout, err = run(
+            capsys, "lattice-scan", "--theta-min", lo, "--theta-max", hi, "--steps", "3", "--resolution", "16x16", *out,
+        )
+        assert code == 5
+        assert err.startswith("numerical error:") and "Legendre" in err
+        assert stdout == "" and not out_path.exists()
+
+
 def test_minimize_gamma_16_converges(capsys):
     # At gamma = 16 (32 coefficients) full-space restarts crawl: they must end
     # once their decrease is below the grid's resolution, not at the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +9,20 @@ from zeropack import (
     ConfigurationError,
     InvalidLatticeError,
     NormalizationError,
+    NumericError,
+    QuadratureGrid,
     QuasiperiodicCandidate,
     abrikosov_candidate,
     build_grid,
     cell_average_density,
+    integrate,
     lattice_normalize,
     optimal_cell_scale,
     sigma,
     theta_scan,
 )
+from zeropack import lattice_sigma
+from zeropack.lattice_sigma import _theta_series
 
 PI = math.pi
 
@@ -83,6 +89,13 @@ def test_invalid_lattice_inputs():
         lattice_normalize(PI, 1.0)
     with pytest.raises(InvalidLatticeError):
         lattice_normalize(1.0, -2.0)
+
+
+@pytest.mark.parametrize("theta", [0.02, 0.05, 3.1])
+def test_failed_legendre_relation_is_numeric_error(theta):
+    # Valid angles where the theta series lose their digits to cancellation.
+    with pytest.raises(NumericError, match="Legendre"):
+        lattice_normalize(theta, 1.0)
 
 
 def test_sigma_normalization():
@@ -182,6 +195,110 @@ def test_candidate_vanishes_on_lattice():
     for point in (2 * lat.omega1, 2 * lat.omega2, 2 * lat.omega1 + 2 * lat.omega2):
         local = np.max(np.abs(cand.f0_values(point + 0.05 * np.exp(2j * PI * np.arange(8) / 8))))
         assert abs(cand.f0_values(point)) < 1e-10 * local
+
+
+def test_periodicity_residual_is_finite_at_small_angles():
+    # e^{nu z^2} and sigma overflow separately at z + 2 omega_j here; the
+    # envelope's single exponent does not.
+    for theta in (0.1, 0.12):
+        cand = abrikosov_candidate(lattice_normalize(theta, 1.0), 1.0)
+        residual = cand.periodicity_residual(1000)
+        assert math.isfinite(residual) and residual < 1e-8
+
+
+def test_nonfinite_periodicity_residual_is_numeric_error():
+    cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
+    broken = QuasiperiodicCandidate(cand.lattice, complex(math.nan, 0.0), cand.beta)
+    with pytest.raises(NumericError, match="not finite"):
+        broken.periodicity_residual(50)
+    with pytest.raises(NumericError, match="not finite"):
+        cell_average_density(broken, (32, 32))
+
+
+def node_cell_means(cand, res):
+    """Oracle: cell means of |e^{nu z^2} sigma(z)|^beta e^{-|z|^2} and its square on the cell
+    grid's nodes, from two separate factors and T complex sines per node."""
+    grid = build_grid(Cell(cand.lattice.omega1, cand.lattice.omega2), res)
+    g = np.abs(cand.f0_values(grid.nodes)) ** cand.beta * np.exp(-np.abs(grid.nodes) ** 2)
+    assert np.max(np.abs(cand.envelope(grid.nodes) - cand.scale * g)) < 1e-13 * np.max(cand.scale * g)
+    return integrate(grid, g) / grid.total_weight, integrate(grid, g * g) / grid.total_weight
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+@pytest.mark.parametrize("theta", [0.6, 0.75, PI / 3, 1.37])
+def test_cell_means_match_the_node_quadrature(theta, beta):
+    # The non-square grid catches factors built on mismatched axes; theta =
+    # 0.6 needs a seventh series term.
+    cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
+    res = (48, 80)
+    if theta == 0.6:
+        v_max = build_grid(Cell(cand.lattice.omega1, cand.lattice.omega2), res).cell_axes[1][-1]
+        assert len(_theta_series(cand.lattice.tau, PI * cand.lattice.tau.imag * v_max)[0]) >= 7
+    m1, m2 = node_cell_means(cand, res)
+    s = m1 / m2
+    checks = [
+        (optimal_cell_scale(cand, res), s),
+        (cell_average_density(cand, res), 1.0 - 2.0 * s * m1 + s * s * m2),
+        (cell_average_density(cand, res, optimize_scale=False), 1.0 - 2.0 * m1 + m2),
+    ]
+    for got, want in checks:
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_cell_means_of_an_unnormalized_candidate():
+    # For a normalized candidate the exponent beta Re(c z^2) - |z|^2 reduces to
+    # -beta pi Im(tau) v^2; another nu exercises its u^2 and uv terms too.
+    cand = abrikosov_candidate(lattice_normalize(1.2, 1.0), 1.0)
+    off = QuasiperiodicCandidate(cand.lattice, cand.nu + 0.05 - 0.03j, 1.0)
+    m1, m2 = node_cell_means(off, (48, 80))
+    assert abs(optimal_cell_scale(off, (48, 80)) - m1 / m2) <= 1e-13 * (m1 / m2)
+    with pytest.raises(NormalizationError):
+        cell_average_density(off, (48, 80))
+
+
+def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
+    # The cell means read only the cell grid's axes: no node array, and every
+    # sine or cosine is taken on one axis times the series terms.
+    derived = QuadratureGrid.nodes
+
+    def cells_refuse(grid):
+        assert grid.cell_axes is None, "a cell grid built its nodes"
+        return derived.__get__(grid, QuadratureGrid)
+
+    class AxisSinesOnly:
+        def __getattr__(self, name):
+            func = getattr(np, name)
+            if name not in ("sin", "cos"):
+                return func
+
+            def small(x):
+                assert np.size(x) <= 4096, f"{name} on {np.shape(x)}"
+                return func(x)
+
+            return small
+
+    monkeypatch.setattr(QuadratureGrid, "nodes", property(cells_refuse))
+    monkeypatch.setattr(lattice_sigma, "np", AxisSinesOnly())
+    cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
+    assert abs(cell_average_density(cand, (256, 256)) - 0.061203) < 5e-4
+    assert optimal_cell_scale(cand, (128, 192)) > 0
+    assert len(theta_scan(1.0, 1.1, 2, 1.0, (128, 128))) == 2
+    with pytest.raises(AssertionError, match="built its nodes"):
+        build_grid(Cell(1.0, 1j), (8, 8)).nodes
+
+
+def test_cell_means_peak_memory():
+    # At 512x512 the node path held the nodes and a (terms x nodes) complex
+    # sine array, 67 MB at its peak; the separable path about 11 MB.
+    cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
+    optimal_cell_scale(cand, (64, 64))
+    tracemalloc.start()
+    try:
+        optimal_cell_scale(cand, (512, 512))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def test_cell_average_golden_value():

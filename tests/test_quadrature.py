@@ -195,6 +195,25 @@ def test_ring_layout_radii():
     assert build_grid(Disk(0.5, 1.0), (8, 8)).radii is None
 
 
+def test_cell_grid_derives_its_nodes_from_its_axes():
+    # A cell grid keeps its midpoint axes in cell coordinates; its nodes are
+    # the 2 u w1 + 2 v w2 tensor grid, derived once on first use.
+    w1, w2 = 0.8 + 0.1j, 0.3 + 0.9j
+    grid = build_grid(Cell(w1, w2), (6, 10))
+    u, v = grid.cell_axes
+    assert np.array_equal(u, (np.arange(6) + 0.5) / 6) and np.array_equal(v, (np.arange(10) + 0.5) / 10)
+    uu, vv = np.meshgrid(u, v, indexing="ij")
+    assert grid.nodes.tobytes() == (2.0 * uu * w1 + 2.0 * vv * w2).ravel().tobytes()
+    assert grid.nodes is grid.nodes and grid.size == 60 and grid.stored_nodes is None
+    tracemalloc.start()
+    try:
+        build_grid(Cell(w1, w2), (1024, 1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_ring_grid_builds_no_node_arrays():
     # A 1024x1024 disk grid with node arrays holds 16 MB of nodes and 8 MB of
     # weights; a ring grid stores 1024 radii and 1024 ring weights.  The
