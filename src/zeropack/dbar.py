@@ -7,6 +7,10 @@ subject to polynomial growth of order n.  Solutions of that equation differ
 from chi*f by entire functions with the same growth, i.e. by polynomials with
 n coefficients, so the minimal solution is exactly chi*f minus its weighted
 orthogonal projection onto the polynomial space - no PDE solve is needed.
+The weight and the cut-off are radial and the grid is a set of rings with
+equispaced angles, so the correction is computed per Fourier mode: the
+projection is diagonal in the monomial index, and the L^2 masses are
+Parseval sums of each ring's coefficients.
 The growth-control theorem then bounds the weighted L^2 mass of u by an
 explicit annulus integral of f against |dbar chi|^2, which is verified here
 numerically for every correction.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -113,26 +118,23 @@ def project_polynomial(
     weight = grid.ring_weights * spec.dbar_weight(grid.radii)
     if not np.all(weight >= 0.0):
         raise ConfigurationError(f"the grid leaves the support of the {spec.geometry} weight")
-    return _project(values, weight, grid, n)
-
-
-def _project(values: np.ndarray, ring_weight: np.ndarray, grid: QuadratureGrid, n: int) -> ComplexPolynomial:
-    """On a ring grid the weighted normal equations are a divide by the Gram diagonal."""
-    y = np.reshape(values, (len(ring_weight), -1)) * ring_weight[:, None]
-    return ComplexPolynomial(ring_vandermonde(grid, n).adjoint(y) / gram_diagonal(grid, ring_weight, n))
+    # On a ring grid the weighted normal equations are a divide by the Gram diagonal.
+    y = np.reshape(values, (len(weight), -1)) * weight[:, None]
+    return ComplexPolynomial(ring_vandermonde(grid, n).adjoint(y) / gram_diagonal(grid, weight, n))
 
 
 @dataclass(frozen=True)
 class CorrectionResult:
     """Minimal dbar correction u = chi*f - nu, the two sides of its bound and the gap terms.
 
-    weight is the node weight of the correction's inner product on each ring of
-    grid: the dbar weight times the ring's quadrature weight.  The last three
-    fields are the correction-driven perturbation terms of the gap argument (see
-    _proof_components).
+    u_coeffs[j, k] is the k-th Fourier coefficient of u on ring j of grid, so
+    u = sum_k u_coeffs[j, k] e^{ik theta} there.  weight is the node weight of
+    the correction's inner product on each ring: the dbar weight times the
+    ring's quadrature weight.  The last three fields are the correction-driven
+    perturbation terms of the gap argument (see _proof_components).
     """
 
-    u_values: np.ndarray
+    u_coeffs: np.ndarray
     nu: ComplexPolynomial
     lhs: float
     rhs: float
@@ -142,6 +144,11 @@ class CorrectionResult:
     exterior_mass_u: float
     l1_perturbation: float
     l2_perturbation: float
+
+    @cached_property
+    def u_values(self) -> np.ndarray:
+        """u at the grid's nodes, derived on first use by one ring product."""
+        return (self.u_coeffs @ vandermonde(self.grid.phases, self.u_coeffs.shape[1]).T).ravel()
 
     def orthogonality_residual(self) -> float:
         """max_k |<u, z^k>| / ||u|| in the weighted inner product, via the dense Vandermonde matrix."""
@@ -156,7 +163,7 @@ def minimal_correction(
     cut: CutoffSpec,
     resolution: tuple[int, int] | None = None,
 ) -> CorrectionResult:
-    """Minimal-norm correction of chi*f, with the growth-control bound.
+    """Minimal-norm correction of chi*f, with the growth-control bound, computed per Fourier mode.
 
     The grid covers the weight's support at the scheduled degree, split at
     the cut-off seams so radial panels stay smooth.  lhs is the weighted L^2
@@ -165,28 +172,49 @@ def minimal_correction(
     the hyperbolic case, e^{-2*gamma*|z|^2}/(2*gamma) in the planar one.  The
     bound lhs <= rhs is the theorem being verified; it requires only
     boundedness of f.
+
+    Weight and cut-off are radial, so everything is done per mode: on ring j,
+    f = sum_k c_k z^k has Fourier coefficients c_k r_j^k, and chi*f has
+    chi_j c_k r_j^k.  The projection is diagonal in k, nu_k = lambda_k c_k
+    with lambda_k the weighted ratio sum_j w_j chi_j r_j^2k / sum_j w_j r_j^2k
+    for k < n (0 beyond), so u has coefficients c_k r_j^k (chi_j - lambda_k),
+    and the L^2 masses are Parseval sums over k.  That is exact while the
+    modes stay distinct on the equispaced angles: a polynomial with more
+    coefficients than the grid has angles is a ConfigurationError.
     """
     n = degree_schedule(spec)
     if resolution is None:
         resolution = spec.default_resolution
     grid = build_grid(spec.support(n), resolution, radial_splits=((1.0 - cut.delta) * cut.r, cut.r))
+    n_ang = grid.resolution[1]
+    if len(f.coeffs) > n_ang:
+        raise ConfigurationError(
+            f"a polynomial with {len(f.coeffs)} coefficients needs at least {len(f.coeffs)} angles per ring; "
+            f"the grid has {n_ang}"
+        )
     r = grid.radii
     weight = spec.dbar_weight(r) * grid.ring_weights
-    # f's node values become chi*f in place once rhs has used them, so that
-    # f, chi*f and u never coexist.
-    chi_f = f.on_grid(grid).reshape(len(r), -1)
-    rhs = float((np.abs(dbar_cutoff(r, cut)) ** 2 * weight / spec.laplacian(r)) @ grid.ring_sums(np.abs(chi_f) ** 2))
-    chi_f *= cutoff(r, cut)[:, None]
-    nu = _project(chi_f, weight, grid, n)
-    u = chi_f - nu.on_grid(grid).reshape(chi_f.shape)
+    chi = cutoff(r, cut)
+    width = max(n, len(f.coeffs))
+    radial = r[:, None] ** np.arange(width)
+    lam = np.zeros(width)
+    lam[:n] = ((weight * chi) @ radial[:, :n] ** 2) / (gram_diagonal(grid, weight, n) / n_ang)
+    c = np.pad(f.coeffs, (0, width - len(f.coeffs)))
+    f_coeffs = radial * c
+    u_coeffs = f_coeffs * (chi[:, None] - lam)
 
-    lhs = float(weight @ grid.ring_sums(np.abs(u) ** 2))
+    f2 = n_ang * _ring_dot(f_coeffs, f_coeffs)
+    u2 = n_ang * _ring_dot(u_coeffs, u_coeffs)
+    rhs = float((np.abs(dbar_cutoff(r, cut)) ** 2 * weight / spec.laplacian(r)) @ f2)
+    lhs = float(weight @ u2)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericError(f"non-finite correction bound: lhs {lhs}, rhs {rhs}")
-    ext, l1p, l2p = _proof_components(spec, chi_f, u, grid)
+    # Per ring, the sum over the nodes of |u|^2 - 2 Re(chi f conj u).
+    cross = u2 - 2.0 * n_ang * chi * _ring_dot(f_coeffs, u_coeffs)
+    ext, l1p, l2p = _proof_components(spec, grid, u2, cross, u_coeffs)
     return CorrectionResult(
-        u_values=u.ravel(),
-        nu=nu,
+        u_coeffs=u_coeffs,
+        nu=ComplexPolynomial(lam[:n] * c[:n]),
         lhs=lhs,
         rhs=rhs,
         degree_bound=n,
@@ -196,6 +224,11 @@ def minimal_correction(
         l1_perturbation=l1p,
         l2_perturbation=l2p,
     )
+
+
+def _ring_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re sum_k a[j, k] conj(b[j, k]) for each row j, with no complex temporary."""
+    return np.einsum("ij,ij->i", a.view(np.float64), b.view(np.float64))
 
 
 @dataclass(frozen=True)
@@ -246,7 +279,7 @@ class GapReport:
 
 
 def _proof_components(
-    spec: FunctionalSpec, chi_f: np.ndarray, u: np.ndarray, grid: QuadratureGrid
+    spec: FunctionalSpec, grid: QuadratureGrid, u2: np.ndarray, cross: np.ndarray, u_coeffs: np.ndarray
 ) -> tuple[float, float, float]:
     """The three correction-driven perturbation terms of the gap argument.
 
@@ -255,21 +288,18 @@ def _proof_components(
     repaired polynomial, each against the spec's envelope w, m as in
     density(); each is controlled by the dbar bound at any fixed parameter
     (the remaining perturbations come from the cut-off's bite on f and shrink
-    only with the boundary layer).  chi_f and u hold node values, one row per
-    ring of grid.
+    only with the boundary layer).  u2 and cross are the per-ring node sums of
+    |u|^2 and |u|^2 - 2 Re(chi f conj u).  Only the L^1 term needs |u| at
+    nodes: one ring product of u_coeffs, on the core rings alone.
     """
-    au = np.abs(u)
-    # Per ring, the sums of |u|^2 and of Re(chi_f conj(u)) = Re chi_f Re u +
-    # Im chi_f Im u, with no node temporary.
-    u2 = np.einsum("ij,ij->i", au, au)
-    cross = u2 - 2.0 * np.einsum("ij,ij->i", chi_f.view(np.float64), u.view(np.float64))
     r = grid.radii
     w, m = spec.envelope(r)
     w1 = w * m * grid.ring_weights / spec.log_normalizer
     w2 = w * w1
     core = r < spec.indicator_radius
+    au = np.abs(u_coeffs[core] @ vandermonde(grid.phases, u_coeffs.shape[1]).T)
     ext = float(np.sum((w2 * u2)[r > spec.indicator_radius]))
-    l1 = float(np.sum((w1 * grid.ring_sums(au))[core]))
+    l1 = float(np.sum(w1[core] * au.sum(axis=1)))
     l2 = abs(float(np.sum((w2 * cross)[core])))
     return ext, l1, l2
 

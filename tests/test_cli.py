@@ -199,6 +199,16 @@ def test_dbar_check_with_poly(tmp_path, capsys):
     assert payload["orthogonality_residual"] < 1e-9
 
 
+def test_dbar_check_poly_longer_than_the_angle_count_is_usage_error(tmp_path, capsys):
+    # The default planar resolution has 129 angles per ring.
+    poly = tmp_path / "p.json"
+    for length, expect in ((129, 0), (130, 4)):
+        poly.write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * (length - 2) + [[1e-3, 0.0]]))
+        code, out, err = run(capsys, "dbar-check", "--geometry", "planar", "--gamma", "8", "--poly", str(poly))
+        assert code == expect, err
+    assert out == "" and "130 coefficients needs at least 130 angles per ring; the grid has 129" in err
+
+
 @pytest.mark.parametrize(
     "text,problem",
     [

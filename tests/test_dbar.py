@@ -21,6 +21,7 @@ from zeropack import (
     default_cutoff,
     default_grid,
     default_r_cut,
+    degree_schedule,
     density,
     equality_gap,
     integrate,
@@ -321,6 +322,23 @@ def test_equality_gap_hyperbolic_small():
     }
 
 
+def _horner_components(spec, cut, f, corr):
+    """Exterior mass, core L^1 mass and cross term of u = chi*f - nu, node by node with Horner values."""
+    z = corr.grid.nodes
+    absz = np.abs(z)
+    w, m = spec.envelope(absz)
+    w1 = w * m * corr.grid.weights / spec.log_normalizer
+    core = absz < spec.indicator_radius
+    chi_f = cutoff(z, cut) * poly_eval(f, z)
+    u = chi_f - poly_eval(corr.nu, z)
+    cross = np.abs(u) ** 2 - 2.0 * np.real(chi_f * np.conj(u))
+    return (
+        np.sum((np.abs(u) ** 2 * w * w1)[absz > spec.indicator_radius]),
+        np.sum((np.abs(u) * w1)[core]),
+        abs(np.sum((cross * w * w1)[core])),
+    )
+
+
 def test_equality_gap_planar_small():
     rep = equality_gap(planar(2.0), OptimizerConfig(restarts=2, seed=2), resolution=(96, 96))
     assert rep.dbar_lhs <= rep.dbar_rhs
@@ -332,28 +350,15 @@ def test_equality_gap_planar_small():
     assert d["exterior_mass_u"] == rep.exterior_mass_u
     assert d["l1_perturbation"] == rep.l1_perturbation
     assert d["l2_perturbation"] == rep.l2_perturbation
-    # The terms come from the correction's own chi*f and u; recomputed with f
-    # evaluated by Horner on the correction grid they agree.
+    # The terms come from the correction of the minimizer; recomputed node by
+    # node, with f and nu evaluated by Horner on the correction grid, they agree.
     spec = planar(2.0)
-    f = rep.minimize_result.minimizer
-    corr = minimal_correction(f, spec, CutoffSpec(rep.delta, 1.0), (96, 96))
-    assert (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation) == (
-        rep.exterior_mass_u, rep.l1_perturbation, rep.l2_perturbation
-    )
-    z, u = corr.grid.nodes, corr.u_values
-    absz = np.abs(z)
-    w, m = spec.envelope(absz)
-    w1 = w * m * corr.grid.weights / spec.log_normalizer
-    core = absz < 1.0
-    chi_f = cutoff(z, CutoffSpec(rep.delta, 1.0)) * poly_eval(f, z)
-    cross = np.abs(u) ** 2 - 2.0 * np.real(chi_f * np.conj(u))
-    expect = (
-        np.sum((np.abs(u) ** 2 * w * w1)[absz > 1.0]),
-        np.sum((np.abs(u) * w1)[core]),
-        abs(np.sum((cross * w * w1)[core])),
-    )
-    for got, ref in zip((rep.exterior_mass_u, rep.l1_perturbation, rep.l2_perturbation), expect):
-        assert abs(got - ref) <= 1e-12 * ref
+    cut = CutoffSpec(rep.delta, 1.0)
+    corr = minimal_correction(rep.minimize_result.minimizer, spec, cut, (96, 96))
+    got = (rep.exterior_mass_u, rep.l1_perturbation, rep.l2_perturbation)
+    assert (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation) == got
+    for value, ref in zip(got, _horner_components(spec, cut, rep.minimize_result.minimizer, corr)):
+        assert abs(value - ref) <= 1e-12 * ref
     with pytest.raises(ConfigurationError):
         equality_gap(FunctionalSpec("planar", 2.0, starred=True))
 
@@ -388,16 +393,35 @@ def test_minimal_correction_nonfinite_is_numeric_error():
                 minimal_correction(huge, FunctionalSpec(geometry, param), CutoffSpec(0.2, r), (32, 32))
 
 
+def lengths(*specs):
+    """(spec, coefficient count) cases: one below the degree bound n, at n, and 6, past n for every spec here.
+
+    So f has modes the projection rescales and modes it drops entirely; the
+    case of 6 keeps the spec's own id.
+    """
+    cases = []
+    for spec in specs:
+        n, name = degree_schedule(spec), f"{spec.geometry}-{spec.param}-a{spec.alpha}"
+        assert n < 6
+        cases += [
+            pytest.param(spec, max(n - 1, 1), id=f"{name}-shorter"),
+            pytest.param(spec, n, id=f"{name}-equal"),
+            pytest.param(spec, 6, id=name),
+        ]
+    return cases
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [planar(2.0), FunctionalSpec("planar", 2.0, alpha=0.8), HYP, FunctionalSpec("hyperbolic", 0.8, alpha=0.7)],
-    ids=lambda s: f"{s.geometry}-{s.param}-a{s.alpha}",
+    "spec,length",
+    lengths(planar(2.0), FunctionalSpec("planar", 2.0, alpha=0.8), HYP, FunctionalSpec("hyperbolic", 0.8, alpha=0.7)),
 )
-def test_correction_ring_sums_match_node_sums(spec, rng):
+def test_correction_ring_sums_match_node_sums(spec, length, rng):
     # The bound's two sides, with the dbar weight, its Laplacian and the
-    # cut-off written out node by node on the correction's own grid.
+    # cut-off written out node by node on the correction's own grid, and nu
+    # against the node-based projection of chi*f.
     cut = default_cutoff(spec)
-    f = random_poly(rng, 6)
+    n = degree_schedule(spec)
+    f = random_poly(rng, length)
     corr = minimal_correction(f, spec, cut, (64, 64))
     z, wts = corr.grid.nodes, corr.grid.weights
     a2 = np.abs(z) ** 2
@@ -405,15 +429,32 @@ def test_correction_ring_sums_match_node_sums(spec, rng):
         weight, laplacian = 1.0 - a2, (1.0 - a2) ** -2
     else:
         weight, laplacian = np.exp(-2.0 * spec.param * a2), 2.0 * spec.param
+    chi_f = cutoff(z, cut) * poly_eval(f, z)
     lhs = float(np.sum(np.abs(corr.u_values) ** 2 * weight * wts))
     rhs = float(np.sum(np.abs(dbar_cutoff(z, cut)) ** 2 * np.abs(poly_eval(f, z)) ** 2 * weight / laplacian * wts))
     assert abs(corr.lhs - lhs) <= 1e-13 * lhs
     assert abs(corr.rhs - rhs) <= 1e-13 * rhs
+    # u is chi*f minus nu at the nodes, with both evaluated by Horner.
+    residual = corr.u_values - (chi_f - poly_eval(corr.nu, z))
+    assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(chi_f))
+    projected = project_polynomial(lambda z: cutoff(z, cut) * poly_eval(f, z), spec, n, corr.grid)
+    assert len(corr.nu.coeffs) == n and not np.any(corr.nu.coeffs[len(f.coeffs) :])
+    assert np.max(np.abs(corr.nu.coeffs - projected.coeffs)) <= 1e-13 * np.max(np.abs(projected.coeffs))
     # The per-ring weight, expanded to the nodes, is the node weight.  Near
     # |z| = 1, 1 - |z|^2 magnifies the rounding of the node moduli, so the
     # comparison is against the largest weight.
     node_weight = weight * wts
     assert np.max(np.abs(np.repeat(corr.weight, corr.grid.resolution[1]) - node_weight)) <= 1e-13 * node_weight.max()
+
+
+@pytest.mark.parametrize("spec,length", lengths(planar(2.0), HYP))
+def test_proof_components_match_horner_node_sums(spec, length, rng):
+    cut = default_cutoff(spec)
+    f = random_poly(rng, length)
+    corr = minimal_correction(f, spec, cut, (64, 64))
+    got = (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation)
+    for value, ref in zip(got, _horner_components(spec, cut, f, corr)):
+        assert abs(value - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("spec", [planar(2.0), FunctionalSpec("hyperbolic", 0.7)], ids=lambda s: s.geometry)
@@ -487,3 +528,30 @@ def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch):
         assert math.isfinite(rep.gap)
     with pytest.raises(AssertionError, match="built its nodes"):
         build_grid(Disk(0, 1), (8, 8)).nodes
+
+
+def test_gap_pipeline_takes_u_to_no_node(monkeypatch, rng):
+    # The correction keeps u as per-ring Fourier coefficients; its node values
+    # are derived on first use, and nothing from the search to the report asks.
+    corr = minimal_correction(random_poly(rng, 4), planar(2.0), default_cutoff(planar(2.0)), (32, 33))
+    assert "u_values" not in corr.__dict__
+    assert corr.u_values.shape == (corr.grid.size,) and "u_values" in corr.__dict__
+
+    def refuse(corr):
+        raise AssertionError("the gap pipeline took u to the nodes")
+
+    monkeypatch.setattr(dbar.CorrectionResult, "u_values", property(refuse))
+    for spec in (planar(2.0), FunctionalSpec("hyperbolic", 0.7)):
+        rep = equality_gap(spec, OptimizerConfig(restarts=2), (32, 33))
+        assert math.isfinite(rep.gap)
+
+
+@pytest.mark.parametrize("spec", [planar(2.0), HYP], ids=lambda s: s.geometry)
+def test_correction_needs_an_angle_per_coefficient(spec, rng):
+    # Past n_ang coefficients the equispaced angles alias mode k + n_ang onto
+    # k, and neither Parseval nor the node sums integrate |u|^2 exactly.
+    cut = default_cutoff(spec)
+    corr = minimal_correction(random_poly(rng, 33, scale=0.1), spec, cut, (32, 33))
+    assert corr.u_coeffs.shape == (len(corr.grid.radii), 33)
+    with pytest.raises(ConfigurationError, match="40 coefficients needs at least 40 angles per ring; the grid has 33"):
+        minimal_correction(random_poly(rng, 40, scale=0.1), spec, cut, (32, 33))
