@@ -94,6 +94,8 @@ class RingVandermonde:
     """V[i, k] = z_i**k on a ring grid, as radial[j, k] * angular[a, k] for node i = j*n_ang + a.
 
     radial = vandermonde(radii, n) and angular = vandermonde(phases, n); exact for any n.
+    Both products run in the factors' precision: with complex64 factors, c
+    is rounded to complex64 first.
     """
 
     radial: np.ndarray
@@ -103,10 +105,15 @@ class RingVandermonde:
         """V @ c: the polynomial with coefficients c at every node, written into ``out`` if given."""
         if out is not None:
             out = out.reshape(len(self.radial), len(self.angular))
+        c = np.asarray(c, dtype=self.radial.dtype)
         return np.matmul(self.radial * c, self.angular.T, out=out).ravel()
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """V^H y, for node values y."""
+        """V^H y, for node values y.
+
+        It multiplies by ``radial`` without conjugating it, which is right
+        only because the radii, and so r_j^k, are real.
+        """
         y = np.reshape(y, (len(self.radial), len(self.angular)))
         return np.sum(self.radial * (y @ self.angular.conj()), axis=0)
 

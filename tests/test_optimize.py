@@ -178,7 +178,10 @@ def test_minimize_result_json():
     # One entry per restart, in restart order, naming the class it searched.
     assert [r["class"] for r in d["restarts"]] == [[3, 0], [3, 1], [3, 2], [1, 0], [3, 0]]
     assert [r["value"] for r in d["restarts"]] == d["restart_values"]
-    assert all(set(r) == {"class", "value", "iterations", "extrapolations", "converged", "stop"} for r in d["restarts"])
+    assert all(
+        set(r) == {"class", "value", "iterations", "single_iterations", "extrapolations", "converged", "stop"}
+        for r in d["restarts"]
+    )
     assert all(r["converged"] is True and r["iterations"] >= 1 for r in d["restarts"])
     assert all(r["stop"] in STOP_REASONS and r["converged"] == (r["stop"] != "cap") for r in d["restarts"])
     assert d["capped"] == 0
@@ -453,3 +456,85 @@ def test_quad_err_stop_leaves_less_than_the_grid_resolves(spec, m, j, monkeypatc
     _, full_value, full_steps, _ = _descend(ws, c0, OptimizerConfig())
     assert full_steps["stop"] != "quad_err" and full_steps["iterations"] > steps["iterations"]
     assert 0.0 <= value - full_value < q
+
+
+@pytest.mark.parametrize(
+    "spec,restarts",
+    [
+        pytest.param(FunctionalSpec("planar", 8.0), 4, id="planar-8.0-classes-and-full"),
+        pytest.param(FunctionalSpec("hyperbolic", 0.9), 2, id="hyperbolic-0.9"),
+    ],
+)
+def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch):
+    # Each restart descends in single precision, then again in double from
+    # the single stage's coefficients.  Every number minimize reports is the
+    # double stage's: a restart's value is the double density of its
+    # coefficients, and the winner is the lowest of them.
+    stages = []
+
+    def recording(ws, c, config):
+        out = _descend(ws, c, config)
+        stages.append((ws, c, out))
+        return out
+
+    monkeypatch.setattr("zeropack.optimize._descend", recording)
+    n = degree_schedule(spec)
+    grid = default_grid(spec, degree=n)
+    res = minimize(spec, n, OptimizerConfig(restarts=restarts, seed=3))
+    assert len(stages) == 2 * restarts
+    singles, doubles = stages[::2], stages[1::2]
+    # One set of node buffers serves every workspace, of either precision.
+    assert len({id(ws.buffers) for ws, _, _ in stages}) == 1
+    for entry, (ws32, _, (c32, _, steps32, _)), (ws64, start, (c, value, steps, _)) in zip(res.restarts, singles, doubles):
+        m, j = entry["class"]
+        assert (ws32.fz.dtype, ws32.af.dtype, ws64.fz.dtype, ws64.af.dtype) == (
+            np.complex64, np.float32, np.complex128, np.float64,
+        )
+        assert len(ws32.diagonal) == len(ws64.diagonal) == len(range(j, n, m))
+        assert start is c32 and c.dtype == np.complex128
+        assert entry["value"] == value
+        fresh = density(ComplexPolynomial(_embed(c, n, m, j)), spec, grid).value
+        assert abs(value - fresh) <= 1e-13 * abs(fresh)
+        assert entry["single_iterations"] == steps32["iterations"] >= 1
+        assert entry["iterations"] == steps32["iterations"] + steps["iterations"]
+        assert entry["extrapolations"] == steps32["extrapolations"] + steps["extrapolations"]
+        assert (entry["stop"], entry["converged"]) == (steps["stop"], steps["converged"])
+    assert {tuple(r["class"]) for r in res.restarts} == set(_restart_classes(spec, grid, n, restarts))
+    # The bench's check of a minimize report.
+    assert abs(res.value - min(res.restart_values)) <= 1e-12
+    winner = res.restart_values.index(min(res.restart_values))
+    assert res.history == doubles[winner][2][3]
+    assert res.iterations == res.restarts[winner]["iterations"]
+
+
+@pytest.mark.parametrize(
+    "spec,m,j",
+    [
+        pytest.param(FunctionalSpec("planar", 8.0), 1, 0, id="planar-8.0-full"),
+        pytest.param(FunctionalSpec("planar", 8.0), 3, 1, id="planar-8.0-class-3-1"),
+        pytest.param(FunctionalSpec("hyperbolic", 0.9), 1, 0, id="hyperbolic-0.9"),
+    ],
+)
+def test_single_precision_step_matches_double(spec, m, j):
+    # From one iterate, a single-precision step and quadrature-error estimate
+    # agree with the double ones to the node values' rounding, and the
+    # coefficients and values they return are double.
+    n = degree_schedule(spec)
+    grid = default_grid(spec, degree=n)
+    # A twin shares its double workspace's buffers, so the two need their own.
+    double, single = _Workspace(spec, grid, n, m, j), _Workspace(spec, grid, n, m, j).single()
+    # No subnormal radial factor: r^k below float32's smallest normal is 0.
+    radial = np.abs(single.V.radial)
+    assert np.all((radial == 0.0) | (radial >= np.finfo(np.float32).tiny))
+    it = double.iterate(_random_start(double, 6))
+    for _ in range(30):
+        it = double.irls_step(it)
+    it32, it64 = single.iterate(it.c, rescale=False), double.iterate(it.c, rescale=False)
+    assert (it32.fz.dtype, it32.af.dtype) == (np.complex64, np.float32)
+    assert abs(it32.value - it64.value) <= 1e-7
+    step32, step64 = single.irls_step(it32), double.irls_step(it64)
+    assert step32.c.dtype == np.complex128 and type(step32.value) is float
+    assert abs(step32.value - step64.value) <= 1e-7
+    weighted = np.sqrt(double.diagonal)
+    assert np.max(np.abs(step32.c - step64.c) * weighted) <= 1e-5 * np.max(np.abs(step64.c) * weighted)
+    assert abs(single.quad_err(step32) - double.quad_err(step64)) <= 1e-7

@@ -19,7 +19,7 @@ from zeropack import (
     poly_eval,
     project_polynomial,
 )
-from zeropack.poly import gram_diagonal, ring_vandermonde, vandermonde
+from zeropack.poly import RingVandermonde, gram_diagonal, ring_vandermonde, vandermonde
 
 from conftest import random_poly
 
@@ -190,6 +190,7 @@ def test_serialization_roundtrip(rng):
 def test_ring_product_matches_dense(rng, region, splits):
     n_ang = 24
     grid = build_grid(region, (20, n_ang), radial_splits=splits)
+    out = np.empty(len(grid.nodes), dtype=np.complex64)
     for n in (1, 16, n_ang + 5):
         dense = vandermonde(grid.nodes, n)
         V = ring_vandermonde(grid, n)
@@ -198,6 +199,15 @@ def test_ring_product_matches_dense(rng, region, splits):
         # Relative to the sums of moduli, the scale of rounding in either product.
         assert np.all(np.abs(V @ c - dense @ c) <= 1e-13 * (np.abs(dense) @ np.abs(c)))
         assert np.all(np.abs(V.adjoint(y) - dense.conj().T @ y) <= 1e-13 * (np.abs(dense).T @ np.abs(y)))
+        # complex64 factors run both products in single precision, c rounded
+        # to complex64 first, and write into a complex64 node buffer.
+        V = RingVandermonde(V.radial.astype(np.complex64), V.angular.astype(np.complex64))
+        y = y.astype(np.complex64)
+        assert (V @ c).dtype == V.adjoint(y).dtype == np.complex64
+        written = V.__matmul__(c, out=out)
+        assert np.shares_memory(written, out) and np.array_equal(written, V @ c)
+        assert np.all(np.abs(out - dense @ c) <= 1e-6 * (np.abs(dense) @ np.abs(c)))
+        assert np.all(np.abs(V.adjoint(y) - dense.conj().T @ y) <= 1e-6 * (np.abs(dense).T @ np.abs(y)))
     p = ComplexPolynomial(c)
     assert np.all(np.abs(p.on_grid(grid) - poly_eval(p, grid.nodes)) <= 1e-13 * (np.abs(dense) @ np.abs(c)))
 
