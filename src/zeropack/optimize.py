@@ -22,13 +22,14 @@ once its recent decrease is below a fixed fraction of that estimate; it
 then counts as converged, since the decrease left is below what the grid
 can resolve.
 
-A restart descends twice: first with its node arithmetic in single
-precision, which usually ends on a rounding rise once a step's drop is
-below the single-precision values' rounding (about 1e-8), then in double from
-the coefficients it reached.  The grid resolves about 1e-5, so the single
-stage can take the bulk of the steps, each in 0.6 to 0.9 of a double step's
-time on the default grids, and every number reported comes from the double
-stage.
+A restart is one descent that switches precision once: its node arithmetic
+is single precision until its first stop, usually a rounding rise once a
+step's drop is below the single-precision values' rounding (about 1e-8), and
+double from there on.  The grid resolves about 1e-5, so the single part can
+take the bulk of the steps, each in 0.6 to 0.9 of a double step's time on the
+default grids, and every number reported comes from the double part.  The
+descent keeps its step count, secant snapshot and windows across the switch,
+so the double part can stop at its first checkpoint.
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ __all__ = [
 ]
 
 # Why a descent ended: the value rose (rounding at a stationary point), a
-# step's relative drop fell below the tolerance, the decrease left fell below
-# the grid's quadrature error, or the iteration cap.
+# step's relative drop fell below TOLERANCE, the decrease left fell below the
+# grid's quadrature error, or MAX_ITERATIONS steps, the cap of a whole descent.
 STOP_REASONS = ("stationary", "tolerance", "quad_err", "cap")
+MAX_ITERATIONS = 1500
+TOLERANCE = 1e-10
 # A restart stops at a secant checkpoint past QUAD_ERR_BURN_IN steps once its
 # last two 10-step window drops are both below QUAD_ERR_FRACTION * quad_err.
 QUAD_ERR_FRACTION = 0.03
@@ -71,18 +74,12 @@ QUAD_ERR_BURN_IN = 20
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    max_iterations: int = 1500
-    tolerance: float = 1e-10
     seed: int = 0
     restarts: int = 3
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise ConfigurationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.max_iterations < 1:
-            raise ConfigurationError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.restarts < 1:
             raise ConfigurationError(f"restarts must be >= 1, got {self.restarts}")
 
@@ -96,10 +93,10 @@ class MinimizeResult:
     diagnostics: DensityReport
     restart_values: list[float]
     # Per restart: its class [m, j] ([1, 0] is the full space), value,
-    # iterations, those of its single-precision stage ("single_iterations"),
+    # iterations, those before the switch to double ("single_iterations"),
     # accepted secant jumps ("extrapolations"), converged flag and why it
-    # stopped ("stop", one of STOP_REASONS).  Steps and jumps count both
-    # stages; everything else is the double stage's.
+    # stopped ("stop", one of STOP_REASONS).  Steps and jumps count the whole
+    # descent; the value and the stop are the double part's.
     restarts: list[dict] = field(default_factory=list)
     history: list[float] = field(default_factory=list, repr=False)
 
@@ -269,65 +266,79 @@ def _canonicalize(c: np.ndarray) -> np.ndarray:
     return c * np.exp(-1j * np.angle(lead))
 
 
-def _descend(ws: _Workspace, c: np.ndarray, config: OptimizerConfig):
-    """Coefficients, value, step counts (iterations, accepted secant jumps, converged flag, stop reason) and value history.
+def _descend(workspaces: tuple[_Workspace, ...], c: np.ndarray):
+    """Coefficients, value, step counts (iterations, single_iterations, extrapolations, converged, stop) and value history.
 
-    The descent ends at the first of: a step that does not decrease the
-    value ("stationary"), a step whose drop is below config.tolerance
-    relative to the value ("tolerance"), the quadrature-error rule
-    ("quad_err") and config.max_iterations steps ("cap").  The rule looks at
-    the windows between secant checkpoints, each of one jump and the 10
-    steps after it, and is checked before the checkpoint's jump is tried.
-    Past QUAD_ERR_BURN_IN steps, when a window drops by less than
+    ``workspaces`` are a single-precision twin and its double workspace, or a
+    double workspace alone.  The descent ends at the first of: a step that
+    does not decrease the value ("stationary"), a step whose drop is below
+    TOLERANCE relative to the value ("tolerance"), the quadrature-error rule
+    ("quad_err") and MAX_ITERATIONS steps in all ("cap").  The rule looks at
+    the windows between secant checkpoints, each of one jump and the 10 steps
+    after it, and is checked before the checkpoint's jump is tried.  Past
+    QUAD_ERR_BURN_IN steps, when a window drops by less than
     QUAD_ERR_FRACTION times the restart's last estimate (none at first), it
-    takes a fresh ws.quad_err, and stops if that window and the one before
-    both dropped by less than QUAD_ERR_FRACTION times the fresh estimate.
-    Every stop but the cap counts as converged.  The rule sees only the
-    recent decrease, so it can stop a restart on the plateau of a saddle
-    that a longer descent would have left.
+    takes a fresh quad_err, and stops if that window and the one before both
+    dropped by less than QUAD_ERR_FRACTION times the fresh estimate.  Every
+    stop but the cap counts as converged.  The rule sees only the recent
+    decrease, so it can stop a restart on the plateau of a saddle that a
+    longer descent would have left.
+
+    Any end on the twin switches to the double workspace: the iterate is
+    rescaled there, takes a fresh estimate and restarts the history, while
+    the step count, the secant snapshot and the windows go on, so the double
+    part can stop at its first checkpoint.  single_iterations counts the
+    steps before the switch, extrapolations the accepted secant jumps.
     """
-    it = ws.iterate(c, rescale=False)
-    history = [it.value]
-    extrapolations = 0
-    stop = "cap"
+    it = workspaces[0].iterate(c, rescale=False)
+    iterations = single_iterations = extrapolations = 0
     snapshot, mark = it.c, it.value
     drops = (math.inf, math.inf)
     estimate = math.inf
-    for iterations in range(1, config.max_iterations + 1):
-        new = ws.irls_step(it)
-        # The step minimizes a majorant that touches the value at it, so it
-        # can rise only by rounding: a rise means the iterate is stationary.
-        if not new.value <= it.value:
-            stop = "stationary"
-            break
-        drop = it.value - new.value
-        it = new
-        history.append(it.value)
-        if drop < config.tolerance * max(abs(it.value), 1e-30):
-            stop = "tolerance"
-            break
-        if iterations % 10 == 0:
-            drops, mark = (drops[1], mark - it.value), it.value
-            # A fresh estimate only when the window already looks small
-            # against the last one keeps the extra ring products rare.
-            if iterations >= QUAD_ERR_BURN_IN and drops[1] < QUAD_ERR_FRACTION * estimate:
-                estimate = ws.quad_err(it)
-                if max(drops) < QUAD_ERR_FRACTION * estimate:
-                    stop = "quad_err"
-                    break
-            # Secant extrapolation along the recent trajectory: flat valleys make
-            # plain reweighting crawl, and the jump is monotone-safe since it is
-            # only kept on strict decrease.
-            direction = it.c - snapshot
-            for theta in (16.0, 8.0, 4.0, 2.0):
-                candidate = ws.iterate(it.c + theta * direction, 1 - it.slot)
-                if candidate.value < it.value:
-                    it = candidate
-                    history.append(it.value)
-                    extrapolations += 1
-                    break
-            snapshot = it.c
-    steps = {"iterations": iterations, "extrapolations": extrapolations, "converged": stop != "cap", "stop": stop}
+    for stage, ws in enumerate(workspaces):
+        if stage:
+            single_iterations = iterations
+            it = ws.iterate(it.c)
+            estimate = ws.quad_err(it)
+        history = [it.value]
+        stop = "cap"
+        while iterations < MAX_ITERATIONS:
+            iterations += 1
+            new = ws.irls_step(it)
+            # The step minimizes a majorant that touches the value at it, so it
+            # can rise only by rounding: a rise means the iterate is stationary.
+            if not new.value <= it.value:
+                stop = "stationary"
+                break
+            drop = it.value - new.value
+            it = new
+            history.append(it.value)
+            if drop < TOLERANCE * max(abs(it.value), 1e-30):
+                stop = "tolerance"
+                break
+            if iterations % 10 == 0:
+                drops, mark = (drops[1], mark - it.value), it.value
+                # A fresh estimate only when the window already looks small
+                # against the last one keeps the extra ring products rare.
+                if iterations >= QUAD_ERR_BURN_IN and drops[1] < QUAD_ERR_FRACTION * estimate:
+                    estimate = ws.quad_err(it)
+                    if max(drops) < QUAD_ERR_FRACTION * estimate:
+                        stop = "quad_err"
+                        break
+                # Secant extrapolation along the recent trajectory: flat valleys make
+                # plain reweighting crawl, and the jump is monotone-safe since it is
+                # only kept on strict decrease.
+                direction = it.c - snapshot
+                for theta in (16.0, 8.0, 4.0, 2.0):
+                    candidate = ws.iterate(it.c + theta * direction, 1 - it.slot)
+                    if candidate.value < it.value:
+                        it = candidate
+                        history.append(it.value)
+                        extrapolations += 1
+                        break
+                snapshot = it.c
+    steps = {"iterations": iterations, "single_iterations": single_iterations, "extrapolations": extrapolations,
+             "converged": stop != "cap", "stop": stop}
     return it.c, it.value, steps, history
 
 
@@ -352,10 +363,10 @@ def minimize(
 
     Restart r draws Gaussian coefficients from seed*7919 + r, scaled to unit
     weighted norm per monomial, keeps those of its class (_restart_classes)
-    and descends in that class, first on the class's single-precision
-    workspace, then on its double one from where the first stage ended; each
-    stage takes at most config.max_iterations steps.  The restart's value,
-    stop reason and the winner's history are the double stage's.  Ties
+    and descends in that class in one _descend, on the class's
+    single-precision workspace until its first stop and then on its double
+    one; the descent takes at most MAX_ITERATIONS steps.  The restart's
+    value, stop reason and the winner's history are the double part's.  Ties
     between restarts within 1e-12 go to the lowest restart index so results
     are reproducible under concurrency; the result's ``tied`` counts the
     restarts within the winner's quad_err, which the grid cannot tell apart,
@@ -376,23 +387,11 @@ def minimize(
         if (m, j) not in workspaces:
             double = _Workspace(spec, grid, n, m, j, full.buffers)
             workspaces[m, j] = (double.single(), double)
-        single, double = workspaces[m, j]
         rng = np.random.default_rng(config.seed * 7919 + rs)
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c0 = (raw / np.sqrt(2.0 * full.diagonal))[j::m]
-        # The single-precision stage does the bulk of the descent; every
-        # value reported comes from the double stage that finishes it.
-        c_single, _, first, _ = _descend(single, c0, config)
-        c_class, val, steps, history = _descend(double, c_single, config)
-        restarts.append({
-            "class": [m, j],
-            "value": val,
-            "iterations": first["iterations"] + steps["iterations"],
-            "single_iterations": first["iterations"],
-            "extrapolations": first["extrapolations"] + steps["extrapolations"],
-            "converged": steps["converged"],
-            "stop": steps["stop"],
-        })
+        c_class, val, steps, history = _descend(workspaces[m, j], c0)
+        restarts.append({"class": [m, j], "value": val, **steps})
         if best is None or val < best[1] - 1e-12:
             c = np.zeros(n, dtype=complex)
             c[j::m] = c_class

@@ -456,3 +456,14 @@ def test_minimize_gamma_16_converges(capsys):
     assert {r["stop"] for r in payload["restarts"]} <= {"stationary", "tolerance", "quad_err"}
     assert 1 <= payload["tied"] <= 4
     assert 0.0 < payload["diagnostics"]["quad_err"] < 1e-3
+
+
+def test_minimize_capped_winner_exits_2(monkeypatch, capsys):
+    # A winner that hit the step cap did not converge: the report is still
+    # written, and the exit code says so.
+    monkeypatch.setattr("zeropack.optimize.MAX_ITERATIONS", 5)
+    code, out, _ = run(capsys, "minimize", "--geometry", "planar", "--gamma", "8", "--restarts", "2", "--seed", "3")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["converged"] is False and payload["capped"] == 2
+    assert [r["stop"] for r in payload["restarts"]] == ["cap", "cap"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from zeropack import (
     optimal_scale,
 )
 from zeropack.functionals import quadratic_weights
-from zeropack.optimize import STOP_REASONS, _descend, _Iterate, _restart_classes, _Workspace
+from zeropack.optimize import QUAD_ERR_BURN_IN, STOP_REASONS, _descend, _Iterate, _restart_classes, _Workspace
 from zeropack.poly import RingVandermonde
 
 from conftest import random_poly
@@ -156,16 +157,16 @@ def test_minimize_validation():
     # 16 equispaced angles cannot integrate |f|^2 exactly for 20 coefficients
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
         minimize(FunctionalSpec("planar", 8.0), 20, grid=build_grid(Disk(0, 1), (32, 16)))
-    with pytest.raises(ConfigurationError):
-        OptimizerConfig(tolerance=-1.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="restarts"):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ConfigurationError):
-        OptimizerConfig(max_iterations=0)
     # A negative seed would reach numpy's default_rng as a negative seed*7919 + r.
-    for field, value in (("seed", -1), ("tolerance", math.nan), ("tolerance", math.inf)):
-        with pytest.raises(ConfigurationError, match=field):
-            OptimizerConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match="seed"):
+        OptimizerConfig(seed=-1)
+    # The step cap and the tolerance are module constants, not settings.
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["seed", "restarts"]
+    for field in ("max_iterations", "tolerance"):
+        with pytest.raises(TypeError, match=field):
+            OptimizerConfig(**{field: 1})
 
 
 def test_minimize_result_json():
@@ -238,7 +239,7 @@ def test_irls_step_makes_one_forward_product_and_one_adjoint(monkeypatch):
     monkeypatch.setattr(RingVandermonde, "__matmul__", counting("forward", RingVandermonde.__matmul__))
     monkeypatch.setattr(RingVandermonde, "adjoint", counting("adjoint", RingVandermonde.adjoint))
     monkeypatch.setattr(_Workspace, "irls_step", counting("steps", _Workspace.irls_step))
-    _, _, steps, _ = _descend(ws, c0, OptimizerConfig())
+    _, _, steps, _ = _descend((ws,), c0)
     iterations = steps["iterations"]
     assert steps["converged"] and iterations > 20
     assert counts["adjoint"] == counts["steps"] == iterations
@@ -277,7 +278,7 @@ def test_descend_value_matches_fresh_density(geometry, param, m, j):
         return step(it)
 
     ws.irls_step = checked_step
-    c, value, steps, history = _descend(ws, _random_start(ws, 2), OptimizerConfig())
+    c, value, steps, history = _descend((ws,), _random_start(ws, 2))
     assert history[-1] == value
     assert len(checked) == steps["iterations"] and set(checked) == {0, 1}
     # Every history entry past the start is a step or an accepted secant jump.
@@ -321,8 +322,8 @@ def test_gram_norm_step_matches_node_sums(spec, n, m, j):
     grid = default_grid(spec, degree=n)
     ws, ref = _Workspace(spec, grid, n, m, j), _NodeSumWorkspace(spec, grid, n, m, j)
     c0 = _random_start(ws, 4)
-    c, value, steps, history = _descend(ws, c0, OptimizerConfig())
-    c_ref, value_ref, steps_ref, history_ref = _descend(ref, c0, OptimizerConfig())
+    c, value, steps, history = _descend((ws,), c0)
+    c_ref, value_ref, steps_ref, history_ref = _descend((ref,), c0)
     assert steps == steps_ref
     assert len(history) == len(history_ref)
     assert np.max(np.abs(np.subtract(history, history_ref)) / np.abs(history_ref)) <= 1e-12
@@ -447,15 +448,54 @@ def test_quad_err_stop_leaves_less_than_the_grid_resolves(spec, m, j, monkeypatc
     n = degree_schedule(spec)
     ws = _workspace(spec, n, m, j)
     c0 = _random_start(ws, 7)
-    c, value, steps, history = _descend(ws, c0, OptimizerConfig())
+    c, value, steps, history = _descend((ws,), c0)
     assert steps["stop"] == "quad_err" and steps["converged"] is True
     assert all(b <= a for a, b in zip(history[:-1], history[1:]))
     assert history[-1] == value
     q = density(ComplexPolynomial(_embed(c, n, m, j)), spec, ws.grid).quad_err
     monkeypatch.setattr("zeropack.optimize.QUAD_ERR_FRACTION", 0.0)
-    _, full_value, full_steps, _ = _descend(ws, c0, OptimizerConfig())
+    _, full_value, full_steps, _ = _descend((ws,), c0)
     assert full_steps["stop"] != "quad_err" and full_steps["iterations"] > steps["iterations"]
     assert 0.0 <= value - full_value < q
+
+
+def _record_descents(monkeypatch):
+    """minimize's _descend calls, each as (workspaces, its steps and estimates in order, result).
+
+    A step or estimate is recorded as ("step" or "quad_err", the dtype of the
+    node values of the workspace that took it, the value of the iterate it
+    started from).
+    """
+    descents, events = [], []
+
+    def recorded(kind, method):
+        def wrapped(ws, it):
+            events.append((kind, ws.fz.dtype, it.value))
+            return method(ws, it)
+
+        return wrapped
+
+    def recording(workspaces, c):
+        start = len(events)
+        out = _descend(workspaces, c)
+        descents.append((workspaces, events[start:], out))
+        return out
+
+    monkeypatch.setattr(_Workspace, "irls_step", recorded("step", _Workspace.irls_step))
+    monkeypatch.setattr(_Workspace, "quad_err", recorded("quad_err", _Workspace.quad_err))
+    monkeypatch.setattr("zeropack.optimize._descend", recording)
+    return descents
+
+
+def _step_dtypes(events):
+    return [dtype for kind, dtype, _ in events if kind == "step"]
+
+
+def _assert_double_density(entry, c, spec, n, grid):
+    m, j = entry["class"]
+    assert c.dtype == np.complex128
+    fresh = density(ComplexPolynomial(_embed(c, n, m, j)), spec, grid).value
+    assert abs(entry["value"] - fresh) <= 1e-13 * abs(fresh)
 
 
 @pytest.mark.parametrize(
@@ -466,45 +506,80 @@ def test_quad_err_stop_leaves_less_than_the_grid_resolves(spec, m, j, monkeypatc
     ],
 )
 def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch):
-    # Each restart descends in single precision, then again in double from
-    # the single stage's coefficients.  Every number minimize reports is the
-    # double stage's: a restart's value is the double density of its
+    # Each restart is one descent, in single precision until its first stop
+    # and in double from there on.  Every number minimize reports is the
+    # double part's: a restart's value is the double density of its
     # coefficients, and the winner is the lowest of them.
-    stages = []
-
-    def recording(ws, c, config):
-        out = _descend(ws, c, config)
-        stages.append((ws, c, out))
-        return out
-
-    monkeypatch.setattr("zeropack.optimize._descend", recording)
+    descents = _record_descents(monkeypatch)
     n = degree_schedule(spec)
     grid = default_grid(spec, degree=n)
     res = minimize(spec, n, OptimizerConfig(restarts=restarts, seed=3))
-    assert len(stages) == 2 * restarts
-    singles, doubles = stages[::2], stages[1::2]
+    assert len(descents) == restarts
     # One set of node buffers serves every workspace, of either precision.
-    assert len({id(ws.buffers) for ws, _, _ in stages}) == 1
-    for entry, (ws32, _, (c32, _, steps32, _)), (ws64, start, (c, value, steps, _)) in zip(res.restarts, singles, doubles):
+    assert len({id(ws.buffers) for workspaces, _, _ in descents for ws in workspaces}) == 1
+    for entry, ((ws32, ws64), events, (c, value, steps, history)) in zip(res.restarts, descents):
         m, j = entry["class"]
         assert (ws32.fz.dtype, ws32.af.dtype, ws64.fz.dtype, ws64.af.dtype) == (
             np.complex64, np.float32, np.complex128, np.float64,
         )
         assert len(ws32.diagonal) == len(ws64.diagonal) == len(range(j, n, m))
-        assert start is c32 and c.dtype == np.complex128
-        assert entry["value"] == value
-        fresh = density(ComplexPolynomial(_embed(c, n, m, j)), spec, grid).value
-        assert abs(value - fresh) <= 1e-13 * abs(fresh)
-        assert entry["single_iterations"] == steps32["iterations"] >= 1
-        assert entry["iterations"] == steps32["iterations"] + steps["iterations"]
-        assert entry["extrapolations"] == steps32["extrapolations"] + steps["extrapolations"]
-        assert (entry["stop"], entry["converged"]) == (steps["stop"], steps["converged"])
+        assert entry == {"class": [m, j], "value": value, **steps}
+        _assert_double_density(entry, c, spec, n, grid)
+        # The single part's steps come first, then the double part's.
+        single, double = entry["single_iterations"], entry["iterations"] - entry["single_iterations"]
+        assert single >= 1 and _step_dtypes(events) == [np.complex64] * single + [np.complex128] * double
+        # The double part opens with its own estimate, taken at the switch,
+        # from where the single part ended: at most the single part's last
+        # iterate's value, to the single values' rounding.
+        assert next(kind for kind, dtype, _ in events if dtype == np.complex128) == "quad_err"
+        last_single = [v for kind, dtype, v in events if kind == "step" and dtype == np.complex64][-1]
+        assert history[0] <= last_single + 1e-7
+        # The history is the double part's: its start, each step that lowered
+        # the value (all but a last one that rose) and its accepted jumps.
+        double_jumps = len(history) - 1 - double + (entry["stop"] == "stationary")
+        assert 0 <= double_jumps <= entry["extrapolations"] <= entry["iterations"] // 10
+        assert entry["stop"] in STOP_REASONS and entry["converged"] == (entry["stop"] != "cap")
     assert {tuple(r["class"]) for r in res.restarts} == set(_restart_classes(spec, grid, n, restarts))
     # The bench's check of a minimize report.
     assert abs(res.value - min(res.restart_values)) <= 1e-12
     winner = res.restart_values.index(min(res.restart_values))
-    assert res.history == doubles[winner][2][3]
+    assert res.history == descents[winner][2][3]
     assert res.iterations == res.restarts[winner]["iterations"]
+
+
+def test_double_part_can_stop_at_its_first_checkpoint(monkeypatch):
+    # The switch to double keeps the descent's windows, so a double part that
+    # confirms the single part's stop ends before a fresh burn-in would allow,
+    # and its value is still the double density of its coefficients.
+    descents = _record_descents(monkeypatch)
+    spec, n = FunctionalSpec("planar", 8.0), 16
+    res = minimize(spec, n, OptimizerConfig(restarts=12, seed=3))
+    early = [
+        (entry, out[0]) for entry, (_, _, out) in zip(res.restarts, descents)
+        if entry["stop"] == "quad_err" and entry["iterations"] - entry["single_iterations"] < QUAD_ERR_BURN_IN
+    ]
+    assert early
+    # Only windows kept across the switch can stop at the first checkpoint
+    # after it: fresh ones would need two windows in double.
+    assert any(entry["iterations"] == 10 * (entry["single_iterations"] // 10 + 1) for entry, _ in early)
+    for entry, c in early:
+        _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
+
+
+def test_cap_ends_the_descent_in_double(monkeypatch):
+    # A cap that falls in the single part still ends on the double value of
+    # the coefficients reached, and the restart reports it as not converged.
+    monkeypatch.setattr("zeropack.optimize.MAX_ITERATIONS", 5)
+    descents = _record_descents(monkeypatch)
+    spec, n = FunctionalSpec("planar", 8.0), 16
+    res = minimize(spec, n, OptimizerConfig(restarts=2, seed=3))
+    assert res.capped == 2 and res.converged is False
+    for entry, (_, events, (c, value, _, history)) in zip(res.restarts, descents):
+        assert (entry["stop"], entry["converged"]) == ("cap", False)
+        assert entry["iterations"] == entry["single_iterations"] == 5 and _step_dtypes(events) == [np.complex64] * 5
+        assert history == [value]
+        _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
+    assert res.to_json_dict()["capped"] == 2
 
 
 @pytest.mark.parametrize(
