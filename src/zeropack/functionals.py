@@ -161,7 +161,7 @@ class FunctionalSpec:
         polynomial growth is crushed by the Gaussian (planar).
         """
         if self.geometry == HYPERBOLIC:
-            return Disk(0.0, 1.0)
+            return Disk(1.0)
         return TruncatedPlane(default_r_cut(n, self.param))
 
     def envelope(self, absz):
@@ -225,7 +225,7 @@ def default_grid(
     if resolution is None:
         resolution = spec.default_resolution
     if not spec.starred:
-        return build_grid(Disk(0.0, spec.indicator_radius), resolution)
+        return build_grid(Disk(spec.indicator_radius), resolution)
     n = degree if degree is not None else math.ceil(spec.core_mass) + 10
     return build_grid(spec.support(n), resolution, radial_splits=(spec.indicator_radius,))
 
@@ -233,8 +233,8 @@ def default_grid(
 def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
     region = grid.region
     if spec.geometry == HYPERBOLIC:
-        if not (isinstance(region, Disk) and abs(region.center) == 0):
-            raise ConfigurationError("hyperbolic densities need a disk grid centred at 0")
+        if not isinstance(region, Disk):
+            raise ConfigurationError("hyperbolic densities need a disk grid")
         needed = 1.0 if spec.starred else spec.param
         if region.radius < needed - 1e-12:
             raise ConfigurationError(
@@ -246,7 +246,7 @@ def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
         if spec.starred:
             if not isinstance(region, TruncatedPlane):
                 raise ConfigurationError("starred planar densities need a truncated-plane grid")
-        elif not (isinstance(region, TruncatedPlane) or (isinstance(region, Disk) and abs(region.center) == 0)):
+        elif not isinstance(region, (TruncatedPlane, Disk)):
             raise ConfigurationError("planar densities need a grid covering the unit disk")
         radius = region.r_cut if isinstance(region, TruncatedPlane) else region.radius
         if radius < 1.0 - 1e-12:
@@ -278,7 +278,6 @@ class DensityReport:
     boundary_mass_l2: float
     spec: FunctionalSpec
     grid_resolution: tuple[int, int]
-    grid_region: str
     quad_err: float
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -382,7 +381,6 @@ def density(
         boundary_mass_l2=bm2,
         spec=spec,
         grid_resolution=grid.resolution,
-        grid_region=type(grid.region).__name__,
         quad_err=quad_err,
     )
 
@@ -411,7 +409,7 @@ def boundary_mass(
     base = spec.undilated
     outer = base.indicator_radius
     inner = (1.0 - delta) * outer
-    grid = build_grid(Disk(0.0, outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
+    grid = build_grid(Disk(outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
     w, m = base.envelope(grid.radii)
     return _masses(w, grid.ring_weights * m, *_ring_powers(f, grid, base.beta), base.log_normalizer)
 

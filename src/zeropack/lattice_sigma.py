@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidLatticeError, NormalizationError, NumericError
-from .quadrature import Cell, build_grid, integrate
+from .errors import ConfigurationError, InvalidLatticeError, InvalidRegionError, NormalizationError, NumericError
 
 __all__ = [
     "Lattice",
@@ -197,18 +196,25 @@ def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate
 
 
 def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tuple[float, float]:
-    """Cell means of g = |f0|^beta e^{-|z|^2} and of g^2, from the cell grid's axes.
+    """The cell means of g = |f0|^beta e^{-|z|^2} and of g^2, by the midpoint rule.
 
-    A node z = 2u omega1 + 2v omega2 has theta argument pi z/(2 omega1) = pi u
-    + pi tau v, and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so
-    pref * theta_1 on the u x v grid is one (n_u x 2T) @ (2T x n_v) product of
-    per-axis sines and cosines.  beta Re(c z^2) - |z|^2 is a quadratic form in
-    (u, v), exponentiated once.
+    The nodes are z = 2u omega1 + 2v omega2 at the cell coordinates
+    u = (i + 1/2)/n_u and v = (j + 1/2)/n_v; the midpoint offset keeps them
+    off the lattice points, where integrands built from |sigma| are only
+    Lipschitz.  A node's theta argument is pi z/(2 omega1) = pi u + pi tau v,
+    and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so pref * theta_1
+    on the u x v grid is one (n_u x 2T) @ (2T x n_v) product of per-axis sines
+    and cosines.  beta Re(c z^2) - |z|^2 is a quadratic form in (u, v),
+    exponentiated once.
     """
+    n_u, n_v = resolution
+    if n_u < 1 or n_v < 1:
+        raise InvalidRegionError(f"cell resolution must be >= 1, got {resolution}")
     lat = cand.lattice
     w1, w2 = lat.omega1, lat.omega2
-    grid = build_grid(Cell(w1, w2), resolution)
-    u, v = grid.cell_axes
+    if not ((np.conj(w1) * w2).imag > 0 and lat.tau.imag > 0):
+        raise InvalidRegionError("cell basis must be positively oriented with nonzero area")
+    u, v = (np.arange(n_u) + 0.5) / n_u, (np.arange(n_v) + 0.5) / n_v
     pref, c = cand._modulus_factors()
     b = math.pi * lat.tau * v
     coeff, k = _theta_series(lat.tau, float(np.max(np.abs(b.imag))))
@@ -222,9 +228,15 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
 
     exponent = np.add.outer(form(w1, w1) * u**2, form(w2, w2) * v**2)
     exponent += np.multiply.outer(u, 2.0 * form(w1, w2) * v)
-    g = np.abs(theta).ravel() ** cand.beta
-    g *= np.exp(exponent, out=exponent).ravel()
-    return integrate(grid, g) / grid.total_weight, integrate(grid, g * g) / grid.total_weight
+    g = np.abs(theta) ** cand.beta
+    g *= np.exp(exponent, out=exponent)
+    g2 = g * g
+    # g >= 0, so g^2 is finite exactly where g is finite and its square does not overflow.
+    if not np.all(np.isfinite(g2)):
+        i, j = np.argwhere(~np.isfinite(g2))[0]
+        node = complex(2.0 * u[i] * w1 + 2.0 * v[j] * w2)
+        raise NumericError(f"non-finite cell envelope value or square at node {node}", node=node)
+    return float(np.mean(g)), float(np.mean(g2))
 
 
 def optimal_cell_scale(cand: QuasiperiodicCandidate, resolution: tuple[int, int] = (256, 256)) -> float:
@@ -240,7 +252,7 @@ def cell_average_density(
     resolution: tuple[int, int] = (256, 256),
     optimize_scale: bool = True,
 ) -> float:
-    """Cell average of (s*|f0|^beta*e^{-|z|^2} - 1)^2 w.r.t. normalized area.
+    """The cell average of (s*|f0|^beta*e^{-|z|^2} - 1)^2 w.r.t. normalized area.
 
     Equals the large-disk limit of the disk-averaged exponent-family density by
     periodicity.  With optimize_scale the multiplicative normalization s is set

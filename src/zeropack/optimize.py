@@ -399,7 +399,7 @@ def minimize(
 
     c, _, steps, history = best
     minimizer = ComplexPolynomial(_canonicalize(c))
-    report = density(minimizer, spec, default_grid(spec, grid.resolution, degree=n))
+    report = density(minimizer, spec, grid)
     return MinimizeResult(
         minimizer=minimizer,
         value=report.value,

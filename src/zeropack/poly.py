@@ -120,8 +120,6 @@ class RingVandermonde:
 
 def ring_vandermonde(grid: QuadratureGrid, n: int) -> RingVandermonde:
     """The factored Vandermonde matrix of the grid's nodes for k < n."""
-    if grid.radii is None:
-        raise ConfigurationError(f"ring products need a ring grid centred at 0, got {grid.region!r}")
     return RingVandermonde(vandermonde(grid.radii, n), vandermonde(grid.phases, n))
 
 
@@ -134,8 +132,6 @@ def gram_diagonal(grid: QuadratureGrid, ring_weight: np.ndarray, n: int) -> np.n
     """
     if n < 1:
         raise ConfigurationError(f"degree bound must be >= 1, got {n}")
-    if grid.radii is None:
-        raise ConfigurationError(f"weighted solves need a ring grid centred at 0, got {grid.region!r}")
     n_ang = grid.resolution[1]
     if n > n_ang:
         raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")

@@ -1,12 +1,11 @@
-"""Product quadrature rules on disks, annuli, truncated planes and lattice cells.
+"""Product quadrature rules on rings centred at 0: disks, annuli and truncated planes.
 
 All rules integrate against the normalized area measure dA = dx dy / pi, so the
 total weight of a disk of radius r is r**2.  The radial direction uses
 Gauss-Legendre nodes applied to the measure 2 r dr (optionally split at interior
 breakpoints so that integrands with circular seams stay piecewise smooth); the
 angular direction is equispaced, which integrates trigonometric polynomials of
-degree below the angular count exactly.  Lattice cells use an equispaced tensor
-rule in cell coordinates, offset to midpoints so nodes avoid the cell corners.
+degree below the angular count exactly.
 """
 
 from __future__ import annotations
@@ -19,13 +18,12 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConfigurationError, InvalidRegionError, NumericError
+from .errors import InvalidRegionError, NumericError
 
 __all__ = [
     "Disk",
     "Annulus",
     "TruncatedPlane",
-    "Cell",
     "QuadratureGrid",
     "build_grid",
     "integrate",
@@ -35,7 +33,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Disk:
-    center: complex = 0.0
     radius: float = 1.0
 
 
@@ -50,55 +47,38 @@ class TruncatedPlane:
     r_cut: float
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Fundamental cell of the lattice 2*omega1*Z + 2*omega2*Z."""
-
-    omega1: complex
-    omega2: complex
-
-
-Region = Disk | Annulus | TruncatedPlane | Cell
+Region = Disk | Annulus | TruncatedPlane
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes and positive weights for one region, w.r.t. dA = dx dy / pi.
+    """Rings centred at 0 with n_ang equispaced angles, w.r.t. dA = dx dy / pi.
 
-    Row j of ``nodes.reshape(-1, n_ang)`` has n_ang nodes of weight ``row_weights[j]``.  On
-    rings centred at 0 it is ``radii[j] * phases``; on a cell it is ``2 u[j] omega1 + 2 v omega2``
-    for the midpoint axes ``(u, v) = cell_axes`` in cell coordinates.  Both derive nodes and
-    weights on first use; off-centre disks store their nodes, and only ring grids have ``radii``.
+    Ring j carries the n_ang nodes ``radii[j] * phases``, each of weight
+    ``ring_weights[j]``; ``nodes`` and ``weights`` are derived on first use.
     """
 
     region: Region
     resolution: tuple[int, int]
-    row_weights: np.ndarray
-    radii: np.ndarray | None = None
-    cell_axes: tuple[np.ndarray, np.ndarray] | None = None
-    stored_nodes: np.ndarray | None = None
+    radii: np.ndarray
+    ring_weights: np.ndarray
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        if self.radii is not None:
-            return (self.radii[:, None] * self.phases).ravel()
-        if self.cell_axes is not None:
-            u, v = self.cell_axes
-            return (2.0 * u[:, None] * self.region.omega1 + 2.0 * v[None, :] * self.region.omega2).ravel()
-        return self.stored_nodes
+        return (self.radii[:, None] * self.phases).ravel()
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return np.repeat(self.row_weights, self.resolution[1])
+        return np.repeat(self.ring_weights, self.resolution[1])
 
     @property
     def size(self) -> int:
         """The node count, known without building the nodes."""
-        return len(self.row_weights) * self.resolution[1]
+        return len(self.radii) * self.resolution[1]
 
     @property
     def total_weight(self) -> float:
-        return self.resolution[1] * float(np.sum(self.row_weights))
+        return self.resolution[1] * float(np.sum(self.ring_weights))
 
     @property
     def phases(self) -> np.ndarray:
@@ -114,29 +94,9 @@ class QuadratureGrid:
         """
         return np.exp(1j * math.pi * np.arange(n) / self.resolution[1])
 
-    @property
-    def ring_weights(self) -> np.ndarray:
-        """The node weight on each ring, one entry per radius; ConfigurationError off ring grids."""
-        if self.radii is None:
-            raise ConfigurationError(f"ring data need a ring grid centred at 0, got {self.region!r}")
-        return self.row_weights
-
     def ring_sums(self, values: np.ndarray) -> np.ndarray:
-        """The sum of node values over each row (ring), one entry per row."""
-        return np.reshape(values, (len(self.row_weights), self.resolution[1])).sum(axis=1)
-
-
-def normalized_area(region: Region) -> float:
-    """Exact measure of the region under dA."""
-    if isinstance(region, Disk):
-        return region.radius**2
-    if isinstance(region, Annulus):
-        return region.r_out**2 - region.r_in**2
-    if isinstance(region, TruncatedPlane):
-        return region.r_cut**2
-    if isinstance(region, Cell):
-        return 4.0 * abs((np.conj(region.omega1) * region.omega2).imag) / math.pi
-    raise InvalidRegionError(f"unknown region {region!r}")
+        """The sum of node values over each ring, one entry per radius."""
+        return np.reshape(values, (len(self.radii), self.resolution[1])).sum(axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -174,33 +134,20 @@ def build_grid(
     if isinstance(region, Disk):
         if region.radius <= 0:
             raise InvalidRegionError(f"disk radius must be positive, got {region.radius}")
-        center, a, b = region.center, 0.0, region.radius
+        a, b = 0.0, region.radius
     elif isinstance(region, Annulus):
         if not 0 < region.r_in < region.r_out:
             raise InvalidRegionError(f"annulus needs 0 < r_in < r_out, got {region}")
-        center, a, b = 0.0, region.r_in, region.r_out
+        a, b = region.r_in, region.r_out
     elif isinstance(region, TruncatedPlane):
         if region.r_cut <= 0:
             raise InvalidRegionError(f"r_cut must be positive, got {region.r_cut}")
-        center, a, b = 0.0, 0.0, region.r_cut
-    elif isinstance(region, Cell):
-        area = (np.conj(region.omega1) * region.omega2).imag
-        if area <= 0:
-            raise InvalidRegionError("cell basis must be positively oriented with nonzero area")
-        n_u, n_v = resolution
-        # Midpoint offset keeps nodes off the lattice points, where integrands
-        # built from |sigma| are only Lipschitz.
-        axes = ((np.arange(n_u) + 0.5) / n_u, (np.arange(n_v) + 0.5) / n_v)
-        row_weights = np.full(n_u, normalized_area(region) / (n_u * n_v))
-        return QuadratureGrid(region, tuple(resolution), row_weights, cell_axes=axes)
+        a, b = 0.0, region.r_cut
     else:
         raise InvalidRegionError(f"unknown region {region!r}")
 
     radii, wr = _radial_rule([a, *sorted(s for s in radial_splits if a < s < b), b], n_rad)
-    grid = QuadratureGrid(region, tuple(resolution), wr / n_ang, radii)
-    if center == 0:
-        return grid
-    return QuadratureGrid(region, grid.resolution, grid.row_weights, stored_nodes=center + grid.nodes)
+    return QuadratureGrid(region, tuple(resolution), radii, wr / n_ang)
 
 
 def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> float:
@@ -208,7 +155,7 @@ def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray
 
     ``integrand`` may be a vectorized callable of the complex nodes or an array
     of precomputed node values; either way the values must have the nodes'
-    shape.  Row sums against the row weights keep the reduction deterministic
+    shape.  Ring sums against the ring weights keep the reduction deterministic
     for a fixed grid, and an array of values needs no node array.
     """
     values = np.asarray(integrand(grid.nodes) if callable(integrand) else integrand)
@@ -217,7 +164,7 @@ def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericError(f"non-finite integrand value at node {grid.nodes[bad]}", node=grid.nodes[bad])
-    return float(grid.row_weights @ grid.ring_sums(np.real(values)))
+    return float(grid.ring_weights @ grid.ring_sums(np.real(values)))
 
 
 def default_r_cut(n: int, gamma: float) -> float:

@@ -250,7 +250,7 @@ def test_criterion_11_elliptic_suite():
 def test_criterion_12_quadrature_identity():
     worst = 0.0
     for r in (0.5, 0.9, 0.99):
-        grid = build_grid(Disk(0, r), (160, 32))
+        grid = build_grid(Disk(r), (160, 32))
         val = integrate(grid, lambda z: 1.0 / (1.0 - np.abs(z) ** 2))
         worst = max(worst, abs(val - math.log(1.0 / (1.0 - r * r))))
     ok = worst < 1e-10

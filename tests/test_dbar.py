@@ -112,7 +112,7 @@ def test_dbar_cutoff_radial_direction(rng):
 
 
 def test_project_idempotent_on_polynomials(rng):
-    grid = build_grid(Disk(0, 1), (96, 64))
+    grid = build_grid(Disk(1), (96, 64))
     for _ in range(5):
         p = random_poly(rng, 5)
         q = project_polynomial(lambda z: poly_eval(p, z), HYP, 8, grid)
@@ -135,13 +135,11 @@ def test_project_idempotent_planar_degree_64(rng):
 
 def test_project_rejects_non_ring_grids():
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        project_polynomial(lambda z: z, HYP, 20, build_grid(Disk(0, 1), (32, 16)))
-    with pytest.raises(ConfigurationError):
-        project_polynomial(lambda z: z, planar(1.0), 4, build_grid(Disk(0.5, 1.0), (32, 32)))
+        project_polynomial(lambda z: z, HYP, 20, build_grid(Disk(1), (32, 16)))
 
 
 def test_project_rejects_values_of_the_wrong_shape():
-    grid = build_grid(Disk(0, 1), (16, 16))
+    grid = build_grid(Disk(1), (16, 16))
     values = np.ones(16 * 16, dtype=complex)
     assert np.all(np.isfinite(project_polynomial(values, HYP, 4, grid).coeffs))
     for bad in (values[:-1], values.reshape(16, 16), np.ones(17 * 16)):
@@ -157,7 +155,7 @@ def test_project_antiholomorphic_to_zero():
 
 
 def test_project_orthogonality_residuals(rng):
-    grid = build_grid(Disk(0, 1), (96, 64))
+    grid = build_grid(Disk(1), (96, 64))
     n = 6
     wv = (1 - np.abs(grid.nodes) ** 2) * grid.weights
     for _ in range(5):
@@ -379,7 +377,7 @@ def test_equality_gap_planar_proof_component_chains():
     # Cross/quadratic u-term against lhs + 2*sqrt(L2 mass of chi*f)*sqrt(lhs);
     # the chi*f mass is at most the full weighted mass of f over the disk.
     f = rep.minimize_result.minimizer
-    grid = build_grid(Disk(0, 1), (128, 128))
+    grid = build_grid(Disk(1), (128, 128))
     f_mass = integrate(grid, lambda z: np.abs(poly_eval(f, z)) ** 2 * np.exp(-2 * gamma * np.abs(z) ** 2))
     assert rep.l2_perturbation <= lhs + 2.0 * math.sqrt(f_mass * lhs) + 1e-12
     assert rep.exterior_mass_u < 0.05
@@ -527,7 +525,7 @@ def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch):
         rep = equality_gap(spec, OptimizerConfig(restarts=2), (32, 33))
         assert math.isfinite(rep.gap)
     with pytest.raises(AssertionError, match="built its nodes"):
-        build_grid(Disk(0, 1), (8, 8)).nodes
+        build_grid(Disk(1), (8, 8)).nodes
 
 
 def test_gap_pipeline_takes_u_to_no_node(monkeypatch, rng):

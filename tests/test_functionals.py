@@ -136,12 +136,12 @@ def test_density_nonnegative(rng):
 
 def test_starred_grid_requirements():
     spec_s = FunctionalSpec("hyperbolic", 0.8, starred=True)
-    small = build_grid(Disk(0, 0.8), (32, 32))
+    small = build_grid(Disk(0.8), (32, 32))
     with pytest.raises(ConfigurationError):
         density(ZERO, spec_s, small)
     spec_ps = FunctionalSpec("planar", 2.0, starred=True)
     with pytest.raises(ConfigurationError):
-        density(ZERO, spec_ps, build_grid(Disk(0, 1), (32, 32)))
+        density(ZERO, spec_ps, build_grid(Disk(1), (32, 32)))
     # A truncated plane short of the unit disk misses part of the core.
     short = build_grid(TruncatedPlane(0.5), (64, 64))
     one = ComplexPolynomial([1.0])
@@ -155,7 +155,7 @@ def test_starred_grid_requirements():
 def test_ell_zero_and_constant():
     r = 0.6
     spec = FunctionalSpec("hyperbolic", r)
-    grid = build_grid(Disk(0, r), (96, 64))
+    grid = build_grid(Disk(r), (96, 64))
     rep = density(ZERO, spec, grid)
     assert rep.ell1 == 0.0
     assert rep.ell2 == 0.0
@@ -179,7 +179,7 @@ def test_boundary_mass_full_layer_is_density_ell(rng):
         FunctionalSpec("planar", 2.0),
         FunctionalSpec("planar", 2.0, beta=2.0),
     ):
-        grid = build_grid(Disk(0, spec.indicator_radius), res)
+        grid = build_grid(Disk(spec.indicator_radius), res)
         for _ in range(3):
             f = random_poly(rng, 6)
             rep = density(f, spec, grid)
@@ -216,7 +216,7 @@ def test_core_mass_is_laplacian_mass():
     # The degree schedule and the obstacle's outer flux both read the core
     # mass, the integral of the Laplacian factor dd-bar phi over the core disk.
     for spec in (FunctionalSpec("hyperbolic", 0.9), FunctionalSpec("planar", 8.0)):
-        grid = build_grid(Disk(0, spec.indicator_radius), (64, 8))
+        grid = build_grid(Disk(spec.indicator_radius), (64, 8))
         mass = integrate(grid, np.broadcast_to(spec.laplacian(np.abs(grid.nodes)), grid.nodes.shape))
         assert abs(mass - spec.core_mass) < 1e-10 * spec.core_mass
 
@@ -249,7 +249,7 @@ def test_density_dilated_substitution_identity(rng):
     # plain integrand of f over the shrunken disk D(0, (1-d) r).
     r, d = 0.8, 0.2
     rp = (1 - d) * r
-    grid = build_grid(Disk(0, rp), (128, 128))
+    grid = build_grid(Disk(rp), (128, 128))
     for _ in range(5):
         f = random_poly(rng, 6)
         g = dilate(f, 1 - d)
@@ -267,7 +267,7 @@ def test_density_dilated_substitution_identity(rng):
 def test_planar_dilated_formula(rng):
     # rho_{C,gamma,alpha}(f) = int_D (|f| e^{-alpha gamma |z|^2} - 1)^2 dA.
     g, a = 2.0, 0.8
-    grid = build_grid(Disk(0, 1), (96, 96))
+    grid = build_grid(Disk(1), (96, 96))
     for _ in range(5):
         f = random_poly(rng, 5)
         lhs = density(f, FunctionalSpec("planar", g, alpha=a), grid).value
@@ -409,7 +409,7 @@ def test_ell_equality_at_minimizer_standalone():
     spec = FunctionalSpec("hyperbolic", r)
     res = minimize(spec, degree_schedule(spec), OptimizerConfig(restarts=3, seed=1))
     assert res.converged
-    rep = density(res.minimizer, spec, build_grid(Disk(0, r), (128, 128)))
+    rep = density(res.minimizer, spec, build_grid(Disk(r), (128, 128)))
     e1, e2 = rep.ell1, rep.ell2
     assert abs(e1 - e2) < 1e-5
     assert abs(res.value - (1.0 - e1)) < 1e-5

@@ -1,21 +1,19 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zeropack import (
-    Cell,
     ConfigurationError,
     InvalidLatticeError,
+    InvalidRegionError,
     NormalizationError,
     NumericError,
-    QuadratureGrid,
     QuasiperiodicCandidate,
     abrikosov_candidate,
-    build_grid,
     cell_average_density,
-    integrate,
     lattice_normalize,
     optimal_cell_scale,
     sigma,
@@ -215,13 +213,20 @@ def test_nonfinite_periodicity_residual_is_numeric_error():
         cell_average_density(broken, (32, 32))
 
 
+def midpoint_nodes(lattice, res):
+    """The cell's midpoint nodes 2 u omega1 + 2 v omega2 at u = (i + 1/2)/n_u, v = (j + 1/2)/n_v."""
+    u = (np.arange(res[0]) + 0.5) / res[0]
+    v = (np.arange(res[1]) + 0.5) / res[1]
+    return (2.0 * u[:, None] * lattice.omega1 + 2.0 * v[None, :] * lattice.omega2).ravel()
+
+
 def node_cell_means(cand, res):
-    """Oracle: cell means of |e^{nu z^2} sigma(z)|^beta e^{-|z|^2} and its square on the cell
-    grid's nodes, from two separate factors and T complex sines per node."""
-    grid = build_grid(Cell(cand.lattice.omega1, cand.lattice.omega2), res)
-    g = np.abs(cand.f0_values(grid.nodes)) ** cand.beta * np.exp(-np.abs(grid.nodes) ** 2)
-    assert np.max(np.abs(cand.envelope(grid.nodes) - cand.scale * g)) < 1e-13 * np.max(cand.scale * g)
-    return integrate(grid, g) / grid.total_weight, integrate(grid, g * g) / grid.total_weight
+    """Oracle: cell means of |e^{nu z^2} sigma(z)|^beta e^{-|z|^2} and its square on the cell's
+    midpoint nodes, from two separate factors and T complex sines per node."""
+    z = midpoint_nodes(cand.lattice, res)
+    g = np.abs(cand.f0_values(z)) ** cand.beta * np.exp(-np.abs(z) ** 2)
+    assert np.max(np.abs(cand.envelope(z) - cand.scale * g)) < 1e-13 * np.max(cand.scale * g)
+    return np.mean(g), np.mean(g * g)
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
@@ -232,7 +237,7 @@ def test_cell_means_match_the_node_quadrature(theta, beta):
     cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
     res = (48, 80)
     if theta == 0.6:
-        v_max = build_grid(Cell(cand.lattice.omega1, cand.lattice.omega2), res).cell_axes[1][-1]
+        v_max = (res[1] - 0.5) / res[1]
         assert len(_theta_series(cand.lattice.tau, PI * cand.lattice.tau.imag * v_max)[0]) >= 7
     m1, m2 = node_cell_means(cand, res)
     s = m1 / m2
@@ -256,15 +261,24 @@ def test_cell_means_of_an_unnormalized_candidate():
         cell_average_density(off, (48, 80))
 
 
+def test_cell_means_refuse_bad_resolutions_bases_and_values():
+    # The midpoint rule needs a node on each axis and a positively oriented
+    # cell, and a non-finite envelope value is a numeric failure, not a mean.
+    lat = lattice_normalize(PI / 3, 1.0)
+    cand = abrikosov_candidate(lat, 1.0)
+    for res in ((0, 8), (8, 0)):
+        with pytest.raises(InvalidRegionError):
+            optimal_cell_scale(cand, res)
+    flipped = replace(lat, omega2=lat.omega2.conjugate(), tau=lat.tau.conjugate())
+    with pytest.raises(InvalidRegionError):
+        optimal_cell_scale(QuasiperiodicCandidate(flipped, cand.nu, 1.0), (32, 32))
+    with pytest.raises(NumericError):
+        optimal_cell_scale(QuasiperiodicCandidate(lat, math.nan, 1.0), (32, 32))
+
+
 def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
-    # The cell means read only the cell grid's axes: no node array, and every
-    # sine or cosine is taken on one axis times the series terms.
-    derived = QuadratureGrid.nodes
-
-    def cells_refuse(grid):
-        assert grid.cell_axes is None, "a cell grid built its nodes"
-        return derived.__get__(grid, QuadratureGrid)
-
+    # The cell means read only the two midpoint axes: every sine or cosine is
+    # taken on one axis times the series terms, never on the u x v nodes.
     class AxisSinesOnly:
         def __getattr__(self, name):
             func = getattr(np, name)
@@ -277,14 +291,11 @@ def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
 
             return small
 
-    monkeypatch.setattr(QuadratureGrid, "nodes", property(cells_refuse))
     monkeypatch.setattr(lattice_sigma, "np", AxisSinesOnly())
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
     assert abs(cell_average_density(cand, (256, 256)) - 0.061203) < 5e-4
     assert optimal_cell_scale(cand, (128, 192)) > 0
     assert len(theta_scan(1.0, 1.1, 2, 1.0, (128, 128))) == 2
-    with pytest.raises(AssertionError, match="built its nodes"):
-        build_grid(Cell(1.0, 1j), (8, 8)).nodes
 
 
 def test_cell_means_peak_memory():
@@ -329,8 +340,7 @@ def test_cell_average_scale_identity():
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
     res = (128, 128)
     s = optimal_cell_scale(cand, res)
-    grid = build_grid(Cell(cand.lattice.omega1, cand.lattice.omega2), res)
-    m1 = float(np.sum(cand.envelope(grid.nodes) * grid.weights) / np.sum(grid.weights))
+    m1 = float(np.mean(cand.envelope(midpoint_nodes(cand.lattice, res))))
     val = cell_average_density(cand, res, optimize_scale=True)
     assert abs(val - (1.0 - s * m1)) < 1e-12
 

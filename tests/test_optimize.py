@@ -7,9 +7,12 @@ import pytest
 from zeropack import (
     ComplexPolynomial,
     ConfigurationError,
+    Disk,
     FunctionalSpec,
     OptimizerConfig,
+    TruncatedPlane,
     UndefinedScaleError,
+    build_grid,
     default_grid,
     degree_schedule,
     density,
@@ -111,6 +114,16 @@ def test_value_recomputed_on_fresh_grid():
     assert abs(res.value - fresh) < 1e-8
 
 
+def test_value_reported_on_the_searched_grid():
+    # A caller's grid, split where the default grid is not, is the grid the
+    # winner is scored on: the reported value is the winning restart's.
+    spec = FunctionalSpec("planar", 4.0)
+    grid = build_grid(Disk(1.0), (48, 66), radial_splits=(0.5,))
+    res = minimize(spec, 8, OptimizerConfig(restarts=4, seed=1), grid)
+    assert abs(res.value - min(res.restart_values)) <= 1e-12
+    assert res.value == density(res.minimizer, spec, grid).value
+
+
 def test_stationarity_when_converged():
     for geometry, param, n in (("hyperbolic", 0.8, 2), ("planar", 2.0, 4)):
         spec = FunctionalSpec(geometry, param)
@@ -150,13 +163,11 @@ def test_minimize_validation():
     with pytest.raises(ConfigurationError):
         minimize(FunctionalSpec("planar", 1.0, beta=2.0), 2)
     # grid geometry must match the spec
-    from zeropack import Disk, TruncatedPlane, build_grid
-
     with pytest.raises(ConfigurationError):
         minimize(FunctionalSpec("hyperbolic", 0.8), 2, grid=build_grid(TruncatedPlane(3.0), (32, 32)))
     # 16 equispaced angles cannot integrate |f|^2 exactly for 20 coefficients
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        minimize(FunctionalSpec("planar", 8.0), 20, grid=build_grid(Disk(0, 1), (32, 16)))
+        minimize(FunctionalSpec("planar", 8.0), 20, grid=build_grid(Disk(1), (32, 16)))
     with pytest.raises(ConfigurationError, match="restarts"):
         OptimizerConfig(restarts=0)
     # A negative seed would reach numpy's default_rng as a negative seed*7919 + r.

@@ -6,7 +6,6 @@ import pytest
 
 from zeropack import (
     Annulus,
-    Cell,
     ComplexPolynomial,
     ConfigurationError,
     Disk,
@@ -81,7 +80,7 @@ def dbar_gram(spec, n, grid):
 
 def test_gram_hyperbolic_diagonal():
     # Oracle: 2*int_0^1 r^(2j+1) (1-r^2) dr = 1/((j+1)(j+2)).
-    grid = build_grid(Disk(0, 1), (128, 64))
+    grid = build_grid(Disk(1), (128, 64))
     G = dbar_gram(HYP, 16, grid)
     for j in range(16):
         assert abs(G[j] - 1.0 / ((j + 1) * (j + 2))) < 1e-10
@@ -106,13 +105,13 @@ def _dense_gram(spec, n, grid):
 
 
 _DENSE_CASES = (
-    (HYP, 64, Disk(0, 1)),
+    (HYP, 64, Disk(1)),
     (planar(8.0), 26, TruncatedPlane(default_r_cut(26, 8.0))),
 )
 
 
 def test_gram_offdiagonal_zero():
-    grid = build_grid(Disk(0, 1), (64, 64))
+    grid = build_grid(Disk(1), (64, 64))
     dense = _dense_gram(HYP, 8, grid)
     off = dense - np.diag(np.diag(dense))
     assert np.max(np.abs(off)) < 1e-12
@@ -126,7 +125,7 @@ def test_gram_offdiagonal_zero():
 
 
 def test_gram_hermitian_cholesky_degree_64(rng):
-    grid = build_grid(Disk(0, 1), (128, 256))
+    grid = build_grid(Disk(1), (128, 256))
     dense = _dense_gram(HYP, 64, grid)
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
     np.linalg.cholesky(dense)  # PD with the default grids
@@ -148,14 +147,11 @@ def test_gram_hermitian_cholesky_degree_64(rng):
 
 def test_gram_rejects_non_ring_grids():
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        dbar_gram(HYP, 20, build_grid(Disk(0, 1), (32, 16)))
-    # An off-centre disk has no radii to evaluate a ring weight on.
-    with pytest.raises(ConfigurationError):
-        gram_diagonal(build_grid(Disk(0.5, 1.0), (32, 32)), np.ones(32), 4)
+        dbar_gram(HYP, 20, build_grid(Disk(1), (32, 16)))
 
 
 def test_norm_via_gram_matches_integral(rng):
-    grid = build_grid(Disk(0, 1), (96, 96))
+    grid = build_grid(Disk(1), (96, 96))
     n = 9
     G = dbar_gram(HYP, n, grid)
     for _ in range(5):
@@ -184,7 +180,7 @@ def test_serialization_roundtrip(rng):
 
 @pytest.mark.parametrize(
     "region, splits",
-    [(Disk(0, 1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))],
+    [(Disk(1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))],
     ids=["disk", "annulus", "split-plane"],
 )
 def test_ring_product_matches_dense(rng, region, splits):
@@ -212,7 +208,3 @@ def test_ring_product_matches_dense(rng, region, splits):
     assert np.all(np.abs(p.on_grid(grid) - poly_eval(p, grid.nodes)) <= 1e-13 * (np.abs(dense) @ np.abs(c)))
 
 
-def test_ring_product_rejects_non_ring_grids():
-    for region in (Cell(1.0, 0.5 + 1j), Disk(0.5, 1.0)):
-        with pytest.raises(ConfigurationError):
-            ring_vandermonde(build_grid(region, (8, 8)), 4)

@@ -6,7 +6,6 @@ import pytest
 
 from zeropack import (
     Annulus,
-    Cell,
     Disk,
     InvalidRegionError,
     NumericError,
@@ -19,12 +18,12 @@ from zeropack.quadrature import _gauss_legendre
 
 
 def test_total_weight_unit_disk():
-    grid = build_grid(Disk(0, 1), (64, 128))
+    grid = build_grid(Disk(1), (64, 128))
     assert abs(grid.total_weight - 1.0) < 1e-12
 
 
 def test_total_weight_half_disk():
-    grid = build_grid(Disk(0, 0.5), (64, 128))
+    grid = build_grid(Disk(0.5), (64, 128))
     assert abs(grid.total_weight - 0.25) < 1e-12
 
 
@@ -35,7 +34,7 @@ def test_total_weight_annulus():
 
 
 def test_weights_positive_nodes_inside():
-    for region in (Disk(0, 0.7), Annulus(0.3, 0.9), TruncatedPlane(4.0)):
+    for region in (Disk(0.7), Annulus(0.3, 0.9), TruncatedPlane(4.0)):
         grid = build_grid(region, (32, 16))
         assert np.all(grid.weights > 0)
         s = np.abs(grid.nodes)
@@ -49,7 +48,7 @@ def test_weights_positive_nodes_inside():
 
 @pytest.mark.parametrize("r", [0.5, 0.9])
 def test_hyperbolic_log_identity(r):
-    grid = build_grid(Disk(0, r), (128, 64))
+    grid = build_grid(Disk(r), (128, 64))
     val = integrate(grid, lambda z: 1.0 / (1.0 - np.abs(z) ** 2))
     exact = math.log(1.0 / (1.0 - r * r))
     assert abs(val - exact) / exact < 1e-10
@@ -57,7 +56,7 @@ def test_hyperbolic_log_identity(r):
 
 def test_moment_integral_unit_disk():
     # Oracle: 2*int_0^1 r^3 dr = 1/2.
-    grid = build_grid(Disk(0, 1), (64, 32))
+    grid = build_grid(Disk(1), (64, 32))
     assert abs(integrate(grid, lambda z: np.abs(z) ** 2) - 0.5) < 1e-12
 
 
@@ -70,7 +69,7 @@ def test_truncated_plane_gaussian():
 
 @pytest.mark.parametrize("j,k", [(0, 1), (1, 3), (5, 2), (7, 0)])
 def test_offdiagonal_monomials_vanish(j, k):
-    for region in (Disk(0, 0.8), Annulus(0.4, 1.0)):
+    for region in (Disk(0.8), Annulus(0.4, 1.0)):
         grid = build_grid(region, (48, 64))
         val = np.sum(grid.nodes**j * np.conj(grid.nodes) ** k * grid.weights)
         assert abs(val) < 1e-12
@@ -83,7 +82,7 @@ def test_radial_convergence_order():
     exact = math.log(1.0 / (1.0 - r * r))
     errs = []
     for n_rad in (8, 16, 32, 64):
-        grid = build_grid(Disk(0, r), (n_rad, 16))
+        grid = build_grid(Disk(r), (n_rad, 16))
         errs.append(abs(integrate(grid, lambda z: 1.0 / (1.0 - np.abs(z) ** 2)) - exact))
     for a, b in zip(errs[:-1], errs[1:]):
         assert b < a / 10.0 or b < 1e-12
@@ -91,8 +90,8 @@ def test_radial_convergence_order():
 
 def test_region_additivity_shared_split():
     r_in, r_out = 0.5, 0.9
-    whole = build_grid(Disk(0, r_out), (48, 32), radial_splits=(r_in,))
-    inner = build_grid(Disk(0, r_in), (48, 32))
+    whole = build_grid(Disk(r_out), (48, 32), radial_splits=(r_in,))
+    inner = build_grid(Disk(r_in), (48, 32))
     outer = build_grid(Annulus(r_in, r_out), (48, 32))
 
     def f(z):
@@ -105,33 +104,24 @@ def test_region_additivity_shared_split():
 
 def test_split_grid_nodes_match_pieces():
     r_in, r_out = 0.5, 0.9
-    whole = build_grid(Disk(0, r_out), (48, 32), radial_splits=(r_in,))
-    inner = build_grid(Disk(0, r_in), (48, 32))
+    whole = build_grid(Disk(r_out), (48, 32), radial_splits=(r_in,))
+    inner = build_grid(Disk(r_in), (48, 32))
     outer = build_grid(Annulus(r_in, r_out), (48, 32))
     assert np.array_equal(whole.nodes, np.concatenate([inner.nodes, outer.nodes]))
     assert np.array_equal(whole.weights, np.concatenate([inner.weights, outer.weights]))
 
 
-def test_cell_grid_measure():
-    # Euclidean cell area |Im(conj(2 w1) * 2 w2)| under dA = dxdy/pi.
-    grid = build_grid(Cell(1.0, 1j), (32, 32))
-    assert abs(grid.total_weight - 4.0 / math.pi) < 1e-12
-    assert np.all(grid.weights > 0)
-
-
 def test_degenerate_regions_rejected():
     with pytest.raises(InvalidRegionError):
-        build_grid(Disk(0, 0.0), (8, 8))
+        build_grid(Disk(0.0), (8, 8))
     with pytest.raises(InvalidRegionError):
         build_grid(Annulus(0.9, 0.5), (8, 8))
     with pytest.raises(InvalidRegionError):
-        build_grid(Cell(1.0, 2.0), (8, 8))  # collinear basis, zero area
-    with pytest.raises(InvalidRegionError):
-        build_grid(Disk(0, 1.0), (0, 8))
+        build_grid(Disk(1.0), (0, 8))
 
 
 def test_nonfinite_integrand_reports_node():
-    grid = build_grid(Disk(0, 1), (8, 8))
+    grid = build_grid(Disk(1), (8, 8))
 
     def bad(z):
         out = np.ones_like(np.real(z))
@@ -144,7 +134,7 @@ def test_nonfinite_integrand_reports_node():
 
 
 def test_integrate_accepts_value_array():
-    grid = build_grid(Disk(0, 1), (16, 16))
+    grid = build_grid(Disk(1), (16, 16))
     vals = np.abs(grid.nodes) ** 2
     assert abs(integrate(grid, vals) - 0.5) < 1e-10
     with pytest.raises(NumericError):
@@ -153,7 +143,7 @@ def test_integrate_accepts_value_array():
 
 def test_integrate_callable_must_return_node_shape():
     # A callable's output is checked like a value array; there is no per-node fallback.
-    grid = build_grid(Disk(0, 1), (8, 8))
+    grid = build_grid(Disk(1), (8, 8))
     with pytest.raises(NumericError):
         integrate(grid, lambda z: 1.0)
 
@@ -167,8 +157,8 @@ def test_default_r_cut_dominates_growth():
 
 
 def test_gauss_legendre_rule_cached_read_only():
-    first = build_grid(Disk(0, 1), (48, 16), radial_splits=(0.5,))
-    again = build_grid(Disk(0, 1), (48, 16), radial_splits=(0.5,))
+    first = build_grid(Disk(1), (48, 16), radial_splits=(0.5,))
+    again = build_grid(Disk(1), (48, 16), radial_splits=(0.5,))
     assert first.nodes.tobytes() == again.nodes.tobytes()
     assert first.weights.tobytes() == again.weights.tobytes()
     x, w = _gauss_legendre(48)
@@ -183,7 +173,7 @@ def test_gauss_legendre_rule_cached_read_only():
 
 
 def test_ring_layout_radii():
-    for region, splits in ((Disk(0, 1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))):
+    for region, splits in ((Disk(1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))):
         grid = build_grid(region, (12, 10), radial_splits=splits)
         assert grid.radii.shape == (12 * (len(splits) + 1),)
         # Nodes and weights are derived, once, from the radii and ring weights.
@@ -191,27 +181,6 @@ def test_ring_layout_radii():
         assert grid.nodes.tobytes() == (grid.radii[:, None] * grid.phases).ravel().tobytes()
         assert grid.weights.tobytes() == np.repeat(grid.ring_weights, 10).tobytes()
         assert grid.nodes is grid.nodes and grid.weights is grid.weights
-    assert build_grid(Cell(1.0, 0.5 + 1j), (8, 8)).radii is None
-    assert build_grid(Disk(0.5, 1.0), (8, 8)).radii is None
-
-
-def test_cell_grid_derives_its_nodes_from_its_axes():
-    # A cell grid keeps its midpoint axes in cell coordinates; its nodes are
-    # the 2 u w1 + 2 v w2 tensor grid, derived once on first use.
-    w1, w2 = 0.8 + 0.1j, 0.3 + 0.9j
-    grid = build_grid(Cell(w1, w2), (6, 10))
-    u, v = grid.cell_axes
-    assert np.array_equal(u, (np.arange(6) + 0.5) / 6) and np.array_equal(v, (np.arange(10) + 0.5) / 10)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    assert grid.nodes.tobytes() == (2.0 * uu * w1 + 2.0 * vv * w2).ravel().tobytes()
-    assert grid.nodes is grid.nodes and grid.size == 60 and grid.stored_nodes is None
-    tracemalloc.start()
-    try:
-        build_grid(Cell(w1, w2), (1024, 1024))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 100_000
 
 
 def test_ring_grid_builds_no_node_arrays():
@@ -221,7 +190,7 @@ def test_ring_grid_builds_no_node_arrays():
     _gauss_legendre(1024)
     tracemalloc.start()
     try:
-        grid = build_grid(Disk(0, 1), (1024, 1024))
+        grid = build_grid(Disk(1), (1024, 1024))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -232,16 +201,14 @@ def test_ring_grid_builds_no_node_arrays():
 @pytest.mark.parametrize(
     "region,resolution,splits,expect",
     [
-        (Disk(0, 0.7), (33, 17), (0.2, 0.5), (0.4899999999999999, 0.36599899978347916, 0.12004999999999995)),
+        (Disk(0.7), (33, 17), (0.2, 0.5), (0.4899999999999999, 0.36599899978347916, 0.12004999999999995)),
         (TruncatedPlane(4.0), (12, 10), (1.0, 2.5), (16.0, 0.7788007699519007, 128.0)),
-        (Disk(0.5, 1.0), (8, 8), (), (1.0, 0.4743598377379734, 0.7500000000000004)),
-        (Cell(1.0, 0.5 + 1j), (32, 48), (), (1.2732395447351623, 0.12363143671561999, 5.092313454055441)),
     ],
-    ids=["split-disk", "split-plane", "off-centre-disk", "cell"],
+    ids=["split-disk", "split-plane"],
 )
 def test_total_weight_and_integrate_keep_their_values(region, resolution, splits, expect):
     # The expected values are node-by-node sums against the node weights;
-    # total_weight and integrate sum each row first, so only rounding differs.
+    # total_weight and integrate sum each ring first, so only rounding differs.
     grid = build_grid(region, resolution, radial_splits=splits)
     vals = np.cos(np.real(grid.nodes)) * np.exp(-np.abs(grid.nodes) ** 2)
     got = (grid.total_weight, integrate(grid, vals), integrate(grid, lambda z: np.abs(z) ** 2))
