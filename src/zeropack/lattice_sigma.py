@@ -67,16 +67,13 @@ def _theta1_derivatives0(tau: complex) -> tuple[complex, complex]:
 
 def _eta_for(w1: complex, w2: complex) -> complex:
     """Quasi-period invariant eta = zeta(w1) for the basis (w1, w2)."""
-    tau = w2 / w1
-    if tau.imag <= 0:
-        raise InvalidLatticeError(f"basis not positively oriented: tau = {tau}")
-    prime, ppp = _theta1_derivatives0(tau)
+    prime, ppp = _theta1_derivatives0(w2 / w1)
     return -(math.pi**2) / (12.0 * w1) * ppp / prime
 
 
 @dataclass(frozen=True)
 class Lattice:
-    """Half-periods, quasi-period invariants and shape data of one lattice."""
+    """Half-periods, quasi-period invariants and shape data of one positively oriented lattice."""
 
     omega1: complex
     omega2: complex
@@ -84,6 +81,10 @@ class Lattice:
     eta1: complex
     eta2: complex
     tau: complex
+
+    def __post_init__(self) -> None:
+        if not ((np.conj(self.omega1) * self.omega2).imag > 0 and self.tau.imag > 0):
+            raise InvalidLatticeError(f"basis must be positively oriented with nonzero area, got tau = {self.tau}")
 
 
 def lattice_normalize(theta: float, beta: float) -> Lattice:
@@ -116,8 +117,6 @@ def sigma(z, lattice: Lattice):
                * theta1(pi z/(2 omega1) | tau); odd, sigma'(0) = 1, simple
     zeros exactly on the lattice.
     """
-    if lattice.tau.imag <= 0:
-        raise InvalidLatticeError(f"tau must have positive imaginary part, got {lattice.tau}")
     z = np.asarray(z, dtype=complex)
     w1 = lattice.omega1
     v = math.pi * z / (2.0 * w1)
@@ -153,13 +152,14 @@ class QuasiperiodicCandidate:
     def envelope(self, z) -> np.ndarray:
         """g(z) = scale * |f0(z)|^beta * e^{-|z|^2}; doubly periodic by design.
 
-        Formed as scale * |pref theta_1|^beta * exp(beta Re(c z^2) - |z|^2), with
-        one real exponent.
+        Formed as scale * (|pref theta_1| exp(Re(c z^2) - |z|^2/beta))^beta, with
+        one real exponent, so that neither factor is raised to beta alone (at
+        theta = pi/3, beta = 60, |pref theta_1|^beta overflows where g does not).
         """
         z = np.asarray(z, dtype=complex)
         pref, c = self._modulus_factors()
         theta = _theta1(math.pi * z / (2.0 * self.lattice.omega1), self.lattice.tau)
-        return self.scale * np.abs(pref * theta) ** self.beta * np.exp(self.beta * (c * z**2).real - np.abs(z) ** 2)
+        return self.scale * (np.abs(pref * theta) * np.exp((c * z**2).real - np.abs(z) ** 2 / self.beta)) ** self.beta
 
     def periodicity_residual(self, n_points: int = 1000, seed: int = 0) -> float:
         """max |g(z + 2*omega_j) - g(z)| / sup g over a random test grid; NumericError if not finite."""
@@ -198,38 +198,36 @@ def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate
 def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tuple[float, float]:
     """The cell means of g = |f0|^beta e^{-|z|^2} and of g^2, by the midpoint rule.
 
-    The nodes are z = 2u omega1 + 2v omega2 at the cell coordinates
-    u = (i + 1/2)/n_u and v = (j + 1/2)/n_v; the midpoint offset keeps them
-    off the lattice points, where integrands built from |sigma| are only
-    Lipschitz.  A node's theta argument is pi z/(2 omega1) = pi u + pi tau v,
-    and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so pref * theta_1
-    on the u x v grid is one (n_u x 2T) @ (2T x n_v) product of per-axis sines
-    and cosines.  beta Re(c z^2) - |z|^2 is a quadratic form in (u, v),
-    exponentiated once.
+    They equal large-disk averages only for a doubly periodic g, so a
+    periodicity residual above 1e-8 is a NormalizationError.  The nodes are
+    z = 2u omega1 + 2v omega2 at u = (i + 1/2)/n_u, v = (j + 1/2)/n_v, off the
+    lattice points where |sigma| is only Lipschitz.  A node's theta argument
+    is pi u + pi tau v, and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb),
+    so pref * theta_1 on the grid is one (n_u x 2T) @ (2T x n_v) product of
+    per-axis sines and cosines.  For a periodic g, beta Re(c z^2) - |z|^2 is
+    a v^2 alone (a = -beta pi Im tau), so e^{a v^2 / beta} scales the
+    product's columns and g = |product|^beta.
     """
     n_u, n_v = resolution
     if n_u < 1 or n_v < 1:
         raise InvalidRegionError(f"cell resolution must be >= 1, got {resolution}")
+    residual = cand.periodicity_residual(n_points=200)
+    if residual > 1e-8:
+        raise NormalizationError(
+            f"candidate envelope is not doubly periodic (residual {residual:.2e}); "
+            "rebuild the lattice with lattice_normalize for this beta"
+        )
     lat = cand.lattice
     w1, w2 = lat.omega1, lat.omega2
-    if not ((np.conj(w1) * w2).imag > 0 and lat.tau.imag > 0):
-        raise InvalidRegionError("cell basis must be positively oriented with nonzero area")
     u, v = (np.arange(n_u) + 0.5) / n_u, (np.arange(n_v) + 0.5) / n_v
     pref, c = cand._modulus_factors()
     b = math.pi * lat.tau * v
     coeff, k = _theta_series(lat.tau, float(np.max(np.abs(b.imag))))
     ka, kb = np.multiply.outer(math.pi * u, k), np.multiply.outer(k, b)
+    a = 4.0 * (cand.beta * (c * w2 * w2).real - abs(w2) ** 2)
     right = (2.0 * pref * np.tile(coeff, 2))[:, None] * np.concatenate([np.cos(kb), np.sin(kb)])
-    theta = np.concatenate([np.sin(ka), np.cos(ka)], axis=1) @ right
-
-    def form(p: complex, q: complex) -> float:
-        # The (p, q) coefficient of beta Re(c z^2) - |z|^2 at z = 2u w1 + 2v w2.
-        return 4.0 * (cand.beta * (c * p * q).real - (np.conj(p) * q).real)
-
-    exponent = np.add.outer(form(w1, w1) * u**2, form(w2, w2) * v**2)
-    exponent += np.multiply.outer(u, 2.0 * form(w1, w2) * v)
-    g = np.abs(theta) ** cand.beta
-    g *= np.exp(exponent, out=exponent)
+    right *= np.exp(a * v**2 / cand.beta)
+    g = np.abs(np.concatenate([np.sin(ka), np.cos(ka)], axis=1) @ right) ** cand.beta
     g2 = g * g
     # g >= 0, so g^2 is finite exactly where g is finite and its square does not overflow.
     if not np.all(np.isfinite(g2)):
@@ -240,7 +238,10 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
 
 
 def optimal_cell_scale(cand: QuasiperiodicCandidate, resolution: tuple[int, int] = (256, 256)) -> float:
-    """The s minimizing the cell mean of (s*g - 1)^2: cell-mean g / cell-mean g^2."""
+    """The s minimizing the cell mean of (s*g - 1)^2: cell-mean g / cell-mean g^2.
+
+    A candidate that is not doubly periodic is a NormalizationError.
+    """
     m1, m2 = _cell_means(cand, resolution)
     if m2 <= 0:
         raise NormalizationError("candidate envelope vanishes identically")
@@ -263,12 +264,6 @@ def cell_average_density(
         raise ConfigurationError(
             f"cell resolution {resolution} too coarse; use at least 16x16 (128x128 or more near pi/3)"
         )
-    residual = cand.periodicity_residual(n_points=200)
-    if residual > 1e-8:
-        raise NormalizationError(
-            f"candidate envelope is not doubly periodic (residual {residual:.2e}); "
-            "rebuild the lattice with lattice_normalize for this beta"
-        )
     m1, m2 = _cell_means(cand, resolution)
     s = (m1 / m2) if optimize_scale else cand.scale
     return 1.0 - 2.0 * s * m1 + s * s * m2
@@ -287,9 +282,10 @@ def theta_scan(
     if not 0.0 < theta_min < theta_max < math.pi:
         raise InvalidLatticeError(f"scan interval must sit inside (0, pi), got [{theta_min}, {theta_max}]")
     rows = []
-    for theta in np.linspace(theta_min, theta_max, steps):
-        cand = abrikosov_candidate(lattice_normalize(float(theta), beta), beta)
-        rows.append((float(theta), cell_average_density(cand, resolution, optimize_scale=True)))
+    for i in range(steps):
+        theta = theta_min + i * (theta_max - theta_min) / (steps - 1)
+        cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
+        rows.append((theta, cell_average_density(cand, resolution, optimize_scale=True)))
     return rows
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zeropack import theta_scan
 from zeropack.cli import main
 
 
@@ -102,6 +103,15 @@ def test_lattice_scan_stdout(capsys):
     )
     assert code == 0
     assert out.startswith("theta,value\n")
+
+
+def test_lattice_scan_rows_equal_theta_scan(capsys):
+    # The CLI and theta_scan score the same angles: on the default window
+    # np.linspace would differ from the CLI's angles at indices 3 and 17.
+    code, out, _ = run(capsys, "lattice-scan", "--format", "json", "--resolution", "32x32")
+    assert code == 0
+    rows = [tuple(row) for row in json.loads(out)["rows"]]
+    assert rows == theta_scan(math.pi / 3 - 0.3, math.pi / 3 + 0.3, 21, 1.0, (32, 32))
 
 
 def test_gap_sweep_hyperbolic(tmp_path, capsys):

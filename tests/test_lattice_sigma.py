@@ -230,10 +230,11 @@ def node_cell_means(cand, res):
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
-@pytest.mark.parametrize("theta", [0.6, 0.75, PI / 3, 1.37])
+@pytest.mark.parametrize("theta", [0.3, 0.6, 0.75, PI / 3, 1.37, 2.8])
 def test_cell_means_match_the_node_quadrature(theta, beta):
     # The non-square grid catches factors built on mismatched axes; theta =
-    # 0.6 needs a seventh series term.
+    # 0.6 needs a seventh series term, and 0.3 and 2.8 are flat cells, whose
+    # exponent loses its u^2 and uv terms by cancelling the largest parts.
     cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
     res = (48, 80)
     if theta == 0.6:
@@ -250,39 +251,63 @@ def test_cell_means_match_the_node_quadrature(theta, beta):
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+def test_cell_means_at_a_large_beta():
+    # Here |pref theta_1|^beta alone overflows. The envelope (and so the
+    # periodicity check) and the cell means raise the modulus times its
+    # Gaussian to the power instead.
+    cand = abrikosov_candidate(lattice_normalize(PI / 3, 60.0), 60.0)
+    m1, m2 = node_cell_means(cand, (48, 80))
+    s = m1 / m2
+    assert abs(optimal_cell_scale(cand, (48, 80)) - s) <= 1e-13 * s
+    want = 1.0 - 2.0 * s * m1 + s * s * m2
+    assert abs(cell_average_density(cand, (48, 80)) - want) <= 1e-13 * want
+
+
 def test_cell_means_of_an_unnormalized_candidate():
-    # For a normalized candidate the exponent beta Re(c z^2) - |z|^2 reduces to
-    # -beta pi Im(tau) v^2; another nu exercises its u^2 and uv terms too.
+    # Another nu leaves the envelope non-periodic, with u^2 and uv terms in its
+    # exponent; its cell means are no large-disk average, so both entry points
+    # refuse it.
     cand = abrikosov_candidate(lattice_normalize(1.2, 1.0), 1.0)
     off = QuasiperiodicCandidate(cand.lattice, cand.nu + 0.05 - 0.03j, 1.0)
-    m1, m2 = node_cell_means(off, (48, 80))
-    assert abs(optimal_cell_scale(off, (48, 80)) - m1 / m2) <= 1e-13 * (m1 / m2)
+    with pytest.raises(NormalizationError):
+        optimal_cell_scale(off, (48, 80))
     with pytest.raises(NormalizationError):
         cell_average_density(off, (48, 80))
 
 
 def test_cell_means_refuse_bad_resolutions_bases_and_values():
     # The midpoint rule needs a node on each axis and a positively oriented
-    # cell, and a non-finite envelope value is a numeric failure, not a mean.
+    # cell (Lattice itself refuses any other), and a non-finite envelope value
+    # is a numeric failure, not a mean.
     lat = lattice_normalize(PI / 3, 1.0)
     cand = abrikosov_candidate(lat, 1.0)
     for res in ((0, 8), (8, 0)):
         with pytest.raises(InvalidRegionError):
             optimal_cell_scale(cand, res)
-    flipped = replace(lat, omega2=lat.omega2.conjugate(), tau=lat.tau.conjugate())
-    with pytest.raises(InvalidRegionError):
-        optimal_cell_scale(QuasiperiodicCandidate(flipped, cand.nu, 1.0), (32, 32))
+    with pytest.raises(InvalidLatticeError):
+        replace(lat, omega2=lat.omega2.conjugate(), tau=lat.tau.conjugate())
     with pytest.raises(NumericError):
         optimal_cell_scale(QuasiperiodicCandidate(lat, math.nan, 1.0), (32, 32))
 
 
+def test_cell_means_name_a_non_finite_node(monkeypatch):
+    # A nan nu fails the periodicity check first; past it, the cell grid's own
+    # check reports the first non-finite node.
+    lat = lattice_normalize(PI / 3, 1.0)
+    monkeypatch.setattr(QuasiperiodicCandidate, "periodicity_residual", lambda self, n_points: 0.0)
+    with pytest.raises(NumericError, match="at node") as info:
+        optimal_cell_scale(QuasiperiodicCandidate(lat, math.nan, 1.0), (32, 32))
+    assert abs(info.value.node - (lat.omega1 + lat.omega2) / 32) < 1e-15
+
+
 def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
-    # The cell means read only the two midpoint axes: every sine or cosine is
-    # taken on one axis times the series terms, never on the u x v nodes.
+    # The cell means read only the two midpoint axes: every sine, cosine or
+    # exponential is taken on one axis times the series terms, never on the
+    # u x v nodes.
     class AxisSinesOnly:
         def __getattr__(self, name):
             func = getattr(np, name)
-            if name not in ("sin", "cos"):
+            if name not in ("sin", "cos", "exp"):
                 return func
 
             def small(x):
@@ -300,7 +325,7 @@ def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
 
 def test_cell_means_peak_memory():
     # At 512x512 the node path held the nodes and a (terms x nodes) complex
-    # sine array, 67 MB at its peak; the separable path about 11 MB.
+    # sine array, 67 MB at its peak; the separable path holds about 6.5 MB.
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
     optimal_cell_scale(cand, (64, 64))
     tracemalloc.start()
