@@ -21,7 +21,7 @@ from . import __version__
 from .dbar import default_cutoff, equality_gap, minimal_correction
 from .errors import ConditioningError, ConfigurationError, NumericError, ZeropackError
 from .functionals import DEFAULT_RESOLUTION, FunctionalSpec, default_grid, density
-from .lattice_sigma import abrikosov_candidate, cell_average_density, lattice_normalize, scan_csv
+from .lattice_sigma import scan_csv, theta_scan
 from .optimize import OptimizerConfig, degree_schedule, minimize
 from .poly import ComplexPolynomial
 
@@ -148,18 +148,10 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_lattice_scan(args) -> int:
-    if args.steps < 2:
-        raise UsageError("--steps must be >= 2")
-    thetas = [
-        args.theta_min + i * (args.theta_max - args.theta_min) / (args.steps - 1)
-        for i in range(args.steps)
-    ]
-
-    def one(theta: float) -> tuple[float, float]:
-        cand = abrikosov_candidate(lattice_normalize(theta, args.beta), args.beta)
-        return theta, cell_average_density(cand, args.resolution, optimize_scale=True)
-
-    rows = _map(one, thetas, args.jobs)
+    rows = theta_scan(
+        args.theta_min, args.theta_max, args.steps, args.beta, args.resolution,
+        mapper=lambda fn, thetas: _map(fn, thetas, args.jobs),
+    )
     text = _json_text({"rows": [[t, v] for t, v in rows]}) if args.format == "json" else scan_csv(rows)
     if args.out is None:
         _write_text(text, None)

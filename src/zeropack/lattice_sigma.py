@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -275,18 +276,23 @@ def theta_scan(
     steps: int,
     beta: float = 1.0,
     resolution: tuple[int, int] = (128, 128),
+    mapper: Callable = map,
 ) -> list[tuple[float, float]]:
-    """Scaled cell-average density on an equispaced grid of lattice angles."""
+    """Scaled cell-average density on an equispaced grid of lattice angles.
+
+    ``mapper(fn, angles)`` scores the angles, in order; a caller may pass one
+    that runs them concurrently.
+    """
     if steps < 2:
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     if not 0.0 < theta_min < theta_max < math.pi:
         raise InvalidLatticeError(f"scan interval must sit inside (0, pi), got [{theta_min}, {theta_max}]")
-    rows = []
-    for i in range(steps):
-        theta = theta_min + i * (theta_max - theta_min) / (steps - 1)
+
+    def row(theta: float) -> tuple[float, float]:
         cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
-        rows.append((theta, cell_average_density(cand, resolution, optimize_scale=True)))
-    return rows
+        return theta, cell_average_density(cand, resolution, optimize_scale=True)
+
+    return list(mapper(row, [theta_min + i * (theta_max - theta_min) / (steps - 1) for i in range(steps)]))
 
 
 def scan_csv(rows: list[tuple[float, float]]) -> str:

@@ -14,22 +14,23 @@ tests hold at any stationary point.  Restarts search the rotation classes
 z^j g(z^m) of the spec's symmetry order on one angular sector of the grid,
 and every few restarts the full space.
 
-A restart descends only as far as its grid resolves.  Turning the iterate by
-half an angle step puts the workspace's own ring product on the midpoints of
-the grid's angles, so one more product gives the change of the value on
-twice the angles: the quadrature-error estimate quad_err.  A restart stops
-once its recent decrease is below a fixed fraction of that estimate; it
-then counts as converged, since the decrease left is below what the grid
-can resolve.
+A restart's IRLS steps descend only as far as its grid resolves.  Turning
+the iterate by half an angle step puts the workspace's own ring product on
+the midpoints of the grid's angles, so one more product gives the change of
+the value on twice the angles: the quadrature-error estimate quad_err.  The
+IRLS steps stop once their recent decrease is below a fixed fraction of that
+estimate.
 
-A restart is one descent that switches precision once: its node arithmetic
-is single precision until its first stop, usually a rounding rise once a
-step's drop is below the single-precision values' rounding (about 1e-8), and
-double from there on.  The grid resolves about 1e-5, so the single part can
-take the bulk of the steps, each in 0.6 to 0.9 of a double step's time on the
-default grids, and every number reported comes from the double part.  The
-descent keeps its step count, secant snapshot and windows across the switch,
-so the double part can stop at its first checkpoint.
+A restart is one descent that switches precision once: its IRLS steps run in
+single precision until their first stop, usually a rounding rise once a
+step's drop is below the single-precision values' rounding (about 1e-8), or
+the quad_err rule.  Each takes 0.6 to 0.9 of a double step's time on the
+default grids.  A Newton finish in double then takes the restart to a
+stationary point: near a minimizer with no zero on a node the density is C^2
+in the coefficients, and a modified-Hessian Newton method (Nocedal & Wright,
+Numerical Optimization, 2nd ed., section 3.4) converges quadratically from
+there, where IRLS steps converge linearly.  Every number reported comes from
+the finish.
 """
 
 from __future__ import annotations
@@ -60,16 +61,24 @@ __all__ = [
     "minimize",
 ]
 
-# Why a descent ended: the value rose (rounding at a stationary point), a
-# step's relative drop fell below TOLERANCE, the decrease left fell below the
-# grid's quadrature error, or MAX_ITERATIONS steps, the cap of a whole descent.
+# Why a descent ended: a step did not lower the value (a stationary point, to
+# rounding), a step's relative drop, or the drop a Newton direction predicts,
+# fell below TOLERANCE, the decrease left fell below the grid's quadrature
+# error (which ends only the IRLS part, never the Newton finish), or
+# MAX_ITERATIONS steps, the cap of a whole descent.
 STOP_REASONS = ("stationary", "tolerance", "quad_err", "cap")
 MAX_ITERATIONS = 1500
 TOLERANCE = 1e-10
-# A restart stops at a secant checkpoint past QUAD_ERR_BURN_IN steps once its
-# last two 10-step window drops are both below QUAD_ERR_FRACTION * quad_err.
+# The IRLS part stops at a secant checkpoint past QUAD_ERR_BURN_IN steps once
+# its last two 10-step window drops are both below QUAD_ERR_FRACTION * quad_err.
 QUAD_ERR_FRACTION = 0.03
 QUAD_ERR_BURN_IN = 20
+# The Newton finish's floor on the moduli of the projected Hessian's
+# eigenvalues, relative to the largest.  It bounds the step along a saddle's
+# slight negative curvature: at 1e-8 such steps overshot every backtracking
+# trial, so the 72 planar gamma=8 n=16 restarts of six seeds fell back to IRLS
+# 64 times, against none at 1e-3.
+NEWTON_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -93,10 +102,12 @@ class MinimizeResult:
     diagnostics: DensityReport
     restart_values: list[float]
     # Per restart: its class [m, j] ([1, 0] is the full space), value,
-    # iterations, those before the switch to double ("single_iterations"),
-    # accepted secant jumps ("extrapolations"), converged flag and why it
-    # stopped ("stop", one of STOP_REASONS).  Steps and jumps count the whole
-    # descent; the value and the stop are the double part's.
+    # iterations, those of them that were single-precision IRLS steps
+    # ("single_iterations"), Newton steps of the double finish
+    # ("newton_iterations") and its IRLS fallbacks ("fallback_iterations"),
+    # the single part's accepted secant jumps ("extrapolations"), converged
+    # flag and why it stopped ("stop": stationary, tolerance or cap).  The
+    # value, converged and stop are the finish's.
     restarts: list[dict] = field(default_factory=list)
     history: list[float] = field(default_factory=list, repr=False)
 
@@ -197,6 +208,21 @@ class _Workspace:
         )
         # Turning by half an angle step keeps the class.
         self.half_turn = grid.half_turn(n)[j::m]
+        # The Hessian's ring factors (see derivatives).  Over the class
+        # coefficients k_p = j + m*p, sum W conj(V_p) V_q is the sum over the
+        # rings of r^(k_p+k_q) times W's ring DFT at m*(q-p), and
+        # sum W conj(u)^2 V_p V_q that of r^(k_p+k_q) times the ring DFT of
+        # W conj(u)^2 at k_p+k_q: both index by p+q and |q-p| alone.
+        k = len(self.diagonal)
+        p, q = np.indices((k, k))
+        self.pair_index = (p + q, np.abs(q - p), q < p)
+        self.pair_radial = grid.radii ** (2 * j + m * np.arange(2 * k - 1))[:, None]
+        angles = 2.0 * math.pi * np.arange(sector) / grid.resolution[1]
+        # cos and sin of m*d*theta, d < k, interleaved so that a real product
+        # views as the complex DFT at the differences.
+        waves = np.outer(angles, m * np.arange(k))
+        self.difference_waves = np.stack([np.cos(waves), np.sin(waves)], axis=2).reshape(sector, 2 * k)
+        self.sum_waves = np.exp(-1j * np.outer(2 * j + m * np.arange(2 * k - 1), angles))
         size = len(self.b_wt)
         self.buffers = _node_buffers(size) if buffers is None else buffers
         fz, af, scratch = self.buffers
@@ -243,6 +269,63 @@ class _Workspace:
         y = np.multiply(it.fz, weight, out=self.fz[slot])
         return self.iterate(self.V.adjoint(y) / self.diagonal, slot)
 
+    def derivatives(self, it: _Iterate) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the unscaled value A - 2B + C at a rescaled iterate.
+
+        The gradient g is complex, d/dRe c + i d/dIm c: 2(G c - V^H(b u)) with
+        u = f/|f|, from the IRLS step's adjoint.  The Hessian is real, over
+        (Re c_0, Im c_0, Re c_1, ...), the layout of g viewed as real pairs
+        and of functionals.gradient.  |f + df| has the second-order part
+        (|df|^2 - Re(conj(u)^2 df^2)) / (2|f|), so with W = b/|f| the Hessian
+        is the real matrix of the quadratic form
+        dc^H (2G - M) dc + Re(dc^T N dc),  M = V^H W V,  N = V^T W conj(u)^2 V,
+        and each of M and N takes one ring product.  It overwrites the node
+        arrays of the slot the iterate does not use.
+        """
+        other = 1 - it.slot
+        floor = 1e-14 * max(float(it.af.max()), 1e-300)
+        inverse = np.reciprocal(np.maximum(it.af, floor, out=self.af[other]), out=self.af[other])
+        weight = np.multiply(self.b_wt, inverse, out=self.scratch)
+        g = 2.0 * (self.diagonal * it.c - self.V.adjoint(np.multiply(it.fz, weight, out=self.fz[other])))
+        # fz belongs to c/s, and a rescaled iterate has A = B = s * sum b|fz|:
+        # W is weight/s.
+        s = float(np.vdot(it.c, self.diagonal * it.c).real) / float(np.dot(self.b_wt, it.af))
+        rings = (self.pair_radial.shape[1], -1)
+        differences = (self.pair_radial @ (weight.reshape(rings) @ self.difference_waves)).view(complex)
+        # W u^2 s = b fz^2 / |fz|^3, whose sums against the conjugate waves are conj(N) s.
+        np.multiply(np.square(inverse, out=inverse), weight, out=inverse)
+        wu2 = np.multiply(np.square(it.fz, out=self.fz[other]), inverse, out=self.fz[other])
+        sums = (self.pair_radial @ wu2.reshape(rings).view(np.float64)).view(complex)
+        total, diff, lower = self.pair_index
+        m = differences[total, diff]
+        m[lower] = m[lower].conj()
+        n = np.einsum("sa,sa->s", sums, self.sum_waves)[total].conj() / s
+        h = m / -s
+        h.flat[:: len(h) + 1] += 2.0 * self.diagonal
+        # The rows d/dRe c_p and d/dIm c_p are conj(2G - M + N) and i conj(2G - M - N), as real pairs.
+        pairs = (np.conj(h + n).view(np.float64), (1j * np.conj(h - n)).view(np.float64))
+        return g, np.stack(pairs, axis=1).reshape(2 * len(h), 2 * len(h))
+
+    def newton_direction(self, it: _Iterate) -> tuple[np.ndarray, float]:
+        """The saddle-free Newton direction d at a rescaled iterate, and the drop its model predicts.
+
+        d solves the Hessian system with the phase direction i*c projected
+        out, since the value does not change along it, and with the
+        eigenvalues of the projected Hessian replaced by their moduli, floored
+        at NEWTON_FLOOR times the largest: a descent direction at a saddle
+        too.  The solve runs in the coordinates sqrt(G) c, where A's part of
+        the Hessian is twice the identity.
+        """
+        g, hessian = self.derivatives(it)
+        scale = np.repeat(1.0 / np.sqrt(self.diagonal), 2)
+        phase = (1j * it.c).view(np.float64) / scale
+        project = np.eye(len(phase)) - np.outer(phase, phase / np.dot(phase, phase))
+        lam, vec = np.linalg.eigh(project @ (scale[:, None] * hessian * scale) @ project)
+        lam = np.maximum(np.abs(lam), NEWTON_FLOOR * np.max(np.abs(lam)))
+        along = vec.T @ (project @ (scale * g.view(np.float64)))
+        d = -(scale * (project @ (vec @ (along / lam)))).view(complex)
+        return d, 0.5 * float(np.sum(along**2 / lam))
+
     def quad_err(self, it: _Iterate) -> float:
         """|value on twice the angles - value| of a rescaled iterate, from one ring product in the slot it does not use.
 
@@ -267,79 +350,121 @@ def _canonicalize(c: np.ndarray) -> np.ndarray:
 
 
 def _descend(workspaces: tuple[_Workspace, ...], c: np.ndarray):
-    """Coefficients, value, step counts (iterations, single_iterations, extrapolations, converged, stop) and value history.
+    """Coefficients, value, step counts and value history of one restart's descent.
 
     ``workspaces`` are a single-precision twin and its double workspace, or a
-    double workspace alone.  The descent ends at the first of: a step that
-    does not decrease the value ("stationary"), a step whose drop is below
-    TOLERANCE relative to the value ("tolerance"), the quadrature-error rule
-    ("quad_err") and MAX_ITERATIONS steps in all ("cap").  The rule looks at
-    the windows between secant checkpoints, each of one jump and the 10 steps
-    after it, and is checked before the checkpoint's jump is tried.  Past
-    QUAD_ERR_BURN_IN steps, when a window drops by less than
-    QUAD_ERR_FRACTION times the restart's last estimate (none at first), it
-    takes a fresh quad_err, and stops if that window and the one before both
-    dropped by less than QUAD_ERR_FRACTION times the fresh estimate.  Every
-    stop but the cap counts as converged.  The rule sees only the recent
-    decrease, so it can stop a restart on the plateau of a saddle that a
-    longer descent would have left.
+    workspace alone.  IRLS steps on the first workspace end at the first of:
+    a step that does not decrease the value ("stationary"), a step whose drop
+    is below TOLERANCE relative to the value ("tolerance"), the
+    quadrature-error rule ("quad_err") and MAX_ITERATIONS steps in all
+    ("cap").  The rule looks at the windows between secant checkpoints, each
+    of one jump and the 10 steps after it, and is checked before the
+    checkpoint's jump is tried.  Past QUAD_ERR_BURN_IN steps, when a window
+    drops by less than QUAD_ERR_FRACTION times the restart's last estimate
+    (none at first), it takes a fresh quad_err, and stops if that window and
+    the one before both dropped by less than QUAD_ERR_FRACTION times the
+    fresh estimate.
 
-    Any end on the twin switches to the double workspace: the iterate is
-    rescaled there, takes a fresh estimate and restarts the history, while
-    the step count, the secant snapshot and the windows go on, so the double
-    part can stop at its first checkpoint.  single_iterations counts the
-    steps before the switch, extrapolations the accepted secant jumps.
+    A double workspace after the twin then finishes the descent (_finish)
+    with Newton steps, from the IRLS part's iterate rescaled in double; the
+    quadrature-error rule does not stop it, and its stop, value and history
+    are the restart's.  Every stop but the cap counts as converged.  The
+    step counts are iterations, those of the IRLS part before a finish
+    ("single_iterations", 0 without one), the finish's Newton and fallback IRLS steps
+    ("newton_iterations", "fallback_iterations"), the accepted secant jumps
+    ("extrapolations"), converged and stop.
     """
-    it = workspaces[0].iterate(c, rescale=False)
-    iterations = single_iterations = extrapolations = 0
+    ws = workspaces[0]
+    it = ws.iterate(c, rescale=False)
+    iterations = extrapolations = 0
     snapshot, mark = it.c, it.value
     drops = (math.inf, math.inf)
     estimate = math.inf
-    for stage, ws in enumerate(workspaces):
-        if stage:
-            single_iterations = iterations
-            it = ws.iterate(it.c)
-            estimate = ws.quad_err(it)
-        history = [it.value]
-        stop = "cap"
-        while iterations < MAX_ITERATIONS:
-            iterations += 1
-            new = ws.irls_step(it)
-            # The step minimizes a majorant that touches the value at it, so it
-            # can rise only by rounding: a rise means the iterate is stationary.
-            if not new.value <= it.value:
-                stop = "stationary"
-                break
-            drop = it.value - new.value
-            it = new
-            history.append(it.value)
-            if drop < TOLERANCE * max(abs(it.value), 1e-30):
-                stop = "tolerance"
-                break
-            if iterations % 10 == 0:
-                drops, mark = (drops[1], mark - it.value), it.value
-                # A fresh estimate only when the window already looks small
-                # against the last one keeps the extra ring products rare.
-                if iterations >= QUAD_ERR_BURN_IN and drops[1] < QUAD_ERR_FRACTION * estimate:
-                    estimate = ws.quad_err(it)
-                    if max(drops) < QUAD_ERR_FRACTION * estimate:
-                        stop = "quad_err"
-                        break
-                # Secant extrapolation along the recent trajectory: flat valleys make
-                # plain reweighting crawl, and the jump is monotone-safe since it is
-                # only kept on strict decrease.
-                direction = it.c - snapshot
-                for theta in (16.0, 8.0, 4.0, 2.0):
-                    candidate = ws.iterate(it.c + theta * direction, 1 - it.slot)
-                    if candidate.value < it.value:
-                        it = candidate
-                        history.append(it.value)
-                        extrapolations += 1
-                        break
-                snapshot = it.c
-    steps = {"iterations": iterations, "single_iterations": single_iterations, "extrapolations": extrapolations,
-             "converged": stop != "cap", "stop": stop}
+    history = [it.value]
+    stop = "cap"
+    while iterations < MAX_ITERATIONS:
+        iterations += 1
+        new = ws.irls_step(it)
+        # The step minimizes a majorant that touches the value at it, so it
+        # can rise only by rounding: a rise means the iterate is stationary.
+        if not new.value <= it.value:
+            stop = "stationary"
+            break
+        drop = it.value - new.value
+        it = new
+        history.append(it.value)
+        if drop < TOLERANCE * max(abs(it.value), 1e-30):
+            stop = "tolerance"
+            break
+        if iterations % 10 == 0:
+            drops, mark = (drops[1], mark - it.value), it.value
+            # A fresh estimate only when the window already looks small
+            # against the last one keeps the extra ring products rare.
+            if iterations >= QUAD_ERR_BURN_IN and drops[1] < QUAD_ERR_FRACTION * estimate:
+                estimate = ws.quad_err(it)
+                if max(drops) < QUAD_ERR_FRACTION * estimate:
+                    stop = "quad_err"
+                    break
+            # Secant extrapolation along the recent trajectory: flat valleys make
+            # plain reweighting crawl, and the jump is monotone-safe since it is
+            # only kept on strict decrease.
+            direction = it.c - snapshot
+            for theta in (16.0, 8.0, 4.0, 2.0):
+                candidate = ws.iterate(it.c + theta * direction, 1 - it.slot)
+                if candidate.value < it.value:
+                    it = candidate
+                    history.append(it.value)
+                    extrapolations += 1
+                    break
+            snapshot = it.c
+    steps = {"iterations": iterations, "single_iterations": 0, "newton_iterations": 0, "fallback_iterations": 0,
+             "extrapolations": extrapolations, "converged": stop != "cap", "stop": stop}
+    if len(workspaces) > 1:
+        it, history, finish = _finish(workspaces[1], workspaces[1].iterate(it.c), iterations)
+        steps.update(single_iterations=iterations, **finish)
     return it.c, it.value, steps, history
+
+
+def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, list[float], dict]:
+    """Newton steps on a double workspace from the rescaled iterate it, after ``iterations`` steps of the descent.
+
+    Each step tries it + t*d along the Newton direction (newton_direction),
+    t = 1, 1/2, 1/4, 1/8, rescaled, and takes the first trial whose value is
+    below it's, else one IRLS step.  The finish ends at the first of: a
+    Newton direction whose predicted drop, or a step whose drop, is below
+    TOLERANCE relative to the value ("tolerance"), a step that does not
+    lower the value ("stationary") and MAX_ITERATIONS steps of the whole
+    descent ("cap").  Returns the last iterate, the value history (the start
+    and every step's value) and the step counts.
+    """
+    history = [it.value]
+    newton = fallback = 0
+    stop = "cap"
+    while iterations < MAX_ITERATIONS:
+        d, predicted = ws.newton_direction(it)
+        if predicted < TOLERANCE * max(abs(it.value), 1e-30):
+            stop = "tolerance"
+            break
+        iterations += 1
+        trials = (ws.iterate(it.c + t * d, 1 - it.slot) for t in (1.0, 0.5, 0.25, 0.125))
+        new = next((trial for trial in trials if trial.value < it.value), None)
+        if new is None:
+            fallback += 1
+            new = ws.irls_step(it)
+        else:
+            newton += 1
+        if not new.value < it.value:
+            stop = "stationary"
+            break
+        drop = it.value - new.value
+        it = new
+        history.append(it.value)
+        if drop < TOLERANCE * max(abs(it.value), 1e-30):
+            stop = "tolerance"
+            break
+    counts = {"iterations": iterations, "newton_iterations": newton, "fallback_iterations": fallback,
+              "converged": stop != "cap", "stop": stop}
+    return it, history, counts
 
 
 def _restart_classes(spec: FunctionalSpec, grid: QuadratureGrid, n: int, restarts: int) -> list[tuple[int, int]]:
@@ -363,10 +488,11 @@ def minimize(
 
     Restart r draws Gaussian coefficients from seed*7919 + r, scaled to unit
     weighted norm per monomial, keeps those of its class (_restart_classes)
-    and descends in that class in one _descend, on the class's
-    single-precision workspace until its first stop and then on its double
-    one; the descent takes at most MAX_ITERATIONS steps.  The restart's
-    value, stop reason and the winner's history are the double part's.  Ties
+    and descends in that class in one _descend: IRLS steps on the class's
+    single-precision workspace until their first stop, then the Newton
+    finish on its double one; the descent takes at most MAX_ITERATIONS
+    steps.  The restart's value, stop reason and the winner's history are
+    the finish's.  Ties
     between restarts within 1e-12 go to the lowest restart index so results
     are reproducible under concurrency; the result's ``tied`` counts the
     restarts within the winner's quad_err, which the grid cannot tell apart,

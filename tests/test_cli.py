@@ -114,6 +114,19 @@ def test_lattice_scan_rows_equal_theta_scan(capsys):
     assert rows == theta_scan(math.pi / 3 - 0.3, math.pi / 3 + 0.3, 21, 1.0, (32, 32))
 
 
+def test_lattice_scan_refuses_a_window_before_scoring(tmp_path, capsys):
+    # The scan is theta_scan's, so a window that is not increasing inside
+    # (0, pi) is a usage error, and nothing is written.
+    out_path = tmp_path / "scan.csv"
+    for lo, hi in (("1.1", "1.0"), ("1.0", "1.0"), ("0.0", "1.0"), ("1.0", "3.2")):
+        for out in ([], ["--out", str(out_path)]):
+            code, stdout, err = run(
+                capsys, "lattice-scan", "--theta-min", lo, "--theta-max", hi, "--steps", "3", "--resolution", "16x16", *out,
+            )
+            assert code == 4 and stdout == "" and not out_path.exists()
+            assert err.startswith("usage error:") and "scan interval" in err
+
+
 def test_gap_sweep_hyperbolic(tmp_path, capsys):
     out = tmp_path / "gap.json"
     code, _, _ = run(

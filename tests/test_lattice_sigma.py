@@ -405,6 +405,21 @@ def test_theta_scan_two_steps():
     assert rows[0][0] == 1.0 and rows[1][0] == 1.1
 
 
+def test_theta_scan_scores_the_angles_through_its_mapper():
+    # The mapper gets the row function and the angles in order, and its
+    # results, in order, are the rows: a mapper that scores them in another
+    # order changes nothing.
+    seen = []
+
+    def backwards(fn, thetas):
+        seen.extend(thetas)
+        return [fn(theta) for theta in thetas[::-1]][::-1]
+
+    rows = theta_scan(1.0, 1.1, 3, 1.0, (32, 32), mapper=backwards)
+    assert seen == [1.0 + i * (1.1 - 1.0) / 2 for i in range(3)] == [t for t, _ in rows]
+    assert rows == theta_scan(1.0, 1.1, 3, 1.0, (32, 32))
+
+
 def test_theta_scan_validation():
     with pytest.raises(ConfigurationError):
         theta_scan(1.0, 1.1, 1, 1.0, (32, 32))

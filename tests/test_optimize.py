@@ -21,8 +21,8 @@ from zeropack import (
     optimal_scale,
 )
 from zeropack.functionals import quadratic_weights
-from zeropack.optimize import QUAD_ERR_BURN_IN, STOP_REASONS, _descend, _Iterate, _restart_classes, _Workspace
-from zeropack.poly import RingVandermonde
+from zeropack.optimize import STOP_REASONS, _descend, _Iterate, _restart_classes, _Workspace
+from zeropack.poly import RingVandermonde, gram_diagonal, vandermonde
 
 from conftest import random_poly
 
@@ -191,7 +191,15 @@ def test_minimize_result_json():
     assert [r["class"] for r in d["restarts"]] == [[3, 0], [3, 1], [3, 2], [1, 0], [3, 0]]
     assert [r["value"] for r in d["restarts"]] == d["restart_values"]
     assert all(
-        set(r) == {"class", "value", "iterations", "single_iterations", "extrapolations", "converged", "stop"}
+        set(r) == {
+            "class", "value", "iterations", "single_iterations", "newton_iterations", "fallback_iterations",
+            "extrapolations", "converged", "stop",
+        }
+        for r in d["restarts"]
+    )
+    # Every step is an IRLS step of the single part, or a Newton or fallback step of the finish.
+    assert all(
+        r["iterations"] == r["single_iterations"] + r["newton_iterations"] + r["fallback_iterations"]
         for r in d["restarts"]
     )
     assert all(r["converged"] is True and r["iterations"] >= 1 for r in d["restarts"])
@@ -473,9 +481,9 @@ def test_quad_err_stop_leaves_less_than_the_grid_resolves(spec, m, j, monkeypatc
 def _record_descents(monkeypatch):
     """minimize's _descend calls, each as (workspaces, its steps and estimates in order, result).
 
-    A step or estimate is recorded as ("step" or "quad_err", the dtype of the
-    node values of the workspace that took it, the value of the iterate it
-    started from).
+    A step or estimate is recorded as ("step" for an IRLS step, "newton" for
+    a Newton direction or "quad_err", the dtype of the node values of the
+    workspace that took it, the value of the iterate it started from).
     """
     descents, events = [], []
 
@@ -493,6 +501,7 @@ def _record_descents(monkeypatch):
         return out
 
     monkeypatch.setattr(_Workspace, "irls_step", recorded("step", _Workspace.irls_step))
+    monkeypatch.setattr(_Workspace, "newton_direction", recorded("newton", _Workspace.newton_direction))
     monkeypatch.setattr(_Workspace, "quad_err", recorded("quad_err", _Workspace.quad_err))
     monkeypatch.setattr("zeropack.optimize._descend", recording)
     return descents
@@ -517,9 +526,9 @@ def _assert_double_density(entry, c, spec, n, grid):
     ],
 )
 def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch):
-    # Each restart is one descent, in single precision until its first stop
-    # and in double from there on.  Every number minimize reports is the
-    # double part's: a restart's value is the double density of its
+    # Each restart is one descent: IRLS steps in single precision until their
+    # first stop, then a Newton finish in double.  Every number minimize
+    # reports is the finish's: a restart's value is the double density of its
     # coefficients, and the winner is the lowest of them.
     descents = _record_descents(monkeypatch)
     n = degree_schedule(spec)
@@ -536,20 +545,26 @@ def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch
         assert len(ws32.diagonal) == len(ws64.diagonal) == len(range(j, n, m))
         assert entry == {"class": [m, j], "value": value, **steps}
         _assert_double_density(entry, c, spec, n, grid)
-        # The single part's steps come first, then the double part's.
-        single, double = entry["single_iterations"], entry["iterations"] - entry["single_iterations"]
-        assert single >= 1 and _step_dtypes(events) == [np.complex64] * single + [np.complex128] * double
-        # The double part opens with its own estimate, taken at the switch,
-        # from where the single part ended: at most the single part's last
-        # iterate's value, to the single values' rounding.
-        assert next(kind for kind, dtype, _ in events if dtype == np.complex128) == "quad_err"
+        # The single part's IRLS steps come first.  Every step of the finish
+        # tries Newton first and takes an IRLS step only when no trial lowers
+        # the value, and the finish may end on a Newton direction whose
+        # predicted drop is below the tolerance; it takes no quad_err estimate.
+        single, newton, fallback = entry["single_iterations"], entry["newton_iterations"], entry["fallback_iterations"]
+        assert entry["iterations"] == single + newton + fallback
+        assert 0 <= entry["extrapolations"] <= single // 10
+        assert single >= 1 and _step_dtypes(events) == [np.complex64] * single + [np.complex128] * fallback
+        finish = [kind for kind, dtype, _ in events if dtype == np.complex128]
+        assert "quad_err" not in finish
+        assert finish.count("newton") - (newton + fallback) in ((0, 1) if entry["stop"] == "tolerance" else (0,))
+        # The finish starts where the single part ended: at most the single
+        # part's last iterate's value, to the single values' rounding.
         last_single = [v for kind, dtype, v in events if kind == "step" and dtype == np.complex64][-1]
         assert history[0] <= last_single + 1e-7
-        # The history is the double part's: its start, each step that lowered
-        # the value (all but a last one that rose) and its accepted jumps.
-        double_jumps = len(history) - 1 - double + (entry["stop"] == "stationary")
-        assert 0 <= double_jumps <= entry["extrapolations"] <= entry["iterations"] // 10
-        assert entry["stop"] in STOP_REASONS and entry["converged"] == (entry["stop"] != "cap")
+        # The history is the finish's: its start and each step that lowered
+        # the value, all but a last one that did not.
+        assert len(history) - 1 == newton + fallback - (entry["stop"] == "stationary")
+        assert all(b < a for a, b in zip(history[:-1], history[1:])) and history[-1] == value
+        assert entry["stop"] in ("stationary", "tolerance") and entry["converged"] is True
     assert {tuple(r["class"]) for r in res.restarts} == set(_restart_classes(spec, grid, n, restarts))
     # The bench's check of a minimize report.
     assert abs(res.value - min(res.restart_values)) <= 1e-12
@@ -558,23 +573,19 @@ def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch
     assert res.iterations == res.restarts[winner]["iterations"]
 
 
-def test_double_part_can_stop_at_its_first_checkpoint(monkeypatch):
-    # The switch to double keeps the descent's windows, so a double part that
-    # confirms the single part's stop ends before a fresh burn-in would allow,
-    # and its value is still the double density of its coefficients.
+def test_newton_finish_takes_few_steps(monkeypatch):
+    # Newton steps converge quadratically from where the single part ends:
+    # no finish nears the step cap, few fall back to IRLS, and each ends on
+    # the double density of its coefficients.
     descents = _record_descents(monkeypatch)
     spec, n = FunctionalSpec("planar", 8.0), 16
     res = minimize(spec, n, OptimizerConfig(restarts=12, seed=3))
-    early = [
-        (entry, out[0]) for entry, (_, _, out) in zip(res.restarts, descents)
-        if entry["stop"] == "quad_err" and entry["iterations"] - entry["single_iterations"] < QUAD_ERR_BURN_IN
-    ]
-    assert early
-    # Only windows kept across the switch can stop at the first checkpoint
-    # after it: fresh ones would need two windows in double.
-    assert any(entry["iterations"] == 10 * (entry["single_iterations"] // 10 + 1) for entry, _ in early)
-    for entry, c in early:
+    for entry, (_, _, (c, _, _, _)) in zip(res.restarts, descents):
+        assert entry["newton_iterations"] >= 1
+        # At most 10 at this seed, where the double IRLS part took 3 to 72 steps.
+        assert entry["newton_iterations"] + entry["fallback_iterations"] <= 20
         _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
+    assert sum(r["fallback_iterations"] for r in res.restarts) <= 3
 
 
 def test_cap_ends_the_descent_in_double(monkeypatch):
@@ -588,9 +599,25 @@ def test_cap_ends_the_descent_in_double(monkeypatch):
     for entry, (_, events, (c, value, _, history)) in zip(res.restarts, descents):
         assert (entry["stop"], entry["converged"]) == ("cap", False)
         assert entry["iterations"] == entry["single_iterations"] == 5 and _step_dtypes(events) == [np.complex64] * 5
+        assert [kind for kind, dtype, _ in events if dtype == np.complex128] == []
         assert history == [value]
         _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
     assert res.to_json_dict()["capped"] == 2
+
+
+def test_cap_in_the_finish_ends_on_a_double_value(monkeypatch):
+    # A cap two steps into the finish ends it there, on the double value of
+    # the coefficients reached, and the restart reports it as not converged.
+    spec, n = FunctionalSpec("planar", 8.0), 16
+    single = minimize(spec, n, OptimizerConfig(restarts=1, seed=3)).restarts[0]["single_iterations"]
+    monkeypatch.setattr("zeropack.optimize.MAX_ITERATIONS", single + 2)
+    descents = _record_descents(monkeypatch)
+    res = minimize(spec, n, OptimizerConfig(restarts=1, seed=3))
+    (entry,), [(_, events, (c, value, _, history))] = res.restarts, descents
+    assert (entry["stop"], entry["converged"], res.converged) == ("cap", False, False)
+    assert (entry["iterations"], entry["single_iterations"]) == (single + 2, single)
+    assert entry["newton_iterations"] + entry["fallback_iterations"] == 2 and len(history) == 3
+    _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
 
 
 @pytest.mark.parametrize(
@@ -624,3 +651,79 @@ def test_single_precision_step_matches_double(spec, m, j):
     weighted = np.sqrt(double.diagonal)
     assert np.max(np.abs(step32.c - step64.c) * weighted) <= 1e-5 * np.max(np.abs(step64.c) * weighted)
     assert abs(single.quad_err(step32) - double.quad_err(step64)) <= 1e-7
+
+
+def _dense_derivatives(spec, grid, n, m, j, c):
+    """Gradient and Hessian of A - 2B + C over (Re c_0, Im c_0, ...) of the class coefficients, node by node on the full grid.
+
+    Node i has real 2 x 2k Jacobian J_i of (Re f, Im f); A is sum a |J z|^2
+    and |f| has gradient J^T u and Hessian J^T (I - u u^T) J / |f|.
+    """
+    a, b, _ = quadratic_weights(spec, grid)
+    a, b = np.repeat(a, grid.resolution[1]), np.repeat(b, grid.resolution[1])
+    V = vandermonde(grid.nodes, n)[:, j::m]
+    f = V @ c
+    jac = np.stack([np.stack([V.real, V.imag], 1), np.stack([-V.imag, V.real], 1)], 3).reshape(len(f), 2, -1)
+    u = np.stack([f.real, f.imag], 1) / np.abs(f)[:, None]
+    gradient = 2.0 * np.einsum("i,ipk,ip->k", a, jac, np.stack([f.real, f.imag], 1)) - 2.0 * np.einsum(
+        "i,ipk,ip->k", b, jac, u
+    )
+    curvature = np.eye(2) - u[:, :, None] * u[:, None, :]
+    hessian = 2.0 * np.einsum("i,ipk,ipl->kl", a, jac, jac, optimize=True) - 2.0 * np.einsum(
+        "i,ipk,ipq,iql->kl", b / np.abs(f), jac, curvature, jac, optimize=True
+    )
+    return gradient, hessian
+
+
+@pytest.mark.parametrize(
+    "spec,m,j",
+    [
+        pytest.param(FunctionalSpec("planar", 8.0), 1, 0, id="planar-8.0-full"),
+        pytest.param(FunctionalSpec("planar", 8.0), 3, 1, id="planar-8.0-class-3-1"),
+        pytest.param(FunctionalSpec("hyperbolic", 0.9), 1, 0, id="hyperbolic-0.9"),
+    ],
+)
+def test_derivatives_match_dense_oracle(spec, m, j):
+    # The ring-factored gradient and Hessian of a rescaled iterate are the
+    # node-by-node ones on the full grid, and the gradient is the density's.
+    n = degree_schedule(spec)
+    grid = default_grid(spec, degree=n)
+    ws = _Workspace(spec, grid, n, m, j)
+    it = ws.iterate(_random_start(ws, 8))
+    for _ in range(5):
+        it = ws.irls_step(it)
+    g, hessian = ws.derivatives(it)
+    dense_g, dense_h = _dense_derivatives(spec, grid, n, m, j, it.c)
+    assert np.max(np.abs(hessian - dense_h)) <= 1e-12 * np.max(np.abs(dense_h))
+    # The gradient is the difference of A's part 2 G c and B's, which nearly
+    # cancel near a minimizer: its error is relative to their size.
+    size = np.max(np.abs(2.0 * ws.diagonal * it.c))
+    assert np.max(np.abs(g.view(np.float64) - dense_g)) <= 1e-12 * size
+    full = gradient(ComplexPolynomial(_embed(it.c, n, m, j)), spec, grid).reshape(n, 2)[j::m].ravel()
+    assert np.max(np.abs(g.view(np.float64) - full)) <= 1e-12 * size
+
+
+@pytest.mark.parametrize(
+    "spec,restarts",
+    [
+        pytest.param(FunctionalSpec("planar", 8.0), 4, id="planar-8.0-classes-and-full"),
+        pytest.param(FunctionalSpec("hyperbolic", 0.9), 4, id="hyperbolic-0.9"),
+    ],
+)
+def test_restarts_end_at_stationary_points(spec, restarts, monkeypatch):
+    # Each restart ends where the density's gradient vanishes but for the
+    # phase direction i*c, along which the density does not change.  Measured
+    # in the coordinates sqrt(G) c, the gradient left is at most 8.6e-8 at
+    # the ends of 12 restarts of either search; double IRLS steps stopped by
+    # the quadrature-error rule leave 1.2e-5 to 2.4e-4 there.
+    descents = _record_descents(monkeypatch)
+    n = degree_schedule(spec)
+    grid = default_grid(spec, degree=n)
+    res = minimize(spec, n, OptimizerConfig(restarts=restarts, seed=3))
+    scale = np.repeat(np.sqrt(gram_diagonal(grid, quadratic_weights(spec, grid)[0], n)), 2)
+    for entry, (_, _, (c, _, _, _)) in zip(res.restarts, descents):
+        full = _embed(c, n, *entry["class"])
+        g = gradient(ComplexPolynomial(full), spec, grid) / scale
+        phase = (1j * full).view(np.float64) * scale
+        g -= phase * np.dot(phase, g) / np.dot(phase, phase)
+        assert np.linalg.norm(g) <= 1e-6, entry

@@ -1,0 +1,104 @@
+"""The value panel: best-found minima per search and seed, and how two panels differ.
+
+Run the panel (CLI seeds 0-11, 12 restarts; planar gamma 4, 8, 16 and
+hyperbolic r 0.9, 0.95, each at the schedule degree and at schedule+10) and
+write one JSON record per search and seed:
+
+    python3 tools/value_panel.py --out panel.json
+
+List every winner that moved by more than its quad_err between two panels,
+with the totals of both:
+
+    python3 tools/value_panel.py --compare old.json new.json
+
+The searches are those of ``zeropack minimize --restarts 12 --seed S``; the
+checkout's ``src`` is imported, whatever zeropack is installed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+SEARCHES = (("planar", 4.0), ("planar", 8.0), ("planar", 16.0), ("hyperbolic", 0.9), ("hyperbolic", 0.95))
+SEEDS = range(12)
+RESTARTS = 12
+EXTRA_DEGREE = 10
+
+
+def run_panel() -> list[dict]:
+    from zeropack import FunctionalSpec, OptimizerConfig, default_grid, degree_schedule, minimize
+
+    records = []
+    for geometry, param in SEARCHES:
+        spec = FunctionalSpec(geometry, param)
+        for n in (degree_schedule(spec), degree_schedule(spec) + EXTRA_DEGREE):
+            grid = default_grid(spec, degree=n)
+            for seed in SEEDS:
+                start = time.perf_counter()
+                res = minimize(spec, n, OptimizerConfig(seed=seed, restarts=RESTARTS), grid)
+                single = sum(r["single_iterations"] for r in res.restarts)
+                records.append({
+                    "search": f"{geometry}:{param!r}:n={n}",
+                    "seed": seed,
+                    "value": res.value,
+                    "quad_err": res.diagnostics.quad_err,
+                    "single_steps": single,
+                    "double_steps": sum(r["iterations"] for r in res.restarts) - single,
+                    "capped": res.capped,
+                    "tied": res.tied,
+                    "seconds": time.perf_counter() - start,
+                })
+                print(json.dumps(records[-1]), file=sys.stderr)
+    return records
+
+
+def compare(old: list[dict], new: list[dict]) -> str:
+    """The winners that moved by more than the old winner's quad_err, then per-search totals."""
+    before = {(r["search"], r["seed"]): r for r in old}
+    lines, totals = [], {}
+    for r in new:
+        o = before[r["search"], r["seed"]]
+        moved = r["value"] - o["value"]
+        t = totals.setdefault(r["search"], {"n": 0, "max_rise_over_quad_err": -float("inf"), "moved": 0,
+                                            "capped": [0, 0], "double_steps": [0, 0], "single_steps": [0, 0],
+                                            "seconds": [0.0, 0.0]})
+        t["n"] += 1
+        t["max_rise_over_quad_err"] = max(t["max_rise_over_quad_err"], moved / o["quad_err"])
+        for key in ("capped", "double_steps", "single_steps", "seconds"):
+            t[key][0] += o[key]
+            t[key][1] += r[key]
+        if abs(moved) > o["quad_err"]:
+            t["moved"] += 1
+            lines.append(f"{r['search']} seed {r['seed']}: {o['value']:.9f} -> {r['value']:.9f} "
+                         f"({moved:+.2e}, quad_err {o['quad_err']:.2e} -> {r['quad_err']:.2e})")
+    lines.append(f"{sum(t['moved'] for t in totals.values())} winners moved by more than their quad_err")
+    for search, t in totals.items():
+        lines.append(f"{search}: max rise {t['max_rise_over_quad_err']:+.3f} x quad_err; capped {t['capped'][0]} -> "
+                     f"{t['capped'][1]}; single steps {t['single_steps'][0]} -> {t['single_steps'][1]}; double steps "
+                     f"{t['double_steps'][0]} -> {t['double_steps'][1]}; seconds {t['seconds'][0]:.1f} -> "
+                     f"{t['seconds'][1]:.1f}")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", help="run the panel and write its records to this JSON file")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), help="compare two panel files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(p).read_text()) for p in args.compare)
+        sys.stdout.write(compare(old, new))
+        return 0
+    Path(args.out).write_text(json.dumps(run_panel(), indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
