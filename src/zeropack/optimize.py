@@ -14,23 +14,14 @@ tests hold at any stationary point.  Restarts search the rotation classes
 z^j g(z^m) of the spec's symmetry order on one angular sector of the grid,
 and every few restarts the full space.
 
-A restart's IRLS steps descend only as far as its grid resolves.  Turning
-the iterate by half an angle step puts the workspace's own ring product on
-the midpoints of the grid's angles, so one more product gives the change of
-the value on twice the angles: the quadrature-error estimate quad_err.  The
-IRLS steps stop once their recent decrease is below a fixed fraction of that
-estimate.
-
-A restart is one descent that switches precision once: its IRLS steps run in
-single precision until their first stop, usually a rounding rise once a
-step's drop is below the single-precision values' rounding (about 1e-8), or
-the quad_err rule.  Each takes 0.6 to 0.9 of a double step's time on the
-default grids.  A Newton finish in double then takes the restart to a
-stationary point: near a minimizer with no zero on a node the density is C^2
-in the coefficients, and a modified-Hessian Newton method (Nocedal & Wright,
-Numerical Optimization, 2nd ed., section 3.4) converges quadratically from
-there, where IRLS steps converge linearly.  Every number reported comes from
-the finish.
+A restart is one descent that switches precision once: a burn-in of at
+most BURN_IN IRLS steps in single precision, each 0.6 to 0.9 of a double
+step's time on the default grids, brings the iterate into a basin, and a
+Newton finish in double takes it to a stationary point there: near a
+minimizer with no zero on a node the density is C^2 in the coefficients,
+and a modified-Hessian Newton method (Nocedal & Wright, Numerical
+Optimization, 2nd ed., section 3.4) converges quadratically where IRLS
+steps converge linearly.  Every number reported comes from the finish.
 """
 
 from __future__ import annotations
@@ -62,17 +53,17 @@ __all__ = [
 ]
 
 # Why a descent ended: a step did not lower the value (a stationary point, to
-# rounding), a step's relative drop, or the drop a Newton direction predicts,
-# fell below TOLERANCE, the decrease left fell below the grid's quadrature
-# error (which ends only the IRLS part, never the Newton finish), or
-# MAX_ITERATIONS steps, the cap of a whole descent.
-STOP_REASONS = ("stationary", "tolerance", "quad_err", "cap")
+# rounding), the drop that the Newton direction of the last step predicted
+# was below TOLERANCE relative to the value, or MAX_ITERATIONS steps, the cap
+# of a whole descent.
+STOP_REASONS = ("stationary", "tolerance", "cap")
 MAX_ITERATIONS = 1500
 TOLERANCE = 1e-10
-# The IRLS part stops at a secant checkpoint past QUAD_ERR_BURN_IN steps once
-# its last two 10-step window drops are both below QUAD_ERR_FRACTION * quad_err.
-QUAD_ERR_FRACTION = 0.03
-QUAD_ERR_BURN_IN = 20
+# The most IRLS steps a restart takes before its Newton finish: they only
+# have to reach a basin.  Shorter burn-ins leave longer finishes; at planar
+# gamma=8 n=16 seed 3 the longest of 12 took 26 steps after 30, 22 after 50
+# and 18 after 100.
+BURN_IN = 100
 # The Newton finish's floor on the moduli of the projected Hessian's
 # eigenvalues, relative to the largest.  It bounds the step along a saddle's
 # slight negative curvature: at 1e-8 such steps overshot every backtracking
@@ -102,12 +93,13 @@ class MinimizeResult:
     diagnostics: DensityReport
     restart_values: list[float]
     # Per restart: its class [m, j] ([1, 0] is the full space), value,
-    # iterations, those of them that were single-precision IRLS steps
-    # ("single_iterations"), Newton steps of the double finish
-    # ("newton_iterations") and its IRLS fallbacks ("fallback_iterations"),
-    # the single part's accepted secant jumps ("extrapolations"), converged
-    # flag and why it stopped ("stop": stationary, tolerance or cap).  The
-    # value, converged and stop are the finish's.
+    # iterations, those of them that were the burn-in's single-precision IRLS
+    # steps ("single_iterations", at most BURN_IN), Newton steps of the double
+    # finish ("newton_iterations") and its IRLS fallbacks
+    # ("fallback_iterations"), the burn-in's accepted secant jumps
+    # ("extrapolations"), converged flag and why it stopped ("stop":
+    # stationary, tolerance or cap).  The value, converged and stop are the
+    # finish's.
     restarts: list[dict] = field(default_factory=list)
     history: list[float] = field(default_factory=list, repr=False)
 
@@ -137,12 +129,16 @@ class MinimizeResult:
 
 
 def degree_schedule(spec: FunctionalSpec) -> int:
-    """Sufficient coefficient count: the core mass rounded up, ceil(r^2/(1-r^2)) or ceil(2*gamma).
+    """The core-mass heuristic coefficient count: the core mass rounded up, ceil(r^2/(1-r^2)) or ceil(2*gamma).
 
     The core mass is the (hyperbolic resp. scaled Euclidean) area of the core
     region, matching the heuristic that each zero discretizes a fixed amount
-    of mass.  The rounding guard keeps exact integer ratios (e.g.
-    r = 1/sqrt(2)) from spilling over to the next integer.
+    of mass.  It is not a sufficient count at finite parameters: ten more
+    coefficients still lower the best-found minimum by more than 1e-3 at
+    r = 0.9 (n=5 reads 0.050546, n=15 about 0.0436) and at gamma = 8, so
+    acceptance criterion 8 fails on it (ROADMAP item 3).  The rounding guard
+    keeps exact integer ratios (e.g. r = 1/sqrt(2)) from spilling over to the
+    next integer.
     """
     return max(1, math.ceil(round(spec.core_mass, 9)))
 
@@ -206,8 +202,6 @@ class _Workspace:
             np.ascontiguousarray(vandermonde(grid.radii, n)[:, j::m]),
             np.ascontiguousarray(vandermonde(grid.phases, n)[:sector, j::m]),
         )
-        # Turning by half an angle step keeps the class.
-        self.half_turn = grid.half_turn(n)[j::m]
         # The Hessian's ring factors (see derivatives).  Over the class
         # coefficients k_p = j + m*p, sum W conj(V_p) V_q is the sum over the
         # rings of r^(k_p+k_q) times W's ring DFT at m*(q-p), and
@@ -326,19 +320,6 @@ class _Workspace:
         d = -(scale * (project @ (vec @ (along / lam)))).view(complex)
         return d, 0.5 * float(np.sum(along**2 / lam))
 
-    def quad_err(self, it: _Iterate) -> float:
-        """|value on twice the angles - value| of a rescaled iterate, from one ring product in the slot it does not use.
-
-        The doubled grid is this one plus its angle midpoints, where the
-        turned iterate's product lands, and A is exact in the angle.  So the
-        doubled value is value + (B - B(turned)), and a rescaled iterate has
-        B = C - value.
-        """
-        slot = 1 - it.slot
-        fz = self.V.__matmul__(it.c * self.half_turn, out=self.fz[slot])
-        b = float(np.dot(self.b_wt, np.abs(fz, out=self.af[slot])))
-        return abs(b - (self.c_val - it.value))
-
 
 def _canonicalize(c: np.ndarray) -> np.ndarray:
     """Rotate the free global phase so the leading nonzero coefficient is >= 0."""
@@ -349,80 +330,60 @@ def _canonicalize(c: np.ndarray) -> np.ndarray:
     return c * np.exp(-1j * np.angle(lead))
 
 
-def _descend(workspaces: tuple[_Workspace, ...], c: np.ndarray):
-    """Coefficients, value, step counts and value history of one restart's descent.
+def _burn_in(ws: _Workspace, c: np.ndarray) -> tuple[_Iterate, int, int]:
+    """The iterate, step count and accepted secant jumps of at most BURN_IN IRLS steps on ws from c.
 
-    ``workspaces`` are a single-precision twin and its double workspace, or a
-    workspace alone.  IRLS steps on the first workspace end at the first of:
-    a step that does not decrease the value ("stationary"), a step whose drop
-    is below TOLERANCE relative to the value ("tolerance"), the
-    quadrature-error rule ("quad_err") and MAX_ITERATIONS steps in all
-    ("cap").  The rule looks at the windows between secant checkpoints, each
-    of one jump and the 10 steps after it, and is checked before the
-    checkpoint's jump is tried.  Past QUAD_ERR_BURN_IN steps, when a window
-    drops by less than QUAD_ERR_FRACTION times the restart's last estimate
-    (none at first), it takes a fresh quad_err, and stops if that window and
-    the one before both dropped by less than QUAD_ERR_FRACTION times the
-    fresh estimate.
-
-    A double workspace after the twin then finishes the descent (_finish)
-    with Newton steps, from the IRLS part's iterate rescaled in double; the
-    quadrature-error rule does not stop it, and its stop, value and history
-    are the restart's.  Every stop but the cap counts as converged.  The
-    step counts are iterations, those of the IRLS part before a finish
-    ("single_iterations", 0 without one), the finish's Newton and fallback IRLS steps
-    ("newton_iterations", "fallback_iterations"), the accepted secant jumps
-    ("extrapolations"), converged and stop.
+    The burn-in ends early on a step that does not decrease the value, or
+    whose drop is below TOLERANCE relative to the value, and within
+    MAX_ITERATIONS steps.  Every tenth step it tries a secant jump along the
+    last ten steps.
     """
-    ws = workspaces[0]
     it = ws.iterate(c, rescale=False)
     iterations = extrapolations = 0
-    snapshot, mark = it.c, it.value
-    drops = (math.inf, math.inf)
-    estimate = math.inf
-    history = [it.value]
-    stop = "cap"
-    while iterations < MAX_ITERATIONS:
+    snapshot = it.c
+    while iterations < min(BURN_IN, MAX_ITERATIONS):
         iterations += 1
         new = ws.irls_step(it)
         # The step minimizes a majorant that touches the value at it, so it
         # can rise only by rounding: a rise means the iterate is stationary.
         if not new.value <= it.value:
-            stop = "stationary"
             break
         drop = it.value - new.value
         it = new
-        history.append(it.value)
         if drop < TOLERANCE * max(abs(it.value), 1e-30):
-            stop = "tolerance"
             break
         if iterations % 10 == 0:
-            drops, mark = (drops[1], mark - it.value), it.value
-            # A fresh estimate only when the window already looks small
-            # against the last one keeps the extra ring products rare.
-            if iterations >= QUAD_ERR_BURN_IN and drops[1] < QUAD_ERR_FRACTION * estimate:
-                estimate = ws.quad_err(it)
-                if max(drops) < QUAD_ERR_FRACTION * estimate:
-                    stop = "quad_err"
-                    break
             # Secant extrapolation along the recent trajectory: flat valleys make
             # plain reweighting crawl, and the jump is monotone-safe since it is
-            # only kept on strict decrease.
+            # only kept on strict decrease.  At low degree it is also what
+            # crosses into the better basin.
             direction = it.c - snapshot
             for theta in (16.0, 8.0, 4.0, 2.0):
                 candidate = ws.iterate(it.c + theta * direction, 1 - it.slot)
                 if candidate.value < it.value:
                     it = candidate
-                    history.append(it.value)
                     extrapolations += 1
                     break
             snapshot = it.c
-    steps = {"iterations": iterations, "single_iterations": 0, "newton_iterations": 0, "fallback_iterations": 0,
-             "extrapolations": extrapolations, "converged": stop != "cap", "stop": stop}
-    if len(workspaces) > 1:
-        it, history, finish = _finish(workspaces[1], workspaces[1].iterate(it.c), iterations)
-        steps.update(single_iterations=iterations, **finish)
-    return it.c, it.value, steps, history
+    return it, iterations, extrapolations
+
+
+def _descend(workspaces: tuple[_Workspace, ...], c: np.ndarray):
+    """Coefficients, value, step counts and value history of one restart's descent.
+
+    ``workspaces`` are a single-precision twin and its double workspace, or
+    one workspace for both.  The burn-in (_burn_in) runs on the first, and
+    the Newton finish (_finish) on the last, from the burn-in's iterate
+    rescaled there; the finish's value, history and stop are the restart's,
+    and every stop but the cap counts as converged.  The step counts are
+    iterations, the burn-in's ("single_iterations"), the finish's Newton and
+    fallback IRLS steps ("newton_iterations", "fallback_iterations"), the
+    burn-in's accepted secant jumps ("extrapolations"), converged and stop.
+    """
+    it, single, extrapolations = _burn_in(workspaces[0], c)
+    ws = workspaces[-1]
+    it, history, finish = _finish(ws, ws.iterate(it.c), single)
+    return it.c, it.value, {"single_iterations": single, "extrapolations": extrapolations, **finish}, history
 
 
 def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, list[float], dict]:
@@ -430,21 +391,18 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, li
 
     Each step tries it + t*d along the Newton direction (newton_direction),
     t = 1, 1/2, 1/4, 1/8, rescaled, and takes the first trial whose value is
-    below it's, else one IRLS step.  The finish ends at the first of: a
-    Newton direction whose predicted drop, or a step whose drop, is below
-    TOLERANCE relative to the value ("tolerance"), a step that does not
-    lower the value ("stationary") and MAX_ITERATIONS steps of the whole
-    descent ("cap").  Returns the last iterate, the value history (the start
-    and every step's value) and the step counts.
+    below it's, else one IRLS step.  The finish ends at the first of: a step
+    that does not lower the value ("stationary"), a step along a Newton
+    direction whose predicted drop is below TOLERANCE relative to the value
+    ("tolerance") and MAX_ITERATIONS steps of the whole descent ("cap").
+    Returns the last iterate, the value history (the start and every step's
+    value) and the step counts.
     """
     history = [it.value]
     newton = fallback = 0
     stop = "cap"
     while iterations < MAX_ITERATIONS:
         d, predicted = ws.newton_direction(it)
-        if predicted < TOLERANCE * max(abs(it.value), 1e-30):
-            stop = "tolerance"
-            break
         iterations += 1
         trials = (ws.iterate(it.c + t * d, 1 - it.slot) for t in (1.0, 0.5, 0.25, 0.125))
         new = next((trial for trial in trials if trial.value < it.value), None)
@@ -456,10 +414,9 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, li
         if not new.value < it.value:
             stop = "stationary"
             break
-        drop = it.value - new.value
         it = new
         history.append(it.value)
-        if drop < TOLERANCE * max(abs(it.value), 1e-30):
+        if predicted < TOLERANCE * max(abs(it.value), 1e-30):
             stop = "tolerance"
             break
     counts = {"iterations": iterations, "newton_iterations": newton, "fallback_iterations": fallback,
@@ -488,8 +445,8 @@ def minimize(
 
     Restart r draws Gaussian coefficients from seed*7919 + r, scaled to unit
     weighted norm per monomial, keeps those of its class (_restart_classes)
-    and descends in that class in one _descend: IRLS steps on the class's
-    single-precision workspace until their first stop, then the Newton
+    and descends in that class in one _descend: a burn-in of at most BURN_IN
+    IRLS steps on the class's single-precision workspace, then the Newton
     finish on its double one; the descent takes at most MAX_ITERATIONS
     steps.  The restart's value, stop reason and the winner's history are
     the finish's.  Ties

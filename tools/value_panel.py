@@ -7,7 +7,9 @@ write one JSON record per search and seed:
     python3 tools/value_panel.py --out panel.json
 
 List every winner that moved by more than its quad_err between two panels,
-with the totals of both:
+the totals of both, and per search the best, median and worst winner over
+the seeds and how many seeds lie within their quad_err of the lowest value
+in either panel:
 
     python3 tools/value_panel.py --compare old.json new.json
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -58,8 +61,27 @@ def run_panel() -> list[dict]:
     return records
 
 
+def distribution(old: list[dict], new: list[dict]) -> list[str]:
+    """Per search: best, median and worst winner over seeds, and the seeds within their quad_err of the lowest, old -> new."""
+    searches = {}
+    for panel, records in enumerate((old, new)):
+        for r in records:
+            searches.setdefault(r["search"], ([], []))[panel].append(r)
+    lines = ["search: best / median / worst, seeds within quad_err of the lowest in either panel"]
+    for search, panels in searches.items():
+        lowest = min(r["value"] for records in panels for r in records)
+        cells = []
+        for records in panels:
+            values = [r["value"] for r in records]
+            within = sum(r["value"] - lowest <= r["quad_err"] for r in records)
+            cells.append(f"{min(values):.6f} / {statistics.median(values):.6f} / {max(values):.6f}, "
+                         f"{within} of {len(records)}")
+        lines.append(f"{search}: {cells[0]} -> {cells[1]}")
+    return lines
+
+
 def compare(old: list[dict], new: list[dict]) -> str:
-    """The winners that moved by more than the old winner's quad_err, then per-search totals."""
+    """The winners that moved by more than the old winner's quad_err, per-search totals and distributions."""
     before = {(r["search"], r["seed"]): r for r in old}
     lines, totals = [], {}
     for r in new:
@@ -83,7 +105,7 @@ def compare(old: list[dict], new: list[dict]) -> str:
                      f"{t['capped'][1]}; single steps {t['single_steps'][0]} -> {t['single_steps'][1]}; double steps "
                      f"{t['double_steps'][0]} -> {t['double_steps'][1]}; seconds {t['seconds'][0]:.1f} -> "
                      f"{t['seconds'][1]:.1f}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + distribution(old, new)) + "\n"
 
 
 def main(argv=None) -> int:
