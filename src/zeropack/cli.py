@@ -2,9 +2,12 @@
 
 Reports are flat JSON (or CSV for scans) with deterministic key order and
 float formatting, so identical configs and seeds produce byte-identical
-output.  Exit codes: 0 success, 2 non-convergence, 3 I/O error, 4 usage
-error, 5 numerical error.  Parameter sweeps run their elements concurrently
-up to --jobs, with output assembled in input order.
+output at a fixed BLAS thread count.  Another thread count can sum in
+another order and move a search to another basin: planar gamma=16 n=42 seed
+7 reads 0.055002 with one BLAS thread and 0.055336 with two.  Exit codes:
+0 success, 2 non-convergence, 3 I/O error, 4 usage error, 5 numerical
+error.  Parameter sweeps run their elements concurrently up to --jobs, with
+output assembled in input order.
 """
 
 from __future__ import annotations

@@ -32,9 +32,5 @@ class ConditioningError(ZeropackError):
     """A normal-equations solve failed; try a finer grid or lower degree."""
 
 
-class UndefinedScaleError(ZeropackError):
-    """Optimal scaling is undefined (zero polynomial)."""
-
-
 class NormalizationError(ZeropackError):
     """Lattice is not normalized for the requested exponent."""

@@ -1,4 +1,4 @@
-"""Discrepancy functions, density functionals and their diagnostics.
+"""Density functionals and their diagnostics.
 
 Two geometries share one code path.  In the hyperbolic geometry the target is
 the metric density 1/(1-|z|^2) on a disk of radius r < 1; in the planar (Fock)
@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .poly import ComplexPolynomial, poly_eval, ring_vandermonde
+from .poly import ComplexPolynomial, ring_vandermonde
 from .quadrature import (
     Annulus,
     Disk,
@@ -48,7 +48,6 @@ __all__ = [
     "DensityReport",
     "DEFAULT_RESOLUTION",
     "default_grid",
-    "discrepancy",
     "density",
     "boundary_mass",
     "gradient",
@@ -251,16 +250,6 @@ def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
         radius = region.r_cut if isinstance(region, TruncatedPlane) else region.radius
         if radius < 1.0 - 1e-12:
             raise ConfigurationError(f"grid radius {radius} does not cover the unit disk")
-
-
-def discrepancy(f: ComplexPolynomial, z, spec: FunctionalSpec):
-    """Pointwise squared mismatch (w(z)|f(z)|^beta - 1_core(z))^2."""
-    z = np.asarray(z, dtype=complex)
-    absz = np.abs(z)
-    ind = (absz < spec.indicator_radius).astype(float)
-    w, _ = spec.envelope(absz)
-    out = (w * np.abs(poly_eval(f, z)) ** spec.beta - ind) ** 2
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidLatticeError, InvalidRegionError, NormalizationError, NumericError
+from .errors import ConfigurationError, InvalidLatticeError, NormalizationError, NumericError
 
 __all__ = [
     "Lattice",
@@ -34,7 +34,6 @@ __all__ = [
     "sigma",
     "abrikosov_candidate",
     "cell_average_density",
-    "optimal_cell_scale",
     "theta_scan",
     "scan_csv",
 ]
@@ -197,21 +196,21 @@ def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate
 
 
 def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tuple[float, float]:
-    """The cell means of g = |f0|^beta e^{-|z|^2} and of g^2, by the midpoint rule.
+    """The cell means of |f0|^beta e^{-|z|^2} and of its square, by the midpoint rule.
 
-    They equal large-disk averages only for a doubly periodic g, so a
-    periodicity residual above 1e-8 is a NormalizationError.  The nodes are
-    z = 2u omega1 + 2v omega2 at u = (i + 1/2)/n_u, v = (j + 1/2)/n_v, off the
-    lattice points where |sigma| is only Lipschitz.  A node's theta argument
-    is pi u + pi tau v, and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb),
-    so pref * theta_1 on the grid is one (n_u x 2T) @ (2T x n_v) product of
-    per-axis sines and cosines.  For a periodic g, beta Re(c z^2) - |z|^2 is
-    a v^2 alone (a = -beta pi Im tau), so e^{a v^2 / beta} scales the
-    product's columns and g = |product|^beta.
+    That is the candidate's envelope g (QuasiperiodicCandidate.envelope)
+    over its scale.  They equal large-disk averages only for a doubly
+    periodic g, so a periodicity residual above 1e-8 is a
+    NormalizationError.  The nodes are z = 2u omega1 + 2v omega2 at
+    u = (i + 1/2)/n_u, v = (j + 1/2)/n_v, off the lattice points where
+    |sigma| is only Lipschitz.  A node's theta argument is pi u + pi tau v,
+    and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so pref * theta_1
+    on the grid is one (n_u x 2T) @ (2T x n_v) product of per-axis sines and
+    cosines.  For a periodic g, beta Re(c z^2) - |z|^2 is a v^2 alone
+    (a = -beta pi Im tau), so e^{a v^2 / beta} scales the product's columns
+    and |f0|^beta e^{-|z|^2} = |product|^beta.
     """
     n_u, n_v = resolution
-    if n_u < 1 or n_v < 1:
-        raise InvalidRegionError(f"cell resolution must be >= 1, got {resolution}")
     residual = cand.periodicity_residual(n_points=200)
     if residual > 1e-8:
         raise NormalizationError(
@@ -238,17 +237,6 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     return float(np.mean(g)), float(np.mean(g2))
 
 
-def optimal_cell_scale(cand: QuasiperiodicCandidate, resolution: tuple[int, int] = (256, 256)) -> float:
-    """The s minimizing the cell mean of (s*g - 1)^2: cell-mean g / cell-mean g^2.
-
-    A candidate that is not doubly periodic is a NormalizationError.
-    """
-    m1, m2 = _cell_means(cand, resolution)
-    if m2 <= 0:
-        raise NormalizationError("candidate envelope vanishes identically")
-    return m1 / m2
-
-
 def cell_average_density(
     cand: QuasiperiodicCandidate,
     resolution: tuple[int, int] = (256, 256),
@@ -258,8 +246,10 @@ def cell_average_density(
 
     Equals the large-disk limit of the disk-averaged exponent-family density by
     periodicity.  With optimize_scale the multiplicative normalization s is set
-    to its closed-form optimum, in which case the value is 1 - s*(cell mean of
-    the envelope), mirroring the stationary-scaling form of the density.
+    to its closed-form optimum m1/m2 (_cell_means), in which case the value is
+    1 - s*m1, mirroring the stationary-scaling form of the density.  Without
+    it s is cand.scale, and the value is the cell mean of (g - 1)^2 for the
+    candidate's envelope g.
     """
     if resolution[0] < 16 or resolution[1] < 16:
         raise ConfigurationError(

@@ -32,13 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, UndefinedScaleError
+from .errors import ConfigurationError
 from .functionals import (
     DensityReport,
     FunctionalSpec,
     default_grid,
     density,
-    quadratic_parts,
     quadratic_weights,
 )
 from .poly import ComplexPolynomial, RingVandermonde, gram_diagonal, vandermonde
@@ -48,7 +47,6 @@ __all__ = [
     "OptimizerConfig",
     "MinimizeResult",
     "degree_schedule",
-    "optimal_scale",
     "minimize",
 ]
 
@@ -101,7 +99,6 @@ class MinimizeResult:
     # stationary, tolerance or cap).  The value, converged and stop are the
     # finish's.
     restarts: list[dict] = field(default_factory=list)
-    history: list[float] = field(default_factory=list, repr=False)
 
     @property
     def capped(self) -> int:
@@ -141,17 +138,6 @@ def degree_schedule(spec: FunctionalSpec) -> int:
     next integer.
     """
     return max(1, math.ceil(round(spec.core_mass, 9)))
-
-
-def optimal_scale(f: ComplexPolynomial, spec: FunctionalSpec, grid: QuadratureGrid | None = None) -> float:
-    """The t > 0 minimizing t -> density(t*f); ratio of the L^1 to L^2 mass."""
-    if grid is None:
-        grid = default_grid(spec)
-    a, b, _ = quadratic_parts(f, spec, grid)
-    if a <= 0.0 or b <= 0.0:
-        raise UndefinedScaleError("optimal scale is undefined for the zero polynomial")
-    s = b / a
-    return s if spec.beta == 1.0 else s ** (1.0 / spec.beta)
 
 
 @dataclass(frozen=True)
@@ -368,25 +354,25 @@ def _burn_in(ws: _Workspace, c: np.ndarray) -> tuple[_Iterate, int, int]:
     return it, iterations, extrapolations
 
 
-def _descend(workspaces: tuple[_Workspace, ...], c: np.ndarray):
-    """Coefficients, value, step counts and value history of one restart's descent.
+def _descend(workspaces: tuple[_Workspace, _Workspace], c: np.ndarray):
+    """Coefficients, value and step counts of one restart's descent.
 
-    ``workspaces`` are a single-precision twin and its double workspace, or
-    one workspace for both.  The burn-in (_burn_in) runs on the first, and
-    the Newton finish (_finish) on the last, from the burn-in's iterate
-    rescaled there; the finish's value, history and stop are the restart's,
-    and every stop but the cap counts as converged.  The step counts are
-    iterations, the burn-in's ("single_iterations"), the finish's Newton and
-    fallback IRLS steps ("newton_iterations", "fallback_iterations"), the
-    burn-in's accepted secant jumps ("extrapolations"), converged and stop.
+    ``workspaces`` are a single-precision twin and its double workspace.  The
+    burn-in (_burn_in) runs on the twin, and the Newton finish (_finish) on
+    the double one, from the burn-in's iterate rescaled there; the finish's
+    value and stop are the restart's, and every stop but the cap counts as
+    converged.  The step counts are iterations, the burn-in's
+    ("single_iterations"), the finish's Newton and fallback IRLS steps
+    ("newton_iterations", "fallback_iterations"), the burn-in's accepted
+    secant jumps ("extrapolations"), converged and stop.
     """
-    it, single, extrapolations = _burn_in(workspaces[0], c)
-    ws = workspaces[-1]
-    it, history, finish = _finish(ws, ws.iterate(it.c), single)
-    return it.c, it.value, {"single_iterations": single, "extrapolations": extrapolations, **finish}, history
+    single, double = workspaces
+    it, steps, extrapolations = _burn_in(single, c)
+    it, finish = _finish(double, double.iterate(it.c), steps)
+    return it.c, it.value, {"single_iterations": steps, "extrapolations": extrapolations, **finish}
 
 
-def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, list[float], dict]:
+def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, dict]:
     """Newton steps on a double workspace from the rescaled iterate it, after ``iterations`` steps of the descent.
 
     Each step tries it + t*d along the Newton direction (newton_direction),
@@ -395,10 +381,8 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, li
     that does not lower the value ("stationary"), a step along a Newton
     direction whose predicted drop is below TOLERANCE relative to the value
     ("tolerance") and MAX_ITERATIONS steps of the whole descent ("cap").
-    Returns the last iterate, the value history (the start and every step's
-    value) and the step counts.
+    Returns the last iterate and the step counts.
     """
-    history = [it.value]
     newton = fallback = 0
     stop = "cap"
     while iterations < MAX_ITERATIONS:
@@ -415,13 +399,12 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, li
             stop = "stationary"
             break
         it = new
-        history.append(it.value)
         if predicted < TOLERANCE * max(abs(it.value), 1e-30):
             stop = "tolerance"
             break
     counts = {"iterations": iterations, "newton_iterations": newton, "fallback_iterations": fallback,
               "converged": stop != "cap", "stop": stop}
-    return it, history, counts
+    return it, counts
 
 
 def _restart_classes(spec: FunctionalSpec, grid: QuadratureGrid, n: int, restarts: int) -> list[tuple[int, int]]:
@@ -448,8 +431,7 @@ def minimize(
     and descends in that class in one _descend: a burn-in of at most BURN_IN
     IRLS steps on the class's single-precision workspace, then the Newton
     finish on its double one; the descent takes at most MAX_ITERATIONS
-    steps.  The restart's value, stop reason and the winner's history are
-    the finish's.  Ties
+    steps.  The restart's value and stop reason are the finish's.  Ties
     between restarts within 1e-12 go to the lowest restart index so results
     are reproducible under concurrency; the result's ``tied`` counts the
     restarts within the winner's quad_err, which the grid cannot tell apart,
@@ -473,14 +455,14 @@ def minimize(
         rng = np.random.default_rng(config.seed * 7919 + rs)
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c0 = (raw / np.sqrt(2.0 * full.diagonal))[j::m]
-        c_class, val, steps, history = _descend(workspaces[m, j], c0)
+        c_class, val, steps = _descend(workspaces[m, j], c0)
         restarts.append({"class": [m, j], "value": val, **steps})
         if best is None or val < best[1] - 1e-12:
             c = np.zeros(n, dtype=complex)
             c[j::m] = c_class
-            best = (c, val, restarts[-1], history)
+            best = (c, val, restarts[-1])
 
-    c, _, steps, history = best
+    c, _, steps = best
     minimizer = ComplexPolynomial(_canonicalize(c))
     report = density(minimizer, spec, grid)
     return MinimizeResult(
@@ -491,5 +473,4 @@ def minimize(
         diagnostics=report,
         restart_values=[r["value"] for r in restarts],
         restarts=restarts,
-        history=history,
     )

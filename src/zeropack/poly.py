@@ -22,7 +22,6 @@ __all__ = [
     "ComplexPolynomial",
     "RingVandermonde",
     "poly_eval",
-    "dilate",
     "gram_diagonal",
     "ring_vandermonde",
 ]
@@ -76,12 +75,6 @@ def poly_eval(p: ComplexPolynomial, z):
     for c in p.coeffs[::-1]:
         acc = acc * z + c
     return acc if acc.ndim else complex(acc)
-
-
-def dilate(p: ComplexPolynomial, alpha: complex) -> ComplexPolynomial:
-    """Return q with q(z) = p(alpha * z), i.e. c_k -> c_k * alpha**k."""
-    k = np.arange(len(p.coeffs))
-    return ComplexPolynomial(p.coeffs * np.asarray(alpha, dtype=complex) ** k)
 
 
 def vandermonde(z: np.ndarray, n: int) -> np.ndarray:

@@ -77,10 +77,6 @@ class QuadratureGrid:
         return len(self.radii) * self.resolution[1]
 
     @property
-    def total_weight(self) -> float:
-        return self.resolution[1] * float(np.sum(self.ring_weights))
-
-    @property
     def phases(self) -> np.ndarray:
         """The n_ang equispaced unit phases e^{i theta} shared by every ring."""
         return np.exp(1j * (2.0 * math.pi * np.arange(self.resolution[1]) / self.resolution[1]))

@@ -15,8 +15,6 @@ from zeropack import (
     build_grid,
     default_grid,
     density,
-    dilate,
-    discrepancy,
     gradient,
     integrate,
     poly_eval,
@@ -64,27 +62,6 @@ def test_default_grid_angles_follow_the_symmetry():
     starred = default_grid(FunctionalSpec("planar", 8.0, starred=True), degree=16)
     assert starred.resolution == (128, 129) and len(starred.radii) == 256
     assert default_grid(planar, (64, 64)).resolution == (64, 64)
-
-
-def test_discrepancy_zero_function_inside():
-    spec = FunctionalSpec("hyperbolic", 0.7)
-    assert discrepancy(ZERO, 0.1 + 0.2j, spec) == 1.0
-    spec_p = FunctionalSpec("planar", 3.0)
-    assert discrepancy(ZERO, 0.5j, spec_p) == 1.0
-
-
-def test_discrepancy_perfect_match_point():
-    z0 = 0.3 + 0.1j
-    c = 1.0 / (1.0 - abs(z0) ** 2)
-    spec = FunctionalSpec("hyperbolic", 0.8)
-    assert abs(discrepancy(ComplexPolynomial([c]), z0, spec)) < 1e-15
-
-
-def test_discrepancy_planar_boundary_convention():
-    # |z| = 1 counts as outside the indicator; e * e^{-1} = 1 so the square is 1.
-    spec = FunctionalSpec("planar", 1.0)
-    val = discrepancy(ComplexPolynomial([math.e]), 1.0 + 0j, spec)
-    assert abs(val - 1.0) < 1e-14
 
 
 def test_density_of_zero_is_one():
@@ -231,28 +208,31 @@ def test_density_dilated_alpha_one_reduces(rng):
 
 
 def test_density_dilated_rescaling_identity(rng):
-    # rho_{H,r,alpha}(f) = log(1/(1-a^2 r^2))/log(1/(1-r^2)) * rho_{H,ar,1}(f(z/a)).
+    # rho_{H,r,alpha}(f) = log(1/(1-a^2 r^2))/log(1/(1-r^2)) * rho_{H,ar,1}(f(z/a)),
+    # where f(z/a) has the coefficients c_k a^-k.
     r, a = 0.8, 0.9
     for _ in range(5):
         f = random_poly(rng, 6)
+        f_shrunk = ComplexPolynomial(f.coeffs * (1 / a) ** np.arange(6))
         lhs = density(f, FunctionalSpec("hyperbolic", r, alpha=a)).value
         rhs = (
             math.log(1 / (1 - a * a * r * r))
             / hyperbolic_norm(r)
-            * density(dilate(f, 1 / a), FunctionalSpec("hyperbolic", a * r)).value
+            * density(f_shrunk, FunctionalSpec("hyperbolic", a * r)).value
         )
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
 def test_density_dilated_substitution_identity(rng):
-    # With g(z) = f((1-d) z) and alpha = 1-d the dilated functional equals the
-    # plain integrand of f over the shrunken disk D(0, (1-d) r).
+    # With g(z) = f((1-d) z), whose coefficients are c_k (1-d)^k, and
+    # alpha = 1-d the dilated functional equals the plain integrand of f over
+    # the shrunken disk D(0, (1-d) r).
     r, d = 0.8, 0.2
     rp = (1 - d) * r
     grid = build_grid(Disk(rp), (128, 128))
     for _ in range(5):
         f = random_poly(rng, 6)
-        g = dilate(f, 1 - d)
+        g = ComplexPolynomial(f.coeffs * (1 - d) ** np.arange(6))
         lhs = density(g, FunctionalSpec("hyperbolic", r, alpha=1 - d)).value
         rhs = (
             integrate(

@@ -8,14 +8,12 @@ import pytest
 from zeropack import (
     ConfigurationError,
     InvalidLatticeError,
-    InvalidRegionError,
     NormalizationError,
     NumericError,
     QuasiperiodicCandidate,
     abrikosov_candidate,
     cell_average_density,
     lattice_normalize,
-    optimal_cell_scale,
     sigma,
     theta_scan,
 )
@@ -243,7 +241,6 @@ def test_cell_means_match_the_node_quadrature(theta, beta):
     m1, m2 = node_cell_means(cand, res)
     s = m1 / m2
     checks = [
-        (optimal_cell_scale(cand, res), s),
         (cell_average_density(cand, res), 1.0 - 2.0 * s * m1 + s * s * m2),
         (cell_average_density(cand, res, optimize_scale=False), 1.0 - 2.0 * m1 + m2),
     ]
@@ -258,36 +255,34 @@ def test_cell_means_at_a_large_beta():
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 60.0), 60.0)
     m1, m2 = node_cell_means(cand, (48, 80))
     s = m1 / m2
-    assert abs(optimal_cell_scale(cand, (48, 80)) - s) <= 1e-13 * s
     want = 1.0 - 2.0 * s * m1 + s * s * m2
     assert abs(cell_average_density(cand, (48, 80)) - want) <= 1e-13 * want
 
 
 def test_cell_means_of_an_unnormalized_candidate():
     # Another nu leaves the envelope non-periodic, with u^2 and uv terms in its
-    # exponent; its cell means are no large-disk average, so both entry points
-    # refuse it.
+    # exponent; its cell means are no large-disk average, so the cell average
+    # refuses it, with the candidate's scale or the optimal one.
     cand = abrikosov_candidate(lattice_normalize(1.2, 1.0), 1.0)
     off = QuasiperiodicCandidate(cand.lattice, cand.nu + 0.05 - 0.03j, 1.0)
-    with pytest.raises(NormalizationError):
-        optimal_cell_scale(off, (48, 80))
-    with pytest.raises(NormalizationError):
-        cell_average_density(off, (48, 80))
+    for optimize_scale in (True, False):
+        with pytest.raises(NormalizationError):
+            cell_average_density(off, (48, 80), optimize_scale)
 
 
 def test_cell_means_refuse_bad_resolutions_bases_and_values():
-    # The midpoint rule needs a node on each axis and a positively oriented
-    # cell (Lattice itself refuses any other), and a non-finite envelope value
-    # is a numeric failure, not a mean.
+    # The cell average needs at least 16 nodes on each axis and a positively
+    # oriented cell (Lattice itself refuses any other), and a non-finite
+    # envelope value is a numeric failure, not a mean.
     lat = lattice_normalize(PI / 3, 1.0)
     cand = abrikosov_candidate(lat, 1.0)
-    for res in ((0, 8), (8, 0)):
-        with pytest.raises(InvalidRegionError):
-            optimal_cell_scale(cand, res)
+    for res in ((0, 32), (32, 0)):
+        with pytest.raises(ConfigurationError):
+            cell_average_density(cand, res)
     with pytest.raises(InvalidLatticeError):
         replace(lat, omega2=lat.omega2.conjugate(), tau=lat.tau.conjugate())
     with pytest.raises(NumericError):
-        optimal_cell_scale(QuasiperiodicCandidate(lat, math.nan, 1.0), (32, 32))
+        cell_average_density(QuasiperiodicCandidate(lat, math.nan, 1.0), (32, 32))
 
 
 def test_cell_means_name_a_non_finite_node(monkeypatch):
@@ -296,7 +291,7 @@ def test_cell_means_name_a_non_finite_node(monkeypatch):
     lat = lattice_normalize(PI / 3, 1.0)
     monkeypatch.setattr(QuasiperiodicCandidate, "periodicity_residual", lambda self, n_points: 0.0)
     with pytest.raises(NumericError, match="at node") as info:
-        optimal_cell_scale(QuasiperiodicCandidate(lat, math.nan, 1.0), (32, 32))
+        cell_average_density(QuasiperiodicCandidate(lat, math.nan, 1.0), (32, 32))
     assert abs(info.value.node - (lat.omega1 + lat.omega2) / 32) < 1e-15
 
 
@@ -319,7 +314,7 @@ def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
     monkeypatch.setattr(lattice_sigma, "np", AxisSinesOnly())
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
     assert abs(cell_average_density(cand, (256, 256)) - 0.061203) < 5e-4
-    assert optimal_cell_scale(cand, (128, 192)) > 0
+    assert abs(cell_average_density(cand, (128, 192)) - 0.061203) < 5e-4
     assert len(theta_scan(1.0, 1.1, 2, 1.0, (128, 128))) == 2
 
 
@@ -327,10 +322,10 @@ def test_cell_means_peak_memory():
     # At 512x512 the node path held the nodes and a (terms x nodes) complex
     # sine array, 67 MB at its peak; the separable path holds about 6.5 MB.
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
-    optimal_cell_scale(cand, (64, 64))
+    cell_average_density(cand, (64, 64))
     tracemalloc.start()
     try:
-        optimal_cell_scale(cand, (512, 512))
+        cell_average_density(cand, (512, 512))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -364,8 +359,8 @@ def test_cell_average_scale_identity():
     # With the optimal s the value collapses to 1 - s * (cell mean of g).
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
     res = (128, 128)
-    s = optimal_cell_scale(cand, res)
-    m1 = float(np.mean(cand.envelope(midpoint_nodes(cand.lattice, res))))
+    m1, m2 = node_cell_means(cand, res)
+    s = m1 / m2
     val = cell_average_density(cand, res, optimize_scale=True)
     assert abs(val - (1.0 - s * m1)) < 1e-12
 

@@ -11,16 +11,14 @@ from zeropack import (
     FunctionalSpec,
     OptimizerConfig,
     TruncatedPlane,
-    UndefinedScaleError,
     build_grid,
     default_grid,
     degree_schedule,
     density,
     gradient,
     minimize,
-    optimal_scale,
 )
-from zeropack.functionals import quadratic_weights
+from zeropack.functionals import quadratic_parts, quadratic_weights
 from zeropack.optimize import BURN_IN, STOP_REASONS, _burn_in, _descend, _Iterate, _restart_classes, _Workspace
 from zeropack.poly import RingVandermonde, gram_diagonal, vandermonde
 
@@ -40,31 +38,36 @@ def test_degree_schedule_examples():
 
 
 def test_optimal_scale_planar_constant():
-    # Oracle: ratio of closed-form Gaussian integrals, 2/(1+e^{-gamma}).
+    # The workspace rescales c to c*B/A.  Oracle: the ratio of closed-form
+    # Gaussian integrals, 2/(1+e^{-gamma}).
     g = 1.0
-    t = optimal_scale(ComplexPolynomial([1.0]), FunctionalSpec("planar", g))
+    spec = FunctionalSpec("planar", g)
+    ws = _Workspace(spec, default_grid(spec), 1)
+    t = ws.iterate(np.array([1.0 + 0j])).c[0]
     assert abs(t - 2.0 / (1.0 + math.exp(-g))) < 1e-10
+    # The zero polynomial has no optimal scale: it stays as it is, at density 1.
+    zero = ws.iterate(np.zeros(1, dtype=complex))
+    assert zero.c[0] == 0 and abs(zero.value - 1.0) < 1e-12
 
 
 def test_optimal_scale_at_minimizer_is_one():
+    # The winner is at its own optimal scale: B/A = 1.
     spec = FunctionalSpec("planar", 2.0)
     res = minimize(spec, 4, OptimizerConfig(restarts=3, seed=2))
-    assert abs(optimal_scale(res.minimizer, spec) - 1.0) < 1e-5
+    a, b, _ = quadratic_parts(res.minimizer, spec, default_grid(spec))
+    assert abs(b / a - 1.0) < 1e-5
 
 
 def test_optimal_scale_never_increases_density(rng):
+    # The rescaled value C - B^2/A is the density of c*B/A and at most that of c.
     spec = FunctionalSpec("hyperbolic", 0.7)
     grid = default_grid(spec)
+    ws = _Workspace(spec, grid, 5)
     for _ in range(50):
         f = random_poly(rng, 5)
-        t = optimal_scale(f, spec, grid)
-        scaled = ComplexPolynomial(t * f.coeffs)
-        assert density(scaled, spec, grid).value <= density(f, spec, grid).value + 1e-12
-
-
-def test_optimal_scale_zero_poly_raises():
-    with pytest.raises(UndefinedScaleError):
-        optimal_scale(ComplexPolynomial([0.0]), FunctionalSpec("planar", 1.0))
+        it = ws.iterate(f.coeffs)
+        assert abs(it.value - density(ComplexPolynomial(it.c), spec, grid).value) < 1e-12
+        assert it.value <= density(f, spec, grid).value + 1e-12
 
 
 def test_minimize_planar_degree_one_closed_form():
@@ -100,11 +103,20 @@ def test_ell_equality_at_minimizer(geometry, param):
     assert abs(res.value - (1.0 - d.ell1)) < 1e-5
 
 
-def test_monotone_descent_history():
+def test_monotone_descent_history(monkeypatch):
+    # Each IRLS step and Newton direction of a restart starts from a value no
+    # higher than the one before; only the switch to double may round up,
+    # and the restart's value ends the descent.
+    descents = _record_descents(monkeypatch)
     spec = FunctionalSpec("hyperbolic", 0.85)
-    res = minimize(spec, 3, OptimizerConfig(restarts=2, seed=5))
-    h = res.history
-    assert all(b <= a + 1e-15 for a, b in zip(h[:-1], h[1:]))
+    minimize(spec, 3, OptimizerConfig(restarts=2, seed=5))
+    assert len(descents) == 2
+    for _, events, (_, value, _) in descents:
+        single = [v for _, dtype, v in events if dtype == np.complex64]
+        double = [v for _, dtype, v in events if dtype == np.complex128] + [value]
+        assert all(b <= a for a, b in zip(single[:-1], single[1:]))
+        assert double[0] <= single[-1] + 1e-7
+        assert all(b <= a for a, b in zip(double[:-1], double[1:]))
 
 
 def test_value_recomputed_on_fresh_grid():
@@ -487,7 +499,7 @@ def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch
     assert len(descents) == restarts
     # One set of node buffers serves every workspace, of either precision.
     assert len({id(ws.buffers) for workspaces, _, _ in descents for ws in workspaces}) == 1
-    for entry, ((ws32, ws64), events, (c, value, steps, history)) in zip(res.restarts, descents):
+    for entry, ((ws32, ws64), events, (c, value, steps)) in zip(res.restarts, descents):
         m, j = entry["class"]
         assert (ws32.fz.dtype, ws32.af.dtype, ws64.fz.dtype, ws64.af.dtype) == (
             np.complex64, np.float32, np.complex128, np.float64,
@@ -508,17 +520,18 @@ def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch
         # The finish starts where the burn-in ended: at most the burn-in's
         # last iterate's value, to the single values' rounding.
         last_single = [v for kind, dtype, v in events if kind == "step" and dtype == np.complex64][-1]
-        assert history[0] <= last_single + 1e-7
-        # The history is the finish's: its start and each step that lowered
-        # the value, all but a last one that did not.
-        assert len(history) - 1 == newton + fallback - (entry["stop"] == "stationary")
-        assert all(b < a for a, b in zip(history[:-1], history[1:])) and history[-1] == value
+        values = [v for kind, _, v in events if kind == "newton"]
+        assert values[0] <= last_single + 1e-7
+        # Each Newton direction starts from the value the step before lowered;
+        # a stationary stop keeps the last iterate, and any other stop ends
+        # on a value below it.
+        assert all(b < a for a, b in zip(values[:-1], values[1:]))
+        assert (value == values[-1]) if entry["stop"] == "stationary" else (value < values[-1])
         assert entry["stop"] in ("stationary", "tolerance") and entry["converged"] is True
     assert {tuple(r["class"]) for r in res.restarts} == set(_restart_classes(spec, grid, n, restarts))
     # The bench's check of a minimize report.
     assert abs(res.value - min(res.restart_values)) <= 1e-12
     winner = res.restart_values.index(min(res.restart_values))
-    assert res.history == descents[winner][2][3]
     assert res.iterations == res.restarts[winner]["iterations"]
 
 
@@ -529,7 +542,7 @@ def test_newton_finish_takes_few_steps(monkeypatch):
     descents = _record_descents(monkeypatch)
     spec, n = FunctionalSpec("planar", 8.0), 16
     res = minimize(spec, n, OptimizerConfig(restarts=12, seed=3))
-    for entry, (_, _, (c, _, _, _)) in zip(res.restarts, descents):
+    for entry, (_, _, (c, _, _)) in zip(res.restarts, descents):
         assert entry["newton_iterations"] >= 1
         # At most 19 at this seed after a 100-step burn-in.
         assert entry["newton_iterations"] + entry["fallback_iterations"] <= 20
@@ -545,11 +558,10 @@ def test_cap_ends_the_descent_in_double(monkeypatch):
     spec, n = FunctionalSpec("planar", 8.0), 16
     res = minimize(spec, n, OptimizerConfig(restarts=2, seed=3))
     assert res.capped == 2 and res.converged is False
-    for entry, (_, events, (c, value, _, history)) in zip(res.restarts, descents):
+    for entry, (_, events, (c, _, _)) in zip(res.restarts, descents):
         assert (entry["stop"], entry["converged"]) == ("cap", False)
         assert entry["iterations"] == entry["single_iterations"] == 5 and _step_dtypes(events) == [np.complex64] * 5
         assert [kind for kind, dtype, _ in events if dtype == np.complex128] == []
-        assert history == [value]
         _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
     assert res.to_json_dict()["capped"] == 2
 
@@ -562,10 +574,14 @@ def test_cap_in_the_finish_ends_on_a_double_value(monkeypatch):
     monkeypatch.setattr("zeropack.optimize.MAX_ITERATIONS", single + 2)
     descents = _record_descents(monkeypatch)
     res = minimize(spec, n, OptimizerConfig(restarts=1, seed=3))
-    (entry,), [(_, events, (c, value, _, history))] = res.restarts, descents
+    (entry,), [(_, events, (c, value, _))] = res.restarts, descents
     assert (entry["stop"], entry["converged"], res.converged) == ("cap", False, False)
     assert (entry["iterations"], entry["single_iterations"]) == (single + 2, single)
-    assert entry["newton_iterations"] + entry["fallback_iterations"] == 2 and len(history) == 3
+    # Both steps lowered the value: the two Newton directions start from
+    # falling values, and the restart ends below the second.
+    values = [v for kind, _, v in events if kind == "newton"]
+    assert entry["newton_iterations"] + entry["fallback_iterations"] == 2 and len(values) == 2
+    assert value < values[1] < values[0]
     _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
 
 
@@ -673,7 +689,7 @@ def test_restarts_end_at_stationary_points(spec, restarts, seed, monkeypatch):
     grid = default_grid(spec, degree=n)
     res = minimize(spec, n, OptimizerConfig(restarts=restarts, seed=seed))
     scale = np.repeat(np.sqrt(gram_diagonal(grid, quadratic_weights(spec, grid)[0], n)), 2)
-    for entry, (_, _, (c, _, _, _)) in zip(res.restarts, descents):
+    for entry, (_, _, (c, _, _)) in zip(res.restarts, descents):
         full = _embed(c, n, *entry["class"])
         g = gradient(ComplexPolynomial(full), spec, grid) / scale
         phase = (1j * full).view(np.float64) * scale

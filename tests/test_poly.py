@@ -13,7 +13,6 @@ from zeropack import (
     TruncatedPlane,
     build_grid,
     default_r_cut,
-    dilate,
     integrate,
     poly_eval,
     project_polynomial,
@@ -45,24 +44,6 @@ def test_degree_sentinel():
     assert ComplexPolynomial([0.0, 0.0]).degree() == float("-inf")
     assert ComplexPolynomial([1.0, 0.0, 0.0]).degree() == 0
     assert ComplexPolynomial([0.0, 3.0]).degree() == 1
-
-
-def test_dilate_examples():
-    sq = ComplexPolynomial([0.0, 0.0, 1.0])
-    assert np.allclose(dilate(sq, 2.0).coeffs, [0.0, 0.0, 4.0])
-    p = ComplexPolynomial([1.0, 2.0, 3.0])
-    assert np.array_equal(dilate(p, 1.0).coeffs, p.coeffs)
-
-
-def test_dilate_evaluation_identity(rng):
-    # Oracle: direct evaluation at the dilated point.
-    for _ in range(100):
-        p = random_poly(rng, 6)
-        alpha = rng.standard_normal() + 1j * rng.standard_normal()
-        z = rng.standard_normal() + 1j * rng.standard_normal()
-        lhs = poly_eval(dilate(p, alpha), z)
-        rhs = poly_eval(p, alpha * z)
-        assert abs(lhs - rhs) < 1e-13 * max(1.0, abs(rhs))
 
 
 # The hyperbolic dbar weight 1-|z|^2 does not depend on r.
