@@ -90,6 +90,14 @@ def _geometry_params(args) -> tuple[str, list[float]]:
     raise UsageError("--geometry must be hyperbolic or planar")
 
 
+def _single_param(args) -> tuple[str, float]:
+    """The geometry and its one parameter, for the commands that take no sweep."""
+    geometry, params = _geometry_params(args)
+    if len(params) != 1:
+        raise UsageError(f"{args.command} takes a single parameter, not a sweep")
+    return geometry, params[0]
+
+
 def _json_text(payload: dict) -> str:
     """Deterministic JSON text plus a newline; a non-finite number is a numerical error."""
     try:
@@ -132,10 +140,7 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 
 def cmd_minimize(args) -> int:
-    geometry, params = _geometry_params(args)
-    if len(params) != 1:
-        raise UsageError("minimize takes a single parameter, not a sweep")
-    param = params[0]
+    geometry, param = _single_param(args)
     spec = FunctionalSpec(geometry=geometry, param=param)
     n = args.degree if args.degree is not None else degree_schedule(spec)
     grid = default_grid(spec, args.resolution, degree=n)
@@ -214,13 +219,11 @@ def _load_poly(path: str) -> ComplexPolynomial:
 
 
 def cmd_eval(args) -> int:
-    geometry, params = _geometry_params(args)
-    if len(params) != 1:
-        raise UsageError("eval takes a single parameter, not a sweep")
+    geometry, param = _single_param(args)
     if args.poly is None:
         raise UsageError("--poly FILE is required for eval")
     f = _load_poly(args.poly)
-    spec = FunctionalSpec(geometry=geometry, param=params[0], starred=args.starred, beta=args.beta)
+    spec = FunctionalSpec(geometry=geometry, param=param, starred=args.starred, beta=args.beta)
     grid = default_grid(spec, args.resolution, degree=max(len(f.coeffs), 1))
     report = density(f, spec, grid)
     _dump_json(_with_provenance(report.to_json_dict(), grid.resolution), args.out)
@@ -228,10 +231,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dbar_check(args) -> int:
-    geometry, params = _geometry_params(args)
-    if len(params) != 1:
-        raise UsageError("dbar-check takes a single parameter, not a sweep")
-    param = params[0]
+    geometry, param = _single_param(args)
     spec = FunctionalSpec(geometry=geometry, param=param)
     if args.poly is not None:
         if args.seed is not None or args.restarts is not None:

@@ -24,7 +24,7 @@ allowed to be +infinity off the disk).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Any, Callable
 
@@ -246,6 +246,8 @@ class GapReport:
     dbar_rhs: float
     boundary_mass_l1: float
     boundary_mass_l2: float
+    # Upper-bound-derived estimate of the asymptotic variance, 1 - rho*; None
+    # where the spec reports none.
     sigma_sq_estimate: float | None
     exterior_mass_u: float
     l1_perturbation: float
@@ -255,26 +257,10 @@ class GapReport:
     quad_err: float
 
     def to_json_dict(self) -> dict[str, Any]:
-        out = {
-            "geometry": self.geometry,
-            "param": self.param,
-            "delta": self.delta,
-            "degree": self.degree,
-            "rho_unstarred": self.rho_unstarred,
-            "quad_err": self.quad_err,
-            "rho_starred_nu": self.rho_starred_nu,
-            "gap": self.gap,
-            "dbar_lhs": self.dbar_lhs,
-            "dbar_rhs": self.dbar_rhs,
-            "boundary_mass_l1": self.boundary_mass_l1,
-            "boundary_mass_l2": self.boundary_mass_l2,
-            "exterior_mass_u": self.exterior_mass_u,
-            "l1_perturbation": self.l1_perturbation,
-            "l2_perturbation": self.l2_perturbation,
-        }
-        if self.sigma_sq_estimate is not None:
-            # Upper-bound-derived estimate of the asymptotic variance, 1 - rho*.
-            out["sigma_sq_estimate"] = self.sigma_sq_estimate
+        """The fields but minimize_result, and sigma_sq_estimate only when there is one."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "minimize_result"}
+        if self.sigma_sq_estimate is None:
+            del out["sigma_sq_estimate"]
         return out
 
 

@@ -26,7 +26,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 import numpy as np
@@ -270,20 +270,10 @@ class DensityReport:
     quad_err: float
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "value": self.value,
-            "quad_err": self.quad_err,
-            "ell1": self.ell1,
-            "ell2": self.ell2,
-            "boundary_mass_l1": self.boundary_mass_l1,
-            "boundary_mass_l2": self.boundary_mass_l2,
-            "geometry": self.spec.geometry,
-            "param": self.spec.param,
-            "alpha": self.spec.alpha,
-            "beta": self.spec.beta,
-            "starred": self.spec.starred,
-            "grid_resolution": list(self.grid_resolution),
-        }
+        """The fields, with spec's fields in place of spec and grid_resolution a list."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(asdict(out.pop("spec")), grid_resolution=list(self.grid_resolution))
+        return out
 
 
 def quadratic_parts(
@@ -321,8 +311,16 @@ def _ring_data(spec: FunctionalSpec, grid: QuadratureGrid):
     return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c, w, mass, ind
 
 
+def _check_angles(grid: QuadratureGrid, n: int) -> None:
+    """Refuse n coefficients on fewer angles per ring: the equispaced angles alias mode k + n_ang onto k."""
+    n_ang = grid.resolution[1]
+    if n > n_ang:
+        raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")
+
+
 def _ring_powers(f: ComplexPolynomial, grid: QuadratureGrid, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """The ring sums of |f|^beta and |f|^(2*beta)."""
+    _check_angles(grid, len(f.coeffs))
     fv = np.abs(f.on_grid(grid)) ** beta
     return grid.ring_sums(fv), grid.ring_sums(fv * fv)
 
@@ -383,7 +381,7 @@ def boundary_mass(
     f: ComplexPolynomial,
     spec: FunctionalSpec,
     delta: float,
-    resolution: tuple[int, int] = (96, 128),
+    resolution: tuple[int, int],
 ) -> tuple[float, float]:
     """The (L^1, L^2) masses of f in the boundary layer of relative width delta.
 
@@ -419,6 +417,7 @@ def gradient(
     if grid is None:
         grid = default_grid(spec)
     a, b, _ = quadratic_weights(spec, grid)
+    _check_angles(grid, len(f.coeffs))
     V = ring_vandermonde(grid, len(f.coeffs))
     fz = np.reshape(V @ f.coeffs, (len(a), -1))
     af = np.abs(fz)

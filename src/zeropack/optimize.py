@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,7 +89,6 @@ class MinimizeResult:
     iterations: int
     converged: bool
     diagnostics: DensityReport
-    restart_values: list[float]
     # Per restart: its class [m, j] ([1, 0] is the full space), value,
     # iterations, those of them that were the burn-in's single-precision IRLS
     # steps ("single_iterations", at most BURN_IN), Newton steps of the double
@@ -98,7 +97,12 @@ class MinimizeResult:
     # ("extrapolations"), converged flag and why it stopped ("stop":
     # stationary, tolerance or cap).  The value, converged and stop are the
     # finish's.
-    restarts: list[dict] = field(default_factory=list)
+    restarts: list[dict]
+
+    @property
+    def restart_values(self) -> list[float]:
+        """Each restart's value, in restart order."""
+        return [r["value"] for r in self.restarts]
 
     @property
     def capped(self) -> int:
@@ -112,17 +116,16 @@ class MinimizeResult:
         return sum(v - best <= self.diagnostics.quad_err for v in self.restart_values)
 
     def to_json_dict(self):
-        return {
-            "minimizer": [[float(c.real), float(c.imag)] for c in self.minimizer.coeffs],
-            "value": self.value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "restart_values": self.restart_values,
-            "restarts": self.restarts,
-            "capped": self.capped,
-            "tied": self.tied,
-            "diagnostics": self.diagnostics.to_json_dict(),
-        }
+        """The fields, the minimizer as [re, im] pairs and the diagnostics nested, plus the properties."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            minimizer=[[float(c.real), float(c.imag)] for c in self.minimizer.coeffs],
+            diagnostics=self.diagnostics.to_json_dict(),
+            capped=self.capped,
+            tied=self.tied,
+            restart_values=self.restart_values,
+        )
+        return out
 
 
 def degree_schedule(spec: FunctionalSpec) -> int:
@@ -471,6 +474,5 @@ def minimize(
         iterations=steps["iterations"],
         converged=steps["converged"],
         diagnostics=report,
-        restart_values=[r["value"] for r in restarts],
         restarts=restarts,
     )

@@ -232,6 +232,26 @@ def test_dbar_check_poly_longer_than_the_angle_count_is_usage_error(tmp_path, ca
     assert out == "" and "130 coefficients needs at least 130 angles per ring; the grid has 129" in err
 
 
+def test_eval_poly_longer_than_the_angle_count_is_usage_error(tmp_path, capsys):
+    # Past the angle count the equispaced angles alias mode k + 129 onto k.
+    poly = tmp_path / "p.json"
+    for length, expect in ((129, 0), (130, 4)):
+        poly.write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * (length - 2) + [[1e-3, 0.0]]))
+        code, out, err = run(capsys, "eval", "--geometry", "planar", "--gamma", "8", "--poly", str(poly))
+        assert code == expect, err
+    assert out == "" and "degree bound 130 needs at least 130 angles per ring; the grid has 129" in err
+
+
+@pytest.mark.parametrize("command", ["minimize", "eval", "dbar-check"])
+def test_single_parameter_commands_refuse_a_sweep(tmp_path, capsys, command):
+    poly = tmp_path / "p.json"
+    poly.write_text("[[1, 0]]")
+    extra = [] if command == "minimize" else ["--poly", str(poly)]
+    code, out, err = run(capsys, command, "--geometry", "hyperbolic", "--r", "0.5,0.7", *extra)
+    assert code == 4 and out == ""
+    assert f"usage error: {command} takes a single parameter, not a sweep" in err
+
+
 @pytest.mark.parametrize(
     "text,problem",
     [

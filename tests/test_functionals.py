@@ -143,8 +143,8 @@ def test_ell_zero_and_constant():
 
 
 def test_boundary_mass_zero_poly():
-    assert boundary_mass(ZERO, FunctionalSpec("hyperbolic", 0.8), 0.2) == (0.0, 0.0)
-    assert boundary_mass(ZERO, FunctionalSpec("planar", 4.0), 0.5) == (0.0, 0.0)
+    assert boundary_mass(ZERO, FunctionalSpec("hyperbolic", 0.8), 0.2, (96, 128)) == (0.0, 0.0)
+    assert boundary_mass(ZERO, FunctionalSpec("planar", 4.0), 0.5, (96, 128)) == (0.0, 0.0)
 
 
 def test_boundary_mass_full_layer_is_density_ell(rng):
@@ -172,14 +172,14 @@ def test_boundary_mass_cauchy_schwarz(rng):
     area_ratio = 1.0 - math.log(1.0 / (1.0 - r * r * (1 - delta) ** 2)) / L
     for _ in range(20):
         f = random_poly(rng, 7)
-        b1, b2 = boundary_mass(f, FunctionalSpec("hyperbolic", r), delta)
+        b1, b2 = boundary_mass(f, FunctionalSpec("hyperbolic", r), delta, (96, 128))
         assert b1 <= math.sqrt(b2) * math.sqrt(area_ratio) + 1e-9
 
 
 def test_boundary_mass_full_layer_allowed():
     # delta = 1 covers the whole disk; needed by the planar pairing at gamma = 1.
     f = ComplexPolynomial([1.0])
-    val, _ = boundary_mass(f, FunctionalSpec("planar", 1.0), 1.0)
+    val, _ = boundary_mass(f, FunctionalSpec("planar", 1.0), 1.0, (96, 128))
     assert abs(val - (1 - math.exp(-1.0))) < 1e-10
 
 
