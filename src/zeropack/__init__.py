@@ -12,11 +12,7 @@ from .dbar import (
     project_polynomial,
 )
 from .errors import (
-    ConditioningError,
     ConfigurationError,
-    InvalidLatticeError,
-    InvalidRegionError,
-    NormalizationError,
     NumericError,
     ZeropackError,
 )
@@ -55,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Annulus",
     "ComplexPolynomial",
-    "ConditioningError",
     "ConfigurationError",
     "CorrectionResult",
     "CutoffSpec",
@@ -64,11 +59,8 @@ __all__ = [
     "Disk",
     "FunctionalSpec",
     "GapReport",
-    "InvalidLatticeError",
-    "InvalidRegionError",
     "Lattice",
     "MinimizeResult",
-    "NormalizationError",
     "NumericError",
     "OptimizerConfig",
     "QuadratureGrid",

@@ -5,9 +5,13 @@ float formatting, so identical configs and seeds produce byte-identical
 output at a fixed BLAS thread count.  Another thread count can sum in
 another order and move a search to another basin: planar gamma=16 n=42 seed
 7 reads 0.055002 with one BLAS thread and 0.055336 with two.  Exit codes:
-0 success, 2 non-convergence, 3 I/O error, 4 usage error, 5 numerical
-error.  Parameter sweeps run their elements concurrently up to --jobs, with
-output assembled in input order.
+0 success, 2 non-convergence, 3 I/O error, 4 usage error (a bad flag, or a
+ConfigurationError: a bad region, resolution, lattice angle or beta, an
+unnormalized candidate; in the library also node values of the wrong shape
+given to integrate), 5 numerical error (a NumericError: an underflowing Gram
+diagonal, a non-finite value, a failed Legendre check).  Either error class
+is reported as one stderr line.  Parameter sweeps run their elements
+concurrently up to --jobs, with output assembled in input order.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 
 from . import __version__
 from .dbar import default_cutoff, equality_gap, minimal_correction
-from .errors import ConditioningError, ConfigurationError, NumericError, ZeropackError
+from .errors import ConfigurationError, NumericError, ZeropackError
 from .functionals import DEFAULT_RESOLUTION, FunctionalSpec, default_grid, density
 from .lattice_sigma import scan_csv, theta_scan
 from .optimize import OptimizerConfig, degree_schedule, minimize
@@ -363,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except IOError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConditioningError, NumericError) as exc:
+    except NumericError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ZeropackError as exc:

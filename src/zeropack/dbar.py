@@ -38,7 +38,7 @@ from .functionals import (
     quadratic_parts,
 )
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
-from .poly import ComplexPolynomial, gram_diagonal, ring_vandermonde, vandermonde
+from .poly import ComplexPolynomial, check_angles, gram_diagonal, ring_vandermonde, vandermonde
 from .quadrature import QuadratureGrid, build_grid
 
 __all__ = [
@@ -186,12 +186,8 @@ def minimal_correction(
     if resolution is None:
         resolution = spec.default_resolution
     grid = build_grid(spec.support(n), resolution, radial_splits=((1.0 - cut.delta) * cut.r, cut.r))
+    check_angles(grid, len(f.coeffs))
     n_ang = grid.resolution[1]
-    if len(f.coeffs) > n_ang:
-        raise ConfigurationError(
-            f"a polynomial with {len(f.coeffs)} coefficients needs at least {len(f.coeffs)} angles per ring; "
-            f"the grid has {n_ang}"
-        )
     r = grid.radii
     weight = spec.dbar_weight(r) * grid.ring_weights
     chi = cutoff(r, cut)
@@ -203,10 +199,12 @@ def minimal_correction(
     f_coeffs = radial * c
     u_coeffs = f_coeffs * (chi[:, None] - lam)
 
-    f2 = n_ang * _ring_dot(f_coeffs, f_coeffs)
-    u2 = n_ang * _ring_dot(u_coeffs, u_coeffs)
-    rhs = float((np.abs(dbar_cutoff(r, cut)) ** 2 * weight / spec.laplacian(r)) @ f2)
-    lhs = float(weight @ u2)
+    # An overflow or inf * 0 here leaves a non-finite bound, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f2 = n_ang * _ring_dot(f_coeffs, f_coeffs)
+        u2 = n_ang * _ring_dot(u_coeffs, u_coeffs)
+        rhs = float((np.abs(dbar_cutoff(r, cut)) ** 2 * weight / spec.laplacian(r)) @ f2)
+        lhs = float(weight @ u2)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericError(f"non-finite correction bound: lhs {lhs}, rhs {rhs}")
     # Per ring, the sum over the nodes of |u|^2 - 2 Re(chi f conj u).
@@ -318,8 +316,10 @@ def equality_gap(
 
     starred_spec = replace(spec, starred=True)
     starred_grid = default_grid(starred_spec, resolution, degree=n)
-    a, b, c = quadratic_parts(corr.nu, starred_spec, starred_grid)
-    rho_star = a - 2.0 * b + c
+    # An overflow or inf - inf here leaves a non-finite value, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = quadratic_parts(corr.nu, starred_spec, starred_grid)
+        rho_star = a - 2.0 * b + c
     if not math.isfinite(rho_star):
         raise NumericError(f"non-finite starred density of the correction: {rho_star}")
 

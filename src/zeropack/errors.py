@@ -1,20 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per CLI exit code."""
 
 
 class ZeropackError(ValueError):
     """Base class for all zeropack errors."""
 
 
-class InvalidRegionError(ZeropackError):
-    """Degenerate or malformed integration region."""
-
-
-class InvalidLatticeError(ZeropackError):
-    """Lattice basis is degenerate or wrongly oriented."""
+class ConfigurationError(ZeropackError):
+    """Input the package cannot take: a bad region, lattice, spec, grid or file (CLI exit 4)."""
 
 
 class NumericError(ZeropackError):
-    """Non-finite value encountered during quadrature or in a report.
+    """A numerical failure on valid input: a non-finite value or an underflowing solve (CLI exit 5).
 
     Carries the offending quadrature node, if any, in ``.node``.
     """
@@ -22,15 +18,3 @@ class NumericError(ZeropackError):
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-
-
-class ConfigurationError(ZeropackError):
-    """Incompatible combination of spec, weight and grid."""
-
-
-class ConditioningError(ZeropackError):
-    """A normal-equations solve failed; try a finer grid or lower degree."""
-
-
-class NormalizationError(ZeropackError):
-    """Lattice is not normalized for the requested exponent."""

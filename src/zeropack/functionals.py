@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .poly import ComplexPolynomial, ring_vandermonde
+from .poly import ComplexPolynomial, check_angles, ring_vandermonde
 from .quadrature import (
     Annulus,
     Disk,
@@ -311,16 +311,9 @@ def _ring_data(spec: FunctionalSpec, grid: QuadratureGrid):
     return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c, w, mass, ind
 
 
-def _check_angles(grid: QuadratureGrid, n: int) -> None:
-    """Refuse n coefficients on fewer angles per ring: the equispaced angles alias mode k + n_ang onto k."""
-    n_ang = grid.resolution[1]
-    if n > n_ang:
-        raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")
-
-
 def _ring_powers(f: ComplexPolynomial, grid: QuadratureGrid, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """The ring sums of |f|^beta and |f|^(2*beta)."""
-    _check_angles(grid, len(f.coeffs))
+    check_angles(grid, len(f.coeffs))
     fv = np.abs(f.on_grid(grid)) ** beta
     return grid.ring_sums(fv), grid.ring_sums(fv * fv)
 
@@ -347,13 +340,15 @@ def density(
     if grid is None:
         grid = default_grid(spec)
     a, b, c, w, mass, ind = _ring_data(spec, grid)
-    s1, s2 = _ring_powers(f, grid, spec.beta)
-    value = float(a @ s2) - 2.0 * float(b @ s1) + c
-    turned = ComplexPolynomial(f.coeffs * grid.half_turn(len(f.coeffs)))
-    t1, t2 = _ring_powers(turned, grid, spec.beta)
-    quad_err = abs(float(a @ (t2 - s2)) - 2.0 * float(b @ (t1 - s1))) / 2.0
-    ell1, ell2 = _masses(w[ind], mass[ind], s1[ind], s2[ind], spec.log_normalizer)
-    bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
+    # An overflow or inf - inf here leaves a non-finite number, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1, s2 = _ring_powers(f, grid, spec.beta)
+        value = float(a @ s2) - 2.0 * float(b @ s1) + c
+        turned = ComplexPolynomial(f.coeffs * grid.half_turn(len(f.coeffs)))
+        t1, t2 = _ring_powers(turned, grid, spec.beta)
+        quad_err = abs(float(a @ (t2 - s2)) - 2.0 * float(b @ (t1 - s1))) / 2.0
+        ell1, ell2 = _masses(w[ind], mass[ind], s1[ind], s2[ind], spec.log_normalizer)
+        bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
     if not all(map(math.isfinite, (value, quad_err, ell1, ell2, bm1, bm2))):
         raise NumericError(
             f"non-finite density: value {value}, quad_err {quad_err}, ell1 {ell1}, ell2 {ell2}, "
@@ -417,7 +412,7 @@ def gradient(
     if grid is None:
         grid = default_grid(spec)
     a, b, _ = quadratic_weights(spec, grid)
-    _check_angles(grid, len(f.coeffs))
+    check_angles(grid, len(f.coeffs))
     V = ring_vandermonde(grid, len(f.coeffs))
     fz = np.reshape(V @ f.coeffs, (len(a), -1))
     af = np.abs(fz)

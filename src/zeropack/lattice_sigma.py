@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidLatticeError, NormalizationError, NumericError
+from .errors import ConfigurationError, NumericError
 
 __all__ = [
     "Lattice",
@@ -84,7 +84,7 @@ class Lattice:
 
     def __post_init__(self) -> None:
         if not ((np.conj(self.omega1) * self.omega2).imag > 0 and self.tau.imag > 0):
-            raise InvalidLatticeError(f"basis must be positively oriented with nonzero area, got tau = {self.tau}")
+            raise ConfigurationError(f"basis must be positively oriented with nonzero area, got tau = {self.tau}")
 
 
 def lattice_normalize(theta: float, beta: float) -> Lattice:
@@ -95,9 +95,9 @@ def lattice_normalize(theta: float, beta: float) -> Lattice:
     solvability condition for the candidate exponent nu.
     """
     if not 0.0 < theta < math.pi:
-        raise InvalidLatticeError(f"theta must lie in (0, pi), got {theta}")
+        raise ConfigurationError(f"theta must lie in (0, pi), got {theta}")
     if not 0.0 < beta < math.inf:
-        raise InvalidLatticeError(f"beta must be positive and finite, got {beta}")
+        raise ConfigurationError(f"beta must be positive and finite, got {beta}")
     w1 = complex(math.sqrt(math.pi * beta / (8.0 * math.sin(theta))))
     w2 = w1 * complex(math.cos(theta), math.sin(theta))
     eta1 = _eta_for(w1, w2)
@@ -167,9 +167,11 @@ class QuasiperiodicCandidate:
         u = rng.uniform(0.0, 1.0, n_points)
         v = rng.uniform(0.0, 1.0, n_points)
         z = 2.0 * u * self.lattice.omega1 + 2.0 * v * self.lattice.omega2
-        g = self.envelope(z)
-        shifted = np.array([self.envelope(z + 2.0 * w) for w in (self.lattice.omega1, self.lattice.omega2)])
-        res = float(np.max(np.abs(shifted - g))) / max(float(np.max(g)), 1e-300)
+        # An overflow or inf - inf here leaves a non-finite residual, refused below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.envelope(z)
+            shifted = np.array([self.envelope(z + 2.0 * w) for w in (self.lattice.omega1, self.lattice.omega2)])
+            res = float(np.max(np.abs(shifted - g))) / max(float(np.max(g)), 1e-300)
         if not math.isfinite(res):
             raise NumericError(f"envelope periodicity residual is not finite at theta = {self.lattice.theta}")
         return res
@@ -183,13 +185,13 @@ def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate
     normalization error rather than silently averaged away.
     """
     if not 0.0 < beta < math.inf:
-        raise NormalizationError(f"beta must be positive and finite, got {beta}")
+        raise ConfigurationError(f"beta must be positive and finite, got {beta}")
     nus = [
         (2.0 * np.conj(w) / beta - eta) / (2.0 * w)
         for w, eta in ((lattice.omega1, lattice.eta1), (lattice.omega2, lattice.eta2))
     ]
     if abs(nus[0] - nus[1]) > 1e-8 * max(1.0, abs(nus[0])):
-        raise NormalizationError(
+        raise ConfigurationError(
             f"lattice is not normalized for beta = {beta}: nu estimates {nus[0]} vs {nus[1]}"
         )
     return QuasiperiodicCandidate(lattice=lattice, nu=complex(0.5 * (nus[0] + nus[1])), beta=beta)
@@ -201,7 +203,7 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     That is the candidate's envelope g (QuasiperiodicCandidate.envelope)
     over its scale.  They equal large-disk averages only for a doubly
     periodic g, so a periodicity residual above 1e-8 is a
-    NormalizationError.  The nodes are z = 2u omega1 + 2v omega2 at
+    ConfigurationError.  The nodes are z = 2u omega1 + 2v omega2 at
     u = (i + 1/2)/n_u, v = (j + 1/2)/n_v, off the lattice points where
     |sigma| is only Lipschitz.  A node's theta argument is pi u + pi tau v,
     and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so pref * theta_1
@@ -213,7 +215,7 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     n_u, n_v = resolution
     residual = cand.periodicity_residual(n_points=200)
     if residual > 1e-8:
-        raise NormalizationError(
+        raise ConfigurationError(
             f"candidate envelope is not doubly periodic (residual {residual:.2e}); "
             "rebuild the lattice with lattice_normalize for this beta"
         )
@@ -227,8 +229,10 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     a = 4.0 * (cand.beta * (c * w2 * w2).real - abs(w2) ** 2)
     right = (2.0 * pref * np.tile(coeff, 2))[:, None] * np.concatenate([np.cos(kb), np.sin(kb)])
     right *= np.exp(a * v**2 / cand.beta)
-    g = np.abs(np.concatenate([np.sin(ka), np.cos(ka)], axis=1) @ right) ** cand.beta
-    g2 = g * g
+    # An overflow here leaves a non-finite value, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.abs(np.concatenate([np.sin(ka), np.cos(ka)], axis=1) @ right) ** cand.beta
+        g2 = g * g
     # g >= 0, so g^2 is finite exactly where g is finite and its square does not overflow.
     if not np.all(np.isfinite(g2)):
         i, j = np.argwhere(~np.isfinite(g2))[0]
@@ -276,7 +280,7 @@ def theta_scan(
     if steps < 2:
         raise ConfigurationError(f"steps must be >= 2, got {steps}")
     if not 0.0 < theta_min < theta_max < math.pi:
-        raise InvalidLatticeError(f"scan interval must sit inside (0, pi), got [{theta_min}, {theta_max}]")
+        raise ConfigurationError(f"scan interval must sit inside (0, pi), got [{theta_min}, {theta_max}]")
 
     def row(theta: float) -> tuple[float, float]:
         cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)

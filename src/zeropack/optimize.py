@@ -116,10 +116,11 @@ class MinimizeResult:
         return sum(v - best <= self.diagnostics.quad_err for v in self.restart_values)
 
     def to_json_dict(self):
-        """The fields, the minimizer as [re, im] pairs and the diagnostics nested, plus the properties."""
+        """The fields, the minimizer as pairs, the diagnostics nested and a copy of restarts, plus the properties."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out.update(
-            minimizer=[[float(c.real), float(c.imag)] for c in self.minimizer.coeffs],
+            minimizer=self.minimizer.pairs(),
+            restarts=copy.deepcopy(self.restarts),
             diagnostics=self.diagnostics.to_json_dict(),
             capped=self.capped,
             tied=self.tied,

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .quadrature import QuadratureGrid
 
 __all__ = [
     "ComplexPolynomial",
     "RingVandermonde",
     "poly_eval",
+    "check_angles",
     "gram_diagonal",
     "ring_vandermonde",
 ]
@@ -49,13 +50,13 @@ class ComplexPolynomial:
         """Values at the nodes of a ring grid, through the ring product."""
         return ring_vandermonde(grid, len(self.coeffs)) @ self.coeffs
 
-    def to_json(self) -> str:
-        """JSON array of [re, im] pairs, index = monomial power."""
-        return json.dumps([[float(c.real), float(c.imag)] for c in self.coeffs])
+    def pairs(self) -> list[list[float]]:
+        """The coefficients as [re, im] pairs, index = monomial power: the JSON wire format."""
+        return [[float(c.real), float(c.imag)] for c in self.coeffs]
 
     @staticmethod
     def from_json(text: str) -> "ComplexPolynomial":
-        """Inverse of ``to_json``; text of any other shape raises ConfigurationError."""
+        """Inverse of ``json.dumps(p.pairs())``; text of any other shape raises ConfigurationError."""
         try:
             pairs = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -116,6 +117,13 @@ def ring_vandermonde(grid: QuadratureGrid, n: int) -> RingVandermonde:
     return RingVandermonde(vandermonde(grid.radii, n), vandermonde(grid.phases, n))
 
 
+def check_angles(grid: QuadratureGrid, n: int) -> None:
+    """Refuse n coefficients on fewer angles per ring: the equispaced angles alias mode k + n_ang onto k."""
+    n_ang = grid.resolution[1]
+    if n > n_ang:
+        raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")
+
+
 def gram_diagonal(grid: QuadratureGrid, ring_weight: np.ndarray, n: int) -> np.ndarray:
     """Quadrature Gram diagonal sum_i w_i |z_i|^(2k), k < n, for the node weight w_i = ring_weight[j] on ring j.
 
@@ -125,11 +133,9 @@ def gram_diagonal(grid: QuadratureGrid, ring_weight: np.ndarray, n: int) -> np.n
     """
     if n < 1:
         raise ConfigurationError(f"degree bound must be >= 1, got {n}")
-    n_ang = grid.resolution[1]
-    if n > n_ang:
-        raise ConfigurationError(f"degree bound {n} needs at least {n} angles per ring; the grid has {n_ang}")
-    diagonal = (n_ang * ring_weight) @ grid.radii[:, None] ** (2 * np.arange(n))
+    check_angles(grid, n)
+    diagonal = (grid.resolution[1] * ring_weight) @ grid.radii[:, None] ** (2 * np.arange(n))
     if not np.all(diagonal > 0.0):
-        raise ConditioningError(f"Gram diagonal underflows at degree bound {n}; lower the degree")
+        raise NumericError(f"Gram diagonal underflows at degree bound {n}; lower the degree")
     return diagonal
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidRegionError, NumericError
+from .errors import ConfigurationError, NumericError
 
 __all__ = [
     "Disk",
@@ -125,22 +125,22 @@ def build_grid(
     """
     n_rad, n_ang = resolution
     if n_rad < 1 or n_ang < 1:
-        raise InvalidRegionError(f"resolution must be >= 1, got {resolution}")
+        raise ConfigurationError(f"resolution must be >= 1, got {resolution}")
 
     if isinstance(region, Disk):
         if region.radius <= 0:
-            raise InvalidRegionError(f"disk radius must be positive, got {region.radius}")
+            raise ConfigurationError(f"disk radius must be positive, got {region.radius}")
         a, b = 0.0, region.radius
     elif isinstance(region, Annulus):
         if not 0 < region.r_in < region.r_out:
-            raise InvalidRegionError(f"annulus needs 0 < r_in < r_out, got {region}")
+            raise ConfigurationError(f"annulus needs 0 < r_in < r_out, got {region}")
         a, b = region.r_in, region.r_out
     elif isinstance(region, TruncatedPlane):
         if region.r_cut <= 0:
-            raise InvalidRegionError(f"r_cut must be positive, got {region.r_cut}")
+            raise ConfigurationError(f"r_cut must be positive, got {region.r_cut}")
         a, b = 0.0, region.r_cut
     else:
-        raise InvalidRegionError(f"unknown region {region!r}")
+        raise ConfigurationError(f"unknown region {region!r}")
 
     radii, wr = _radial_rule([a, *sorted(s for s in radial_splits if a < s < b), b], n_rad)
     return QuadratureGrid(region, tuple(resolution), radii, wr / n_ang)
@@ -150,13 +150,13 @@ def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray
     """Weighted sum of the integrand over the grid nodes.
 
     ``integrand`` may be a vectorized callable of the complex nodes or an array
-    of precomputed node values; either way the values must have the nodes'
-    shape.  Ring sums against the ring weights keep the reduction deterministic
+    of precomputed node values; either way values of any other shape than the
+    nodes' are a ConfigurationError.  Ring sums against the ring weights keep the reduction deterministic
     for a fixed grid, and an array of values needs no node array.
     """
     values = np.asarray(integrand(grid.nodes) if callable(integrand) else integrand)
     if values.shape != (grid.size,):
-        raise NumericError(f"integrand values have shape {values.shape}, expected {(grid.size,)}")
+        raise ConfigurationError(f"integrand values have shape {values.shape}, expected {(grid.size,)}")
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericError(f"non-finite integrand value at node {grid.nodes[bad]}", node=grid.nodes[bad])
@@ -170,6 +170,6 @@ def default_r_cut(n: int, gamma: float) -> float:
     well below working precision at the cut.
     """
     if gamma <= 0:
-        raise InvalidRegionError(f"gamma must be positive, got {gamma}")
+        raise ConfigurationError(f"gamma must be positive, got {gamma}")
     n = max(int(n), 1)
     return max(3.0, math.sqrt((n * math.log(10.0 * n) + 40.0) / (2.0 * gamma)))

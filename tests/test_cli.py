@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zeropack
 from zeropack import theta_scan
 from zeropack.cli import main
 
@@ -229,7 +231,7 @@ def test_dbar_check_poly_longer_than_the_angle_count_is_usage_error(tmp_path, ca
         poly.write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * (length - 2) + [[1e-3, 0.0]]))
         code, out, err = run(capsys, "dbar-check", "--geometry", "planar", "--gamma", "8", "--poly", str(poly))
         assert code == expect, err
-    assert out == "" and "130 coefficients needs at least 130 angles per ring; the grid has 129" in err
+    assert out == "" and "degree bound 130 needs at least 130 angles per ring; the grid has 129" in err
 
 
 def test_eval_poly_longer_than_the_angle_count_is_usage_error(tmp_path, capsys):
@@ -350,6 +352,46 @@ def test_nonfinite_report_is_numerical_error(tmp_path, capsys):
             assert code == 5
             assert err.startswith("numerical error:")
             assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # A resolution with no radii.
+        (["minimize", "--geometry", "planar", "--gamma", "2", "--resolution", "0x8"], 4),
+        # A scan window reaching outside (0, pi).
+        (["lattice-scan", "--theta-min", "0", "--steps", "3", "--resolution", "16x16"], 4),
+        # The planar Gram diagonal underflows.
+        (["minimize", "--geometry", "planar", "--gamma", "1000", "--degree", "400", "--resolution", "8x512"], 5),
+        # A valid angle whose theta series fail the Legendre check.
+        (["lattice-scan", "--theta-min", "0.065", "--steps", "3", "--resolution", "16x16"], 5),
+        # Overflowing cell envelopes, scored in this thread and in worker threads.
+        (["lattice-scan", "--beta", "200", "--steps", "3", "--resolution", "16x16"], 5),
+        (["lattice-scan", "--beta", "200", "--steps", "3", "--resolution", "16x16", "--jobs", "2"], 5),
+        # An overflowing periodicity residual.
+        (["lattice-scan", "--beta", "500", "--steps", "3", "--resolution", "16x16"], 5),
+        # Overflowing coefficients.
+        (["eval", "--geometry", "planar", "--gamma", "2", "--poly", "{big}", "--resolution", "16x16"], 5),
+        (["dbar-check", "--geometry", "planar", "--gamma", "2", "--poly", "{big}", "--resolution", "32x32"], 5),
+    ],
+)
+def test_exit_code_table(tmp_path, capsys, argv, code):
+    # Exit 4 for input the CLI cannot take, 5 for a numerical failure: one
+    # stderr line each, with no numpy warning before it.
+    big = tmp_path / "big.json"
+    big.write_text("[[1e300, 0], [1e300, 0]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, out, err = run(capsys, *(a.format(big=big) for a in argv))
+    assert result == code
+    assert err.startswith("usage error:" if code == 4 else "numerical error:") and err.count("\n") == 1, err
+    assert out == ""
+
+
+def test_one_error_class_per_exit_code():
+    errors = [n for n in zeropack.__all__ if isinstance(getattr(zeropack, n), type)
+              and issubclass(getattr(zeropack, n), Exception)]
+    assert sorted(errors) == ["ConfigurationError", "NumericError", "ZeropackError"]
 
 
 def test_minimize_rejects_csv_format(capsys):

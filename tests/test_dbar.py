@@ -551,5 +551,5 @@ def test_correction_needs_an_angle_per_coefficient(spec, rng):
     cut = default_cutoff(spec)
     corr = minimal_correction(random_poly(rng, 33, scale=0.1), spec, cut, (32, 33))
     assert corr.u_coeffs.shape == (len(corr.grid.radii), 33)
-    with pytest.raises(ConfigurationError, match="40 coefficients needs at least 40 angles per ring; the grid has 33"):
+    with pytest.raises(ConfigurationError, match="degree bound 40 needs at least 40 angles per ring; the grid has 33"):
         minimal_correction(random_poly(rng, 40, scale=0.1), spec, cut, (32, 33))

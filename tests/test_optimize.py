@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -224,6 +225,16 @@ def test_minimize_result_json():
     assert all(type(r["extrapolations"]) is int for r in d["restarts"])
     assert all(0 <= r["extrapolations"] <= r["iterations"] // 10 for r in d["restarts"])
     assert d == minimize(FunctionalSpec("planar", 2.0), 4, OptimizerConfig(restarts=5, seed=1)).to_json_dict()
+
+
+def test_minimize_result_json_is_a_copy():
+    # Editing the JSON dict, at either level of its restarts, leaves the result as it was.
+    res = minimize(FunctionalSpec("planar", 2.0), 4, OptimizerConfig(restarts=2, seed=1))
+    values, tied, restarts = res.restart_values, res.tied, copy.deepcopy(res.restarts)
+    d = res.to_json_dict()
+    d["restarts"][0]["value"] = -1.0
+    d["restarts"][1]["class"][0] = 99
+    assert res.restart_values == values and res.tied == tied and res.restarts == restarts
 
 
 def test_starred_minimization_permitted():

@@ -6,8 +6,8 @@ import pytest
 
 from zeropack import (
     Annulus,
+    ConfigurationError,
     Disk,
-    InvalidRegionError,
     NumericError,
     TruncatedPlane,
     build_grid,
@@ -112,11 +112,11 @@ def test_split_grid_nodes_match_pieces():
 
 
 def test_degenerate_regions_rejected():
-    with pytest.raises(InvalidRegionError):
+    with pytest.raises(ConfigurationError):
         build_grid(Disk(0.0), (8, 8))
-    with pytest.raises(InvalidRegionError):
+    with pytest.raises(ConfigurationError):
         build_grid(Annulus(0.9, 0.5), (8, 8))
-    with pytest.raises(InvalidRegionError):
+    with pytest.raises(ConfigurationError):
         build_grid(Disk(1.0), (0, 8))
 
 
@@ -137,14 +137,14 @@ def test_integrate_accepts_value_array():
     grid = build_grid(Disk(1), (16, 16))
     vals = np.abs(grid.nodes) ** 2
     assert abs(integrate(grid, vals) - 0.5) < 1e-10
-    with pytest.raises(NumericError):
+    with pytest.raises(ConfigurationError):
         integrate(grid, vals[:-1])
 
 
 def test_integrate_callable_must_return_node_shape():
     # A callable's output is checked like a value array; there is no per-node fallback.
     grid = build_grid(Disk(1), (8, 8))
-    with pytest.raises(NumericError):
+    with pytest.raises(ConfigurationError):
         integrate(grid, lambda z: 1.0)
 
 
