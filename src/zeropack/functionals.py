@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .poly import ComplexPolynomial, check_angles, ring_vandermonde
+from .poly import ComplexPolynomial, RingVandermonde, check_angles, ring_vandermonde, vandermonde
 from .quadrature import (
     Annulus,
     Disk,
@@ -285,8 +285,8 @@ def quadratic_parts(
     B the weighted L^1-type mass over the core region, C the measure of the
     core; all in the same normalization as density().
     """
-    a, b, c = quadratic_weights(spec, grid)
-    s1, s2 = _ring_powers(f, grid, spec.beta)
+    a, b, c, *_, ind = _ring_data(spec, grid)
+    s1, s2 = _ring_sums(f, grid, spec.beta, ind)
     return float(a @ s2), float(b @ s1), c
 
 
@@ -311,11 +311,33 @@ def _ring_data(spec: FunctionalSpec, grid: QuadratureGrid):
     return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c, w, mass, ind
 
 
-def _ring_powers(f: ComplexPolynomial, grid: QuadratureGrid, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ring sums of |f|^beta and |f|^(2*beta)."""
-    check_angles(grid, len(f.coeffs))
-    fv = np.abs(f.on_grid(grid)) ** beta
-    return grid.ring_sums(fv), grid.ring_sums(fv * fv)
+def _ring_sums(
+    f: ComplexPolynomial, grid: QuadratureGrid, beta: float, rows: np.ndarray | slice, turn: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ring sums of |f|^beta on the rings ``rows`` (0 on the others) and of |f|^(2*beta) on every ring.
+
+    With ``turn``, unit factors, they are those of f with coefficients
+    c_k * turn[k].  Only the first takes node values, from one ring product
+    over ``rows``: the rings where its L^1 weight is non-zero.  At beta = 1
+    the second is the Parseval sum n_ang * sum_k |c_k|^2 r^(2k) of each
+    ring, exact while the coefficients' modes stay distinct on the angles
+    (check_angles), and a turn leaves it as it is; at any other beta it is
+    the node sum.
+    """
+    n = len(f.coeffs)
+    check_angles(grid, n)
+    n_ang = grid.resolution[1]
+    c = f.coeffs if turn is None else f.coeffs * turn
+    s1 = np.zeros(len(grid.radii))
+    fv = np.abs(RingVandermonde(vandermonde(grid.radii[rows], n), vandermonde(grid.phases, n)) @ c)
+    # In place: a fresh node-sized array for the power took longer than the ring product.
+    fv **= beta
+    s1[rows] = np.reshape(fv, (-1, n_ang)).sum(axis=1)
+    if beta == 1.0:
+        mass = np.square(f.coeffs.real) + np.square(f.coeffs.imag)
+        return s1, n_ang * (grid.radii[:, None] ** (2 * np.arange(n)) @ mass)
+    fv = np.abs(ring_vandermonde(grid, n) @ c) ** beta
+    return s1, grid.ring_sums(fv * fv)
 
 
 def density(
@@ -335,17 +357,17 @@ def density(
     quad_err is |value(f turned) - value(f)| / 2, with f turned by half an
     angle step onto the midpoints of the grid's angles (grid.half_turn): the
     change of the value on the same radii with twice the angles.  It leaves
-    out the radial error.
+    out the radial error.  At beta = 1 the turn moves only the L^1 sums,
+    taken on the core rings: the L^2 sums are Parseval sums of |c_k|^2.
     """
     if grid is None:
         grid = default_grid(spec)
     a, b, c, w, mass, ind = _ring_data(spec, grid)
     # An overflow or inf - inf here leaves a non-finite number, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        s1, s2 = _ring_powers(f, grid, spec.beta)
+        s1, s2 = _ring_sums(f, grid, spec.beta, ind)
         value = float(a @ s2) - 2.0 * float(b @ s1) + c
-        turned = ComplexPolynomial(f.coeffs * grid.half_turn(len(f.coeffs)))
-        t1, t2 = _ring_powers(turned, grid, spec.beta)
+        t1, t2 = _ring_sums(f, grid, spec.beta, ind, grid.half_turn(len(f.coeffs)))
         quad_err = abs(float(a @ (t2 - s2)) - 2.0 * float(b @ (t1 - s1))) / 2.0
         ell1, ell2 = _masses(w[ind], mass[ind], s1[ind], s2[ind], spec.log_normalizer)
         bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
@@ -393,7 +415,7 @@ def boundary_mass(
     inner = (1.0 - delta) * outer
     grid = build_grid(Disk(outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
     w, m = base.envelope(grid.radii)
-    return _masses(w, grid.ring_weights * m, *_ring_powers(f, grid, base.beta), base.log_normalizer)
+    return _masses(w, grid.ring_weights * m, *_ring_sums(f, grid, base.beta, slice(None)), base.log_normalizer)
 
 
 def gradient(

@@ -96,7 +96,8 @@ class MinimizeResult:
     # ("fallback_iterations"), the burn-in's accepted secant jumps
     # ("extrapolations"), converged flag and why it stopped ("stop":
     # stationary, tolerance or cap).  The value, converged and stop are the
-    # finish's.
+    # finish's.  A restart whose class holds one coefficient takes no step:
+    # every count is 0 and its stop is stationary.
     restarts: list[dict]
 
     @property
@@ -369,8 +370,17 @@ def _descend(workspaces: tuple[_Workspace, _Workspace], c: np.ndarray):
     ("single_iterations"), the finish's Newton and fallback IRLS steps
     ("newton_iterations", "fallback_iterations"), the burn-in's accepted
     secant jumps ("extrapolations"), converged and stop.
+
+    A class of one coefficient, {c z^k}, takes no step: its value depends on
+    |c| alone, so the start rescaled on the double workspace is the class
+    minimum.  It reports 0 for every step count, and stop "stationary".
     """
     single, double = workspaces
+    if len(c) == 1:
+        it = double.iterate(c)
+        steps = dict.fromkeys(("single_iterations", "extrapolations", "iterations", "newton_iterations",
+                               "fallback_iterations"), 0)
+        return it.c, it.value, {**steps, "converged": True, "stop": "stationary"}
     it, steps, extrapolations = _burn_in(single, c)
     it, finish = _finish(double, double.iterate(it.c), steps)
     return it.c, it.value, {"single_iterations": steps, "extrapolations": extrapolations, **finish}

@@ -6,7 +6,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import zeropack
@@ -336,22 +335,22 @@ def test_numerical_failure_exit_code(capsys):
     assert err.startswith("numerical error:")
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_report_is_numerical_error(tmp_path, capsys):
     # Overflowing coefficients make the report non-finite; no JSON with
-    # Infinity or NaN is written, and the run exits 5.
+    # Infinity or NaN is written, and the run exits 5 with no warning.
     poly = tmp_path / "p.json"
     poly.write_text("[[1e300, 0], [1e300, 0]]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        for command, resolution in (("eval", "16x16"), ("dbar-check", "32x32")):
-            out = tmp_path / f"{command}.json"
-            code, _, err = run(
-                capsys,
-                command, "--geometry", "planar", "--gamma", "2", "--poly", str(poly),
-                "--resolution", resolution, "--out", str(out),
-            )
-            assert code == 5
-            assert err.startswith("numerical error:")
-            assert not out.exists()
+    for command, resolution in (("eval", "16x16"), ("dbar-check", "32x32")):
+        out = tmp_path / f"{command}.json"
+        code, _, err = run(
+            capsys,
+            command, "--geometry", "planar", "--gamma", "2", "--poly", str(poly),
+            "--resolution", resolution, "--out", str(out),
+        )
+        assert code == 5
+        assert err.startswith("numerical error:")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -383,12 +383,13 @@ def test_equality_gap_planar_proof_component_chains():
     assert rep.exterior_mass_u < 0.05
 
 
+@pytest.mark.filterwarnings("error")
 def test_minimal_correction_nonfinite_is_numeric_error():
+    # The overflow is refused as a NumericError, with no warning on the way.
     huge = ComplexPolynomial([1e300, 1e300])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for geometry, param, r in (("planar", 2.0, 1.0), ("hyperbolic", 0.8, 0.8)):
-            with pytest.raises(NumericError):
-                minimal_correction(huge, FunctionalSpec(geometry, param), CutoffSpec(0.2, r), (32, 32))
+    for geometry, param, r in (("planar", 2.0, 1.0), ("hyperbolic", 0.8, 0.8)):
+        with pytest.raises(NumericError):
+            minimal_correction(huge, FunctionalSpec(geometry, param), CutoffSpec(0.2, r), (32, 32))
 
 
 def lengths(*specs):
@@ -496,15 +497,16 @@ def test_starred_gap_value_is_the_density_value(spec):
     assert rep.gap == rep.rho_starred_nu - rep.rho_unstarred
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_starred_gap_value_is_numeric_error(monkeypatch):
+    # The overflow is refused as a NumericError, with no warning on the way.
     def blown_up(*args, **kwargs):
         corr = minimal_correction(*args, **kwargs)
         return dataclasses.replace(corr, nu=ComplexPolynomial(corr.nu.coeffs * 1e200))
 
     monkeypatch.setattr(dbar, "minimal_correction", blown_up)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError):
-            equality_gap(planar(2.0), OptimizerConfig(restarts=2), (32, 33))
+    with pytest.raises(NumericError):
+        equality_gap(planar(2.0), OptimizerConfig(restarts=2), (32, 33))
 
 
 def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch):

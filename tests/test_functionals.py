@@ -410,12 +410,25 @@ def test_beta_family_constant_closed_form():
     assert abs(density(ComplexPolynomial([c]), spec).value - expect) < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
 def test_density_nonfinite_is_numeric_error():
+    # The overflow is refused as a NumericError, with no warning on the way.
     huge = ComplexPolynomial([1e300, 1e300])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for spec in (FunctionalSpec("planar", 2.0), FunctionalSpec("hyperbolic", 0.8)):
-            with pytest.raises(NumericError):
-                density(huge, spec, default_grid(spec, (16, 16)))
+    for spec in (FunctionalSpec("planar", 2.0), FunctionalSpec("hyperbolic", 0.8)):
+        with pytest.raises(NumericError):
+            density(huge, spec, default_grid(spec, (16, 16)))
+
+
+def test_density_with_underflowing_powers(rng):
+    # At r = 0.01 the powers r^(2k) of the top coefficients of 100 underflow
+    # to 0.  The Parseval sums take them as 0 and match the node sums; the
+    # Gram diagonal's underflow refusal does not apply to an evaluation.
+    spec = FunctionalSpec("hyperbolic", 0.01)
+    grid = default_grid(spec)
+    f = random_poly(rng, 100)
+    rep, ref = density(f, spec, grid), _node_masses(f, spec, grid)
+    for key in ("value", "ell1", "ell2"):
+        assert abs(getattr(rep, key) - ref[key]) <= 1e-13 * abs(ref[key]), key
 
 
 def _node_envelope(spec, absz):
@@ -461,6 +474,7 @@ RING_CASES = [
     FunctionalSpec("planar", 2.0, starred=True),
     FunctionalSpec("planar", 2.0, alpha=0.8),
     FunctionalSpec("planar", 2.0, beta=1.5),
+    FunctionalSpec("planar", 2.0, beta=0.5),
     FunctionalSpec("hyperbolic", 0.8),
     FunctionalSpec("hyperbolic", 0.8, starred=True),
     FunctionalSpec("hyperbolic", 0.8, alpha=0.7),
@@ -470,20 +484,23 @@ RING_CASES = [
 @pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-a{s.alpha}-b{s.beta}")
 def test_ring_masses_match_node_sums(spec, rng):
     # Every radial factor is evaluated once per ring and every node sum is a
-    # ring sum against it; the node-by-node formulas give the same numbers.
+    # ring sum against it, or at beta = 1 the Parseval sum of the
+    # coefficients; the node-by-node formulas give the same numbers.  n = 64
+    # coefficients on 64 angles is the most that Parseval allows.
     from zeropack.functionals import quadratic_parts
 
-    grid = default_grid(spec, (64, 64), degree=6)
-    for _ in range(3):
-        f = random_poly(rng, 6)
-        ref = _node_masses(f, spec, grid)
-        rep = density(f, spec, grid)
-        got = dict(zip(("A", "B", "C"), quadratic_parts(f, spec, grid)), value=rep.value, ell1=rep.ell1, ell2=rep.ell2)
-        for key, expect in ref.items():
-            assert abs(got[key] - expect) <= 1e-13 * abs(expect), key
-        bm = boundary_mass(f, spec, spec.default_delta, (64, 64))
-        for got_k, expect in zip(bm, _node_boundary_masses(f, spec, spec.default_delta, (64, 64))):
-            assert abs(got_k - expect) <= 1e-13 * abs(expect)
+    for n in (6, 64):
+        grid = default_grid(spec, (64, 64), degree=n)
+        for _ in range(3):
+            f = random_poly(rng, n)
+            ref = _node_masses(f, spec, grid)
+            rep = density(f, spec, grid)
+            got = dict(zip(("A", "B", "C"), quadratic_parts(f, spec, grid)), value=rep.value, ell1=rep.ell1, ell2=rep.ell2)
+            for key, expect in ref.items():
+                assert abs(got[key] - expect) <= 1e-13 * abs(expect), (n, key)
+            bm = boundary_mass(f, spec, spec.default_delta, (64, 64))
+            for got_k, expect in zip(bm, _node_boundary_masses(f, spec, spec.default_delta, (64, 64))):
+                assert abs(got_k - expect) <= 1e-13 * abs(expect), n
 
 
 @pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-a{s.alpha}-b{s.beta}")

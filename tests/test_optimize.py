@@ -75,20 +75,34 @@ def test_minimize_planar_degree_one_closed_form():
     # One-dimensional problem: minimizer is the constant 2/(1+e^{-gamma}).
     g = 1.0
     expect_val = 1.0 - (2.0 / g) * (1 - math.exp(-g)) ** 2 / (1 - math.exp(-2 * g))
-    res = minimize(FunctionalSpec("planar", g), 1, OptimizerConfig(restarts=2))
+    spec = FunctionalSpec("planar", g)
+    res = minimize(spec, 1, OptimizerConfig(restarts=2))
     assert res.converged
     assert abs(res.value - expect_val) < 1e-8
     assert abs(abs(res.minimizer.coeffs[0]) - 2.0 / (1.0 + math.exp(-g))) < 1e-8
+    _assert_rescaled_monomial(res, spec)
 
 
 def test_minimize_hyperbolic_degree_one_closed_form():
     # c* = (area of D(0,r)) / (int (1-|z|^2) dA) = 8/7 at r = 1/2.
     r = 0.5
-    res = minimize(FunctionalSpec("hyperbolic", r), 1, OptimizerConfig(restarts=2))
+    spec = FunctionalSpec("hyperbolic", r)
+    res = minimize(spec, 1, OptimizerConfig(restarts=2))
     assert res.converged
     assert abs(abs(res.minimizer.coeffs[0]) - 8.0 / 7.0) < 1e-8
     ell1 = (8.0 / 7.0) * r * r / math.log(1 / (1 - r * r))
     assert abs(res.value - (1.0 - ell1)) < 1e-8
+    _assert_rescaled_monomial(res, spec)
+
+
+def _assert_rescaled_monomial(res, spec):
+    # A one-coefficient class takes no step: its rescaled start is its
+    # minimum, of value C - B^2/A for the monomial.
+    assert res.iterations == 0
+    assert all(r["iterations"] == r["single_iterations"] == r["newton_iterations"] == 0 for r in res.restarts)
+    assert all(r["stop"] == "stationary" for r in res.restarts)
+    a, b, c = quadratic_parts(ComplexPolynomial([1.0]), spec, default_grid(spec))
+    assert abs(res.value - (c - b * b / a)) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -215,7 +229,16 @@ def test_minimize_result_json():
         r["iterations"] == r["single_iterations"] + r["newton_iterations"] + r["fallback_iterations"]
         for r in d["restarts"]
     )
-    assert all(r["converged"] is True and r["iterations"] >= 1 for r in d["restarts"])
+    assert all(r["converged"] is True for r in d["restarts"])
+    # A class of one coefficient takes no step; every other restart takes at least one.
+    steps = ("iterations", "single_iterations", "newton_iterations", "fallback_iterations", "extrapolations")
+    single_coefficient = [len(range(j, 4, m)) == 1 for m, j in (r["class"] for r in d["restarts"])]
+    assert single_coefficient == [False, True, True, False, False]
+    for r, single in zip(d["restarts"], single_coefficient):
+        if single:
+            assert all(r[key] == 0 for key in steps) and r["stop"] == "stationary"
+        else:
+            assert r["iterations"] >= 1
     assert all(r["stop"] in STOP_REASONS and r["converged"] == (r["stop"] != "cap") for r in d["restarts"])
     assert d["capped"] == 0
     # The winner is the lowest value whatever the ties within quad_err.
