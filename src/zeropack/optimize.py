@@ -14,14 +14,14 @@ tests hold at any stationary point.  Restarts search the rotation classes
 z^j g(z^m) of the spec's symmetry order on one angular sector of the grid,
 and every few restarts the full space.
 
-A restart is one descent that switches precision once: a burn-in of at
-most BURN_IN IRLS steps in single precision, each 0.6 to 0.9 of a double
-step's time on the default grids, brings the iterate into a basin, and a
-Newton finish in double takes it to a stationary point there: near a
-minimizer with no zero on a node the density is C^2 in the coefficients,
-and a modified-Hessian Newton method (Nocedal & Wright, Numerical
-Optimization, 2nd ed., section 3.4) converges quadratically where IRLS
-steps converge linearly.  Every number reported comes from the finish.
+A restart is one descent that switches precision once: a short burn-in of
+at most BURN_IN IRLS steps in single precision, each 0.6 to 0.9 of a double
+step's time on the default grids, brings the iterate into a basin, secant
+jumps included, and a Newton finish in double takes it to a stationary
+point there: near a minimizer with no zero on a node the density is C^2 in
+the coefficients, and a modified-Hessian Newton method (Nocedal & Wright,
+Numerical Optimization, 2nd ed., section 3.4) converges quadratically where
+IRLS steps converge linearly.  Every number reported comes from the finish.
 """
 
 from __future__ import annotations
@@ -58,10 +58,11 @@ STOP_REASONS = ("stationary", "tolerance", "cap")
 MAX_ITERATIONS = 1500
 TOLERANCE = 1e-10
 # The most IRLS steps a restart takes before its Newton finish: they only
-# have to reach a basin.  Shorter burn-ins leave longer finishes; at planar
-# gamma=8 n=16 seed 3 the longest of 12 took 26 steps after 30, 22 after 50
-# and 18 after 100.
-BURN_IN = 100
+# have to reach a basin, which the finish then descends quadratically.  A
+# shorter burn-in leaves longer finishes: at planar gamma=8 n=16 seed 3 the
+# longest of 12 takes 32 steps after 20 and 18 after 100, but the 12
+# restarts take 386 steps in all against 1,088, and land on the same winner.
+BURN_IN = 20
 # The Newton finish's floor on the moduli of the projected Hessian's
 # eigenvalues, relative to the largest.  It bounds the step along a saddle's
 # slight negative curvature: at 1e-8 such steps overshot every backtracking
@@ -94,10 +95,14 @@ class MinimizeResult:
     # steps ("single_iterations", at most BURN_IN), Newton steps of the double
     # finish ("newton_iterations") and its IRLS fallbacks
     # ("fallback_iterations"), the burn-in's accepted secant jumps
-    # ("extrapolations"), converged flag and why it stopped ("stop":
-    # stationary, tolerance or cap).  The value, converged and stop are the
-    # finish's.  A restart whose class holds one coefficient takes no step:
-    # every count is 0 and its stop is stationary.
+    # ("extrapolations"), the finish steps whose Newton direction the floor
+    # changed ("floor_steps"), the smallest eigenvalue of the last projected
+    # Hessian over the largest modulus ("min_curvature", positive at a
+    # strict local minimum of the class), converged flag and why it stopped
+    # ("stop": stationary, tolerance or cap).  The value, converged and stop
+    # are the finish's.  A restart whose class holds one coefficient takes no
+    # step: every count is 0, min_curvature is None and its stop is
+    # stationary.
     restarts: list[dict]
 
     @property
@@ -137,10 +142,10 @@ def degree_schedule(spec: FunctionalSpec) -> int:
     region, matching the heuristic that each zero discretizes a fixed amount
     of mass.  It is not a sufficient count at finite parameters: ten more
     coefficients still lower the best-found minimum by more than 1e-3 at
-    r = 0.9 (n=5 reads 0.050546, n=15 about 0.0436) and at gamma = 8, so
-    acceptance criterion 8 fails on it (ROADMAP item 3).  The rounding guard
-    keeps exact integer ratios (e.g. r = 1/sqrt(2)) from spilling over to the
-    next integer.
+    r = 0.9 (n=5 reads 0.050546, n=15 0.043091) and at gamma = 8 (n=16
+    0.052997, n=26 0.051199), so acceptance criterion 8 fails on it
+    (ROADMAP item 3).  The rounding guard keeps exact integer ratios (e.g.
+    r = 1/sqrt(2)) from spilling over to the next integer.
     """
     return max(1, math.ceil(round(spec.core_mass, 9)))
 
@@ -291,25 +296,31 @@ class _Workspace:
         pairs = (np.conj(h + n).view(np.float64), (1j * np.conj(h - n)).view(np.float64))
         return g, np.stack(pairs, axis=1).reshape(2 * len(h), 2 * len(h))
 
-    def newton_direction(self, it: _Iterate) -> tuple[np.ndarray, float]:
-        """The saddle-free Newton direction d at a rescaled iterate, and the drop its model predicts.
+    def newton_direction(self, it: _Iterate) -> tuple[np.ndarray, float, np.ndarray]:
+        """The saddle-free Newton direction d at a rescaled iterate, the drop its model predicts, and the curvature.
 
         d solves the Hessian system with the phase direction i*c projected
         out, since the value does not change along it, and with the
         eigenvalues of the projected Hessian replaced by their moduli, floored
         at NEWTON_FLOOR times the largest: a descent direction at a saddle
         too.  The solve runs in the coordinates sqrt(G) c, where A's part of
-        the Hessian is twice the identity.
+        the Hessian is twice the identity.  The curvature is the projected
+        Hessian's eigenvalues over the largest modulus, without the phase
+        direction's, which is 0 to rounding and no curvature of the value:
+        the floor raised those whose modulus is below NEWTON_FLOOR.
         """
         g, hessian = self.derivatives(it)
         scale = np.repeat(1.0 / np.sqrt(self.diagonal), 2)
         phase = (1j * it.c).view(np.float64) / scale
         project = np.eye(len(phase)) - np.outer(phase, phase / np.dot(phase, phase))
         lam, vec = np.linalg.eigh(project @ (scale[:, None] * hessian * scale) @ project)
-        lam = np.maximum(np.abs(lam), NEWTON_FLOOR * np.max(np.abs(lam)))
+        largest = np.max(np.abs(lam))
+        # The phase direction's eigenvector is the one most parallel to it.
+        curvature = np.delete(lam, np.argmax(np.abs(phase @ vec))) / largest
+        lam = np.maximum(np.abs(lam), NEWTON_FLOOR * largest)
         along = vec.T @ (project @ (scale * g.view(np.float64)))
         d = -(scale * (project @ (vec @ (along / lam)))).view(complex)
-        return d, 0.5 * float(np.sum(along**2 / lam))
+        return d, 0.5 * float(np.sum(along**2 / lam)), curvature
 
 
 def _canonicalize(c: np.ndarray) -> np.ndarray:
@@ -369,18 +380,20 @@ def _descend(workspaces: tuple[_Workspace, _Workspace], c: np.ndarray):
     converged.  The step counts are iterations, the burn-in's
     ("single_iterations"), the finish's Newton and fallback IRLS steps
     ("newton_iterations", "fallback_iterations"), the burn-in's accepted
-    secant jumps ("extrapolations"), converged and stop.
+    secant jumps ("extrapolations"), the finish's certificate ("floor_steps",
+    "min_curvature"), converged and stop.
 
     A class of one coefficient, {c z^k}, takes no step: its value depends on
     |c| alone, so the start rescaled on the double workspace is the class
-    minimum.  It reports 0 for every step count, and stop "stationary".
+    minimum.  It reports 0 for every step count and floor_steps, no
+    min_curvature, and stop "stationary".
     """
     single, double = workspaces
     if len(c) == 1:
         it = double.iterate(c)
         steps = dict.fromkeys(("single_iterations", "extrapolations", "iterations", "newton_iterations",
-                               "fallback_iterations"), 0)
-        return it.c, it.value, {**steps, "converged": True, "stop": "stationary"}
+                               "fallback_iterations", "floor_steps"), 0)
+        return it.c, it.value, {**steps, "min_curvature": None, "converged": True, "stop": "stationary"}
     it, steps, extrapolations = _burn_in(single, c)
     it, finish = _finish(double, double.iterate(it.c), steps)
     return it.c, it.value, {"single_iterations": steps, "extrapolations": extrapolations, **finish}
@@ -395,12 +408,18 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, di
     that does not lower the value ("stationary"), a step along a Newton
     direction whose predicted drop is below TOLERANCE relative to the value
     ("tolerance") and MAX_ITERATIONS steps of the whole descent ("cap").
-    Returns the last iterate and the step counts.
+    Returns the last iterate and the step counts, with the certificate of
+    the Newton directions: on how many of them the floor raised a modulus
+    ("floor_steps"), and the last one's smallest curvature ("min_curvature",
+    None if there was none).
     """
-    newton = fallback = 0
+    newton = fallback = floored = 0
+    min_curvature = None
     stop = "cap"
     while iterations < MAX_ITERATIONS:
-        d, predicted = ws.newton_direction(it)
+        d, predicted, curvature = ws.newton_direction(it)
+        floored += bool(np.min(np.abs(curvature)) < NEWTON_FLOOR)
+        min_curvature = float(np.min(curvature))
         iterations += 1
         trials = (ws.iterate(it.c + t * d, 1 - it.slot) for t in (1.0, 0.5, 0.25, 0.125))
         new = next((trial for trial in trials if trial.value < it.value), None)
@@ -417,7 +436,7 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, di
             stop = "tolerance"
             break
     counts = {"iterations": iterations, "newton_iterations": newton, "fallback_iterations": fallback,
-              "converged": stop != "cap", "stop": stop}
+              "floor_steps": floored, "min_curvature": min_curvature, "converged": stop != "cap", "stop": stop}
     return it, counts
 
 

@@ -1,0 +1,60 @@
+"""The tools' comparisons, on synthetic records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+value_panel = _load("value_panel")
+
+
+def _record(search, seed, value, quad_err=0.25):
+    return {"search": search, "seed": seed, "value": value, "quad_err": quad_err, "single_steps": 100,
+            "double_steps": 10, "capped": 0, "tied": 1, "seconds": 0.5}
+
+
+# Search "a": seed 0 moves by exactly its quad_err, which is no move; seed 1
+# rises; seeds 2 and 3 fall, seed 2 by less than its new quad_err but more
+# than its old one, which is the one that counts.  Search "b": seed 1 rises.
+OLD = [_record("a", seed, 1.0) for seed in range(4)] + [_record("b", seed, 2.0) for seed in range(2)]
+NEW = [_record("a", 0, 1.25), _record("a", 1, 2.0), _record("a", 2, 0.5, quad_err=1.0), _record("a", 3, 0.0),
+       _record("b", 0, 2.0), _record("b", 1, 2.5)]
+
+
+def test_compare_splits_the_moved_winners_into_rose_and_fell():
+    lines = value_panel.compare(OLD, NEW).splitlines()
+    moved = [line for line in lines if " seed " in line]
+    assert [line.split(":")[0] for line in moved] == ["a seed 1", "a seed 2", "a seed 3", "b seed 1"]
+    assert moved[0] == "a seed 1: 1.000000000 -> 2.000000000 (+1.00e+00, quad_err 2.50e-01 -> 2.50e-01)"
+    assert "4 winners moved by more than their quad_err: 2 rose, 2 fell" in lines
+    totals = {line.split(":")[0]: line for line in lines if "rose and" in line}
+    assert totals["a"].startswith("a: 1 rose and 2 fell by more than quad_err; max rise +4.000 x quad_err;")
+    assert totals["b"].startswith("b: 1 rose and 0 fell by more than quad_err; max rise +2.000 x quad_err;")
+    assert totals["a"].endswith("single steps 400 -> 400; double steps 40 -> 40; seconds 2.0 -> 2.0")
+
+
+def test_compare_gives_each_search_its_distribution():
+    # The lowest value in either panel is 0.0 for "a": no old winner lies
+    # within its quad_err of it, and the new seeds 2 and 3 do.
+    lines = value_panel.compare(OLD, NEW).splitlines()
+    assert lines[-3] == "search: best / median / worst, seeds within quad_err of the lowest in either panel"
+    assert lines[-2] == "a: 1.000000 / 1.000000 / 1.000000, 0 of 4 -> 0.000000 / 0.875000 / 2.000000, 2 of 4"
+    assert lines[-1] == "b: 2.000000 / 2.000000 / 2.000000, 2 of 2 -> 2.000000 / 2.250000 / 2.500000, 1 of 2"
+
+
+def test_compare_of_a_panel_with_itself_moves_nothing(tmp_path, capsys):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(OLD))
+    assert value_panel.main(["--compare", str(old), str(old)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "0 winners moved by more than their quad_err: 0 rose, 0 fell" in out
+    assert not [line for line in out if " seed " in line]
