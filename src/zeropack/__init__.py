@@ -40,7 +40,6 @@ from .quadrature import (
     Annulus,
     Disk,
     QuadratureGrid,
-    TruncatedPlane,
     build_grid,
     default_r_cut,
     integrate,
@@ -65,7 +64,6 @@ __all__ = [
     "OptimizerConfig",
     "QuadratureGrid",
     "QuasiperiodicCandidate",
-    "TruncatedPlane",
     "ZeropackError",
     "abrikosov_candidate",
     "boundary_mass",

@@ -264,35 +264,6 @@ def cmd_dbar_check(args) -> int:
     return EXIT_OK
 
 
-def _splice_config(argv: list[str]) -> list[str]:
-    """Insert flags from a flat key=value file after the subcommand.
-
-    Explicit command-line flags win because they come later.  Lines are
-    `name = value` with the flag name spelled without dashes; blank lines and
-    #-comments are skipped.  Boolean switches are not configurable this way.
-    """
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    try:
-        text = Path(argv[i + 1]).read_text()
-    except OSError as exc:
-        raise IOError(str(exc)) from exc
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise UsageError(f"config lines must look like key = value, got {line!r}")
-        tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
-    rest = argv[:i] + argv[i + 2 :]
-    return rest[:1] + tokens + rest[1:]
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="zeropack", description=__doc__)
     parser.add_argument("--version", action="version", version=f"zeropack {__version__}")
@@ -316,7 +287,6 @@ def build_parser() -> _Parser:
         if jobs:
             p.add_argument("--jobs", type=_parse_jobs, default=1)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--config", type=str, default=None, help="flat key = value file mirroring the flags")
 
     p_min = sub.add_parser("minimize", help="minimize a density over polynomial coefficients")
     common(p_min)
@@ -355,8 +325,7 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        argv = list(sys.argv[1:] if argv is None else argv)
-        args = parser.parse_args(_splice_config(argv))
+        args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             raise UsageError("a subcommand is required")
         return args.func(args)

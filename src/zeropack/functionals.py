@@ -38,7 +38,6 @@ from .quadrature import (
     Disk,
     QuadratureGrid,
     Region,
-    TruncatedPlane,
     build_grid,
     default_r_cut,
 )
@@ -156,12 +155,12 @@ class FunctionalSpec:
     def support(self, n: int) -> Region:
         """Region carrying the weight for degree bound n.
 
-        The unit disk (hyperbolic), or the plane truncated where degree-n
-        polynomial growth is crushed by the Gaussian (planar).
+        The unit disk (hyperbolic), or the plane truncated to the disk past
+        which degree-n polynomial growth is crushed by the Gaussian (planar).
         """
         if self.geometry == HYPERBOLIC:
             return Disk(1.0)
-        return TruncatedPlane(default_r_cut(n, self.param))
+        return Disk(default_r_cut(n, self.param))
 
     def envelope(self, absz):
         """Weight w and measure density m (w.r.t. dA) at |z|, with alpha in force.
@@ -230,26 +229,24 @@ def default_grid(
 
 
 def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
-    region = grid.region
+    """Refuse a grid that is not a disk covering the density's domain.
+
+    Hyperbolic: radius in [r, 1], or exactly 1 starred.  Planar: radius >= 1,
+    and past the core, > 1, starred.
+    """
+    if not isinstance(grid.region, Disk):
+        raise ConfigurationError(f"{spec.geometry} densities need a disk grid, got {grid.region}")
+    radius = grid.region.radius
     if spec.geometry == HYPERBOLIC:
-        if not isinstance(region, Disk):
-            raise ConfigurationError("hyperbolic densities need a disk grid")
         needed = 1.0 if spec.starred else spec.param
-        if region.radius < needed - 1e-12:
-            raise ConfigurationError(
-                f"grid radius {region.radius} does not cover the required disk of radius {needed}"
-            )
-        if region.radius > 1.0 + 1e-12:
+        if radius < needed - 1e-12:
+            raise ConfigurationError(f"grid radius {radius} does not cover the required disk of radius {needed}")
+        if radius > 1.0 + 1e-12:
             raise ConfigurationError("hyperbolic grids must stay inside the unit disk")
-    else:
-        if spec.starred:
-            if not isinstance(region, TruncatedPlane):
-                raise ConfigurationError("starred planar densities need a truncated-plane grid")
-        elif not isinstance(region, (TruncatedPlane, Disk)):
-            raise ConfigurationError("planar densities need a grid covering the unit disk")
-        radius = region.r_cut if isinstance(region, TruncatedPlane) else region.radius
-        if radius < 1.0 - 1e-12:
-            raise ConfigurationError(f"grid radius {radius} does not cover the unit disk")
+    elif radius < 1.0 - 1e-12:
+        raise ConfigurationError(f"grid radius {radius} does not cover the unit disk")
+    elif spec.starred and radius <= 1.0:
+        raise ConfigurationError(f"starred planar grids must reach past the core, got radius {radius}")
 
 
 @dataclass(frozen=True)
@@ -422,14 +419,12 @@ def gradient(
     f: ComplexPolynomial,
     spec: FunctionalSpec,
     grid: QuadratureGrid | None = None,
-    full_output: bool = False,
-):
+) -> np.ndarray:
     """Exact gradient of density w.r.t. the 2n real coefficient coordinates.
 
     Layout: entry 2j is d/d(Re c_j), entry 2j+1 is d/d(Im c_j).  Nodes where
     |f| falls below 1e-14 of its grid maximum contribute zero (the modulus is
-    not differentiable there); with ``full_output`` the subgradient flag saying
-    whether any node the density weighs was clipped is returned alongside.
+    not differentiable there).
     """
     if grid is None:
         grid = default_grid(spec)
@@ -444,7 +439,4 @@ def gradient(
     beta = spec.beta
     q = np.where(clipped, 0.0, 2.0 * beta * (a[:, None] * af**beta - b[:, None]) * safe ** (beta - 2.0))
     # Entries 2j and 2j+1 are the real and imaginary parts of (V^H (q f))_j.
-    out = V.adjoint(q * fz).view(np.float64)
-    if full_output:
-        return out, bool(np.any(clipped & (a > 0.0)[:, None]))
-    return out
+    return V.adjoint(q * fz).view(np.float64)

@@ -110,6 +110,11 @@ def lattice_normalize(theta: float, beta: float) -> Lattice:
     return Lattice(omega1=w1, omega2=w2, theta=theta, eta1=eta1, eta2=eta2, tau=w2 / w1)
 
 
+def _sigma_prefactor(lattice: Lattice) -> complex:
+    """sigma's constant 2 omega1 / (pi theta_1'(0)), which makes sigma'(0) = 1."""
+    return 2.0 * lattice.omega1 / (math.pi * _theta1_derivatives0(lattice.tau)[0])
+
+
 def sigma(z, lattice: Lattice):
     """Weierstrass sigma for the lattice 2*omega1*Z + 2*omega2*Z.
 
@@ -120,8 +125,7 @@ def sigma(z, lattice: Lattice):
     z = np.asarray(z, dtype=complex)
     w1 = lattice.omega1
     v = math.pi * z / (2.0 * w1)
-    pref = 2.0 * w1 / (math.pi * _theta1_derivatives0(lattice.tau)[0])
-    out = pref * np.exp(lattice.eta1 * z**2 / (2.0 * w1)) * _theta1(v, lattice.tau)
+    out = _sigma_prefactor(lattice) * np.exp(lattice.eta1 * z**2 / (2.0 * w1)) * _theta1(v, lattice.tau)
     return out if out.ndim else complex(out)
 
 
@@ -141,13 +145,12 @@ class QuasiperiodicCandidate:
     def _modulus_factors(self) -> tuple[complex, complex]:
         """(pref, c) with f0(z) = pref * e^{c z^2} * theta_1(pi z / (2 omega1) | tau).
 
-        pref = 2 omega1 / (pi theta_1'(0)) is sigma's, and c = nu + eta1/(2 omega1)
+        pref is sigma's constant, and c = nu + eta1/(2 omega1)
         joins the Gaussians of e^{nu z^2} and of sigma, either of which can
         overflow where their product does not.
         """
         lat = self.lattice
-        pref = 2.0 * lat.omega1 / (math.pi * _theta1_derivatives0(lat.tau)[0])
-        return pref, self.nu + lat.eta1 / (2.0 * lat.omega1)
+        return _sigma_prefactor(lat), self.nu + lat.eta1 / (2.0 * lat.omega1)
 
     def envelope(self, z) -> np.ndarray:
         """g(z) = scale * |f0(z)|^beta * e^{-|z|^2}; doubly periodic by design.

@@ -43,13 +43,6 @@ class ComplexPolynomial:
         nz = np.flatnonzero(np.abs(self.coeffs) > 0)
         return float("-inf") if nz.size == 0 else int(nz[-1])
 
-    def __call__(self, z):
-        return poly_eval(self, z)
-
-    def on_grid(self, grid: QuadratureGrid) -> np.ndarray:
-        """Values at the nodes of a ring grid, through the ring product."""
-        return ring_vandermonde(grid, len(self.coeffs)) @ self.coeffs
-
     def pairs(self) -> list[list[float]]:
         """The coefficients as [re, im] pairs, index = monomial power: the JSON wire format."""
         return [[float(c.real), float(c.imag)] for c in self.coeffs]
@@ -70,7 +63,7 @@ class ComplexPolynomial:
 
 
 def poly_eval(p: ComplexPolynomial, z):
-    """Horner evaluation of p at arbitrary points z; ``p.on_grid`` serves grid nodes."""
+    """Horner evaluation of p at arbitrary points z; ``ring_vandermonde(grid, n) @ c`` serves grid nodes."""
     z = np.asarray(z, dtype=complex)
     acc = np.zeros_like(z)
     for c in p.coeffs[::-1]:

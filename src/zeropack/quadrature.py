@@ -1,4 +1,4 @@
-"""Product quadrature rules on rings centred at 0: disks, annuli and truncated planes.
+"""Product quadrature rules on rings centred at 0: disks and annuli.
 
 All rules integrate against the normalized area measure dA = dx dy / pi, so the
 total weight of a disk of radius r is r**2.  The radial direction uses
@@ -23,7 +23,6 @@ from .errors import ConfigurationError, NumericError
 __all__ = [
     "Disk",
     "Annulus",
-    "TruncatedPlane",
     "QuadratureGrid",
     "build_grid",
     "integrate",
@@ -42,12 +41,7 @@ class Annulus:
     r_out: float
 
 
-@dataclass(frozen=True)
-class TruncatedPlane:
-    r_cut: float
-
-
-Region = Disk | Annulus | TruncatedPlane
+Region = Disk | Annulus
 
 
 @dataclass(frozen=True)
@@ -135,10 +129,6 @@ def build_grid(
         if not 0 < region.r_in < region.r_out:
             raise ConfigurationError(f"annulus needs 0 < r_in < r_out, got {region}")
         a, b = region.r_in, region.r_out
-    elif isinstance(region, TruncatedPlane):
-        if region.r_cut <= 0:
-            raise ConfigurationError(f"r_cut must be positive, got {region.r_cut}")
-        a, b = 0.0, region.r_cut
     else:
         raise ConfigurationError(f"unknown region {region!r}")
 

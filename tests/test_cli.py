@@ -187,6 +187,15 @@ def test_unwritable_out_path(capsys):
     assert "i/o" in err.lower()
 
 
+def test_missing_poly_file_is_io_error(tmp_path, capsys):
+    # A --poly file that cannot be read exits 3, like an --out path that cannot be written.
+    for command in ("eval", "dbar-check"):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, command, "--geometry", "planar", "--gamma", "1", "--poly", missing)
+        assert code == 3, command
+        assert out == "" and "i/o" in err.lower()
+
+
 def test_eval_polynomial_file(tmp_path, capsys):
     poly = tmp_path / "p.json"
     poly.write_text("[[1.0, 0.0], [0.0, 0.5]]")
@@ -308,22 +317,6 @@ def test_version_flag(capsys):
     assert proc.stdout.startswith("zeropack ")
 
 
-def test_config_file_mirrors_flags(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("geometry = planar\ngamma = 1\ndegree = 1\nresolution = 64x64\n")
-    out = tmp_path / "from_config.json"
-    code, _, _ = run(capsys, "minimize", "--config", str(cfg), "--out", str(out))
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["degree"] == 1
-    assert payload["geometry"] == "planar"
-    # explicit flags override config values
-    out2 = tmp_path / "override.json"
-    code, _, _ = run(capsys, "minimize", "--config", str(cfg), "--degree", "2", "--out", str(out2))
-    assert code == 0
-    assert json.loads(out2.read_text())["degree"] == 2
-
-
 def test_numerical_failure_exit_code(capsys):
     # At this degree the planar Gram diagonal underflows to zero.
     code, _, err = run(
@@ -403,19 +396,12 @@ def test_minimize_rejects_csv_format(capsys):
     assert len(json.loads(out)["rows"]) == 2
 
 
-def test_config_file_errors(tmp_path, capsys):
-    code, _, _ = run(capsys, "minimize", "--config", str(tmp_path / "missing.cfg"))
-    assert code == 3
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("geometry planar\n")
-    code, _, _ = run(capsys, "minimize", "--config", str(bad))
-    assert code == 4
-
-
 def test_flags_a_command_ignores_are_usage_errors(capsys):
     # lattice-scan scans lattices: no geometry, parameter, seed or restarts.
     scan = ["lattice-scan", "--steps", "2", "--resolution", "32x32"]
-    for flags in (["--geometry", "planar"], ["--r", "0.5"], ["--gamma", "3"], ["--seed", "1"], ["--restarts", "2"]):
+    # No command reads a flag file.
+    for flags in (["--geometry", "planar"], ["--r", "0.5"], ["--gamma", "3"], ["--seed", "1"], ["--restarts", "2"],
+                  ["--config", "x"]):
         code, out, _ = run(capsys, *scan, *flags)
         assert code == 4, flags
         assert out == ""

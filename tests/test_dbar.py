@@ -14,7 +14,6 @@ from zeropack import (
     NumericError,
     OptimizerConfig,
     QuadratureGrid,
-    TruncatedPlane,
     build_grid,
     cutoff,
     dbar_cutoff,
@@ -124,7 +123,7 @@ def test_project_idempotent_planar_degree_64(rng):
     # The Gram diagonal spans 68 orders of magnitude here, far beyond what a
     # dense solve of the normal equations can resolve.
     n = 64
-    grid = build_grid(TruncatedPlane(default_r_cut(n, 1.0)), (128, 256))
+    grid = build_grid(Disk(default_r_cut(n, 1.0)), (128, 256))
     weight = np.exp(-2.0 * grid.radii**2) * grid.ring_weights
     scales = 1.0 / np.sqrt(gram_diagonal(grid, weight, n))
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -149,7 +148,7 @@ def test_project_rejects_values_of_the_wrong_shape():
 
 def test_project_antiholomorphic_to_zero():
     n = 4
-    grid = build_grid(TruncatedPlane(default_r_cut(n, 1.0)), (96, 64))
+    grid = build_grid(Disk(default_r_cut(n, 1.0)), (96, 64))
     q = project_polynomial(lambda z: np.conj(z), planar(1.0), n, grid)
     assert np.max(np.abs(q.coeffs)) < 1e-12
 

@@ -10,10 +10,10 @@ from zeropack import (
     Disk,
     FunctionalSpec,
     NumericError,
-    TruncatedPlane,
     boundary_mass,
     build_grid,
     default_grid,
+    default_r_cut,
     density,
     gradient,
     integrate,
@@ -112,21 +112,34 @@ def test_density_nonnegative(rng):
 
 
 def test_starred_grid_requirements():
-    spec_s = FunctionalSpec("hyperbolic", 0.8, starred=True)
-    small = build_grid(Disk(0.8), (32, 32))
-    with pytest.raises(ConfigurationError):
-        density(ZERO, spec_s, small)
-    spec_ps = FunctionalSpec("planar", 2.0, starred=True)
-    with pytest.raises(ConfigurationError):
-        density(ZERO, spec_ps, build_grid(Disk(1), (32, 32)))
-    # A truncated plane short of the unit disk misses part of the core.
-    short = build_grid(TruncatedPlane(0.5), (64, 64))
+    # Every density grid is a disk covering the density's domain: radius in
+    # [r, 1] hyperbolic, exactly 1 starred; radius >= 1 planar, and past the
+    # core, > 1, starred.
+    hyp, hyp_s = FunctionalSpec("hyperbolic", 0.8), FunctionalSpec("hyperbolic", 0.8, starred=True)
+    pl, pl_s = FunctionalSpec("planar", 2.0), FunctionalSpec("planar", 2.0, starred=True)
+    refused = [
+        (hyp_s, Disk(0.8)),
+        (hyp, Disk(1.2)),
+        (hyp, Annulus(0.3, 0.9)),
+        (pl, Annulus(0.3, 2.0)),
+        (pl_s, Annulus(0.3, 4.0)),
+        (pl, Disk(0.5)),
+        (pl_s, Disk(0.5)),
+        (pl_s, Disk(1)),
+    ]
     one = ComplexPolynomial([1.0])
-    for spec in (FunctionalSpec("planar", 1.0), spec_ps):
+    for spec, region in refused:
+        grid = build_grid(region, (32, 32))
         with pytest.raises(ConfigurationError):
-            density(one, spec, short)
+            density(one, spec, grid)
         with pytest.raises(ConfigurationError):
-            gradient(one, spec, short)
+            gradient(one, spec, grid)
+    for spec, region in ((hyp, Disk(0.8)), (hyp, Disk(1)), (hyp_s, Disk(1)), (pl, Disk(1)), (pl, Disk(3))):
+        assert density(one, spec, build_grid(region, (32, 32))).value >= 0.0
+    # The starred planar support is the disk of radius default_r_cut.
+    n = 4
+    grid = build_grid(Disk(default_r_cut(n, 2.0)), (32, 32), radial_splits=(1.0,))
+    assert density(one, pl_s, grid).value == density(one, pl_s, default_grid(pl_s, (32, 32), degree=n)).value
 
 
 def test_ell_zero_and_constant():
@@ -315,18 +328,6 @@ def test_gradient_stationary_at_constant_minimizer():
     spec = FunctionalSpec("planar", g)
     grad = gradient(ComplexPolynomial([c_star]), spec)
     assert abs(grad[0]) < 1e-8
-
-
-def test_gradient_subgradient_flag(rng):
-    spec = FunctionalSpec("planar", 1.0)
-    grid = default_grid(spec, (48, 48))
-    # f vanishing at a grid-reachable point: (z - z0) with z0 an actual node.
-    z0 = grid.nodes[100]
-    f = ComplexPolynomial([-z0, 1.0])
-    _, flagged = gradient(f, spec, grid, full_output=True)
-    assert flagged
-    _, clean = gradient(ComplexPolynomial([1.0]), spec, grid, full_output=True)
-    assert not clean
 
 
 def test_density_grid_convergence(rng):

@@ -11,7 +11,6 @@ from zeropack import (
     Disk,
     FunctionalSpec,
     OptimizerConfig,
-    TruncatedPlane,
     build_grid,
     default_grid,
     degree_schedule,
@@ -189,9 +188,9 @@ def test_minimize_validation():
         minimize(FunctionalSpec("planar", 1.0), 0)
     with pytest.raises(ConfigurationError):
         minimize(FunctionalSpec("planar", 1.0, beta=2.0), 2)
-    # grid geometry must match the spec
+    # a hyperbolic grid must stay inside the unit disk
     with pytest.raises(ConfigurationError):
-        minimize(FunctionalSpec("hyperbolic", 0.8), 2, grid=build_grid(TruncatedPlane(3.0), (32, 32)))
+        minimize(FunctionalSpec("hyperbolic", 0.8), 2, grid=build_grid(Disk(3.0), (32, 32)))
     # 16 equispaced angles cannot integrate |f|^2 exactly for 20 coefficients
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
         minimize(FunctionalSpec("planar", 8.0), 20, grid=build_grid(Disk(1), (32, 16)))

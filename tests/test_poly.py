@@ -10,7 +10,6 @@ from zeropack import (
     ConfigurationError,
     Disk,
     FunctionalSpec,
-    TruncatedPlane,
     build_grid,
     default_r_cut,
     integrate,
@@ -70,7 +69,7 @@ def test_gram_hyperbolic_diagonal():
 def test_gram_planar_diagonal_factorials():
     # Oracle: Gaussian moments, 2*int_0^inf r^(2j+1) e^{-2 gamma r^2} dr = j!/(2 gamma)^(j+1).
     for gamma, n in ((0.5, 11), (8.0, 26)):
-        grid = build_grid(TruncatedPlane(default_r_cut(n, gamma)), (160, 64))
+        grid = build_grid(Disk(default_r_cut(n, gamma)), (160, 64))
         G = dbar_gram(planar(gamma), n, grid)
         for j in range(n):
             exact = math.factorial(j) / (2.0 * gamma) ** (j + 1)
@@ -87,7 +86,7 @@ def _dense_gram(spec, n, grid):
 
 _DENSE_CASES = (
     (HYP, 64, Disk(1)),
-    (planar(8.0), 26, TruncatedPlane(default_r_cut(26, 8.0))),
+    (planar(8.0), 26, Disk(default_r_cut(26, 8.0))),
 )
 
 
@@ -112,7 +111,7 @@ def test_gram_hermitian_cholesky_degree_64(rng):
     np.linalg.cholesky(dense)  # PD with the default grids
     assert np.all(dbar_gram(HYP, 64, grid) > 0)
 
-    gp = build_grid(TruncatedPlane(default_r_cut(64, 1.0)), (128, 256))
+    gp = build_grid(Disk(default_r_cut(64, 1.0)), (128, 256))
     np.linalg.cholesky(_dense_gram(planar(1.0), 64, gp))
     assert np.all(dbar_gram(planar(1.0), 64, gp) > 0)
 
@@ -143,7 +142,7 @@ def test_norm_via_gram_matches_integral(rng):
 
 def test_gram_weight_grid_mismatch():
     # The hyperbolic weight has no support off the unit disk.
-    grid = build_grid(TruncatedPlane(4.0), (32, 32))
+    grid = build_grid(Disk(4.0), (32, 32))
     with pytest.raises(ConfigurationError, match="support"):
         project_polynomial(lambda z: z, HYP, 4, grid)
     with pytest.raises(ConfigurationError):
@@ -161,7 +160,7 @@ def test_serialization_roundtrip(rng):
 
 @pytest.mark.parametrize(
     "region, splits",
-    [(Disk(1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))],
+    [(Disk(1), ()), (Annulus(0.3, 0.9), ()), (Disk(4.0), (1.0, 2.5))],
     ids=["disk", "annulus", "split-plane"],
 )
 def test_ring_product_matches_dense(rng, region, splits):
@@ -185,7 +184,7 @@ def test_ring_product_matches_dense(rng, region, splits):
         assert np.shares_memory(written, out) and np.array_equal(written, V @ c)
         assert np.all(np.abs(out - dense @ c) <= 1e-6 * (np.abs(dense) @ np.abs(c)))
         assert np.all(np.abs(V.adjoint(y) - dense.conj().T @ y) <= 1e-6 * (np.abs(dense).T @ np.abs(y)))
-    p = ComplexPolynomial(c)
-    assert np.all(np.abs(p.on_grid(grid) - poly_eval(p, grid.nodes)) <= 1e-13 * (np.abs(dense) @ np.abs(c)))
+    horner = poly_eval(ComplexPolynomial(c), grid.nodes)
+    assert np.all(np.abs(ring_vandermonde(grid, n) @ c - horner) <= 1e-13 * (np.abs(dense) @ np.abs(c)))
 
 

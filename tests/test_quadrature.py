@@ -9,7 +9,6 @@ from zeropack import (
     ConfigurationError,
     Disk,
     NumericError,
-    TruncatedPlane,
     build_grid,
     default_r_cut,
     integrate,
@@ -34,16 +33,14 @@ def test_total_weight_annulus():
 
 
 def test_weights_positive_nodes_inside():
-    for region in (Disk(0.7), Annulus(0.3, 0.9), TruncatedPlane(4.0)):
+    for region in (Disk(0.7), Annulus(0.3, 0.9), Disk(4.0)):
         grid = build_grid(region, (32, 16))
         assert np.all(grid.weights > 0)
         s = np.abs(grid.nodes)
         if isinstance(region, Disk):
             assert np.all(s < region.radius)
-        elif isinstance(region, Annulus):
-            assert np.all((s > region.r_in) & (s < region.r_out))
         else:
-            assert np.all(s < region.r_cut)
+            assert np.all((s > region.r_in) & (s < region.r_out))
 
 
 @pytest.mark.parametrize("r", [0.5, 0.9])
@@ -62,7 +59,7 @@ def test_moment_integral_unit_disk():
 
 def test_truncated_plane_gaussian():
     # Oracle: closed-form radial integral (1 - e^{-2 gamma R^2})/(2 gamma).
-    grid = build_grid(TruncatedPlane(6.0), (160, 16))
+    grid = build_grid(Disk(6.0), (160, 16))
     val = integrate(grid, lambda z: np.exp(-2.0 * np.abs(z) ** 2))
     assert abs(val - (1.0 - math.exp(-72.0)) / 2.0) < 1e-12
 
@@ -173,7 +170,7 @@ def test_gauss_legendre_rule_cached_read_only():
 
 
 def test_ring_layout_radii():
-    for region, splits in ((Disk(1), ()), (Annulus(0.3, 0.9), ()), (TruncatedPlane(4.0), (1.0, 2.5))):
+    for region, splits in ((Disk(1), ()), (Annulus(0.3, 0.9), ()), (Disk(4.0), (1.0, 2.5))):
         grid = build_grid(region, (12, 10), radial_splits=splits)
         assert grid.radii.shape == (12 * (len(splits) + 1),)
         # Nodes and weights are derived, once, from the radii and ring weights.
@@ -202,7 +199,7 @@ def test_ring_grid_builds_no_node_arrays():
     "region,resolution,splits,expect",
     [
         (Disk(0.7), (33, 17), (0.2, 0.5), (0.4899999999999999, 0.36599899978347916, 0.12004999999999995)),
-        (TruncatedPlane(4.0), (12, 10), (1.0, 2.5), (16.0, 0.7788007699519007, 128.0)),
+        (Disk(4.0), (12, 10), (1.0, 2.5), (16.0, 0.7788007699519007, 128.0)),
     ],
     ids=["split-disk", "split-plane"],
 )

@@ -15,6 +15,7 @@ def _load(name):
 
 
 value_panel = _load("value_panel")
+cli_outputs = _load("cli_outputs")
 
 
 def _record(search, seed, value, quad_err=0.25):
@@ -58,3 +59,24 @@ def test_compare_of_a_panel_with_itself_moves_nothing(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert "0 winners moved by more than their quad_err: 0 rose, 0 fell" in out
     assert not [line for line in out if " seed " in line]
+
+
+def test_cli_outputs_compare_keeps_counts_apart_from_values():
+    # A step count leaving 0 is an infinite relative change; it must not hide
+    # the value that moved, and a field one side lacks is named once per
+    # list entry shape.
+    old = {"value": 0.5, "restarts": [{"value": 0.5, "steps": 0}, {"value": 0.6, "steps": 4}], "seed": 3}
+    new = {"value": 0.5, "restarts": [{"value": 0.5001, "steps": 3, "certificate": 1.0},
+                                         {"value": 0.6, "steps": 4, "certificate": 2.0}], "seed": 3}
+    outputs = lambda payload: {"minimize x": [0, json.dumps(payload)], "lattice-scan": [0, "t,v\n1,2\n"]}
+    lines = cli_outputs.compare(outputs(old), outputs(new))
+    assert lines == [
+        "stdout differs: minimize x",
+        "  keys only in new: restarts[].certificate",
+        "  largest relative float change 0.0002 at restarts[0].value: 0.5 -> 0.5001",
+        "  largest integer change 3 at restarts[0].steps: 0 -> 3",
+    ]
+    same = cli_outputs.json_changes(json.dumps(old), json.dumps({**old, "seed": 3.0, "extra": None}))
+    assert same == ["keys only in new: extra", "no float at a shared key path changed",
+                    "no integer at a shared key path changed"]
+    assert cli_outputs.json_changes("t,v", "t,v") is None

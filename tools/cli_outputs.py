@@ -12,10 +12,12 @@ List the commands whose exit code or stdout differ between two such files
 
     python3 tools/cli_outputs.py --compare old.json new.json
 
-Under each command whose stdout differs and is JSON on both sides, the
-largest relative change of any number found at the same key path on both
-sides is printed with that path, so that rounding-level moves can be told
-from real ones.
+Under each command whose stdout differs and is JSON on both sides come the
+key paths that only one side has (list indices written ``[]``), the largest
+relative change of a float and the largest change of an integer (a step
+count) found at the same key path on both sides.  Floats and integers are
+kept apart so that a count leaving 0 cannot hide a value that moved, and
+rounding-level moves can be told from real ones.
 
 BLAS is pinned to one thread before numpy loads, with the bench's own
 settings: another thread count can sum in another order and move a search
@@ -31,6 +33,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -60,40 +63,59 @@ def run_commands(seeds: list[int]) -> dict[str, list]:
     return outputs
 
 
-def numbers(value, path: str = "") -> dict[str, float]:
-    """Key path -> number, for every number in parsed JSON: "reports[0].gap" for the gap of the first report."""
+def leaves(value, path: str = "") -> dict[str, object]:
+    """Key path -> scalar, for every scalar in parsed JSON: "reports[0].gap" for the gap of the first report."""
     if isinstance(value, dict):
-        return {p: x for k, v in value.items() for p, x in numbers(v, f"{path}.{k}" if path else k).items()}
+        return {p: x for k, v in value.items() for p, x in leaves(v, f"{path}.{k}" if path else k).items()}
     if isinstance(value, list):
-        return {p: x for i, v in enumerate(value) for p, x in numbers(v, f"{path}[{i}]").items()}
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return {path: value}
-    return {}
+        return {p: x for i, v in enumerate(value) for p, x in leaves(v, f"{path}[{i}]").items()}
+    return {path: value}
 
 
-def largest_change(old_stdout: str, new_stdout: str) -> str | None:
-    """The largest relative change |new - old| / |old| of a number at a key path both JSON outputs have.
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
-    None when either output is not JSON.  A number that leaves 0 changes by inf.
+
+def json_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
+    """What moved between two JSON outputs, one line per finding; None when either output is not JSON.
+
+    The key paths only one side has, with list indices collapsed to ``[]``;
+    then the largest relative change |new - old| / |old| of a number that is
+    a float on either side (one leaving 0 changes by inf), and the largest
+    change |new - old| of a number that is an integer on both sides.
     """
     try:
-        old, new = numbers(json.loads(old_stdout)), numbers(json.loads(new_stdout))
+        old, new = leaves(json.loads(old_stdout)), leaves(json.loads(new_stdout))
     except json.JSONDecodeError:
         return None
-    changes = [
-        (abs(new[p] - old[p]) / abs(old[p]) if old[p] else (math.inf if new[p] else 0.0), p)
-        for p in old.keys() & new.keys()
-    ]
-    change, path = max(changes, default=(0.0, None))
-    if path is None or change == 0.0:
-        return "no number at a shared key path changed"
-    return f"largest relative change {change:.3g} at {path}: {old[path]!r} -> {new[path]!r}"
+    lines = []
+    for side, only in (("old", old.keys() - new.keys()), ("new", new.keys() - old.keys())):
+        if only:
+            paths = sorted({re.sub(r"\[\d+\]", "[]", p) for p in only})
+            lines.append(f"keys only in {side}: {', '.join(paths)}")
+    shared = [p for p in old.keys() & new.keys() if _is_number(old[p]) and _is_number(new[p])]
+    ints = {p for p in shared if isinstance(old[p], int) and isinstance(new[p], int)}
+    floats = [p for p in shared if p not in ints]
+    change, path = max(
+        ((abs(new[p] - old[p]) / abs(old[p]) if old[p] else (math.inf if new[p] else 0.0), p) for p in floats),
+        default=(0.0, None),
+    )
+    if change == 0.0:
+        lines.append("no float at a shared key path changed")
+    else:
+        lines.append(f"largest relative float change {change:.3g} at {path}: {old[path]!r} -> {new[path]!r}")
+    step, path = max(((abs(new[p] - old[p]), p) for p in ints), default=(0, None))
+    if step == 0:
+        lines.append("no integer at a shared key path changed")
+    else:
+        lines.append(f"largest integer change {step} at {path}: {old[path]!r} -> {new[path]!r}")
+    return lines
 
 
 def compare(old: dict[str, list], new: dict[str, list]) -> list[str]:
     """One line per command whose exit code or stdout differs, or that one side did not run.
 
-    A differing JSON stdout adds an indented line with its largest relative change.
+    A differing JSON stdout adds indented lines naming what moved (``json_changes``).
     """
     lines = []
     for argv in sorted(old.keys() | new.keys()):
@@ -103,9 +125,7 @@ def compare(old: dict[str, list], new: dict[str, list]) -> list[str]:
             lines.append(f"exit code {old[argv][0]} -> {new[argv][0]}: {argv}")
         elif old[argv][1] != new[argv][1]:
             lines.append(f"stdout differs: {argv}")
-            change = largest_change(old[argv][1], new[argv][1])
-            if change is not None:
-                lines.append(f"  {change}")
+            lines += [f"  {line}" for line in json_changes(old[argv][1], new[argv][1]) or []]
     return lines
 
 
