@@ -38,7 +38,7 @@ from .functionals import (
     quadratic_parts,
 )
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
-from .poly import ComplexPolynomial, check_angles, gram_diagonal, ring_vandermonde, vandermonde
+from .poly import ComplexPolynomial, check_angles, gram_diagonal, ring_abs_sums, ring_vandermonde, vandermonde
 from .quadrature import QuadratureGrid, build_grid
 
 __all__ = [
@@ -274,16 +274,16 @@ def _proof_components(
     (the remaining perturbations come from the cut-off's bite on f and shrink
     only with the boundary layer).  u2 and cross are the per-ring node sums of
     |u|^2 and |u|^2 - 2 Re(chi f conj u).  Only the L^1 term needs |u| at
-    nodes: one ring product of u_coeffs, on the core rings alone.
+    nodes: ring_abs_sums of u_coeffs, on the core rings alone.
     """
     r = grid.radii
     w, m = spec.envelope(r)
     w1 = w * m * grid.ring_weights / spec.log_normalizer
     w2 = w * w1
     core = r < spec.indicator_radius
-    au = np.abs(u_coeffs[core] @ vandermonde(grid.phases, u_coeffs.shape[1]).T)
+    au = ring_abs_sums(u_coeffs[core], vandermonde(grid.phases, u_coeffs.shape[1]), 1.0)
     ext = float(np.sum((w2 * u2)[r > spec.indicator_radius]))
-    l1 = float(np.sum(w1[core] * au.sum(axis=1)))
+    l1 = float(np.sum(w1[core] * au))
     l2 = abs(float(np.sum((w2 * cross)[core])))
     return ext, l1, l2
 

@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .poly import ComplexPolynomial, RingVandermonde, check_angles, ring_vandermonde, vandermonde
+from .poly import ComplexPolynomial, check_angles, ring_abs_sums, ring_vandermonde, vandermonde
 from .quadrature import (
     Annulus,
     Disk,
@@ -314,27 +314,23 @@ def _ring_sums(
     """The ring sums of |f|^beta on the rings ``rows`` (0 on the others) and of |f|^(2*beta) on every ring.
 
     With ``turn``, unit factors, they are those of f with coefficients
-    c_k * turn[k].  Only the first takes node values, from one ring product
+    c_k * turn[k].  Only the first takes node values, from ring_abs_sums
     over ``rows``: the rings where its L^1 weight is non-zero.  At beta = 1
     the second is the Parseval sum n_ang * sum_k |c_k|^2 r^(2k) of each
     ring, exact while the coefficients' modes stay distinct on the angles
     (check_angles), and a turn leaves it as it is; at any other beta it is
-    the node sum.
+    the node sum, from ring_abs_sums over every ring.
     """
     n = len(f.coeffs)
     check_angles(grid, n)
-    n_ang = grid.resolution[1]
     c = f.coeffs if turn is None else f.coeffs * turn
+    angular = vandermonde(grid.phases, n)
     s1 = np.zeros(len(grid.radii))
-    fv = np.abs(RingVandermonde(vandermonde(grid.radii[rows], n), vandermonde(grid.phases, n)) @ c)
-    # In place: a fresh node-sized array for the power took longer than the ring product.
-    fv **= beta
-    s1[rows] = np.reshape(fv, (-1, n_ang)).sum(axis=1)
+    s1[rows] = ring_abs_sums(vandermonde(grid.radii[rows], n) * c, angular, beta)
     if beta == 1.0:
         mass = np.square(f.coeffs.real) + np.square(f.coeffs.imag)
-        return s1, n_ang * (grid.radii[:, None] ** (2 * np.arange(n)) @ mass)
-    fv = np.abs(ring_vandermonde(grid, n) @ c) ** beta
-    return s1, grid.ring_sums(fv * fv)
+        return s1, grid.resolution[1] * (grid.radii[:, None] ** (2 * np.arange(n)) @ mass)
+    return s1, ring_abs_sums(vandermonde(grid.radii, n) * c, angular, 2.0 * beta)
 
 
 def density(

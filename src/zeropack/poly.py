@@ -22,6 +22,7 @@ __all__ = [
     "ComplexPolynomial",
     "RingVandermonde",
     "poly_eval",
+    "ring_abs_sums",
     "check_angles",
     "gram_diagonal",
     "ring_vandermonde",
@@ -103,6 +104,31 @@ class RingVandermonde:
         """
         y = np.reshape(y, (len(self.radial), len(self.angular)))
         return np.sum(self.radial * (y @ self.angular.conj()), axis=0)
+
+
+# Nodes per block of ring_abs_sums: its temporaries stay near 0.8 MB
+# whatever the grid.  On 768 rings x 384 angles with n = 4 (2 vCPU, BLAS at
+# one thread), blocks of 2^15 nodes took 1.04 ms against 1.15-1.19 ms for one
+# product of all rings, and blocks of 2^11 took 1.84 ms.
+RING_BLOCK = 1 << 15
+
+
+def ring_abs_sums(rows: np.ndarray, angular: np.ndarray, p: float) -> np.ndarray:
+    """For each ring j, the sum over angles a of |sum_k rows[j, k] * angular[a, k]|^p.
+
+    rows[j] holds a polynomial's Fourier coefficients on ring j, such as
+    ``vandermonde(radii, n) * c``, and angular = vandermonde(phases, n).
+    The product, modulus and power are formed max(1, RING_BLOCK // n_ang)
+    rings at a time, so no node-sized array is held.
+    """
+    step = max(1, RING_BLOCK // len(angular))
+    sums = np.empty(len(rows))
+    for j in range(0, len(rows), step):
+        block = np.abs(rows[j : j + step] @ angular.T)
+        if p != 1.0:
+            block **= p
+        sums[j : j + step] = block.sum(axis=1)
+    return sums
 
 
 def ring_vandermonde(grid: QuadratureGrid, n: int) -> RingVandermonde:

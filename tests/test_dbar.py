@@ -447,12 +447,15 @@ def test_correction_ring_sums_match_node_sums(spec, length, rng):
 
 @pytest.mark.parametrize("spec,length", lengths(planar(2.0), HYP))
 def test_proof_components_match_horner_node_sums(spec, length, rng):
+    # The core rings of a 64x64 grid fit in one block of ring_abs_sums; at
+    # 256x256 they span several, so the oracle also sees the block seams.
     cut = default_cutoff(spec)
     f = random_poly(rng, length)
-    corr = minimal_correction(f, spec, cut, (64, 64))
-    got = (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation)
-    for value, ref in zip(got, _horner_components(spec, cut, f, corr)):
-        assert abs(value - ref) <= 1e-12 * ref
+    for resolution in ((64, 64), (256, 256)):
+        corr = minimal_correction(f, spec, cut, resolution)
+        got = (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation)
+        for value, ref in zip(got, _horner_components(spec, cut, f, corr)):
+            assert abs(value - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("spec", [planar(2.0), FunctionalSpec("hyperbolic", 0.7)], ids=lambda s: s.geometry)

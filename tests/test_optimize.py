@@ -573,8 +573,10 @@ def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch
         assert entry["stop"] in ("stationary", "tolerance") and entry["converged"] is True
     assert {tuple(r["class"]) for r in res.restarts} == set(_restart_classes(spec, grid, n, restarts))
     # The bench's check of a minimize report.
-    assert abs(res.value - min(res.restart_values)) <= 1e-12
-    winner = res.restart_values.index(min(res.restart_values))
+    best = min(res.restart_values)
+    assert abs(res.value - best) <= 1e-12
+    # Restarts within 1e-12 of the best tie, and the lowest index among them wins.
+    winner = next(i for i, v in enumerate(res.restart_values) if v <= best + 1e-12)
     assert res.iterations == res.restarts[winner]["iterations"]
 
 

@@ -16,7 +16,8 @@ from zeropack import (
     poly_eval,
     project_polynomial,
 )
-from zeropack.poly import RingVandermonde, gram_diagonal, ring_vandermonde, vandermonde
+from zeropack import poly
+from zeropack.poly import RING_BLOCK, RingVandermonde, gram_diagonal, ring_abs_sums, ring_vandermonde, vandermonde
 
 from conftest import random_poly
 
@@ -188,3 +189,19 @@ def test_ring_product_matches_dense(rng, region, splits):
     assert np.all(np.abs(ring_vandermonde(grid, n) @ c - horner) <= 1e-13 * (np.abs(dense) @ np.abs(c)))
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5, 2.0])
+def test_ring_abs_sums_match_one_product(rng, p, monkeypatch):
+    # Row counts on both sides of each block seam: none, one ring, a block
+    # short by one, a block, and two blocks and one ring.
+    n_ang, n = 256, 7
+    per_block = RING_BLOCK // n_ang
+    angular = vandermonde(np.exp(2j * np.pi * np.arange(n_ang) / n_ang), n)
+    for count in (0, 1, per_block - 1, per_block, 2 * per_block + 1):
+        rows = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        ref = (np.abs(rows @ angular.T) ** p).sum(axis=1)
+        got = ring_abs_sums(rows, angular, p)
+        assert got.shape == (count,)
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+    # A ring of more angles than a block holds is a block of its own.
+    monkeypatch.setattr(poly, "RING_BLOCK", n_ang // 2)
+    assert np.all(np.abs(ring_abs_sums(rows, angular, p) - ref) <= 1e-13 * ref)

@@ -8,12 +8,19 @@ from zeropack import (
     Annulus,
     ConfigurationError,
     Disk,
+    FunctionalSpec,
     NumericError,
     build_grid,
+    default_cutoff,
+    default_grid,
     default_r_cut,
+    density,
     integrate,
+    minimal_correction,
 )
 from zeropack.quadrature import _gauss_legendre
+
+from conftest import random_poly
 
 
 def test_total_weight_unit_disk():
@@ -193,6 +200,26 @@ def test_ring_grid_builds_no_node_arrays():
         tracemalloc.stop()
     assert peak < 1_000_000
     assert abs(integrate(grid, np.ones(grid.size)) - 1.0) < 1e-12
+
+
+def test_ring_sums_hold_no_node_arrays(rng):
+    # The |f| and |u| ring sums take a block of rings at a time, so density
+    # and the correction's proof terms hold no node-sized array.  One product
+    # of all rings held 25 and 29 MB here; the blocks hold about 1.7 MB.
+    _gauss_legendre(1024)
+    _gauss_legendre(768)
+    spec, hyp = FunctionalSpec("planar", 8.0), FunctionalSpec("hyperbolic", 0.85)
+    for evaluate in (
+        lambda: density(random_poly(rng, 16), spec, default_grid(spec, (1024, 1024))),
+        lambda: minimal_correction(random_poly(rng, 3), hyp, default_cutoff(hyp), (768, 768)),
+    ):
+        tracemalloc.start()
+        try:
+            evaluate()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 @pytest.mark.parametrize(

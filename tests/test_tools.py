@@ -74,9 +74,23 @@ def test_cli_outputs_compare_keeps_counts_apart_from_values():
         "stdout differs: minimize x",
         "  keys only in new: restarts[].certificate",
         "  largest relative float change 0.0002 at restarts[0].value: 0.5 -> 0.5001",
+        "  largest absolute float change 0.0001 at restarts[0].value: 0.5 -> 0.5001",
         "  largest integer change 3 at restarts[0].steps: 0 -> 3",
     ]
     same = cli_outputs.json_changes(json.dumps(old), json.dumps({**old, "seed": 3.0, "extra": None}))
     assert same == ["keys only in new: extra", "no float at a shared key path changed",
                     "no integer at a shared key path changed"]
     assert cli_outputs.json_changes("t,v", "t,v") is None
+
+
+def test_cli_outputs_compare_gives_the_absolute_float_change():
+    # A value near 0 that moves by rounding reads large relative to itself;
+    # its absolute change, next to the largest one elsewhere, shows it is not
+    # a real move.
+    old = {"gap": 0.5, "quad_err": 2.8114e-17}
+    new = {"gap": 0.5 + 2.0**-50, "quad_err": 2.8158e-17}
+    assert cli_outputs.json_changes(json.dumps(old), json.dumps(new)) == [
+        "largest relative float change 0.00157 at quad_err: 2.8114e-17 -> 2.8158e-17",
+        "largest absolute float change 8.88e-16 at gap: 0.5 -> 0.5000000000000009",
+        "no integer at a shared key path changed",
+    ]

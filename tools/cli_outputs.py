@@ -14,10 +14,11 @@ List the commands whose exit code or stdout differ between two such files
 
 Under each command whose stdout differs and is JSON on both sides come the
 key paths that only one side has (list indices written ``[]``), the largest
-relative change of a float and the largest change of an integer (a step
-count) found at the same key path on both sides.  Floats and integers are
-kept apart so that a count leaving 0 cannot hide a value that moved, and
-rounding-level moves can be told from real ones.
+relative and the largest absolute change of a float, and the largest change
+of an integer (a step count) found at the same key path on both sides.
+Floats and integers are kept apart so that a count leaving 0 cannot hide a
+value that moved, and the absolute change shows a rounding-level move of a
+value near 0 that reads large relative to it.
 
 BLAS is pinned to one thread before numpy loads, with the bench's own
 settings: another thread count can sum in another order and move a search
@@ -80,9 +81,10 @@ def json_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
     """What moved between two JSON outputs, one line per finding; None when either output is not JSON.
 
     The key paths only one side has, with list indices collapsed to ``[]``;
-    then the largest relative change |new - old| / |old| of a number that is
-    a float on either side (one leaving 0 changes by inf), and the largest
-    change |new - old| of a number that is an integer on both sides.
+    then the largest relative change |new - old| / |old| and the largest
+    absolute change |new - old| of a number that is a float on either side
+    (one leaving 0 changes by inf relative), and the largest change
+    |new - old| of a number that is an integer on both sides.
     """
     try:
         old, new = leaves(json.loads(old_stdout)), leaves(json.loads(new_stdout))
@@ -104,6 +106,8 @@ def json_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
         lines.append("no float at a shared key path changed")
     else:
         lines.append(f"largest relative float change {change:.3g} at {path}: {old[path]!r} -> {new[path]!r}")
+        change, path = max((abs(new[p] - old[p]), p) for p in floats)
+        lines.append(f"largest absolute float change {change:.3g} at {path}: {old[path]!r} -> {new[path]!r}")
     step, path = max(((abs(new[p] - old[p]), p) for p in ints), default=(0, None))
     if step == 0:
         lines.append("no integer at a shared key path changed")
