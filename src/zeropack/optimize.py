@@ -464,11 +464,11 @@ def minimize(
     and descends in that class in one _descend: a burn-in of at most BURN_IN
     IRLS steps on the class's single-precision workspace, then the Newton
     finish on its double one; the descent takes at most MAX_ITERATIONS
-    steps.  The restart's value and stop reason are the finish's.  Ties
-    between restarts within 1e-12 go to the lowest restart index so results
-    are reproducible under concurrency; the result's ``tied`` counts the
-    restarts within the winner's quad_err, which the grid cannot tell apart,
-    without changing the winner.
+    steps.  The restart's value and stop reason are the finish's.  After
+    the last restart the winner is the lowest restart index whose value is
+    within 1e-12 of the smallest restart value; the result's ``tied``
+    counts the restarts within the winner's quad_err, which the grid cannot
+    tell apart, without changing the winner.
     """
     if n < 1:
         raise ConfigurationError(f"degree bound must be >= 1, got {n}")
@@ -479,7 +479,7 @@ def minimize(
     full = _Workspace(spec, grid, n)
     workspaces = {(1, 0): (full.single(), full)}
 
-    best = None
+    found: list[np.ndarray] = []
     restarts: list[dict] = []
     for rs, (m, j) in enumerate(_restart_classes(spec, grid, n, config.restarts)):
         if (m, j) not in workspaces:
@@ -489,20 +489,21 @@ def minimize(
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c0 = (raw / np.sqrt(2.0 * full.diagonal))[j::m]
         c_class, val, steps = _descend(workspaces[m, j], c0)
+        found.append(c_class)
         restarts.append({"class": [m, j], "value": val, **steps})
-        if best is None or val < best[1] - 1e-12:
-            c = np.zeros(n, dtype=complex)
-            c[j::m] = c_class
-            best = (c, val, restarts[-1])
 
-    c, _, steps = best
+    best = min(r["value"] for r in restarts)
+    win = next(i for i, r in enumerate(restarts) if r["value"] <= best + 1e-12)
+    m, j = restarts[win]["class"]
+    c = np.zeros(n, dtype=complex)
+    c[j::m] = found[win]
     minimizer = ComplexPolynomial(_canonicalize(c))
     report = density(minimizer, spec, grid)
     return MinimizeResult(
         minimizer=minimizer,
         value=report.value,
-        iterations=steps["iterations"],
-        converged=steps["converged"],
+        iterations=restarts[win]["iterations"],
+        converged=restarts[win]["converged"],
         diagnostics=report,
         restarts=restarts,
     )

@@ -84,10 +84,6 @@ class QuadratureGrid:
         """
         return np.exp(1j * math.pi * np.arange(n) / self.resolution[1])
 
-    def ring_sums(self, values: np.ndarray) -> np.ndarray:
-        """The sum of node values over each ring, one entry per radius."""
-        return np.reshape(values, (len(self.radii), self.resolution[1])).sum(axis=1)
-
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +146,8 @@ def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericError(f"non-finite integrand value at node {grid.nodes[bad]}", node=grid.nodes[bad])
-    return float(grid.ring_weights @ grid.ring_sums(np.real(values)))
+    ring_sums = np.reshape(np.real(values), (len(grid.radii), grid.resolution[1])).sum(axis=1)
+    return float(grid.ring_weights @ ring_sums)
 
 
 def default_r_cut(n: int, gamma: float) -> float:

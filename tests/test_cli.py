@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import zeropack
-from zeropack import theta_scan
+from zeropack import ComplexPolynomial, ConfigurationError, FunctionalSpec, boundary_mass, theta_scan
 from zeropack.cli import main
 
 
@@ -230,6 +231,43 @@ def test_dbar_check_with_poly(tmp_path, capsys):
     assert payload["bound_satisfied"] is True
     assert payload["dbar_lhs"] <= payload["dbar_rhs"]
     assert payload["orthogonality_residual"] < 1e-9
+
+
+def test_dbar_check_delta_sets_the_cutoff_layer(tmp_path, capsys):
+    out = tmp_path / "dbar.json"
+    code, _, err = run(
+        capsys,
+        "dbar-check", "--geometry", "hyperbolic", "--r", "0.5", "--delta", "0.2",
+        "--resolution", "32x32", "--out", str(out),
+    )
+    assert code == 0, err
+    payload = json.loads(out.read_text())
+    assert payload["delta"] == 0.2
+    assert payload["bound_satisfied"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(["minimize", "--geometry", "planar"], "--gamma is required for planar geometry", id="no-gamma"),
+        pytest.param(["gap", "--geometry", "hyperbolic", "--r", "0.5,x"], "bad parameter list '0.5,x'", id="bad-sweep"),
+        pytest.param(["gap", "--geometry", "hyperbolic", "--r", "0.5", "--jobs", "two"],
+                     "--jobs must be an integer, got 'two'", id="jobs-not-int"),
+        pytest.param(["dbar-check", "--geometry", "hyperbolic", "--r", "0.5", "--delta", "1", "--resolution", "32x32"],
+                     "delta must lie in (0,1), got 1.0", id="dbar-delta-1"),
+        pytest.param(0.0, "delta must lie in (0,1], got 0.0", id="boundary-mass-delta-0"),
+        pytest.param(1.5, "delta must lie in (0,1], got 1.5", id="boundary-mass-delta-1.5"),
+    ],
+)
+def test_invalid_input_is_refused_with_its_message(capsys, argv, message):
+    # A float stands for the delta of a direct boundary_mass call.
+    if isinstance(argv, float):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            boundary_mass(ComplexPolynomial([1.0]), FunctionalSpec("hyperbolic", 0.5), argv, (32, 32))
+        return
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith(f"usage error: {message}\n"), err
 
 
 def test_dbar_check_poly_longer_than_the_angle_count_is_usage_error(tmp_path, capsys):

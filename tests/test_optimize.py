@@ -580,6 +580,25 @@ def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch
     assert res.iterations == res.restarts[winner]["iterations"]
 
 
+def test_tie_chain_goes_to_the_lowest_index_within_1e12_of_the_best(monkeypatch):
+    # Values x+1.5e-12, x+0.7e-12, x: restart 1 is the lowest index within
+    # 1e-12 of the best, though restart 2 beats restart 0 by more than 1e-12.
+    x = 0.5
+    values = [x + 1.5e-12, x + 0.7e-12, x]
+    order = iter(range(3))
+
+    def fake_descend(workspaces, c0):
+        k = next(order)
+        steps = {"iterations": 10 + k, "converged": k == 1, "stop": "stationary" if k == 1 else "cap"}
+        return np.arange(1.0, len(c0) + 1) * (k + 1) + 0j, values[k], steps
+
+    monkeypatch.setattr("zeropack.optimize._descend", fake_descend)
+    res = minimize(FunctionalSpec("hyperbolic", 0.9), 5, OptimizerConfig(restarts=3))
+    assert res.restart_values == values
+    np.testing.assert_array_equal(res.minimizer.coeffs, 2.0 * np.arange(1.0, 6.0))
+    assert (res.iterations, res.converged) == (11, True)
+
+
 def test_newton_finish_takes_few_steps(monkeypatch):
     # Newton steps converge quadratically from where a long burn-in ends:
     # no finish nears the step cap, few fall back to IRLS, and each ends on

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -58,7 +59,18 @@ def test_compare_of_a_panel_with_itself_moves_nothing(tmp_path, capsys):
     assert value_panel.main(["--compare", str(old), str(old)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert "0 winners moved by more than their quad_err: 0 rose, 0 fell" in out
+    assert "6 of 6 winners bit-identical" in out
     assert not [line for line in out if " seed " in line]
+
+
+def test_compare_counts_the_bit_identical_winners():
+    # Only "b" seed 0 keeps its value; a winner one ulp away has not moved
+    # by its quad_err, but it is not bit-identical.
+    assert "1 of 6 winners bit-identical" in value_panel.compare(OLD, NEW).splitlines()
+    ulp = [dict(r, value=math.nextafter(r["value"], 3.0)) if r["seed"] == 0 else r for r in OLD]
+    lines = value_panel.compare(OLD, ulp).splitlines()
+    assert "0 winners moved by more than their quad_err: 0 rose, 0 fell" in lines
+    assert "4 of 6 winners bit-identical" in lines
 
 
 def test_cli_outputs_compare_keeps_counts_apart_from_values():

@@ -7,9 +7,10 @@ write one JSON record per search and seed:
     python3 tools/value_panel.py --out panel.json
 
 List every winner that moved by more than its quad_err between two panels,
-how many of them rose and fell, overall and per search, the totals of both,
-and per search the best, median and worst winner over the seeds and how many
-seeds lie within their quad_err of the lowest value in either panel:
+how many of them rose and fell, overall and per search, how many winners
+are bit-identical in both panels, the totals of both, and per search the
+best, median and worst winner over the seeds and how many seeds lie within
+their quad_err of the lowest value in either panel:
 
     python3 tools/value_panel.py --compare old.json new.json
 
@@ -81,12 +82,13 @@ def distribution(old: list[dict], new: list[dict]) -> list[str]:
 
 
 def compare(old: list[dict], new: list[dict]) -> str:
-    """The winners that moved by more than the old winner's quad_err, up or down, per-search totals and distributions."""
+    """Winners moved by more than the old quad_err, up or down, bit-identical winners, per-search totals and distributions."""
     before = {(r["search"], r["seed"]): r for r in old}
-    lines, totals = [], {}
+    lines, totals, identical = [], {}, 0
     for r in new:
         o = before[r["search"], r["seed"]]
         moved = r["value"] - o["value"]
+        identical += r["value"] == o["value"]
         t = totals.setdefault(r["search"], {"n": 0, "max_rise_over_quad_err": -float("inf"), "rose": 0, "fell": 0,
                                             "capped": [0, 0], "double_steps": [0, 0], "single_steps": [0, 0],
                                             "seconds": [0.0, 0.0]})
@@ -101,6 +103,7 @@ def compare(old: list[dict], new: list[dict]) -> str:
                          f"({moved:+.2e}, quad_err {o['quad_err']:.2e} -> {r['quad_err']:.2e})")
     rose, fell = (sum(t[key] for t in totals.values()) for key in ("rose", "fell"))
     lines.append(f"{rose + fell} winners moved by more than their quad_err: {rose} rose, {fell} fell")
+    lines.append(f"{identical} of {len(new)} winners bit-identical")
     for search, t in totals.items():
         lines.append(f"{search}: {t['rose']} rose and {t['fell']} fell by more than quad_err; max rise "
                      f"{t['max_rise_over_quad_err']:+.3f} x quad_err; capped {t['capped'][0]} -> "
