@@ -214,6 +214,14 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     cosines.  For a periodic g, beta Re(c z^2) - |z|^2 is a v^2 alone
     (a = -beta pi Im tau), so e^{a v^2 / beta} scales the product's columns
     and |f0|^beta e^{-|z|^2} = |product|^beta.
+
+    Only the first ceil(n_u / 2) rows of the grid are formed.  g is even
+    (sigma is odd, both Gaussians are even) and doubly periodic, so the node
+    of row n_u - 1 - i and column n_v - 1 - j, 2 omega1 + 2 omega2 - z, has
+    the value of node (i, j): each row stands for its mirror too and counts
+    twice, except the middle row of an odd n_u, which is its own mirror.
+    The sines of the rows are real, so the product is taken on the real
+    view of the complex columns.
     """
     n_u, n_v = resolution
     residual = cand.periodicity_residual(n_points=200)
@@ -224,7 +232,9 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
         )
     lat = cand.lattice
     w1, w2 = lat.omega1, lat.omega2
-    u, v = (np.arange(n_u) + 0.5) / n_u, (np.arange(n_v) + 0.5) / n_v
+    u, v = (np.arange((n_u + 1) // 2) + 0.5) / n_u, (np.arange(n_v) + 0.5) / n_v
+    weight = np.full(len(u), 2.0)
+    weight[-1] -= n_u % 2
     pref, c = cand._modulus_factors()
     b = math.pi * lat.tau * v
     coeff, k = _theta_series(lat.tau, float(np.max(np.abs(b.imag))))
@@ -232,16 +242,22 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     a = 4.0 * (cand.beta * (c * w2 * w2).real - abs(w2) ** 2)
     right = (2.0 * pref * np.tile(coeff, 2))[:, None] * np.concatenate([np.cos(kb), np.sin(kb)])
     right *= np.exp(a * v**2 / cand.beta)
-    # An overflow here leaves a non-finite value, refused below.
+    # An overflow here leaves a non-finite mean, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.abs(np.concatenate([np.sin(ka), np.cos(ka)], axis=1) @ right) ** cand.beta
-        g2 = g * g
-    # g >= 0, so g^2 is finite exactly where g is finite and its square does not overflow.
-    if not np.all(np.isfinite(g2)):
-        i, j = np.argwhere(~np.isfinite(g2))[0]
-        node = complex(2.0 * u[i] * w1 + 2.0 * v[j] * w2)
-        raise NumericError(f"non-finite cell envelope value or square at node {node}", node=node)
-    return float(np.mean(g)), float(np.mean(g2))
+        g = np.abs((np.concatenate([np.sin(ka), np.cos(ka)], axis=1) @ right.view(np.float64)).view(complex))
+        if cand.beta != 1.0:
+            g **= cand.beta
+        m1 = float(weight @ g.sum(axis=1)) / (n_u * n_v)
+        m2 = float(weight @ np.einsum("ij,ij->i", g, g)) / (n_u * n_v)
+        # Every term is >= 0, so a sum is finite only if each of its terms is.
+        if not (math.isfinite(m1) and math.isfinite(m2)):
+            bad = np.argwhere(~np.isfinite(g * g))
+            if not len(bad):
+                raise NumericError("the cell means overflow, though every envelope value and square is finite")
+            i, j = bad[0]
+            node = complex(2.0 * u[i] * w1 + 2.0 * v[j] * w2)
+            raise NumericError(f"non-finite cell envelope value or square at node {node}", node=node)
+    return m1, m2
 
 
 def cell_average_density(

@@ -96,13 +96,14 @@ class MinimizeResult:
     # finish ("newton_iterations") and its IRLS fallbacks
     # ("fallback_iterations"), the burn-in's accepted secant jumps
     # ("extrapolations"), the finish steps whose Newton direction the floor
-    # changed ("floor_steps"), the smallest eigenvalue of the last projected
-    # Hessian over the largest modulus ("min_curvature", positive at a
-    # strict local minimum of the class), converged flag and why it stopped
-    # ("stop": stationary, tolerance or cap).  The value, converged and stop
-    # are the finish's.  A restart whose class holds one coefficient takes no
-    # step: every count is 0, min_curvature is None and its stop is
-    # stationary.
+    # changed ("floor_steps"), the finish steps whose projected Hessian had
+    # a negative eigenvalue ("negative_steps"), the smallest eigenvalue of
+    # the last projected Hessian over the largest modulus ("min_curvature",
+    # positive at a strict local minimum of the class), converged flag and
+    # why it stopped ("stop": stationary, tolerance or cap).  The value,
+    # converged and stop are the finish's.  A restart whose class holds one
+    # coefficient takes no step: every count is 0, min_curvature is None and
+    # its stop is stationary.
     restarts: list[dict]
 
     @property
@@ -381,18 +382,18 @@ def _descend(workspaces: tuple[_Workspace, _Workspace], c: np.ndarray):
     ("single_iterations"), the finish's Newton and fallback IRLS steps
     ("newton_iterations", "fallback_iterations"), the burn-in's accepted
     secant jumps ("extrapolations"), the finish's certificate ("floor_steps",
-    "min_curvature"), converged and stop.
+    "negative_steps", "min_curvature"), converged and stop.
 
     A class of one coefficient, {c z^k}, takes no step: its value depends on
     |c| alone, so the start rescaled on the double workspace is the class
-    minimum.  It reports 0 for every step count and floor_steps, no
-    min_curvature, and stop "stationary".
+    minimum.  It reports 0 for every step count, floor_steps and
+    negative_steps, no min_curvature, and stop "stationary".
     """
     single, double = workspaces
     if len(c) == 1:
         it = double.iterate(c)
         steps = dict.fromkeys(("single_iterations", "extrapolations", "iterations", "newton_iterations",
-                               "fallback_iterations", "floor_steps"), 0)
+                               "fallback_iterations", "floor_steps", "negative_steps"), 0)
         return it.c, it.value, {**steps, "min_curvature": None, "converged": True, "stop": "stationary"}
     it, steps, extrapolations = _burn_in(single, c)
     it, finish = _finish(double, double.iterate(it.c), steps)
@@ -410,16 +411,18 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, di
     ("tolerance") and MAX_ITERATIONS steps of the whole descent ("cap").
     Returns the last iterate and the step counts, with the certificate of
     the Newton directions: on how many of them the floor raised a modulus
-    ("floor_steps"), and the last one's smallest curvature ("min_curvature",
-    None if there was none).
+    ("floor_steps"), on how many the projected Hessian had a negative
+    eigenvalue ("negative_steps"), and the last one's smallest curvature
+    ("min_curvature", None if there was none).
     """
-    newton = fallback = floored = 0
+    newton = fallback = floored = negative = 0
     min_curvature = None
     stop = "cap"
     while iterations < MAX_ITERATIONS:
         d, predicted, curvature = ws.newton_direction(it)
         floored += bool(np.min(np.abs(curvature)) < NEWTON_FLOOR)
         min_curvature = float(np.min(curvature))
+        negative += min_curvature < 0.0
         iterations += 1
         trials = (ws.iterate(it.c + t * d, 1 - it.slot) for t in (1.0, 0.5, 0.25, 0.125))
         new = next((trial for trial in trials if trial.value < it.value), None)
@@ -436,7 +439,8 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, di
             stop = "tolerance"
             break
     counts = {"iterations": iterations, "newton_iterations": newton, "fallback_iterations": fallback,
-              "floor_steps": floored, "min_curvature": min_curvature, "converged": stop != "cap", "stop": stop}
+              "floor_steps": floored, "negative_steps": negative, "min_curvature": min_curvature,
+              "converged": stop != "cap", "stop": stop}
     return it, counts
 
 

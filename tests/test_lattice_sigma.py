@@ -226,13 +226,36 @@ def node_cell_means(cand, res):
 
 
 @pytest.mark.parametrize("beta", [1.0, 2.0])
-@pytest.mark.parametrize("theta", [0.3, 0.6, 0.75, PI / 3, 1.37, 2.8])
-def test_cell_means_match_the_node_quadrature(theta, beta):
+@pytest.mark.parametrize("theta", [0.3, 0.6, PI / 3, 1.37, 2.8])
+def test_envelope_is_even_about_the_cell_centre(theta, beta):
+    # The cell means form only half the rows: node (i, j) stands for node
+    # (n_u - 1 - i, n_v - 1 - j), 2 omega1 + 2 omega2 - z, which needs an even
+    # and doubly periodic envelope.  Checked on the midpoint nodes of an odd
+    # and an even axis.
+    cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
+    lat = cand.lattice
+    z = midpoint_nodes(lat, (49, 80))
+    g = cand.envelope(z)
+    mirrored = cand.envelope(2.0 * lat.omega1 + 2.0 * lat.omega2 - z)
+    assert np.max(np.abs(mirrored - g)) <= 1e-13 * np.max(g)
+
+
+# Ids read theta-beta on the 48x80 grid and theta-beta-RES on the grids with an odd axis.
+NODE_QUADRATURE_CASES = [
+    pytest.param(theta, beta, res, id=f"{theta}-{beta}" + ("" if res == (48, 80) else f"-{res[0]}x{res[1]}"))
+    for res in ((48, 80), (49, 80), (48, 81))
+    for theta in (0.3, 0.6, 0.75, PI / 3, 1.37, 2.8)
+    for beta in (1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("theta,beta,res", NODE_QUADRATURE_CASES)
+def test_cell_means_match_the_node_quadrature(theta, beta, res):
     # The non-square grid catches factors built on mismatched axes; theta =
     # 0.6 needs a seventh series term, and 0.3 and 2.8 are flat cells, whose
     # exponent loses its u^2 and uv terms by cancelling the largest parts.
+    # An odd n_u has a middle row that is its own mirror and counts once.
     cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
-    res = (48, 80)
     if theta == 0.6:
         v_max = (res[1] - 0.5) / res[1]
         assert len(_theta_series(cand.lattice.tau, PI * cand.lattice.tau.imag * v_max)[0]) >= 7
@@ -293,6 +316,18 @@ def test_cell_means_name_a_non_finite_node(monkeypatch):
     assert abs(info.value.node - (lat.omega1 + lat.omega2) / 32) < 1e-15
 
 
+def test_cell_means_refuse_a_sum_that_overflows(monkeypatch):
+    # Every envelope value and square is finite, but the sum of the squares
+    # is not: that is a numeric failure at no node, not an infinite mean.
+    lat = lattice_normalize(PI / 3, 1.0)
+    cand = abrikosov_candidate(lat, 1.0)
+    pref, c = cand._modulus_factors()
+    monkeypatch.setattr(QuasiperiodicCandidate, "_modulus_factors", lambda self: (1e154 * pref, c))
+    with pytest.raises(NumericError, match="overflow") as info:
+        cell_average_density(cand, (32, 32))
+    assert info.value.node is None
+
+
 def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
     # The cell means read only the two midpoint axes: every sine, cosine or
     # exponential is taken on one axis times the series terms, never on the
@@ -318,7 +353,8 @@ def test_cell_means_build_no_nodes_and_no_grid_sines(monkeypatch):
 
 def test_cell_means_peak_memory():
     # At 512x512 the node path held the nodes and a (terms x nodes) complex
-    # sine array, 67 MB at its peak; the separable path holds about 6.5 MB.
+    # sine array, 67 MB at its peak; the separable path on half the rows
+    # holds about 3.3 MB.
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
     cell_average_density(cand, (64, 64))
     tracemalloc.start()

@@ -219,7 +219,7 @@ def test_minimize_result_json():
     assert all(
         set(r) == {
             "class", "value", "iterations", "single_iterations", "newton_iterations", "fallback_iterations",
-            "extrapolations", "floor_steps", "min_curvature", "converged", "stop",
+            "extrapolations", "floor_steps", "negative_steps", "min_curvature", "converged", "stop",
         }
         for r in d["restarts"]
     )
@@ -231,7 +231,7 @@ def test_minimize_result_json():
     assert all(r["converged"] is True for r in d["restarts"])
     # A class of one coefficient takes no step; every other restart takes at least one.
     steps = ("iterations", "single_iterations", "newton_iterations", "fallback_iterations", "extrapolations",
-             "floor_steps")
+             "floor_steps", "negative_steps")
     single_coefficient = [len(range(j, 4, m)) == 1 for m, j in (r["class"] for r in d["restarts"])]
     assert single_coefficient == [False, True, True, False, False]
     for r, single in zip(d["restarts"], single_coefficient):
@@ -240,8 +240,10 @@ def test_minimize_result_json():
             assert r["min_curvature"] is None
         else:
             assert r["iterations"] >= 1
-            # Every finish step takes one Newton direction, and the floor may have changed each.
+            # Every finish step takes one Newton direction, and the floor may
+            # have changed each, or its Hessian had a negative eigenvalue.
             assert 0 <= r["floor_steps"] <= r["newton_iterations"] + r["fallback_iterations"]
+            assert 0 <= r["negative_steps"] <= r["newton_iterations"] + r["fallback_iterations"]
             assert -1.0 <= r["min_curvature"] <= 1.0
     assert all(r["stop"] in STOP_REASONS and r["converged"] == (r["stop"] != "cap") for r in d["restarts"])
     assert d["capped"] == 0
@@ -641,6 +643,32 @@ def test_every_restart_ends_on_positive_curvature(spec, n):
         assert all(0 <= r["floor_steps"] <= r["newton_iterations"] + r["fallback_iterations"] for r in res.restarts)
 
 
+def test_negative_steps_count_the_newton_directions_at_negative_curvature(monkeypatch):
+    # Each restart's negative_steps is the number of its finish's Newton
+    # directions whose projected Hessian had a negative eigenvalue, as
+    # counted through a wrapped newton_direction.  The bench's gamma=8 n=16
+    # search at CLI seed 6 takes some.
+    negative = []
+    direction = _Workspace.newton_direction
+
+    def counted(ws, it):
+        out = direction(ws, it)
+        negative[-1] += bool(np.min(out[2]) < 0.0)
+        return out
+
+    def descend(workspaces, c):
+        negative.append(0)
+        return _descend(workspaces, c)
+
+    monkeypatch.setattr(_Workspace, "newton_direction", counted)
+    monkeypatch.setattr("zeropack.optimize._descend", descend)
+    res = minimize(FunctionalSpec("planar", 8.0), 16, OptimizerConfig(restarts=12, seed=6))
+    assert [r["negative_steps"] for r in res.restarts] == negative
+    assert sum(negative) > 0
+    for r in res.restarts:
+        assert 0 <= r["negative_steps"] <= r["newton_iterations"] + r["fallback_iterations"]
+
+
 def test_cap_ends_the_descent_in_double(monkeypatch):
     # A cap that falls in the burn-in still ends on the double value of
     # the coefficients reached, and the restart reports it as not converged.
@@ -654,7 +682,7 @@ def test_cap_ends_the_descent_in_double(monkeypatch):
         assert entry["iterations"] == entry["single_iterations"] == 5 and _step_dtypes(events) == [np.complex64] * 5
         assert [kind for kind, dtype, _ in events if dtype == np.complex128] == []
         # No Newton direction was taken, so there is no curvature to report.
-        assert (entry["floor_steps"], entry["min_curvature"]) == (0, None)
+        assert (entry["floor_steps"], entry["negative_steps"], entry["min_curvature"]) == (0, 0, None)
         _assert_double_density(entry, c, spec, n, default_grid(spec, degree=n))
     assert res.to_json_dict()["capped"] == 2
 

@@ -106,3 +106,23 @@ def test_cli_outputs_compare_gives_the_absolute_float_change():
         "largest absolute float change 8.88e-16 at gap: 0.5 -> 0.5000000000000009",
         "no integer at a shared key path changed",
     ]
+
+
+def test_cli_outputs_compare_reads_the_scan_csv():
+    # A lattice-scan stdout that differs names its rows: here one value moved
+    # in its 12th printed digit, and the theta column held.
+    old = "theta,value\n0.8,0.0702\n1.0,0.063634744302\n1.2,0.0619\n"
+    new = "theta,value\n0.8,0.0702\n1.0,0.0636347443019\n1.2,0.0619\n"
+    lines = cli_outputs.compare({"lattice-scan x": [0, old]}, {"lattice-scan x": [0, new]})
+    assert lines == [
+        "stdout differs: lattice-scan x",
+        "  1 of 3 rows differ",
+        "  theta column identical",
+        "  largest relative value change 1.57e-12 at theta 1.0: 0.063634744302 -> 0.0636347443019",
+        "  largest absolute value change 1e-13 at theta 1.0: 0.063634744302 -> 0.0636347443019",
+    ]
+    # Another angle window moves the theta column, and a missing row counts as differing.
+    shifted = cli_outputs.csv_changes(old, "theta,value\n0.9,0.0702\n1.0,0.063634744302\n")
+    assert shifted[:2] == ["2 of 3 rows differ", "theta column differs"]
+    assert cli_outputs.csv_changes(old, old)[1:] == ["theta column identical", "no value changed"]
+    assert cli_outputs.csv_changes(old, "{}") is None and cli_outputs.csv_changes("t,v\n1,2\n", old) is None

@@ -18,7 +18,10 @@ relative and the largest absolute change of a float, and the largest change
 of an integer (a step count) found at the same key path on both sides.
 Floats and integers are kept apart so that a count leaving 0 cannot hide a
 value that moved, and the absolute change shows a rounding-level move of a
-value near 0 that reads large relative to it.
+value near 0 that reads large relative to it.  Under a differing
+``theta,value`` CSV stdout (``lattice-scan``'s) come the number of rows
+that differ, whether the theta column is identical, and the largest
+relative and the largest absolute change of a value.
 
 BLAS is pinned to one thread before numpy loads, with the bench's own
 settings: another thread count can sum in another order and move a search
@@ -77,6 +80,21 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _largest_changes(moves: list[tuple[str, float, float]], kind: str) -> list[str]:
+    """The largest relative and the largest absolute change among (where, old, new) moves, one line each.
+
+    The relative change is |new - old| / |old|, inf for one leaving 0; no
+    line at all when nothing moved.
+    """
+    relative = ((abs(y - x) / abs(x) if x else (math.inf if y else 0.0), w, x, y) for w, x, y in moves)
+    change, where, x, y = max(relative, default=(0.0, None, None, None))
+    if change == 0.0:
+        return []
+    lines = [f"largest relative {kind} change {change:.3g} at {where}: {x!r} -> {y!r}"]
+    change, where, x, y = max((abs(y - x), w, x, y) for w, x, y in moves)
+    return lines + [f"largest absolute {kind} change {change:.3g} at {where}: {x!r} -> {y!r}"]
+
+
 def json_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
     """What moved between two JSON outputs, one line per finding; None when either output is not JSON.
 
@@ -98,16 +116,8 @@ def json_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
     shared = [p for p in old.keys() & new.keys() if _is_number(old[p]) and _is_number(new[p])]
     ints = {p for p in shared if isinstance(old[p], int) and isinstance(new[p], int)}
     floats = [p for p in shared if p not in ints]
-    change, path = max(
-        ((abs(new[p] - old[p]) / abs(old[p]) if old[p] else (math.inf if new[p] else 0.0), p) for p in floats),
-        default=(0.0, None),
-    )
-    if change == 0.0:
-        lines.append("no float at a shared key path changed")
-    else:
-        lines.append(f"largest relative float change {change:.3g} at {path}: {old[path]!r} -> {new[path]!r}")
-        change, path = max((abs(new[p] - old[p]), p) for p in floats)
-        lines.append(f"largest absolute float change {change:.3g} at {path}: {old[path]!r} -> {new[path]!r}")
+    moves = [(p, old[p], new[p]) for p in floats]
+    lines += _largest_changes(moves, "float") or ["no float at a shared key path changed"]
     step, path = max(((abs(new[p] - old[p]), p) for p in ints), default=(0, None))
     if step == 0:
         lines.append("no integer at a shared key path changed")
@@ -116,10 +126,40 @@ def json_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
     return lines
 
 
+def _scan_rows(stdout: str) -> list[tuple[str, float]] | None:
+    """The rows of a ``theta,value`` CSV as (theta as printed, value), None if stdout is not one."""
+    header, *rows = stdout.splitlines() or [""]
+    if header != "theta,value":
+        return None
+    try:
+        return [(theta, float(value)) for theta, value in (row.split(",") for row in rows)]
+    except ValueError:
+        return None
+
+
+def csv_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
+    """What moved between two ``theta,value`` CSV outputs, one line per finding; None when either is not one.
+
+    The number of rows that differ, whether the theta column is identical,
+    then the largest relative change |new - old| / |old| and the largest
+    absolute change |new - old| of a value in the same row.
+    """
+    old, new = _scan_rows(old_stdout), _scan_rows(new_stdout)
+    if old is None or new is None:
+        return None
+    differ = sum(a != b for a, b in zip(old, new)) + abs(len(old) - len(new))
+    same_theta = [t for t, _ in old] == [t for t, _ in new]
+    lines = [f"{differ} of {max(len(old), len(new))} rows differ",
+             f"theta column {'identical' if same_theta else 'differs'}"]
+    moves = [(f"theta {theta}", x, y) for (theta, x), (_, y) in zip(old, new)]
+    return lines + (_largest_changes(moves, "value") or ["no value changed"])
+
+
 def compare(old: dict[str, list], new: dict[str, list]) -> list[str]:
     """One line per command whose exit code or stdout differs, or that one side did not run.
 
-    A differing JSON stdout adds indented lines naming what moved (``json_changes``).
+    A differing JSON or ``theta,value`` CSV stdout adds indented lines naming
+    what moved (``json_changes``, ``csv_changes``).
     """
     lines = []
     for argv in sorted(old.keys() | new.keys()):
@@ -129,7 +169,8 @@ def compare(old: dict[str, list], new: dict[str, list]) -> list[str]:
             lines.append(f"exit code {old[argv][0]} -> {new[argv][0]}: {argv}")
         elif old[argv][1] != new[argv][1]:
             lines.append(f"stdout differs: {argv}")
-            lines += [f"  {line}" for line in json_changes(old[argv][1], new[argv][1]) or []]
+            found = json_changes(old[argv][1], new[argv][1]) or csv_changes(old[argv][1], new[argv][1]) or []
+            lines += [f"  {line}" for line in found]
     return lines
 
 
