@@ -10,8 +10,8 @@ ConfigurationError: a bad region, resolution, lattice angle or beta, an
 unnormalized candidate; in the library also node values of the wrong shape
 given to integrate), 5 numerical error (a NumericError: an underflowing Gram
 diagonal, a non-finite value, a failed Legendre check).  Either error class
-is reported as one stderr line.  Parameter sweeps run their elements
-concurrently up to --jobs, with output assembled in input order.
+is reported as one stderr line.  lattice-scan runs its angles concurrently
+up to --jobs, with output assembled in input order.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def cmd_gap(args) -> int:
     config = _optimizer_config(args)
     resolution = args.resolution or FunctionalSpec(geometry, params[0]).default_resolution
 
-    reports = _map(lambda param: equality_gap(FunctionalSpec(geometry, param), config, resolution), params, args.jobs)
+    reports = [equality_gap(FunctionalSpec(geometry, param), config, resolution) for param in params]
 
     gaps = [rep.gap for rep in reports]
     payload = _with_provenance(
@@ -269,7 +269,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"zeropack {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, sweep_ok=False, geometry=True, search=True, jobs=False):
+    def common(p, sweep_ok=False, geometry=True, search=True):
         # A command gets only the flags it reads: the others are usage errors.
         if geometry:
             p.add_argument("--geometry", choices=["hyperbolic", "planar"])
@@ -284,8 +284,6 @@ def build_parser() -> _Parser:
             "--resolution", type=_parse_resolution, metavar="NRADxNANG",
             default=None if geometry else DEFAULT_RESOLUTION, help=res_help if geometry else None,
         )
-        if jobs:
-            p.add_argument("--jobs", type=_parse_jobs, default=1)
         p.add_argument("--out", type=str, default=None)
 
     p_min = sub.add_parser("minimize", help="minimize a density over polynomial coefficients")
@@ -294,7 +292,8 @@ def build_parser() -> _Parser:
     p_min.set_defaults(func=cmd_minimize)
 
     p_scan = sub.add_parser("lattice-scan", help="cell-average density across lattice angles")
-    common(p_scan, geometry=False, search=False, jobs=True)
+    common(p_scan, geometry=False, search=False)
+    p_scan.add_argument("--jobs", type=_parse_jobs, default=1)
     p_scan.add_argument("--format", choices=["json", "csv"], default="csv")
     p_scan.add_argument("--beta", type=float, default=1.0)
     p_scan.add_argument("--theta-min", type=float, default=math.pi / 3 - 0.3)
@@ -303,7 +302,7 @@ def build_parser() -> _Parser:
     p_scan.set_defaults(func=cmd_lattice_scan)
 
     p_gap = sub.add_parser("gap", help="equality-gap pipeline over a parameter sweep")
-    common(p_gap, sweep_ok=True, jobs=True)
+    common(p_gap, sweep_ok=True)
     p_gap.set_defaults(func=cmd_gap)
 
     p_eval = sub.add_parser("eval", help="evaluate a density for a polynomial from a JSON file")

@@ -57,6 +57,16 @@ __all__ = [
 DEFAULT_RESOLUTION = (128, 128)
 HYPERBOLIC = "hyperbolic"
 PLANAR = "planar"
+# The one floor under |f| wherever a weight, a step or a derivative divides
+# by it: gradient here, and the IRLS step and the Newton derivatives of
+# optimize.  It is absolute, so no step reduces the grid for its largest
+# |f|; a floor relative to that maximum also clipped every core node of a
+# starred grid, whose largest |f| sits at the support's edge.  A term that
+# carries f/|f| is 0 at f = 0 whatever the floor.  It is a normal float32,
+# so the single-precision burn-in keeps it (1e-300 rounds to 0 there, and
+# the step divides by zero), and 1/MODULUS_FLOOR**3, which the Hessian
+# forms, is finite in double.
+MODULUS_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -418,9 +428,9 @@ def gradient(
 ) -> np.ndarray:
     """Exact gradient of density w.r.t. the 2n real coefficient coordinates.
 
-    Layout: entry 2j is d/d(Re c_j), entry 2j+1 is d/d(Im c_j).  Nodes where
-    |f| falls below 1e-14 of its grid maximum contribute zero (the modulus is
-    not differentiable there).
+    Layout: entry 2j is d/d(Re c_j), entry 2j+1 is d/d(Im c_j).  |f| is
+    floored at MODULUS_FLOOR where it divides, so a node where f = 0 (the
+    modulus is not differentiable there) contributes zero.
     """
     if grid is None:
         grid = default_grid(spec)
@@ -429,10 +439,7 @@ def gradient(
     V = ring_vandermonde(grid, len(f.coeffs))
     fz = np.reshape(V @ f.coeffs, (len(a), -1))
     af = np.abs(fz)
-    floor = 1e-14 * max(float(af.max()), 1e-300)
-    clipped = af < floor
-    safe = np.maximum(af, floor)
     beta = spec.beta
-    q = np.where(clipped, 0.0, 2.0 * beta * (a[:, None] * af**beta - b[:, None]) * safe ** (beta - 2.0))
+    q = 2.0 * beta * (a[:, None] * af**beta - b[:, None]) * np.maximum(af, MODULUS_FLOOR) ** (beta - 2.0)
     # Entries 2j and 2j+1 are the real and imaginary parts of (V^H (q f))_j.
     return V.adjoint(q * fz).view(np.float64)

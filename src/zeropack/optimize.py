@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .functionals import (
+    MODULUS_FLOOR,
     DensityReport,
     FunctionalSpec,
     default_grid,
@@ -67,7 +68,8 @@ BURN_IN = 20
 # eigenvalues, relative to the largest.  It bounds the step along a saddle's
 # slight negative curvature: at 1e-8 such steps overshot every backtracking
 # trial, so the 72 planar gamma=8 n=16 restarts of six seeds fell back to IRLS
-# 64 times, against none at 1e-3.
+# 64 times, against none at 1e-3.  It floors curvature; the floor under |f|
+# in the IRLS weights and the Hessian is functionals.MODULUS_FLOOR.
 NEWTON_FLOOR = 1e-3
 
 
@@ -155,9 +157,11 @@ def degree_schedule(spec: FunctionalSpec) -> int:
 class _Iterate:
     """Coefficients c with their value, and the node values fz of a positive multiple of c.
 
-    The IRLS phase fz/|fz| and its relative floor do not change under a
-    positive rescale, so fz may belong to c before its optimal rescaling.  fz
-    and af = |fz| live in buffer slot ``slot`` of the workspace that made them.
+    The IRLS phase fz/|fz| does not change under a positive rescale, and the
+    modulus floor (MODULUS_FLOOR) binds only where |fz| is some thirty
+    orders below any modulus the value resolves, so fz may belong to c
+    before its optimal rescaling.  fz and af = |fz| live in buffer slot
+    ``slot`` of the workspace that made them.
     """
 
     c: np.ndarray
@@ -254,8 +258,7 @@ class _Workspace:
     def irls_step(self, it: _Iterate) -> _Iterate:
         """The reweighted solve from it, in the slot it does not use."""
         slot = 1 - it.slot
-        floor = 1e-14 * max(float(it.af.max()), 1e-300)
-        weight = np.maximum(it.af, floor, out=self.scratch)
+        weight = np.maximum(it.af, MODULUS_FLOOR, out=self.scratch)
         np.divide(self.node_wt, weight, out=weight)
         y = np.multiply(it.fz, weight, out=self.fz[slot])
         return self.iterate(self.V.adjoint(y) / self.diagonal, slot)
@@ -274,8 +277,7 @@ class _Workspace:
         arrays of the slot the iterate does not use.
         """
         other = 1 - it.slot
-        floor = 1e-14 * max(float(it.af.max()), 1e-300)
-        inverse = np.reciprocal(np.maximum(it.af, floor, out=self.af[other]), out=self.af[other])
+        inverse = np.reciprocal(np.maximum(it.af, MODULUS_FLOOR, out=self.af[other]), out=self.af[other])
         weight = np.multiply(self.b_wt, inverse, out=self.scratch)
         g = 2.0 * (self.diagonal * it.c - self.V.adjoint(np.multiply(it.fz, weight, out=self.fz[other])))
         # fz belongs to c/s, and a rescaled iterate has A = B = s * sum b|fz|:

@@ -251,7 +251,7 @@ def test_dbar_check_delta_sets_the_cutoff_layer(tmp_path, capsys):
     [
         pytest.param(["minimize", "--geometry", "planar"], "--gamma is required for planar geometry", id="no-gamma"),
         pytest.param(["gap", "--geometry", "hyperbolic", "--r", "0.5,x"], "bad parameter list '0.5,x'", id="bad-sweep"),
-        pytest.param(["gap", "--geometry", "hyperbolic", "--r", "0.5", "--jobs", "two"],
+        pytest.param(["lattice-scan", "--steps", "2", "--resolution", "16x16", "--jobs", "two"],
                      "--jobs must be an integer, got 'two'", id="jobs-not-int"),
         pytest.param(["dbar-check", "--geometry", "hyperbolic", "--r", "0.5", "--delta", "1", "--resolution", "32x32"],
                      "delta must lie in (0,1), got 1.0", id="dbar-delta-1"),
@@ -321,10 +321,8 @@ def test_malformed_poly_file_is_usage_error(tmp_path, capsys, text, problem):
 
 
 def test_jobs_below_one_is_usage_error(capsys):
-    gap = ["gap", "--geometry", "planar", "--gamma", "1", "--resolution", "32x32"]
-    scan = ["lattice-scan", "--steps", "2", "--resolution", "16x16"]
-    for argv, jobs in ((gap, "0"), (gap, "-3"), (scan, "0")):
-        code, out, err = run(capsys, *argv, "--jobs", jobs)
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "lattice-scan", "--steps", "2", "--resolution", "16x16", "--jobs", jobs)
         assert code == 4 and out == ""
         assert f"--jobs must be >= 1, got {jobs}" in err
 
@@ -455,7 +453,7 @@ def test_flags_a_command_ignores_are_usage_errors(capsys):
 
 
 def test_search_and_jobs_flags_only_where_read(tmp_path, capsys):
-    # --jobs is read by the sweeps only, and --seed/--restarts only where a
+    # --jobs is read by lattice-scan only, and --seed/--restarts only where a
     # search runs: eval never searches, dbar-check not when given --poly.
     poly = tmp_path / "p.json"
     poly.write_text("[[1.0, 0.0], [0.2, 0.1]]")
@@ -468,6 +466,7 @@ def test_search_and_jobs_flags_only_where_read(tmp_path, capsys):
         ["dbar-check", *planar, "--poly", str(poly), "--seed", "3"],
         ["dbar-check", *planar, "--poly", str(poly), "--restarts", "7"],
         ["dbar-check", *planar, "--jobs", "3"],
+        ["gap", *planar, "--seed", "3", "--restarts", "2", "--jobs", "2"],
     ]
     for argv in refused:
         code, out, err = run(capsys, *argv)
@@ -477,7 +476,7 @@ def test_search_and_jobs_flags_only_where_read(tmp_path, capsys):
         ["eval", *planar, "--poly", str(poly)],
         ["dbar-check", *planar, "--poly", str(poly)],
         ["dbar-check", *planar, "--seed", "3", "--restarts", "2"],
-        ["gap", *planar, "--seed", "3", "--restarts", "2", "--jobs", "2"],
+        ["gap", *planar, "--seed", "3", "--restarts", "2"],
     ]
     for argv in accepted:
         assert run(capsys, *argv)[0] == 0, argv

@@ -19,6 +19,8 @@ from zeropack import (
     integrate,
     poly_eval,
 )
+from zeropack.functionals import quadratic_weights
+from zeropack.poly import gram_diagonal
 
 from conftest import random_poly
 
@@ -307,6 +309,23 @@ def test_gradient_matches_finite_differences_starred(rng):
                 vm = density(ComplexPolynomial(f.coeffs - dc), spec, grid).value
                 fd[2 * j + part] = (vp - vm) / (2 * h)
         assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-5
+
+
+def test_gradient_matches_central_differences_at_gamma_32():
+    # |f| grows like exp(gamma |z|^2) over the core, so at gamma=32 a floor
+    # relative to the grid's largest |f| lifted core nodes, and the gradient
+    # read 0.4% to 24% off these directional differences.  The modulus floor
+    # is absolute, and these starts have no node near it.
+    spec, n, h = FunctionalSpec("planar", 32.0), 64, 1e-5
+    grid = default_grid(spec, degree=n)
+    a, _, _ = quadratic_weights(spec, grid)
+    scale = 1.0 / np.sqrt(2.0 * gram_diagonal(grid, a, n))
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        c, d = ((rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale for _ in range(2))
+        vp, vm = (density(ComplexPolynomial(c + t * d), spec, grid).value for t in (h, -h))
+        along = gradient(ComplexPolynomial(c), spec, grid) @ d.view(np.float64)
+        assert abs(along - (vp - vm) / (2.0 * h)) <= 1e-7 * abs(along)
 
 
 def test_gradient_planar_constant_closed_form():

@@ -73,6 +73,30 @@ def test_compare_counts_the_bit_identical_winners():
     assert "4 of 6 winners bit-identical" in lines
 
 
+def _totals(old, new):
+    """Each search's totals line of a compare, by search."""
+    return {line.split(":")[0]: line for line in value_panel.compare(old, new).splitlines() if "rose and" in line}
+
+
+def test_compare_totals_the_fallback_steps():
+    # Each search's totals give the finish's IRLS fallbacks old -> new, where
+    # a cap first shows.
+    totals = _totals([dict(r, fallback_steps=r["seed"]) for r in OLD],
+                     [dict(r, fallback_steps=1000 * r["seed"]) for r in OLD])
+    assert "; capped 0 -> 0; fallback steps 6 -> 6000; single steps 400 -> 400;" in totals["a"]
+    assert "; fallback steps 1 -> 1000;" in totals["b"]
+
+
+def test_compare_reads_a_panel_without_fallback_steps_as_na():
+    # A record without the key, from a panel written before records carried
+    # it, makes its side's total of the search read n/a.
+    new = [dict(r, fallback_steps=2) for r in OLD]
+    assert "; fallback steps n/a -> 8;" in _totals(OLD, new)["a"]
+    assert "; fallback steps n/a -> n/a;" in _totals(OLD, OLD)["b"]
+    totals = _totals(new, new[:5] + [OLD[5]])
+    assert "; fallback steps 8 -> 8;" in totals["a"] and "; fallback steps 4 -> n/a;" in totals["b"]
+
+
 def test_cli_outputs_compare_keeps_counts_apart_from_values():
     # A step count leaving 0 is an infinite relative change; it must not hide
     # the value that moved, and a field one side lacks is named once per

@@ -8,14 +8,16 @@ write one JSON record per search and seed:
 
 List every winner that moved by more than its quad_err between two panels,
 how many of them rose and fell, overall and per search, how many winners
-are bit-identical in both panels, the totals of both, and per search the
-best, median and worst winner over the seeds and how many seeds lie within
-their quad_err of the lowest value in either panel:
+are bit-identical in both panels, the totals of both (capped restarts, the
+finish's IRLS fallback steps, single and double steps, seconds), and per
+search the best, median and worst winner over the seeds and how many seeds
+lie within their quad_err of the lowest value in either panel:
 
     python3 tools/value_panel.py --compare old.json new.json
 
-The searches are those of ``zeropack minimize --restarts 12 --seed S``; the
-checkout's ``src`` is imported, whatever zeropack is installed.
+A panel written before records carried ``fallback_steps`` reads ``n/a``
+there.  The searches are those of ``zeropack minimize --restarts 12 --seed
+S``; the checkout's ``src`` is imported, whatever zeropack is installed.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ def run_panel() -> list[dict]:
                     "quad_err": res.diagnostics.quad_err,
                     "single_steps": single,
                     "double_steps": sum(r["iterations"] for r in res.restarts) - single,
+                    "fallback_steps": sum(r["fallback_iterations"] for r in res.restarts),
                     "capped": res.capped,
                     "tied": res.tied,
                     "seconds": time.perf_counter() - start,
@@ -81,6 +84,11 @@ def distribution(old: list[dict], new: list[dict]) -> list[str]:
     return lines
 
 
+def _add(total, value):
+    """total + value, None once either is None (a record without the key)."""
+    return None if total is None or value is None else total + value
+
+
 def compare(old: list[dict], new: list[dict]) -> str:
     """Winners moved by more than the old quad_err, up or down, bit-identical winners, per-search totals and distributions."""
     before = {(r["search"], r["seed"]): r for r in old}
@@ -90,13 +98,12 @@ def compare(old: list[dict], new: list[dict]) -> str:
         moved = r["value"] - o["value"]
         identical += r["value"] == o["value"]
         t = totals.setdefault(r["search"], {"n": 0, "max_rise_over_quad_err": -float("inf"), "rose": 0, "fell": 0,
-                                            "capped": [0, 0], "double_steps": [0, 0], "single_steps": [0, 0],
-                                            "seconds": [0.0, 0.0]})
+                                            "capped": [0, 0], "fallback_steps": [0, 0], "double_steps": [0, 0],
+                                            "single_steps": [0, 0], "seconds": [0.0, 0.0]})
         t["n"] += 1
         t["max_rise_over_quad_err"] = max(t["max_rise_over_quad_err"], moved / o["quad_err"])
-        for key in ("capped", "double_steps", "single_steps", "seconds"):
-            t[key][0] += o[key]
-            t[key][1] += r[key]
+        for key in ("capped", "fallback_steps", "double_steps", "single_steps", "seconds"):
+            t[key] = [_add(total, record.get(key)) for total, record in zip(t[key], (o, r))]
         if abs(moved) > o["quad_err"]:
             t["rose" if moved > 0 else "fell"] += 1
             lines.append(f"{r['search']} seed {r['seed']}: {o['value']:.9f} -> {r['value']:.9f} "
@@ -105,9 +112,11 @@ def compare(old: list[dict], new: list[dict]) -> str:
     lines.append(f"{rose + fell} winners moved by more than their quad_err: {rose} rose, {fell} fell")
     lines.append(f"{identical} of {len(new)} winners bit-identical")
     for search, t in totals.items():
+        fallback = " -> ".join("n/a" if x is None else str(x) for x in t["fallback_steps"])
         lines.append(f"{search}: {t['rose']} rose and {t['fell']} fell by more than quad_err; max rise "
                      f"{t['max_rise_over_quad_err']:+.3f} x quad_err; capped {t['capped'][0]} -> "
-                     f"{t['capped'][1]}; single steps {t['single_steps'][0]} -> {t['single_steps'][1]}; double steps "
+                     f"{t['capped'][1]}; fallback steps {fallback}; single steps {t['single_steps'][0]} -> "
+                     f"{t['single_steps'][1]}; double steps "
                      f"{t['double_steps'][0]} -> {t['double_steps'][1]}; seconds {t['seconds'][0]:.1f} -> "
                      f"{t['seconds'][1]:.1f}")
     return "\n".join(lines + distribution(old, new)) + "\n"
