@@ -38,6 +38,10 @@ __all__ = [
     "scan_csv",
 ]
 
+# Points of the periodicity check that every cell average runs
+# (QuasiperiodicCandidate.periodicity_residual says why a few suffice).
+PERIODICITY_POINTS = 8
+
 
 def _theta_series(tau: complex, im_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients c_n = (-1)^n e^{i pi tau (n+1/2)^2} and frequencies 2n+1 of theta_1.
@@ -164,19 +168,31 @@ class QuasiperiodicCandidate:
         theta = _theta1(math.pi * z / (2.0 * self.lattice.omega1), self.lattice.tau)
         return self.scale * (np.abs(pref * theta) * np.exp((c * z**2).real - np.abs(z) ** 2 / self.beta)) ** self.beta
 
-    def periodicity_residual(self, n_points: int = 1000, seed: int = 0) -> float:
-        """max |g(z + 2*omega_j) - g(z)| / sup g over a random test grid; NumericError if not finite."""
+    def periodicity_residual(self, n_points: int = PERIODICITY_POINTS, seed: int = 0) -> float:
+        """max |g(z + 2*omega_j) - g(z)| / max g(z) over random cell points z; NumericError if not finite.
+
+        A few points are enough (PERIODICITY_POINTS, 8, by default).  By
+        sigma's quasi-periodicity sigma(z + 2 omega_j) = -e^{2 eta_j (z +
+        omega_j)} sigma(z) (DLMF 23.2), g(z + 2 omega_j) / g(z) = e^{L_j(z)}
+        with L_j(z) = beta Re((2 eta_j + 4 nu omega_j)(z + omega_j))
+        - 4 Re(conj(omega_j) z) - 4 |omega_j|^2, which is real-affine in z:
+        three non-collinear points fix it, and a nonzero L_j shows at almost
+        every point.  With nu off by a real 1e-6 to 1e-9, at theta from 0.1
+        to 3.0, 8 points read 0.88 to 1.05 times the 1000-point residual.
+        z and both shifts go through one envelope call.
+        """
         rng = np.random.default_rng(seed)
         u = rng.uniform(0.0, 1.0, n_points)
         v = rng.uniform(0.0, 1.0, n_points)
-        z = 2.0 * u * self.lattice.omega1 + 2.0 * v * self.lattice.omega2
-        # An overflow or inf - inf here leaves a non-finite residual, refused below.
+        lat = self.lattice
+        z = 2.0 * u * lat.omega1 + 2.0 * v * lat.omega2
+        # Rows: g(z), g(z + 2 omega1), g(z + 2 omega2).  An overflow or inf - inf
+        # here leaves a non-finite residual, refused below.
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self.envelope(z)
-            shifted = np.array([self.envelope(z + 2.0 * w) for w in (self.lattice.omega1, self.lattice.omega2)])
-            res = float(np.max(np.abs(shifted - g))) / max(float(np.max(g)), 1e-300)
+            g = self.envelope(z + np.array([0.0, 2.0 * lat.omega1, 2.0 * lat.omega2])[:, None])
+            res = float(np.max(np.abs(g[1:] - g[0]))) / max(float(np.max(g[0])), 1e-300)
         if not math.isfinite(res):
-            raise NumericError(f"envelope periodicity residual is not finite at theta = {self.lattice.theta}")
+            raise NumericError(f"envelope periodicity residual is not finite at theta = {lat.theta}")
         return res
 
 
@@ -206,14 +222,19 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     That is the candidate's envelope g (QuasiperiodicCandidate.envelope)
     over its scale.  They equal large-disk averages only for a doubly
     periodic g, so a periodicity residual above 1e-8 is a
-    ConfigurationError.  The nodes are z = 2u omega1 + 2v omega2 at
-    u = (i + 1/2)/n_u, v = (j + 1/2)/n_v, off the lattice points where
-    |sigma| is only Lipschitz.  A node's theta argument is pi u + pi tau v,
-    and sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so pref * theta_1
+    ConfigurationError; it is checked at PERIODICITY_POINTS points.  The
+    nodes are z = 2u omega1 + 2v omega2 at u = (i + 1/2)/n_u,
+    v = (j + 1/2)/n_v, off the lattice points where |sigma| is only
+    Lipschitz.  A node's theta argument is pi u + pi tau v, and
+    sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so pref * theta_1
     on the grid is one (n_u x 2T) @ (2T x n_v) product of per-axis sines and
-    cosines.  For a periodic g, beta Re(c z^2) - |z|^2 is a v^2 alone
-    (a = -beta pi Im tau), so e^{a v^2 / beta} scales the product's columns
-    and |f0|^beta e^{-|z|^2} = |product|^beta.
+    cosines.  The column factors come from one complex exponential
+    e = e^{i kb}, as cos(kb) = (e + 1/e)/2 and sin(kb) = (e - 1/e)/(2i),
+    written into one preallocated (2T x n_v) array; complex cos and sin
+    each cost more than the exponential.  For a periodic g,
+    beta Re(c z^2) - |z|^2 is a v^2 alone (a = -beta pi Im tau), so
+    e^{a v^2 / beta} scales the product's columns and
+    |f0|^beta e^{-|z|^2} = |product|^beta.
 
     Only the first ceil(n_u / 2) rows of the grid are formed.  g is even
     (sigma is odd, both Gaussians are even) and doubly periodic, so the node
@@ -224,7 +245,7 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     view of the complex columns.
     """
     n_u, n_v = resolution
-    residual = cand.periodicity_residual(n_points=200)
+    residual = cand.periodicity_residual(n_points=PERIODICITY_POINTS)
     if residual > 1e-8:
         raise ConfigurationError(
             f"candidate envelope is not doubly periodic (residual {residual:.2e}); "
@@ -238,9 +259,19 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
     pref, c = cand._modulus_factors()
     b = math.pi * lat.tau * v
     coeff, k = _theta_series(lat.tau, float(np.max(np.abs(b.imag))))
-    ka, kb = np.multiply.outer(math.pi * u, k), np.multiply.outer(k, b)
+    ka = np.multiply.outer(math.pi * u, k)
     a = 4.0 * (cand.beta * (c * w2 * w2).real - abs(w2) ** 2)
-    right = (2.0 * pref * np.tile(coeff, 2))[:, None] * np.concatenate([np.cos(kb), np.sin(kb)])
+    # Rows 2 pref c_n cos(kb) = pref c_n (e + 1/e), then 2 pref c_n sin(kb) =
+    # -i pref c_n (e - 1/e), with e = e^{i kb}; the sine rows hold 1/e first.
+    terms = len(k)
+    e = np.exp(np.multiply.outer(k, 1j * b))
+    right = np.empty((2 * terms, n_v), dtype=complex)
+    np.divide(1.0, e, out=right[terms:])
+    np.add(e, right[terms:], out=right[:terms])
+    np.subtract(e, right[terms:], out=right[terms:])
+    row = (pref * coeff)[:, None]
+    right[:terms] *= row
+    right[terms:] *= -1j * row
     right *= np.exp(a * v**2 / cand.beta)
     # An overflow here leaves a non-finite mean, refused below.
     with np.errstate(over="ignore", invalid="ignore"):

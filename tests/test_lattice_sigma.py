@@ -209,6 +209,46 @@ def test_nonfinite_periodicity_residual_is_numeric_error():
         cell_average_density(broken, (32, 32))
 
 
+@pytest.mark.parametrize("theta", [0.3, PI / 3, 2.8])
+def test_few_point_check_refuses_a_slightly_misnormalized_candidate(theta):
+    # nu off by 1e-7 leaves g(z + 2 omega_j) / g(z) = e^{L_j(z)} with a small
+    # real-affine L_j: the cell means' few points see it as the dense check
+    # does, and refuse the candidate.
+    cand = abrikosov_candidate(lattice_normalize(theta, 1.0), 1.0)
+    off = QuasiperiodicCandidate(cand.lattice, cand.nu + 1e-7, 1.0)
+    few, dense = off.periodicity_residual(lattice_sigma.PERIODICITY_POINTS), off.periodicity_residual(1000)
+    assert dense > 1e-8 and dense / 2 <= few <= 2 * dense
+    with pytest.raises(ConfigurationError, match="not doubly periodic"):
+        cell_average_density(off, (32, 32))
+
+
+def test_cell_average_evaluates_theta_once(monkeypatch):
+    # The periodicity check evaluates z and both generator shifts in one
+    # envelope call, and the cell means call no point-wise theta_1 at all.
+    calls = []
+    theta1 = lattice_sigma._theta1
+
+    def counted(v, tau):
+        calls.append(np.shape(v))
+        return theta1(v, tau)
+
+    monkeypatch.setattr(lattice_sigma, "_theta1", counted)
+    cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
+    cell_average_density(cand, (64, 64))
+    assert calls == [(3, lattice_sigma.PERIODICITY_POINTS)]
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.8, 1.3])
+def test_mirror_lattices_score_alike(theta):
+    # The lattices at theta and pi - theta are mirror images of each other,
+    # so their cell averages agree.
+    values = [
+        cell_average_density(abrikosov_candidate(lattice_normalize(t, 1.0), 1.0), (128, 128))
+        for t in (theta, PI - theta)
+    ]
+    assert abs(values[0] - values[1]) <= 1e-12 * abs(values[0])
+
+
 def midpoint_nodes(lattice, res):
     """The cell's midpoint nodes 2 u omega1 + 2 v omega2 at u = (i + 1/2)/n_u, v = (j + 1/2)/n_v."""
     u = (np.arange(res[0]) + 0.5) / res[0]
