@@ -36,26 +36,17 @@ from .lattice_sigma import (
 )
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
 from .poly import ComplexPolynomial, poly_eval
-from .quadrature import (
-    Annulus,
-    Disk,
-    QuadratureGrid,
-    build_grid,
-    default_r_cut,
-    integrate,
-)
+from .quadrature import QuadratureGrid, build_grid, integrate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Annulus",
     "ComplexPolynomial",
     "ConfigurationError",
     "CorrectionResult",
     "CutoffSpec",
     "DEFAULT_RESOLUTION",
     "DensityReport",
-    "Disk",
     "FunctionalSpec",
     "GapReport",
     "Lattice",
@@ -73,7 +64,6 @@ __all__ = [
     "dbar_cutoff",
     "default_cutoff",
     "default_grid",
-    "default_r_cut",
     "degree_schedule",
     "density",
     "equality_gap",

@@ -6,7 +6,7 @@ output at a fixed BLAS thread count.  Another thread count can sum in
 another order and move a search to another basin: planar gamma=16 n=42 seed
 7 reads 0.055002 with one BLAS thread and 0.055336 with two.  Exit codes:
 0 success, 2 non-convergence, 3 I/O error, 4 usage error (a bad flag, or a
-ConfigurationError: a bad region, resolution, lattice angle or beta, an
+ConfigurationError: bad panel edges, a bad resolution, lattice angle or beta, an
 unnormalized candidate; in the library also node values of the wrong shape
 given to integrate), 5 numerical error (a NumericError: an underflowing Gram
 diagonal, a non-finite value, a failed Legendre check).  Either error class

@@ -185,7 +185,7 @@ def minimal_correction(
     n = degree_schedule(spec)
     if resolution is None:
         resolution = spec.default_resolution
-    grid = build_grid(spec.support(n), resolution, radial_splits=((1.0 - cut.delta) * cut.r, cut.r))
+    grid = build_grid((0.0, (1.0 - cut.delta) * cut.r, cut.r, spec.support(n)), resolution)
     check_angles(grid, len(f.coeffs))
     n_ang = grid.resolution[1]
     r = grid.radii

@@ -6,7 +6,7 @@ class ZeropackError(ValueError):
 
 
 class ConfigurationError(ZeropackError):
-    """Input the package cannot take: a bad region, lattice, spec, grid or file (CLI exit 4)."""
+    """Input the package cannot take: bad panel edges, a bad lattice, spec, grid or file (CLI exit 4)."""
 
 
 class NumericError(ZeropackError):

@@ -33,14 +33,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .poly import ComplexPolynomial, check_angles, ring_abs_sums, ring_vandermonde, vandermonde
-from .quadrature import (
-    Annulus,
-    Disk,
-    QuadratureGrid,
-    Region,
-    build_grid,
-    default_r_cut,
-)
+from .quadrature import QuadratureGrid, build_grid
 
 __all__ = [
     "FunctionalSpec",
@@ -162,15 +155,17 @@ class FunctionalSpec:
         """The same geometry, parameter and exponent, unstarred and with alpha = 1."""
         return replace(self, starred=False, alpha=1.0)
 
-    def support(self, n: int) -> Region:
-        """Region carrying the weight for degree bound n.
+    def support(self, n: int) -> float:
+        """Radius of the disk carrying the weight for degree bound n.
 
-        The unit disk (hyperbolic), or the plane truncated to the disk past
-        which degree-n polynomial growth is crushed by the Gaussian (planar).
+        1 (hyperbolic), or the radius past which the plane is truncated
+        (planar): degree-(n-1) polynomial growth against exp(-2*gamma*|z|^2)
+        is crushed well below working precision there.
         """
         if self.geometry == HYPERBOLIC:
-            return Disk(1.0)
-        return Disk(default_r_cut(n, self.param))
+            return 1.0
+        n = max(int(n), 1)
+        return max(3.0, math.sqrt((n * math.log(10.0 * n) + 40.0) / (2.0 * self.param)))
 
     def envelope(self, absz):
         """Weight w and measure density m (w.r.t. dA) at |z|, with alpha in force.
@@ -233,9 +228,9 @@ def default_grid(
     if resolution is None:
         resolution = spec.default_resolution
     if not spec.starred:
-        return build_grid(Disk(spec.indicator_radius), resolution)
+        return build_grid((0.0, spec.indicator_radius), resolution)
     n = degree if degree is not None else math.ceil(spec.core_mass) + 10
-    return build_grid(spec.support(n), resolution, radial_splits=(spec.indicator_radius,))
+    return build_grid((0.0, spec.indicator_radius, spec.support(n)), resolution)
 
 
 def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
@@ -244,9 +239,9 @@ def _validate_grid(spec: FunctionalSpec, grid: QuadratureGrid) -> None:
     Hyperbolic: radius in [r, 1], or exactly 1 starred.  Planar: radius >= 1,
     and past the core, > 1, starred.
     """
-    if not isinstance(grid.region, Disk):
-        raise ConfigurationError(f"{spec.geometry} densities need a disk grid, got {grid.region}")
-    radius = grid.region.radius
+    if grid.edges[0] != 0.0:
+        raise ConfigurationError(f"{spec.geometry} densities need a disk grid, got panel edges {grid.edges}")
+    radius = grid.edges[-1]
     if spec.geometry == HYPERBOLIC:
         needed = 1.0 if spec.starred else spec.param
         if radius < needed - 1e-12:
@@ -415,8 +410,7 @@ def boundary_mass(
         raise ConfigurationError(f"delta must lie in (0,1], got {delta}")
     base = spec.undilated
     outer = base.indicator_radius
-    inner = (1.0 - delta) * outer
-    grid = build_grid(Disk(outer) if inner <= 0.0 else Annulus(inner, outer), resolution)
+    grid = build_grid(((1.0 - delta) * outer, outer), resolution)
     w, m = base.envelope(grid.radii)
     return _masses(w, grid.ring_weights * m, *_ring_sums(f, grid, base.beta, slice(None)), base.log_normalizer)
 

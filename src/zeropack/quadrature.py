@@ -1,11 +1,12 @@
-"""Product quadrature rules on rings centred at 0: disks and annuli.
+"""Product quadrature rules on rings centred at 0, described by their radial panel edges.
 
 All rules integrate against the normalized area measure dA = dx dy / pi, so the
-total weight of a disk of radius r is r**2.  The radial direction uses
-Gauss-Legendre nodes applied to the measure 2 r dr (optionally split at interior
-breakpoints so that integrands with circular seams stay piecewise smooth); the
-angular direction is equispaced, which integrates trigonometric polynomials of
-degree below the angular count exactly.
+total weight of a disk of radius r is r**2.  A grid is given by its panel
+edges: (0, R) is the disk of radius R, (a, b) with a > 0 the annulus between
+them, and every inner edge splits the radial interval so that integrands with
+circular seams stay piecewise smooth.  Each panel carries Gauss-Legendre nodes
+applied to the measure 2 r dr; the angular direction is equispaced, which
+integrates trigonometric polynomials of degree below the angular count exactly.
 """
 
 from __future__ import annotations
@@ -21,38 +22,22 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConfigurationError, NumericError
 
 __all__ = [
-    "Disk",
-    "Annulus",
     "QuadratureGrid",
     "build_grid",
     "integrate",
-    "default_r_cut",
 ]
-
-
-@dataclass(frozen=True)
-class Disk:
-    radius: float = 1.0
-
-
-@dataclass(frozen=True)
-class Annulus:
-    r_in: float
-    r_out: float
-
-
-Region = Disk | Annulus
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Rings centred at 0 with n_ang equispaced angles, w.r.t. dA = dx dy / pi.
 
-    Ring j carries the n_ang nodes ``radii[j] * phases``, each of weight
-    ``ring_weights[j]``; ``nodes`` and ``weights`` are derived on first use.
+    edges are the sorted, distinct radial panel edges.  Ring j carries the
+    n_ang nodes ``radii[j] * phases``, each of weight ``ring_weights[j]``;
+    ``nodes`` and ``weights`` are derived on first use.
     """
 
-    region: Region
+    edges: tuple[float, ...]
     resolution: tuple[int, int]
     radii: np.ndarray
     ring_weights: np.ndarray
@@ -102,34 +87,21 @@ def _radial_rule(edges: Sequence[float], n: int) -> tuple[np.ndarray, np.ndarray
     return r.ravel(), (w * (0.5 * (b - a)) * 2.0 * r).ravel()
 
 
-def build_grid(
-    region: Region,
-    resolution: tuple[int, int],
-    radial_splits: Sequence[float] = (),
-) -> QuadratureGrid:
-    """Build a product rule for the region.
+def build_grid(edges: Sequence[float], resolution: tuple[int, int]) -> QuadratureGrid:
+    """Build the product rule on the radial panels between consecutive edges.
 
-    ``radial_splits`` lists interior radii at which the radial interval is
-    subdivided; each sub-interval receives the full radial node count.  Grids
-    that share a radial splitting are exactly additive across the split.
+    The edges are sorted and repeats dropped, so a split on the rim is no
+    split.  Each panel receives the full radial node count; grids that share
+    an edge are exactly additive across it.
     """
     n_rad, n_ang = resolution
     if n_rad < 1 or n_ang < 1:
         raise ConfigurationError(f"resolution must be >= 1, got {resolution}")
-
-    if isinstance(region, Disk):
-        if region.radius <= 0:
-            raise ConfigurationError(f"disk radius must be positive, got {region.radius}")
-        a, b = 0.0, region.radius
-    elif isinstance(region, Annulus):
-        if not 0 < region.r_in < region.r_out:
-            raise ConfigurationError(f"annulus needs 0 < r_in < r_out, got {region}")
-        a, b = region.r_in, region.r_out
-    else:
-        raise ConfigurationError(f"unknown region {region!r}")
-
-    radii, wr = _radial_rule([a, *sorted(s for s in radial_splits if a < s < b), b], n_rad)
-    return QuadratureGrid(region, tuple(resolution), radii, wr / n_ang)
+    distinct = tuple(sorted({float(e) for e in edges}))
+    if len(distinct) < 2 or distinct[0] < 0.0 or not all(map(math.isfinite, distinct)):
+        raise ConfigurationError(f"panel edges need two distinct finite radii from 0 up, got {tuple(edges)}")
+    radii, wr = _radial_rule(distinct, n_rad)
+    return QuadratureGrid(distinct, tuple(resolution), radii, wr / n_ang)
 
 
 def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray] | np.ndarray) -> float:
@@ -148,15 +120,3 @@ def integrate(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray
         raise NumericError(f"non-finite integrand value at node {grid.nodes[bad]}", node=grid.nodes[bad])
     ring_sums = np.reshape(np.real(values), (len(grid.radii), grid.resolution[1])).sum(axis=1)
     return float(grid.ring_weights @ ring_sums)
-
-
-def default_r_cut(n: int, gamma: float) -> float:
-    """Truncation radius for plane integrals against exp(-2*gamma*|z|^2).
-
-    Chosen so that degree-(n-1) polynomial growth is crushed by the Gaussian
-    well below working precision at the cut.
-    """
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
-    n = max(int(n), 1)
-    return max(3.0, math.sqrt((n * math.log(10.0 * n) + 40.0) / (2.0 * gamma)))

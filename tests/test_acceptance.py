@@ -12,10 +12,8 @@ import warnings
 import numpy as np
 
 from zeropack import (
-    Annulus,
     ComplexPolynomial,
     CutoffSpec,
-    Disk,
     FunctionalSpec,
     OptimizerConfig,
     abrikosov_candidate,
@@ -106,7 +104,7 @@ def test_criterion_04_star_identity():
         spec_s = FunctionalSpec("hyperbolic", r, starred=True)
         grid_u = default_grid(spec_u)
         grid_s = default_grid(spec_s)
-        ann = build_grid(Annulus(r, 1.0), grid_u.resolution)
+        ann = build_grid((r, 1.0), grid_u.resolution)
         L = math.log(1.0 / (1.0 - r * r))
         for f in rand_polys(404, 100, 9):
             vu = density(f, spec_u, grid_u).value
@@ -140,7 +138,7 @@ def test_criterion_06_cutoff_bounds():
     details = []
     for delta, r in ((0.1, 0.9), (0.3, 1.0), (0.05, 0.7)):
         spec = CutoffSpec(delta, r)
-        grid = build_grid(Annulus((1 - delta) * r, r), (128, 16))
+        grid = build_grid(((1 - delta) * r, r), (128, 16))
         l2 = integrate(grid, lambda z: np.abs(dbar_cutoff(z, spec)) ** 2)
         s = np.linspace((1 - delta) * r, r, 2000)
         sup = float(np.max(np.abs(dbar_cutoff(s + 0j, spec)) ** 2))
@@ -250,7 +248,7 @@ def test_criterion_11_elliptic_suite():
 def test_criterion_12_quadrature_identity():
     worst = 0.0
     for r in (0.5, 0.9, 0.99):
-        grid = build_grid(Disk(r), (160, 32))
+        grid = build_grid((0, r), (160, 32))
         val = integrate(grid, lambda z: 1.0 / (1.0 - np.abs(z) ** 2))
         worst = max(worst, abs(val - math.log(1.0 / (1.0 - r * r))))
     ok = worst < 1e-10

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from zeropack import (
-    Annulus,
     ComplexPolynomial,
     ConfigurationError,
     CutoffSpec,
-    Disk,
     FunctionalSpec,
     NumericError,
     OptimizerConfig,
@@ -19,7 +17,6 @@ from zeropack import (
     dbar_cutoff,
     default_cutoff,
     default_grid,
-    default_r_cut,
     degree_schedule,
     density,
     equality_gap,
@@ -94,7 +91,7 @@ def test_dbar_cutoff_pointwise_bound(delta, r):
 def test_dbar_cutoff_l2_bound(delta, r):
     # Closed form of the ramp: ||dbar chi||^2 = 2/(3 delta) - 1/2 <= 4/delta.
     spec = CutoffSpec(delta=delta, r=r)
-    grid = build_grid(Annulus((1 - delta) * r, r), (128, 16))
+    grid = build_grid(((1 - delta) * r, r), (128, 16))
     val = integrate(grid, lambda z: np.abs(dbar_cutoff(z, spec)) ** 2)
     assert val <= 4.0 / delta
     assert abs(val - (2.0 / (3.0 * delta) - 0.5)) < 1e-10
@@ -111,7 +108,7 @@ def test_dbar_cutoff_radial_direction(rng):
 
 
 def test_project_idempotent_on_polynomials(rng):
-    grid = build_grid(Disk(1), (96, 64))
+    grid = build_grid((0, 1), (96, 64))
     for _ in range(5):
         p = random_poly(rng, 5)
         q = project_polynomial(lambda z: poly_eval(p, z), HYP, 8, grid)
@@ -123,7 +120,7 @@ def test_project_idempotent_planar_degree_64(rng):
     # The Gram diagonal spans 68 orders of magnitude here, far beyond what a
     # dense solve of the normal equations can resolve.
     n = 64
-    grid = build_grid(Disk(default_r_cut(n, 1.0)), (128, 256))
+    grid = build_grid((0, planar(1.0).support(n)), (128, 256))
     weight = np.exp(-2.0 * grid.radii**2) * grid.ring_weights
     scales = 1.0 / np.sqrt(gram_diagonal(grid, weight, n))
     raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -132,13 +129,25 @@ def test_project_idempotent_planar_degree_64(rng):
     assert np.max(np.abs((q.coeffs - p.coeffs) / scales)) < 1e-10 * np.max(np.abs(raw))
 
 
+def test_rim_cut_is_one_edge():
+    # A hyperbolic cut-off at r = 1 puts its outer seam on the support's rim:
+    # the grid keeps two panels, and the bound's sides keep their values.
+    result = minimal_correction(
+        ComplexPolynomial([1, 0.3, 0.1]), FunctionalSpec("hyperbolic", 0.8), CutoffSpec(0.1, 1.0), (64, 64)
+    )
+    assert result.grid.edges == (0.0, 0.9, 1.0)
+    assert result.grid.radii.shape == (128,)
+    for value, ref in ((result.lhs, 0.0072576488374283986), (result.rhs, 0.02314767819757761)):
+        assert abs(value - ref) <= 1e-15 * ref
+
+
 def test_project_rejects_non_ring_grids():
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        project_polynomial(lambda z: z, HYP, 20, build_grid(Disk(1), (32, 16)))
+        project_polynomial(lambda z: z, HYP, 20, build_grid((0, 1), (32, 16)))
 
 
 def test_project_rejects_values_of_the_wrong_shape():
-    grid = build_grid(Disk(1), (16, 16))
+    grid = build_grid((0, 1), (16, 16))
     values = np.ones(16 * 16, dtype=complex)
     assert np.all(np.isfinite(project_polynomial(values, HYP, 4, grid).coeffs))
     for bad in (values[:-1], values.reshape(16, 16), np.ones(17 * 16)):
@@ -148,13 +157,13 @@ def test_project_rejects_values_of_the_wrong_shape():
 
 def test_project_antiholomorphic_to_zero():
     n = 4
-    grid = build_grid(Disk(default_r_cut(n, 1.0)), (96, 64))
+    grid = build_grid((0, planar(1.0).support(n)), (96, 64))
     q = project_polynomial(lambda z: np.conj(z), planar(1.0), n, grid)
     assert np.max(np.abs(q.coeffs)) < 1e-12
 
 
 def test_project_orthogonality_residuals(rng):
-    grid = build_grid(Disk(1), (96, 64))
+    grid = build_grid((0, 1), (96, 64))
     n = 6
     wv = (1 - np.abs(grid.nodes) ** 2) * grid.weights
     for _ in range(5):
@@ -376,7 +385,7 @@ def test_equality_gap_planar_proof_component_chains():
     # Cross/quadratic u-term against lhs + 2*sqrt(L2 mass of chi*f)*sqrt(lhs);
     # the chi*f mass is at most the full weighted mass of f over the disk.
     f = rep.minimize_result.minimizer
-    grid = build_grid(Disk(1), (128, 128))
+    grid = build_grid((0, 1), (128, 128))
     f_mass = integrate(grid, lambda z: np.abs(poly_eval(f, z)) ** 2 * np.exp(-2 * gamma * np.abs(z) ** 2))
     assert rep.l2_perturbation <= lhs + 2.0 * math.sqrt(f_mass * lhs) + 1e-12
     assert rep.exterior_mass_u < 0.05
@@ -529,7 +538,7 @@ def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch):
         rep = equality_gap(spec, OptimizerConfig(restarts=2), (32, 33))
         assert math.isfinite(rep.gap)
     with pytest.raises(AssertionError, match="built its nodes"):
-        build_grid(Disk(1), (8, 8)).nodes
+        build_grid((0, 1), (8, 8)).nodes
 
 
 def test_gap_pipeline_takes_u_to_no_node(monkeypatch, rng):

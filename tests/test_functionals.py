@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from zeropack import (
-    Annulus,
     ComplexPolynomial,
     ConfigurationError,
-    Disk,
     FunctionalSpec,
     NumericError,
     boundary_mass,
     build_grid,
     default_grid,
-    default_r_cut,
     density,
     gradient,
     integrate,
@@ -88,7 +85,7 @@ def test_hyperbolic_star_identity(rng):
     spec_s = FunctionalSpec("hyperbolic", r, starred=True)
     grid_u = default_grid(spec_u)
     grid_s = default_grid(spec_s)
-    ann = build_grid(Annulus(r, 1.0), grid_u.resolution)
+    ann = build_grid((r, 1.0), grid_u.resolution)
     for _ in range(20):
         f = random_poly(rng, 9)
         vu = density(f, spec_u, grid_u).value
@@ -120,34 +117,34 @@ def test_starred_grid_requirements():
     hyp, hyp_s = FunctionalSpec("hyperbolic", 0.8), FunctionalSpec("hyperbolic", 0.8, starred=True)
     pl, pl_s = FunctionalSpec("planar", 2.0), FunctionalSpec("planar", 2.0, starred=True)
     refused = [
-        (hyp_s, Disk(0.8)),
-        (hyp, Disk(1.2)),
-        (hyp, Annulus(0.3, 0.9)),
-        (pl, Annulus(0.3, 2.0)),
-        (pl_s, Annulus(0.3, 4.0)),
-        (pl, Disk(0.5)),
-        (pl_s, Disk(0.5)),
-        (pl_s, Disk(1)),
+        (hyp_s, (0, 0.8)),
+        (hyp, (0, 1.2)),
+        (hyp, (0.3, 0.9)),
+        (pl, (0.3, 2.0)),
+        (pl_s, (0.3, 4.0)),
+        (pl, (0, 0.5)),
+        (pl_s, (0, 0.5)),
+        (pl_s, (0, 1)),
     ]
     one = ComplexPolynomial([1.0])
-    for spec, region in refused:
-        grid = build_grid(region, (32, 32))
+    for spec, edges in refused:
+        grid = build_grid(edges, (32, 32))
         with pytest.raises(ConfigurationError):
             density(one, spec, grid)
         with pytest.raises(ConfigurationError):
             gradient(one, spec, grid)
-    for spec, region in ((hyp, Disk(0.8)), (hyp, Disk(1)), (hyp_s, Disk(1)), (pl, Disk(1)), (pl, Disk(3))):
-        assert density(one, spec, build_grid(region, (32, 32))).value >= 0.0
-    # The starred planar support is the disk of radius default_r_cut.
+    for spec, edges in ((hyp, (0, 0.8)), (hyp, (0, 1)), (hyp_s, (0, 1)), (pl, (0, 1)), (pl, (0, 3))):
+        assert density(one, spec, build_grid(edges, (32, 32))).value >= 0.0
+    # The starred planar support is the disk of radius support(n), split at the core.
     n = 4
-    grid = build_grid(Disk(default_r_cut(n, 2.0)), (32, 32), radial_splits=(1.0,))
+    grid = build_grid((0, 1.0, pl_s.support(n)), (32, 32))
     assert density(one, pl_s, grid).value == density(one, pl_s, default_grid(pl_s, (32, 32), degree=n)).value
 
 
 def test_ell_zero_and_constant():
     r = 0.6
     spec = FunctionalSpec("hyperbolic", r)
-    grid = build_grid(Disk(r), (96, 64))
+    grid = build_grid((0, r), (96, 64))
     rep = density(ZERO, spec, grid)
     assert rep.ell1 == 0.0
     assert rep.ell2 == 0.0
@@ -171,7 +168,7 @@ def test_boundary_mass_full_layer_is_density_ell(rng):
         FunctionalSpec("planar", 2.0),
         FunctionalSpec("planar", 2.0, beta=2.0),
     ):
-        grid = build_grid(Disk(spec.indicator_radius), res)
+        grid = build_grid((0, spec.indicator_radius), res)
         for _ in range(3):
             f = random_poly(rng, 6)
             rep = density(f, spec, grid)
@@ -208,7 +205,7 @@ def test_core_mass_is_laplacian_mass():
     # The degree schedule and the obstacle's outer flux both read the core
     # mass, the integral of the Laplacian factor dd-bar phi over the core disk.
     for spec in (FunctionalSpec("hyperbolic", 0.9), FunctionalSpec("planar", 8.0)):
-        grid = build_grid(Disk(spec.indicator_radius), (64, 8))
+        grid = build_grid((0, spec.indicator_radius), (64, 8))
         mass = integrate(grid, np.broadcast_to(spec.laplacian(np.abs(grid.nodes)), grid.nodes.shape))
         assert abs(mass - spec.core_mass) < 1e-10 * spec.core_mass
 
@@ -244,7 +241,7 @@ def test_density_dilated_substitution_identity(rng):
     # the shrunken disk D(0, (1-d) r).
     r, d = 0.8, 0.2
     rp = (1 - d) * r
-    grid = build_grid(Disk(rp), (128, 128))
+    grid = build_grid((0, rp), (128, 128))
     for _ in range(5):
         f = random_poly(rng, 6)
         g = ComplexPolynomial(f.coeffs * (1 - d) ** np.arange(6))
@@ -262,7 +259,7 @@ def test_density_dilated_substitution_identity(rng):
 def test_planar_dilated_formula(rng):
     # rho_{C,gamma,alpha}(f) = int_D (|f| e^{-alpha gamma |z|^2} - 1)^2 dA.
     g, a = 2.0, 0.8
-    grid = build_grid(Disk(1), (96, 96))
+    grid = build_grid((0, 1), (96, 96))
     for _ in range(5):
         f = random_poly(rng, 5)
         lhs = density(f, FunctionalSpec("planar", g, alpha=a), grid).value
@@ -409,7 +406,7 @@ def test_ell_equality_at_minimizer_standalone():
     spec = FunctionalSpec("hyperbolic", r)
     res = minimize(spec, degree_schedule(spec), OptimizerConfig(restarts=3, seed=1))
     assert res.converged
-    rep = density(res.minimizer, spec, build_grid(Disk(r), (128, 128)))
+    rep = density(res.minimizer, spec, build_grid((0, r), (128, 128)))
     e1, e2 = rep.ell1, rep.ell2
     assert abs(e1 - e2) < 1e-5
     assert abs(res.value - (1.0 - e1)) < 1e-5
@@ -483,7 +480,7 @@ def _node_masses(f, spec, grid):
 def _node_boundary_masses(f, spec, delta, resolution):
     base = spec.undilated
     R = base.indicator_radius
-    grid = build_grid(Annulus((1.0 - delta) * R, R), resolution)
+    grid = build_grid(((1.0 - delta) * R, R), resolution)
     w, m = _node_envelope(base, np.abs(grid.nodes))
     wf = w * np.abs(poly_eval(f, grid.nodes)) ** base.beta
     return tuple(float(np.sum(wf**k * m * grid.weights)) / base.log_normalizer for k in (1, 2))

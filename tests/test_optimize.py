@@ -8,7 +8,6 @@ import pytest
 from zeropack import (
     ComplexPolynomial,
     ConfigurationError,
-    Disk,
     FunctionalSpec,
     OptimizerConfig,
     build_grid,
@@ -144,7 +143,7 @@ def test_value_reported_on_the_searched_grid():
     # A caller's grid, split where the default grid is not, is the grid the
     # winner is scored on: the reported value is the winning restart's.
     spec = FunctionalSpec("planar", 4.0)
-    grid = build_grid(Disk(1.0), (48, 66), radial_splits=(0.5,))
+    grid = build_grid((0, 0.5, 1.0), (48, 66))
     res = minimize(spec, 8, OptimizerConfig(restarts=4, seed=1), grid)
     assert abs(res.value - min(res.restart_values)) <= 1e-12
     assert res.value == density(res.minimizer, spec, grid).value
@@ -190,10 +189,10 @@ def test_minimize_validation():
         minimize(FunctionalSpec("planar", 1.0, beta=2.0), 2)
     # a hyperbolic grid must stay inside the unit disk
     with pytest.raises(ConfigurationError):
-        minimize(FunctionalSpec("hyperbolic", 0.8), 2, grid=build_grid(Disk(3.0), (32, 32)))
+        minimize(FunctionalSpec("hyperbolic", 0.8), 2, grid=build_grid((0, 3.0), (32, 32)))
     # 16 equispaced angles cannot integrate |f|^2 exactly for 20 coefficients
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        minimize(FunctionalSpec("planar", 8.0), 20, grid=build_grid(Disk(1), (32, 16)))
+        minimize(FunctionalSpec("planar", 8.0), 20, grid=build_grid((0, 1), (32, 16)))
     with pytest.raises(ConfigurationError, match="restarts"):
         OptimizerConfig(restarts=0)
     # A negative seed would reach numpy's default_rng as a negative seed*7919 + r.

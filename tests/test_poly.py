@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from zeropack import (
-    Annulus,
     ComplexPolynomial,
     ConfigurationError,
-    Disk,
     FunctionalSpec,
     build_grid,
-    default_r_cut,
     integrate,
     poly_eval,
     project_polynomial,
@@ -61,7 +58,7 @@ def dbar_gram(spec, n, grid):
 
 def test_gram_hyperbolic_diagonal():
     # Oracle: 2*int_0^1 r^(2j+1) (1-r^2) dr = 1/((j+1)(j+2)).
-    grid = build_grid(Disk(1), (128, 64))
+    grid = build_grid((0, 1), (128, 64))
     G = dbar_gram(HYP, 16, grid)
     for j in range(16):
         assert abs(G[j] - 1.0 / ((j + 1) * (j + 2))) < 1e-10
@@ -70,7 +67,7 @@ def test_gram_hyperbolic_diagonal():
 def test_gram_planar_diagonal_factorials():
     # Oracle: Gaussian moments, 2*int_0^inf r^(2j+1) e^{-2 gamma r^2} dr = j!/(2 gamma)^(j+1).
     for gamma, n in ((0.5, 11), (8.0, 26)):
-        grid = build_grid(Disk(default_r_cut(n, gamma)), (160, 64))
+        grid = build_grid((0, planar(gamma).support(n)), (160, 64))
         G = dbar_gram(planar(gamma), n, grid)
         for j in range(n):
             exact = math.factorial(j) / (2.0 * gamma) ** (j + 1)
@@ -86,39 +83,39 @@ def _dense_gram(spec, n, grid):
 
 
 _DENSE_CASES = (
-    (HYP, 64, Disk(1)),
-    (planar(8.0), 26, Disk(default_r_cut(26, 8.0))),
+    (HYP, 64, (0, 1)),
+    (planar(8.0), 26, (0, planar(8.0).support(26))),
 )
 
 
 def test_gram_offdiagonal_zero():
-    grid = build_grid(Disk(1), (64, 64))
+    grid = build_grid((0, 1), (64, 64))
     dense = _dense_gram(HYP, 8, grid)
     off = dense - np.diag(np.diag(dense))
     assert np.max(np.abs(off)) < 1e-12
     assert np.allclose(dbar_gram(HYP, 8, grid), np.real(np.diag(dense)), rtol=1e-14, atol=0)
 
-    for spec, n, region in _DENSE_CASES:
-        dense = _dense_gram(spec, n, build_grid(region, (128, 256)))
+    for spec, n, edges in _DENSE_CASES:
+        dense = _dense_gram(spec, n, build_grid(edges, (128, 256)))
         d = np.real(np.diag(dense))
         off = np.abs(dense - np.diag(np.diag(dense)))
         assert np.all(off <= 1e-14 * np.sqrt(np.outer(d, d)))
 
 
 def test_gram_hermitian_cholesky_degree_64(rng):
-    grid = build_grid(Disk(1), (128, 256))
+    grid = build_grid((0, 1), (128, 256))
     dense = _dense_gram(HYP, 64, grid)
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-14
     np.linalg.cholesky(dense)  # PD with the default grids
     assert np.all(dbar_gram(HYP, 64, grid) > 0)
 
-    gp = build_grid(Disk(default_r_cut(64, 1.0)), (128, 256))
+    gp = build_grid((0, planar(1.0).support(64)), (128, 256))
     np.linalg.cholesky(_dense_gram(planar(1.0), 64, gp))
     assert np.all(dbar_gram(planar(1.0), 64, gp) > 0)
 
     # The diagonal divide agrees with a general solve of the dense system.
-    for spec, n, region in _DENSE_CASES:
-        grid = build_grid(region, (128, 256))
+    for spec, n, edges in _DENSE_CASES:
+        grid = build_grid(edges, (128, 256))
         dense = _dense_gram(spec, n, grid)
         G = dbar_gram(spec, n, grid)
         rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -128,11 +125,11 @@ def test_gram_hermitian_cholesky_degree_64(rng):
 
 def test_gram_rejects_non_ring_grids():
     with pytest.raises(ConfigurationError, match="at least 20 angles"):
-        dbar_gram(HYP, 20, build_grid(Disk(1), (32, 16)))
+        dbar_gram(HYP, 20, build_grid((0, 1), (32, 16)))
 
 
 def test_norm_via_gram_matches_integral(rng):
-    grid = build_grid(Disk(1), (96, 96))
+    grid = build_grid((0, 1), (96, 96))
     n = 9
     G = dbar_gram(HYP, n, grid)
     for _ in range(5):
@@ -143,7 +140,7 @@ def test_norm_via_gram_matches_integral(rng):
 
 def test_gram_weight_grid_mismatch():
     # The hyperbolic weight has no support off the unit disk.
-    grid = build_grid(Disk(4.0), (32, 32))
+    grid = build_grid((0, 4.0), (32, 32))
     with pytest.raises(ConfigurationError, match="support"):
         project_polynomial(lambda z: z, HYP, 4, grid)
     with pytest.raises(ConfigurationError):
@@ -160,13 +157,13 @@ def test_serialization_roundtrip(rng):
 
 
 @pytest.mark.parametrize(
-    "region, splits",
-    [(Disk(1), ()), (Annulus(0.3, 0.9), ()), (Disk(4.0), (1.0, 2.5))],
+    "edges",
+    [(0, 1), (0.3, 0.9), (0, 1.0, 2.5, 4.0)],
     ids=["disk", "annulus", "split-plane"],
 )
-def test_ring_product_matches_dense(rng, region, splits):
+def test_ring_product_matches_dense(rng, edges):
     n_ang = 24
-    grid = build_grid(region, (20, n_ang), radial_splits=splits)
+    grid = build_grid(edges, (20, n_ang))
     out = np.empty(len(grid.nodes), dtype=np.complex64)
     for n in (1, 16, n_ang + 5):
         dense = vandermonde(grid.nodes, n)
