@@ -16,9 +16,9 @@ and every few restarts the full space.
 
 A restart is one descent that switches precision once: a short burn-in of
 at most BURN_IN IRLS steps in single precision, each 0.6 to 0.9 of a double
-step's time on the default grids, brings the iterate into a basin, secant
-jumps included, and a Newton finish in double takes it to a stationary
-point there: near a minimizer with no zero on a node the density is C^2 in
+step's time on the default grids (in double on a grid whose numbers float32
+cannot hold), brings the iterate into a basin, secant jumps included, and a
+Newton finish in double takes it to a stationary point there: near a minimizer with no zero on a node the density is C^2 in
 the coefficients, and a modified-Hessian Newton method (Nocedal & Wright,
 Numerical Optimization, 2nd ed., section 3.4) converges quadratically where
 IRLS steps converge linearly.  Every number reported comes from the finish.
@@ -107,6 +107,9 @@ class MinimizeResult:
     # coefficient takes no step: every count is 0, min_curvature is None and
     # its stop is stationary.
     restarts: list[dict]
+    # The precision of every burn-in's node arithmetic: "single", or "double"
+    # on a grid where float32 cannot hold the node values (_burn_in_precision).
+    burn_in_precision: str
 
     @property
     def restart_values(self) -> list[float]:
@@ -197,6 +200,8 @@ class _Workspace:
         # The reweighting's numerators, at the node arithmetic's precision.
         self.node_wt = self.b_wt
         self.diagonal = gram_diagonal(grid, a, n)[j::m]
+        # The Newton solve's coordinates sqrt(G) c are these times c's real pairs.
+        self.scale = np.repeat(1.0 / np.sqrt(self.diagonal), 2)
         # Factors built through this module's own vandermonde binding, which
         # bench/check_tracer.py expects to see called under minimize.
         self.V = RingVandermonde(
@@ -266,20 +271,21 @@ class _Workspace:
     def derivatives(self, it: _Iterate) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and Hessian of the unscaled value A - 2B + C at a rescaled iterate.
 
-        The gradient g is complex, d/dRe c + i d/dIm c: 2(G c - V^H(b u)) with
-        u = f/|f|, from the IRLS step's adjoint.  The Hessian is real, over
-        (Re c_0, Im c_0, Re c_1, ...), the layout of g viewed as real pairs
-        and of functionals.gradient.  |f + df| has the second-order part
+        The gradient g is complex, d/dRe c + i d/dIm c: 2(G c - V^H(b u))
+        with u = f/|f|.  The Hessian is real, over (Re c_0, Im c_0, Re c_1,
+        ...), the layout of g viewed as real pairs and of
+        functionals.gradient.  |f + df| has the second-order part
         (|df|^2 - Re(conj(u)^2 df^2)) / (2|f|), so with W = b/|f| the Hessian
         is the real matrix of the quadratic form
         dc^H (2G - M) dc + Re(dc^T N dc),  M = V^H W V,  N = V^T W conj(u)^2 V,
-        and each of M and N takes one ring product.  It overwrites the node
-        arrays of the slot the iterate does not use.
+        and each of M and N takes one ring product.  Since f = V c, the
+        gradient's V^H(b u) = V^H W f is M c: it takes no ring product of its
+        own.  It overwrites the node arrays of the slot the iterate does not
+        use.
         """
         other = 1 - it.slot
         inverse = np.reciprocal(np.maximum(it.af, MODULUS_FLOOR, out=self.af[other]), out=self.af[other])
         weight = np.multiply(self.b_wt, inverse, out=self.scratch)
-        g = 2.0 * (self.diagonal * it.c - self.V.adjoint(np.multiply(it.fz, weight, out=self.fz[other])))
         # fz belongs to c/s, and a rescaled iterate has A = B = s * sum b|fz|:
         # W is weight/s.
         s = float(np.vdot(it.c, self.diagonal * it.c).real) / float(np.dot(self.b_wt, it.af))
@@ -292,12 +298,18 @@ class _Workspace:
         total, diff, lower = self.pair_index
         m = differences[total, diff]
         m[lower] = m[lower].conj()
-        n = np.einsum("sa,sa->s", sums, self.sum_waves)[total].conj() / s
         h = m / -s
-        h.flat[:: len(h) + 1] += 2.0 * self.diagonal
+        # fz = V c / s, so the gradient's V^H(b u) = V^H(weight fz) is M c.
+        g = 2.0 * (self.diagonal * it.c + h @ it.c)
+        n = (np.einsum("sa,sa->s", sums, self.sum_waves).conj() / s)[total]
+        k = len(h)
+        h.flat[:: k + 1] += 2.0 * self.diagonal
         # The rows d/dRe c_p and d/dIm c_p are conj(2G - M + N) and i conj(2G - M - N), as real pairs.
-        pairs = (np.conj(h + n).view(np.float64), (1j * np.conj(h - n)).view(np.float64))
-        return g, np.stack(pairs, axis=1).reshape(2 * len(h), 2 * len(h))
+        plus, minus = h + n, h - n
+        hessian = np.empty((k, 2, k, 2))
+        hessian[:, 0, :, 0], hessian[:, 0, :, 1] = plus.real, -plus.imag
+        hessian[:, 1, :, 0], hessian[:, 1, :, 1] = minus.imag, minus.real
+        return g, hessian.reshape(2 * k, 2 * k)
 
     def newton_direction(self, it: _Iterate) -> tuple[np.ndarray, float, np.ndarray]:
         """The saddle-free Newton direction d at a rescaled iterate, the drop its model predicts, and the curvature.
@@ -313,16 +325,27 @@ class _Workspace:
         the floor raised those whose modulus is below NEWTON_FLOOR.
         """
         g, hessian = self.derivatives(it)
-        scale = np.repeat(1.0 / np.sqrt(self.diagonal), 2)
+        scale = self.scale
         phase = (1j * it.c).view(np.float64) / scale
-        project = np.eye(len(phase)) - np.outer(phase, phase / np.dot(phase, phase))
-        lam, vec = np.linalg.eigh(project @ (scale[:, None] * hessian * scale) @ project)
-        largest = np.max(np.abs(lam))
+        phase /= np.linalg.norm(phase)
+        # (I - p p^T) H (I - p p^T) for the unit phase direction p is
+        # H - p w^T - w p^T with w = H p - (p.H p / 2) p.
+        hessian = scale[:, None] * hessian * scale
+        w = hessian @ phase
+        w -= 0.5 * np.dot(phase, w) * phase
+        pw = np.outer(phase, w)
+        hessian -= pw
+        hessian -= pw.T
+        lam, vec = np.linalg.eigh(hessian)
+        # eigh sorts the eigenvalues ascending.
+        largest = max(-lam[0], lam[-1])
         # The phase direction's eigenvector is the one most parallel to it.
         curvature = np.delete(lam, np.argmax(np.abs(phase @ vec))) / largest
         lam = np.maximum(np.abs(lam), NEWTON_FLOOR * largest)
-        along = vec.T @ (project @ (scale * g.view(np.float64)))
-        d = -(scale * (project @ (vec @ (along / lam)))).view(complex)
+        step = scale * g.view(np.float64)
+        along = vec.T @ (step - np.dot(phase, step) * phase)
+        step = vec @ (along / lam)
+        d = -(scale * (step - np.dot(phase, step) * phase)).view(complex)
         return d, 0.5 * float(np.sum(along**2 / lam)), curvature
 
 
@@ -376,8 +399,10 @@ def _burn_in(ws: _Workspace, c: np.ndarray) -> tuple[_Iterate, int, int]:
 def _descend(workspaces: tuple[_Workspace, _Workspace], c: np.ndarray):
     """Coefficients, value and step counts of one restart's descent.
 
-    ``workspaces`` are a single-precision twin and its double workspace.  The
-    burn-in (_burn_in) runs on the twin, and the Newton finish (_finish) on
+    ``workspaces`` are the burn-in's and the finish's: a single-precision
+    twin and its double workspace, or the double workspace twice where
+    float32 cannot hold the grid's numbers (_burn_in_precision).  The
+    burn-in (_burn_in) runs on the first, and the Newton finish (_finish) on
     the double one, from the burn-in's iterate rescaled there; the finish's
     value and stop are the restart's, and every stop but the cap counts as
     converged.  The step counts are iterations, the burn-in's
@@ -446,6 +471,29 @@ def _finish(ws: _Workspace, it: _Iterate, iterations: int) -> tuple[_Iterate, di
     return it, counts
 
 
+def _burn_in_precision(grid: QuadratureGrid, diagonal: np.ndarray) -> str:
+    """The precision of a burn-in on grid, whose Gram diagonal is ``diagonal``: "single" where float32 holds it, else "double".
+
+    The single-precision twin holds the radial factors r^k, at most R^(n-1)
+    for the grid's largest radius R, and the node values: by Cauchy-Schwarz
+    |f| <= sqrt(A) sqrt(sum_k R^(2k) / G_k) on the grid, with A = c^H G c
+    about n at a start and at most C = 1 after a rescale.  Both bounds are
+    compared with float32's largest value, 3.4e38, leaving out sqrt(A): no
+    grid tried has a node bound between 4.1e26 and 1.7e44, so that factor
+    of at most about sqrt(n) decides nothing.  The node bound reads 9.1 and
+    9.7e3 on the bench's grids and at most 4.1e26 on the value panel's and
+    on starred planar grids up to gamma=16 n=42, but 1.7e44 at starred
+    gamma=32 n=64, where the twin overflowed.  The radial bound
+    reads 5.1e47 at starred gamma=0.5 n=40, whose node bound is 3.9e24.
+    """
+    radius = float(np.max(grid.radii))
+    largest = float(np.finfo(np.float32).max)
+    with np.errstate(over="ignore"):
+        node_bound = math.sqrt(np.sum(radius ** (2 * np.arange(len(diagonal))) / diagonal))
+        radial_bound = radius ** (len(diagonal) - 1)
+    return "single" if max(node_bound, radial_bound) < largest else "double"
+
+
 def _restart_classes(spec: FunctionalSpec, grid: QuadratureGrid, n: int, restarts: int) -> list[tuple[int, int]]:
     """The class (m, j) that each restart searches; (1, 0) is the full space.
 
@@ -468,7 +516,8 @@ def minimize(
     Restart r draws Gaussian coefficients from seed*7919 + r, scaled to unit
     weighted norm per monomial, keeps those of its class (_restart_classes)
     and descends in that class in one _descend: a burn-in of at most BURN_IN
-    IRLS steps on the class's single-precision workspace, then the Newton
+    IRLS steps on the class's single-precision workspace (its double one
+    where _burn_in_precision says "double"), then the Newton
     finish on its double one; the descent takes at most MAX_ITERATIONS
     steps.  The restart's value and stop reason are the finish's.  After
     the last restart the winner is the lowest restart index whose value is
@@ -483,14 +532,16 @@ def minimize(
     if grid is None:
         grid = default_grid(spec, degree=n)
     full = _Workspace(spec, grid, n)
-    workspaces = {(1, 0): (full.single(), full)}
+    precision = _burn_in_precision(grid, full.diagonal)
+    twin = _Workspace.single if precision == "single" else (lambda ws: ws)
+    workspaces = {(1, 0): (twin(full), full)}
 
     found: list[np.ndarray] = []
     restarts: list[dict] = []
     for rs, (m, j) in enumerate(_restart_classes(spec, grid, n, config.restarts)):
         if (m, j) not in workspaces:
             double = _Workspace(spec, grid, n, m, j, full.buffers)
-            workspaces[m, j] = (double.single(), double)
+            workspaces[m, j] = (twin(double), double)
         rng = np.random.default_rng(config.seed * 7919 + rs)
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c0 = (raw / np.sqrt(2.0 * full.diagonal))[j::m]
@@ -512,4 +563,5 @@ def minimize(
         converged=restarts[win]["converged"],
         diagnostics=report,
         restarts=restarts,
+        burn_in_precision=precision,
     )

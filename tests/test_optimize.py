@@ -18,7 +18,17 @@ from zeropack import (
     minimize,
 )
 from zeropack.functionals import quadratic_parts, quadratic_weights
-from zeropack.optimize import BURN_IN, STOP_REASONS, _burn_in, _descend, _Iterate, _restart_classes, _Workspace
+from zeropack.optimize import (
+    BURN_IN,
+    NEWTON_FLOOR,
+    STOP_REASONS,
+    _burn_in,
+    _burn_in_precision,
+    _descend,
+    _Iterate,
+    _restart_classes,
+    _Workspace,
+)
 from zeropack.poly import RingVandermonde, gram_diagonal, vandermonde
 
 from conftest import random_poly
@@ -210,7 +220,9 @@ def test_minimize_result_json():
     d = res.to_json_dict()
     assert set(d) == {
         "minimizer", "value", "iterations", "converged", "restart_values", "restarts", "capped", "tied", "diagnostics",
+        "burn_in_precision",
     }
+    assert d["burn_in_precision"] == "single"
     assert len(d["minimizer"][0]) == 2
     # One entry per restart, in restart order, naming the class it searched.
     assert [r["class"] for r in d["restarts"]] == [[3, 0], [3, 1], [3, 2], [1, 0], [3, 0]]
@@ -308,6 +320,32 @@ def test_no_restart_capped_at_gamma_32():
     assert sum(r["fallback_iterations"] for r in res.restarts) < 100
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma,n", [(32.0, 64), (0.5, 40)], ids=["gamma-32-n-64", "gamma-0.5-n-40"])
+def test_a_twin_out_of_float32_range_burns_in_in_double(gamma, n):
+    # At starred gamma=32 n=64 the node values pass float32's largest
+    # value, 3.4e38 (the node bound reads 1.7e44); at starred gamma=0.5 n=40 the radial factor
+    # r^39 reaches 5.1e47.  A single-precision burn-in overflowed on both
+    # (11 and 7 warnings here), so these burn in in double.
+    res = minimize(FunctionalSpec("planar", gamma, starred=True), n, OptimizerConfig(seed=0, restarts=3))
+    assert res.burn_in_precision == "double"
+    assert all(r["iterations"] == r["single_iterations"] + r["newton_iterations"] + r["fallback_iterations"]
+               for r in res.restarts)
+    assert math.isfinite(res.value) and res.capped == 0
+
+
+def test_the_bench_and_panel_grids_burn_in_in_single_precision():
+    # The node bound reads at most 5.2e14 (unstarred gamma=32 n=64) and
+    # 4.1e26 (starred gamma=16 n=42), far below float32's largest value.
+    cases = [(FunctionalSpec("planar", gamma), n) for gamma in (4.0, 8.0, 16.0, 32.0) for n in (int(2 * gamma),
+                                                                                                int(2 * gamma) + 10)]
+    cases += [(FunctionalSpec("hyperbolic", r), n) for r, n in ((0.9, 5), (0.9, 15), (0.95, 10), (0.95, 20))]
+    cases += [(FunctionalSpec("planar", 16.0, starred=True), n) for n in (32, 42)]
+    for spec, n in cases:
+        grid = default_grid(spec, degree=n)
+        assert _burn_in_precision(grid, _workspace(spec, n, grid=grid).diagonal) == "single", (spec, n)
+
+
 def test_workspace_gradient_matches_central_differences_at_gamma_32():
     # The Newton finish's gradient against the change of the unscaled value
     # A - 2B + C along random directions, at a burn-in's iterate.  With the
@@ -359,30 +397,50 @@ def _embed(c, n, m, j):
     return full
 
 
+def _counting(counts, name, fn):
+    """fn, counting its calls in counts[name]."""
+
+    def wrapped(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _count_ring_products(monkeypatch):
+    """Counts of the forward ("forward") and adjoint ("adjoint") ring products made from now on."""
+    counts = {"forward": 0, "adjoint": 0}
+    monkeypatch.setattr(RingVandermonde, "__matmul__", _counting(counts, "forward", RingVandermonde.__matmul__))
+    monkeypatch.setattr(RingVandermonde, "adjoint", _counting(counts, "adjoint", RingVandermonde.adjoint))
+    return counts
+
+
 def test_irls_step_makes_one_forward_product_and_one_adjoint(monkeypatch):
     # Each IRLS step needs V^H of the reweighted phases and V of the new
     # coefficients, once each; the iterate's node values serve the next step.
     # A long burn-in, with several secant jumps, tests the count best.
     monkeypatch.setattr("zeropack.optimize.BURN_IN", 100)
-    counts = {"forward": 0, "adjoint": 0, "steps": 0}
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapped
-
     ws = _workspace(FunctionalSpec("planar", 2.0), 4)
     c0 = _random_start(ws, 1)
-    monkeypatch.setattr(RingVandermonde, "__matmul__", counting("forward", RingVandermonde.__matmul__))
-    monkeypatch.setattr(RingVandermonde, "adjoint", counting("adjoint", RingVandermonde.adjoint))
-    monkeypatch.setattr(_Workspace, "irls_step", counting("steps", _Workspace.irls_step))
+    counts = _count_ring_products(monkeypatch)
+    counts["steps"] = 0
+    monkeypatch.setattr(_Workspace, "irls_step", _counting(counts, "steps", _Workspace.irls_step))
     _, iterations, _ = _burn_in(ws, c0)
     assert iterations > 20
     assert counts["adjoint"] == counts["steps"] == iterations
     # Secant extrapolation tries at most four candidates every tenth step.
     assert counts["forward"] <= counts["adjoint"] + 4 * (iterations // 10) + 1
+
+
+def test_newton_direction_makes_no_ring_product(monkeypatch):
+    # The Newton direction reads the iterate's node values: the gradient's
+    # V^H(b u) is M c for the weighted Gram M the Hessian needs anyway, so it
+    # takes neither an adjoint nor a forward ring product.
+    ws = _workspace(FunctionalSpec("planar", 8.0), 16)
+    it = ws.iterate(_random_start(ws, 1))
+    counts = _count_ring_products(monkeypatch)
+    ws.newton_direction(it)
+    assert counts == {"forward": 0, "adjoint": 0}
 
 
 @pytest.mark.parametrize(
@@ -852,6 +910,46 @@ def test_derivatives_match_dense_oracle(spec, m, j):
     assert np.max(np.abs(g.view(np.float64) - dense_g)) <= 1e-12 * size
     full = gradient(ComplexPolynomial(_embed(it.c, n, m, j)), spec, grid).reshape(n, 2)[j::m].ravel()
     assert np.max(np.abs(g.view(np.float64) - full)) <= 1e-12 * size
+
+
+def _projected_newton(ws, it):
+    """Reference: newton_direction with the dense projector I - p p^T/|p|^2 applied to the Hessian and both vectors."""
+    g, hessian = ws.derivatives(it)
+    scale = np.repeat(1.0 / np.sqrt(ws.diagonal), 2)
+    phase = (1j * it.c).view(np.float64) / scale
+    project = np.eye(len(phase)) - np.outer(phase, phase / np.dot(phase, phase))
+    lam, vec = np.linalg.eigh(project @ (scale[:, None] * hessian * scale) @ project)
+    largest = np.max(np.abs(lam))
+    curvature = np.delete(lam, np.argmax(np.abs(phase @ vec))) / largest
+    lam = np.maximum(np.abs(lam), NEWTON_FLOOR * largest)
+    along = vec.T @ (project @ (scale * g.view(np.float64)))
+    d = -(scale * (project @ (vec @ (along / lam)))).view(complex)
+    return d, 0.5 * float(np.sum(along**2 / lam)), curvature
+
+
+@pytest.mark.parametrize(
+    "spec,m,j",
+    [
+        pytest.param(FunctionalSpec("planar", 8.0), 1, 0, id="planar-8.0-full"),
+        pytest.param(FunctionalSpec("planar", 8.0), 3, 1, id="planar-8.0-class-3-1"),
+        pytest.param(FunctionalSpec("hyperbolic", 0.9), 1, 0, id="hyperbolic-0.9"),
+    ],
+)
+def test_newton_direction_matches_the_dense_projector(spec, m, j):
+    # The rank-one projection of the phase direction gives the direction,
+    # predicted drop and curvature of the dense projector, at the start of a
+    # finish and a few Newton steps into it.
+    n = degree_schedule(spec)
+    ws = _Workspace(spec, default_grid(spec, degree=n), n, m, j)
+    it, _, _ = _burn_in(ws, _random_start(ws, 8))
+    it = ws.iterate(it.c)
+    for _ in range(3):
+        d, predicted, curvature = ws.newton_direction(it)
+        ref_d, ref_predicted, ref_curvature = _projected_newton(ws, it)
+        assert np.max(np.abs(d - ref_d)) <= 1e-10 * np.max(np.abs(ref_d))
+        assert abs(predicted - ref_predicted) <= 1e-10 * ref_predicted
+        assert np.max(np.abs(curvature - ref_curvature)) <= 1e-10
+        it = ws.iterate(it.c + d, 1 - it.slot)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ def _load(name):
 
 value_panel = _load("value_panel")
 cli_outputs = _load("cli_outputs")
+step_costs = _load("step_costs")
 
 
 def _record(search, seed, value, quad_err=0.25):
@@ -97,6 +98,20 @@ def test_compare_reads_a_panel_without_fallback_steps_as_na():
     assert "; fallback steps 8 -> 8;" in totals["a"] and "; fallback steps 4 -> n/a;" in totals["b"]
 
 
+def test_compare_totals_the_whole_panel():
+    # One line sums every search's records, old -> new: here the six of "a"
+    # and "b", whose new capped counts are their seeds.
+    old = [dict(r, fallback_steps=1) for r in OLD]
+    new = [dict(r, fallback_steps=2, capped=r["seed"], seconds=0.25) for r in NEW]
+    lines = value_panel.compare(old, new).splitlines()
+    panel = [line for line in lines if line.startswith("whole panel:")]
+    assert panel == ["whole panel: capped 0 -> 7; fallback steps 6 -> 12; single steps 600 -> 600; "
+                     "double steps 60 -> 60; seconds 3.0 -> 1.5"]
+    # It follows the bit-identical count, and a side with a record that lacks fallback_steps reads n/a.
+    assert lines[lines.index(panel[0]) - 1] == "1 of 6 winners bit-identical"
+    assert "whole panel: capped 0 -> 7; fallback steps n/a -> 12;" in value_panel.compare(OLD, new)
+
+
 def test_cli_outputs_compare_keeps_counts_apart_from_values():
     # A step count leaving 0 is an infinite relative change; it must not hide
     # the value that moved, and a field one side lacks is named once per
@@ -150,3 +165,18 @@ def test_cli_outputs_compare_reads_the_scan_csv():
     assert shifted[:2] == ["2 of 3 rows differ", "theta column differs"]
     assert cli_outputs.csv_changes(old, old)[1:] == ["theta column identical", "no value changed"]
     assert cli_outputs.csv_changes(old, "{}") is None and cli_outputs.csv_changes("t,v\n1,2\n", old) is None
+
+
+def test_step_costs_times_every_step_on_every_bench_workspace(capsys):
+    # One call per timing: the layout, not the speed.  The planar search
+    # cycles through the classes (3, 0), (3, 1), (3, 2) and the full space.
+    assert step_costs.main(["--number", "1", "--repeat", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [(w["search"], w["class"], w["coefficients"]) for w in out["workspaces"]] == [
+        ("planar:8.0:n=16", [3, 0], 6), ("planar:8.0:n=16", [3, 1], 5), ("planar:8.0:n=16", [3, 2], 5),
+        ("planar:8.0:n=16", [1, 0], 16), ("hyperbolic:0.9:n=5", [1, 0], 5),
+    ]
+    steps = ("single_irls_us", "double_irls_us", "iterate_us", "derivatives_us", "newton_direction_us")
+    for w in out["workspaces"]:
+        assert all(w[key] > 0.0 for key in steps) and w["nodes"] > 0
+    assert (out["number"], out["repeat"]) == (1, 1)

@@ -8,15 +8,16 @@ write one JSON record per search and seed:
 
 List every winner that moved by more than its quad_err between two panels,
 how many of them rose and fell, overall and per search, how many winners
-are bit-identical in both panels, the totals of both (capped restarts, the
-finish's IRLS fallback steps, single and double steps, seconds), and per
-search the best, median and worst winner over the seeds and how many seeds
-lie within their quad_err of the lowest value in either panel:
+are bit-identical in both panels, the totals of both over the whole panel
+and per search (capped restarts, the finish's IRLS fallback steps, single
+and double steps, seconds), and per search the best, median and worst
+winner over the seeds and how many seeds lie within their quad_err of the
+lowest value in either panel:
 
     python3 tools/value_panel.py --compare old.json new.json
 
 A panel written before records carried ``fallback_steps`` reads ``n/a``
-there.  The searches are those of ``zeropack minimize --restarts 12 --seed
+in the totals it enters.  The searches are those of ``zeropack minimize --restarts 12 --seed
 S``; the checkout's ``src`` is imported, whatever zeropack is installed.
 """
 
@@ -89,21 +90,36 @@ def _add(total, value):
     return None if total is None or value is None else total + value
 
 
+TOTALS = ("capped", "fallback_steps", "single_steps", "double_steps", "seconds")
+
+
+def _totals(t: dict) -> str:
+    """Capped restarts, fallback, single and double steps and seconds of totals t, old -> new."""
+    fallback = " -> ".join("n/a" if x is None else str(x) for x in t["fallback_steps"])
+    return (f"capped {t['capped'][0]} -> {t['capped'][1]}; fallback steps {fallback}; single steps "
+            f"{t['single_steps'][0]} -> {t['single_steps'][1]}; double steps {t['double_steps'][0]} -> "
+            f"{t['double_steps'][1]}; seconds {t['seconds'][0]:.1f} -> {t['seconds'][1]:.1f}")
+
+
 def compare(old: list[dict], new: list[dict]) -> str:
-    """Winners moved by more than the old quad_err, up or down, bit-identical winners, per-search totals and distributions."""
+    """Winners moved by more than the old quad_err, up or down, bit-identical winners, totals and distributions.
+
+    The totals are the whole panel's and each search's.
+    """
     before = {(r["search"], r["seed"]): r for r in old}
     lines, totals, identical = [], {}, 0
+    panel = {key: [0, 0] for key in TOTALS}
     for r in new:
         o = before[r["search"], r["seed"]]
         moved = r["value"] - o["value"]
         identical += r["value"] == o["value"]
         t = totals.setdefault(r["search"], {"n": 0, "max_rise_over_quad_err": -float("inf"), "rose": 0, "fell": 0,
-                                            "capped": [0, 0], "fallback_steps": [0, 0], "double_steps": [0, 0],
-                                            "single_steps": [0, 0], "seconds": [0.0, 0.0]})
+                                            **{key: [0, 0] for key in TOTALS}})
         t["n"] += 1
         t["max_rise_over_quad_err"] = max(t["max_rise_over_quad_err"], moved / o["quad_err"])
-        for key in ("capped", "fallback_steps", "double_steps", "single_steps", "seconds"):
-            t[key] = [_add(total, record.get(key)) for total, record in zip(t[key], (o, r))]
+        for key in TOTALS:
+            for sums in (t, panel):
+                sums[key] = [_add(total, record.get(key)) for total, record in zip(sums[key], (o, r))]
         if abs(moved) > o["quad_err"]:
             t["rose" if moved > 0 else "fell"] += 1
             lines.append(f"{r['search']} seed {r['seed']}: {o['value']:.9f} -> {r['value']:.9f} "
@@ -111,14 +127,10 @@ def compare(old: list[dict], new: list[dict]) -> str:
     rose, fell = (sum(t[key] for t in totals.values()) for key in ("rose", "fell"))
     lines.append(f"{rose + fell} winners moved by more than their quad_err: {rose} rose, {fell} fell")
     lines.append(f"{identical} of {len(new)} winners bit-identical")
+    lines.append(f"whole panel: {_totals(panel)}")
     for search, t in totals.items():
-        fallback = " -> ".join("n/a" if x is None else str(x) for x in t["fallback_steps"])
         lines.append(f"{search}: {t['rose']} rose and {t['fell']} fell by more than quad_err; max rise "
-                     f"{t['max_rise_over_quad_err']:+.3f} x quad_err; capped {t['capped'][0]} -> "
-                     f"{t['capped'][1]}; fallback steps {fallback}; single steps {t['single_steps'][0]} -> "
-                     f"{t['single_steps'][1]}; double steps "
-                     f"{t['double_steps'][0]} -> {t['double_steps'][1]}; seconds {t['seconds'][0]:.1f} -> "
-                     f"{t['seconds'][1]:.1f}")
+                     f"{t['max_rise_over_quad_err']:+.3f} x quad_err; {_totals(t)}")
     return "\n".join(lines + distribution(old, new)) + "\n"
 
 
