@@ -274,14 +274,16 @@ def _proof_components(
     (the remaining perturbations come from the cut-off's bite on f and shrink
     only with the boundary layer).  u2 and cross are the per-ring node sums of
     |u|^2 and |u|^2 - 2 Re(chi f conj u).  Only the L^1 term needs |u| at
-    nodes: ring_abs_sums of u_coeffs, on the core rings alone.
+    nodes: ring_abs_sums of u_coeffs, on the core rings alone and one
+    rotation period of the angles.  u carries f's modes, so for a monomial
+    f that is one angle per ring.
     """
     r = grid.radii
     w, m = spec.envelope(r)
     w1 = w * m * grid.ring_weights / spec.log_normalizer
     w2 = w * w1
     core = r < spec.indicator_radius
-    au = ring_abs_sums(u_coeffs[core], vandermonde(grid.phases, u_coeffs.shape[1]), 1.0)
+    au = ring_abs_sums(u_coeffs[core], grid.resolution[1], 1.0)
     ext = float(np.sum((w2 * u2)[r > spec.indicator_radius]))
     l1 = float(np.sum(w1[core] * au))
     l2 = abs(float(np.sum((w2 * cross)[core])))

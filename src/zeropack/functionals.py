@@ -320,22 +320,23 @@ def _ring_sums(
 
     With ``turn``, unit factors, they are those of f with coefficients
     c_k * turn[k].  Only the first takes node values, from ring_abs_sums
-    over ``rows``: the rings where its L^1 weight is non-zero.  At beta = 1
-    the second is the Parseval sum n_ang * sum_k |c_k|^2 r^(2k) of each
-    ring, exact while the coefficients' modes stay distinct on the angles
-    (check_angles), and a turn leaves it as it is; at any other beta it is
-    the node sum, from ring_abs_sums over every ring.
+    over ``rows``: the rings where its L^1 weight is non-zero, on one
+    rotation period of the angles, which for a monomial is one angle.  At
+    beta = 1 the second is the Parseval sum n_ang * sum_k |c_k|^2 r^(2k) of
+    each ring, exact while the coefficients' modes stay distinct on the
+    angles (check_angles), and a turn leaves it as it is; at any other beta
+    it is the node sum, from ring_abs_sums over every ring.
     """
     n = len(f.coeffs)
     check_angles(grid, n)
+    n_ang = grid.resolution[1]
     c = f.coeffs if turn is None else f.coeffs * turn
-    angular = vandermonde(grid.phases, n)
     s1 = np.zeros(len(grid.radii))
-    s1[rows] = ring_abs_sums(vandermonde(grid.radii[rows], n) * c, angular, beta)
+    s1[rows] = ring_abs_sums(vandermonde(grid.radii[rows], n) * c, n_ang, beta)
     if beta == 1.0:
         mass = np.square(f.coeffs.real) + np.square(f.coeffs.imag)
-        return s1, grid.resolution[1] * (grid.radii[:, None] ** (2 * np.arange(n)) @ mass)
-    return s1, ring_abs_sums(vandermonde(grid.radii, n) * c, angular, 2.0 * beta)
+        return s1, n_ang * (grid.radii[:, None] ** (2 * np.arange(n)) @ mass)
+    return s1, ring_abs_sums(vandermonde(grid.radii, n) * c, n_ang, 2.0 * beta)
 
 
 def density(

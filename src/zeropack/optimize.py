@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .functionals import (
     quadratic_weights,
 )
 from .poly import ComplexPolynomial, RingVandermonde, gram_diagonal, vandermonde
-from .quadrature import QuadratureGrid
+from .quadrature import QuadratureGrid, equispaced_phases
 
 __all__ = [
     "OptimizerConfig",
@@ -206,27 +207,37 @@ class _Workspace:
         # bench/check_tracer.py expects to see called under minimize.
         self.V = RingVandermonde(
             np.ascontiguousarray(vandermonde(grid.radii, n)[:, j::m]),
-            np.ascontiguousarray(vandermonde(grid.phases, n)[:sector, j::m]),
+            np.ascontiguousarray(vandermonde(equispaced_phases(grid.resolution[1], sector), n)[:, j::m]),
         )
-        # The Hessian's ring factors (see derivatives).  Over the class
-        # coefficients k_p = j + m*p, sum W conj(V_p) V_q is the sum over the
-        # rings of r^(k_p+k_q) times W's ring DFT at m*(q-p), and
-        # sum W conj(u)^2 V_p V_q that of r^(k_p+k_q) times the ring DFT of
-        # W conj(u)^2 at k_p+k_q: both index by p+q and |q-p| alone.
-        k = len(self.diagonal)
-        p, q = np.indices((k, k))
-        self.pair_index = (p + q, np.abs(q - p), q < p)
-        self.pair_radial = grid.radii ** (2 * j + m * np.arange(2 * k - 1))[:, None]
-        angles = 2.0 * math.pi * np.arange(sector) / grid.resolution[1]
-        # cos and sin of m*d*theta, d < k, interleaved so that a real product
-        # views as the complex DFT at the differences.
-        waves = np.outer(angles, m * np.arange(k))
-        self.difference_waves = np.stack([np.cos(waves), np.sin(waves)], axis=2).reshape(sector, 2 * k)
-        self.sum_waves = np.exp(-1j * np.outer(2 * j + m * np.arange(2 * k - 1), angles))
+        self.m, self.j = m, j
         size = len(self.b_wt)
         self.buffers = _node_buffers(size) if buffers is None else buffers
         fz, af, scratch = self.buffers
         self.fz, self.af, self.scratch = fz[:, :size], af[:, :size], scratch[:size]
+
+    @cached_property
+    def pair_tables(self) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """The Hessian's ring factors (see derivatives), built on the first Newton step.
+
+        Over the class coefficients k_p = j + m*p, sum W conj(V_p) V_q is
+        the sum over the rings of r^(k_p+k_q) times W's ring DFT at m*(q-p),
+        and sum W conj(u)^2 V_p V_q that of r^(k_p+k_q) times the ring DFT of
+        W conj(u)^2 at k_p+k_q: both index by p+q and |q-p| alone.  The
+        tables are the pair index (p+q, |q-p|, q < p), the radial factors
+        r^(2j+m*s) for s < 2k-1, and the sector's difference and sum waves.
+        """
+        m, j, grid = self.m, self.j, self.grid
+        k = len(self.diagonal)
+        p, q = np.indices((k, k))
+        index = (p + q, np.abs(q - p), q < p)
+        radial = grid.radii ** (2 * j + m * np.arange(2 * k - 1))[:, None]
+        angles = 2.0 * math.pi * np.arange(len(self.V.angular)) / grid.resolution[1]
+        # cos and sin of m*d*theta, d < k, interleaved so that a real product
+        # views as the complex DFT at the differences.
+        waves = np.outer(angles, m * np.arange(k))
+        difference_waves = np.stack([np.cos(waves), np.sin(waves)], axis=2).reshape(len(angles), 2 * k)
+        sum_waves = np.exp(-1j * np.outer(2 * j + m * np.arange(2 * k - 1), angles))
+        return index, radial, difference_waves, sum_waves
 
     def single(self) -> _Workspace:
         """This workspace with its node arithmetic in single precision.
@@ -289,19 +300,19 @@ class _Workspace:
         # fz belongs to c/s, and a rescaled iterate has A = B = s * sum b|fz|:
         # W is weight/s.
         s = float(np.vdot(it.c, self.diagonal * it.c).real) / float(np.dot(self.b_wt, it.af))
-        rings = (self.pair_radial.shape[1], -1)
-        differences = (self.pair_radial @ (weight.reshape(rings) @ self.difference_waves)).view(complex)
+        (total, diff, lower), pair_radial, difference_waves, sum_waves = self.pair_tables
+        rings = (pair_radial.shape[1], -1)
+        differences = (pair_radial @ (weight.reshape(rings) @ difference_waves)).view(complex)
         # W u^2 s = b fz^2 / |fz|^3, whose sums against the conjugate waves are conj(N) s.
         np.multiply(np.square(inverse, out=inverse), weight, out=inverse)
         wu2 = np.multiply(np.square(it.fz, out=self.fz[other]), inverse, out=self.fz[other])
-        sums = (self.pair_radial @ wu2.reshape(rings).view(np.float64)).view(complex)
-        total, diff, lower = self.pair_index
+        sums = (pair_radial @ wu2.reshape(rings).view(np.float64)).view(complex)
         m = differences[total, diff]
         m[lower] = m[lower].conj()
         h = m / -s
         # fz = V c / s, so the gradient's V^H(b u) = V^H(weight fz) is M c.
         g = 2.0 * (self.diagonal * it.c + h @ it.c)
-        n = (np.einsum("sa,sa->s", sums, self.sum_waves).conj() / s)[total]
+        n = (np.einsum("sa,sa->s", sums, sum_waves).conj() / s)[total]
         k = len(h)
         h.flat[:: k + 1] += 2.0 * self.diagonal
         # The rows d/dRe c_p and d/dIm c_p are conj(2G - M + N) and i conj(2G - M - N), as real pairs.
@@ -413,8 +424,9 @@ def _descend(workspaces: tuple[_Workspace, _Workspace], c: np.ndarray):
 
     A class of one coefficient, {c z^k}, takes no step: its value depends on
     |c| alone, so the start rescaled on the double workspace is the class
-    minimum.  It reports 0 for every step count, floor_steps and
-    negative_steps, no min_curvature, and stop "stationary".
+    minimum, and the first workspace is not read.  It reports 0 for every
+    step count, floor_steps and negative_steps, no min_curvature, and stop
+    "stationary".
     """
     single, double = workspaces
     if len(c) == 1:
@@ -519,7 +531,10 @@ def minimize(
     IRLS steps on the class's single-precision workspace (its double one
     where _burn_in_precision says "double"), then the Newton
     finish on its double one; the descent takes at most MAX_ITERATIONS
-    steps.  The restart's value and stop reason are the finish's.  After
+    steps.  A class's single-precision workspace is built on its first
+    descent of more than one coefficient, and a workspace's Newton tables on
+    its first Newton step, so a class of one coefficient builds neither.
+    The restart's value and stop reason are the finish's.  After
     the last restart the winner is the lowest restart index whose value is
     within 1e-12 of the smallest restart value; the result's ``tied``
     counts the restarts within the winner's quad_err, which the grid cannot
@@ -534,18 +549,22 @@ def minimize(
     full = _Workspace(spec, grid, n)
     precision = _burn_in_precision(grid, full.diagonal)
     twin = _Workspace.single if precision == "single" else (lambda ws: ws)
-    workspaces = {(1, 0): (twin(full), full)}
+    doubles = {(1, 0): full}
+    # A class's burn-in workspace, built on its first descent that takes a step.
+    twins: dict[tuple[int, int], _Workspace] = {}
 
     found: list[np.ndarray] = []
     restarts: list[dict] = []
     for rs, (m, j) in enumerate(_restart_classes(spec, grid, n, config.restarts)):
-        if (m, j) not in workspaces:
-            double = _Workspace(spec, grid, n, m, j, full.buffers)
-            workspaces[m, j] = (twin(double), double)
+        if (m, j) not in doubles:
+            doubles[m, j] = _Workspace(spec, grid, n, m, j, full.buffers)
+        double = doubles[m, j]
         rng = np.random.default_rng(config.seed * 7919 + rs)
         raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         c0 = (raw / np.sqrt(2.0 * full.diagonal))[j::m]
-        c_class, val, steps = _descend(workspaces[m, j], c0)
+        if len(c0) > 1 and (m, j) not in twins:
+            twins[m, j] = twin(double)
+        c_class, val, steps = _descend((twins.get((m, j), double), double), c0)
         found.append(c_class)
         restarts.append({"class": [m, j], "value": val, **steps})
 

@@ -11,12 +11,13 @@ Vandermonde matrix, and every polynomial-on-grid product uses that factoring.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .quadrature import QuadratureGrid
+from .quadrature import QuadratureGrid, equispaced_phases
 
 __all__ = [
     "ComplexPolynomial",
@@ -113,14 +114,25 @@ class RingVandermonde:
 RING_BLOCK = 1 << 15
 
 
-def ring_abs_sums(rows: np.ndarray, angular: np.ndarray, p: float) -> np.ndarray:
-    """For each ring j, the sum over angles a of |sum_k rows[j, k] * angular[a, k]|^p.
+def ring_abs_sums(rows: np.ndarray, n_ang: int, p: float) -> np.ndarray:
+    """For each ring j, the sum over n_ang equispaced angles theta_a of |sum_k rows[j, k] e^{ik theta_a}|^p.
 
     rows[j] holds a polynomial's Fourier coefficients on ring j, such as
-    ``vandermonde(radii, n) * c``, and angular = vandermonde(phases, n).
-    The product, modulus and power are formed max(1, RING_BLOCK // n_ang)
-    rings at a time, so no node-sized array is held.
+    ``vandermonde(radii, n) * c``, and the angles are a grid's,
+    theta_a = 2 pi a / n_ang from 0.  Only the modes the rows carry, the
+    columns not zero on every ring, are evaluated.  With d the greatest
+    common divisor of n_ang and the gaps between those modes, the modulus on
+    a ring is 2 pi/d-periodic in the angle and the angles are invariant
+    under that turn, so each sum is d times the one over the first n_ang/d
+    angles: a monomial (or rows of zeros) takes one angle, and a member of
+    the class z^j g(z^m), m dividing n_ang, n_ang/m.  The product, modulus and power are formed
+    max(1, RING_BLOCK // (n_ang/d)) rings at a time, so no node-sized array
+    is held.
     """
+    modes = np.flatnonzero(np.any(rows != 0, axis=0))
+    period = math.gcd(n_ang, *np.diff(modes).tolist())
+    angular = equispaced_phases(n_ang, n_ang // period)[:, None] ** modes
+    rows = rows[:, modes]
     step = max(1, RING_BLOCK // len(angular))
     sums = np.empty(len(rows))
     for j in range(0, len(rows), step):
@@ -128,6 +140,7 @@ def ring_abs_sums(rows: np.ndarray, angular: np.ndarray, p: float) -> np.ndarray
         if p != 1.0:
             block **= p
         sums[j : j + step] = block.sum(axis=1)
+    sums *= period
     return sums
 
 

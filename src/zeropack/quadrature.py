@@ -24,6 +24,7 @@ from .errors import ConfigurationError, NumericError
 __all__ = [
     "QuadratureGrid",
     "build_grid",
+    "equispaced_phases",
     "integrate",
 ]
 
@@ -58,7 +59,7 @@ class QuadratureGrid:
     @property
     def phases(self) -> np.ndarray:
         """The n_ang equispaced unit phases e^{i theta} shared by every ring."""
-        return np.exp(1j * (2.0 * math.pi * np.arange(self.resolution[1]) / self.resolution[1]))
+        return equispaced_phases(self.resolution[1])
 
     def half_turn(self, n: int) -> np.ndarray:
         """The factors e^{i pi k / n_ang}, k < n, that turn a polynomial by half an angle step.
@@ -68,6 +69,11 @@ class QuadratureGrid:
         which complete the grid with twice the angles.
         """
         return np.exp(1j * math.pi * np.arange(n) / self.resolution[1])
+
+
+def equispaced_phases(n_ang: int, count: int | None = None) -> np.ndarray:
+    """The unit phases e^{2 pi i a / n_ang} of the first ``count`` (by default all) of n_ang equispaced angles from 0."""
+    return np.exp(1j * (2.0 * math.pi * np.arange(n_ang if count is None else count) / n_ang))
 
 
 @lru_cache(maxsize=64)

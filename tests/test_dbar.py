@@ -456,15 +456,22 @@ def test_correction_ring_sums_match_node_sums(spec, length, rng):
 
 @pytest.mark.parametrize("spec,length", lengths(planar(2.0), HYP))
 def test_proof_components_match_horner_node_sums(spec, length, rng):
-    # The core rings of a 64x64 grid fit in one block of ring_abs_sums; at
-    # 256x256 they span several, so the oracle also sees the block seams.
+    # The core rings of a 64x66 grid fit in one block of ring_abs_sums; at
+    # 256x258 they span several, so the oracle also sees the block seams.
+    # Besides a generic f, a monomial and a member of the 3-fold class
+    # g(z^3) (a monomial too when f has 3 coefficients): u carries f's
+    # modes, so its node sums take one angle per ring and a third of the
+    # angles.
     cut = default_cutoff(spec)
-    f = random_poly(rng, length)
-    for resolution in ((64, 64), (256, 256)):
-        corr = minimal_correction(f, spec, cut, resolution)
-        got = (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation)
-        for value, ref in zip(got, _horner_components(spec, cut, f, corr)):
-            assert abs(value - ref) <= 1e-12 * ref
+    monomial, threefold = np.zeros(length, dtype=complex), np.zeros(length, dtype=complex)
+    monomial[-1] = 0.6 + 0.8j
+    threefold[::3] = random_poly(rng, len(range(0, length, 3))).coeffs
+    for f in (random_poly(rng, length), ComplexPolynomial(monomial), ComplexPolynomial(threefold)):
+        for resolution in ((64, 66), (256, 258)):
+            corr = minimal_correction(f, spec, cut, resolution)
+            got = (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation)
+            for value, ref in zip(got, _horner_components(spec, cut, f, corr)):
+                assert abs(value - ref) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("spec", [planar(2.0), FunctionalSpec("hyperbolic", 0.7)], ids=lambda s: s.geometry)

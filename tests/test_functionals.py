@@ -503,20 +503,25 @@ def test_ring_masses_match_node_sums(spec, rng):
     # Every radial factor is evaluated once per ring and every node sum is a
     # ring sum against it, or at beta = 1 the Parseval sum of the
     # coefficients; the node-by-node formulas give the same numbers.  n = 64
-    # coefficients on 64 angles is the most that Parseval allows.
+    # coefficients on 64 angles is the most that Parseval allows.  Besides
+    # generic polynomials, a monomial, whose node sums take one angle per
+    # ring, and a member of the 3-fold class z g(z^3), which takes a third
+    # of the 66 angles (on 64 it takes all).
     from zeropack.functionals import quadratic_parts
 
-    for n in (6, 64):
-        grid = default_grid(spec, (64, 64), degree=n)
-        for _ in range(3):
-            f = random_poly(rng, n)
+    for n, n_ang in ((6, 66), (64, 64)):
+        grid = default_grid(spec, (64, n_ang), degree=n)
+        monomial, threefold = np.zeros(n, dtype=complex), np.zeros(n, dtype=complex)
+        monomial[n // 2] = 0.8 - 0.6j
+        threefold[1::3] = random_poly(rng, len(range(1, n, 3))).coeffs
+        for f in [random_poly(rng, n) for _ in range(3)] + [ComplexPolynomial(monomial), ComplexPolynomial(threefold)]:
             ref = _node_masses(f, spec, grid)
             rep = density(f, spec, grid)
             got = dict(zip(("A", "B", "C"), quadratic_parts(f, spec, grid)), value=rep.value, ell1=rep.ell1, ell2=rep.ell2)
             for key, expect in ref.items():
                 assert abs(got[key] - expect) <= 1e-13 * abs(expect), (n, key)
-            bm = boundary_mass(f, spec, spec.default_delta, (64, 64))
-            for got_k, expect in zip(bm, _node_boundary_masses(f, spec, spec.default_delta, (64, 64))):
+            bm = boundary_mass(f, spec, spec.default_delta, (64, n_ang))
+            for got_k, expect in zip(bm, _node_boundary_masses(f, spec, spec.default_delta, (64, n_ang))):
                 assert abs(got_k - expect) <= 1e-13 * abs(expect), n
 
 

@@ -706,6 +706,34 @@ def test_reported_numbers_come_from_the_double_stage(spec, restarts, monkeypatch
     assert res.iterations == res.restarts[winner]["iterations"]
 
 
+def test_twins_and_newton_tables_are_built_on_first_use(monkeypatch):
+    # A class's single-precision twin is built on its first descent of more
+    # than one coefficient, and a workspace's Newton tables on its first
+    # Newton step.  At gamma = 1.5 (n = 3, classes of m = 3) every restart
+    # searches a class of one coefficient and builds neither; at gamma = 1
+    # (n = 2) restarts 2 and 3 search the full space, whose twin is built
+    # once and whose finish builds the tables.
+    twins = []
+    single = _Workspace.single
+
+    def counted(ws):
+        twins.append(ws)
+        return single(ws)
+
+    monkeypatch.setattr(_Workspace, "single", counted)
+    descents = _record_descents(monkeypatch)
+    res = minimize(FunctionalSpec("planar", 1.5), 3, OptimizerConfig(restarts=3, seed=6))
+    assert [r["class"] for r in res.restarts] == [[3, 0], [3, 1], [3, 2]]
+    assert twins == [] and not any("pair_tables" in vars(ws) for wss, _, _ in descents for ws in wss)
+    descents.clear()
+    res = minimize(FunctionalSpec("planar", 1.0), 2, OptimizerConfig(restarts=4, seed=6))
+    assert [r["class"] for r in res.restarts] == [[3, 0], [3, 1], [1, 0], [1, 0]]
+    full = descents[2][0][1]
+    assert twins == [full] and descents[2][0][0] is descents[3][0][0] is not full
+    assert "pair_tables" in vars(full)
+    assert not any("pair_tables" in vars(ws) for wss, _, _ in descents[:2] for ws in wss)
+
+
 def test_tie_chain_goes_to_the_lowest_index_within_1e12_of_the_best(monkeypatch):
     # Values x+1.5e-12, x+0.7e-12, x: restart 1 is the lowest index within
     # 1e-12 of the best, though restart 2 beats restart 0 by more than 1e-12.

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from zeropack import (
     project_polynomial,
 )
 from zeropack import poly
-from zeropack.poly import RING_BLOCK, RingVandermonde, gram_diagonal, ring_abs_sums, ring_vandermonde, vandermonde
+from zeropack.poly import RingVandermonde, gram_diagonal, ring_abs_sums, ring_vandermonde, vandermonde
 
 from conftest import random_poly
 
@@ -186,19 +187,50 @@ def test_ring_product_matches_dense(rng, edges):
     assert np.all(np.abs(ring_vandermonde(grid, n) @ c - horner) <= 1e-13 * (np.abs(dense) @ np.abs(c)))
 
 
+@pytest.mark.parametrize(
+    "n_ang,modes,period",
+    [
+        pytest.param(256, range(7), 1, id="generic"),
+        pytest.param(129, (1, 4, 7, 10), 3, id="3-fold"),
+        pytest.param(256, (5,), 256, id="monomial"),
+        pytest.param(256, (0, 2, 6), 2, id="zero-columns"),
+        pytest.param(256, (), 256, id="zero-rows"),
+    ],
+)
 @pytest.mark.parametrize("p", [1.0, 0.5, 2.0])
-def test_ring_abs_sums_match_one_product(rng, p, monkeypatch):
-    # Row counts on both sides of each block seam: none, one ring, a block
-    # short by one, a block, and two blocks and one ring.
-    n_ang, n = 256, 7
-    per_block = RING_BLOCK // n_ang
+def test_ring_abs_sums_match_one_product(rng, p, n_ang, modes, period, monkeypatch):
+    # Rows of 11 columns carrying the given modes, the others zero on every
+    # ring.  The sums are formed on n_ang/d angles, d = gcd(n_ang, the gaps
+    # between the modes), so a block holds RING_BLOCK // (n_ang/d) rings: at
+    # four rings a block, row counts on both sides of each block seam: none,
+    # one ring, a block short by one, a block, and two blocks and one ring.
+    n, per_block = 11, 4
+    monkeypatch.setattr(poly, "RING_BLOCK", per_block * (n_ang // period))
     angular = vandermonde(np.exp(2j * np.pi * np.arange(n_ang) / n_ang), n)
     for count in (0, 1, per_block - 1, per_block, 2 * per_block + 1):
-        rows = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        rows = np.zeros((count, n), dtype=complex)
+        rows[:, list(modes)] = rng.standard_normal((count, len(modes))) + 1j * rng.standard_normal((count, len(modes)))
         ref = (np.abs(rows @ angular.T) ** p).sum(axis=1)
-        got = ring_abs_sums(rows, angular, p)
+        got = ring_abs_sums(rows, n_ang, p)
         assert got.shape == (count,)
         assert np.all(np.abs(got - ref) <= 1e-13 * ref)
     # A ring of more angles than a block holds is a block of its own.
-    monkeypatch.setattr(poly, "RING_BLOCK", n_ang // 2)
-    assert np.all(np.abs(ring_abs_sums(rows, angular, p) - ref) <= 1e-13 * ref)
+    monkeypatch.setattr(poly, "RING_BLOCK", n_ang // period // 2)
+    assert np.all(np.abs(ring_abs_sums(rows, n_ang, p) - ref) <= 1e-13 * ref)
+
+
+def test_ring_abs_sums_form_one_angle_for_a_monomial(rng):
+    # A monomial's modulus is constant on each ring: its sums take one angle
+    # per ring, so on 2^20 angles they hold far less than one ring of node
+    # values (16 MB).
+    n_ang = 1 << 20
+    rows = np.zeros((64, 5), dtype=complex)
+    rows[:, 3] = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    tracemalloc.start()
+    try:
+        got = ring_abs_sums(rows, n_ang, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n_ang / 100
+    assert np.all(np.abs(got - n_ang * np.abs(rows[:, 3]) ** 1.5) <= 1e-15 * got)

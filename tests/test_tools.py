@@ -179,4 +179,9 @@ def test_step_costs_times_every_step_on_every_bench_workspace(capsys):
     steps = ("single_irls_us", "double_irls_us", "iterate_us", "derivatives_us", "newton_direction_us")
     for w in out["workspaces"]:
         assert all(w[key] > 0.0 for key in steps) and w["nodes"] > 0
+    # ring_abs_sums on the gap pipeline's core rings at 384 angles.
+    assert [(r["polynomial"], r["modes"], r["angles"]) for r in out["ring_sums"]] == [
+        ("monomial", [2], 384), ("3-fold", [1, 4], 384), ("generic", [0, 1, 2], 384),
+    ]
+    assert all(r["ring_abs_sums_us"] > 0.0 and r["rings"] == 384 for r in out["ring_sums"])
     assert (out["number"], out["repeat"]) == (1, 1)

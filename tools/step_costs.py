@@ -5,7 +5,12 @@ gamma=8 n=16 on its rotation classes and the full space, hyperbolic r=0.9
 n=5 on the full space), time one single-precision IRLS step, one
 double-precision IRLS step, one trial iterate (a ring product with its
 value), `derivatives` and `newton_direction`, each from the iterate a
-20-step burn-in reaches from a seeded start, rescaled in double:
+20-step burn-in reaches from a seeded start, rescaled in double.  Also time
+one `poly.ring_abs_sums` call, the node sums of |f| that density, the
+starred value and the correction's L^1 term take, on the core rings of the
+gap pipeline's starred planar gamma=2 grid at 384x384, for a monomial, a
+3-fold polynomial and a generic polynomial of 3 coefficients: the sums run
+on one rotation period of the angles, 1, 128 and 384 of them.
 
     python3 tools/step_costs.py [--number 200] [--repeat 7]
 
@@ -30,6 +35,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 SEARCHES = (("planar", 8.0), ("hyperbolic", 0.9))
 RESTARTS = 12
+# The ring_abs_sums cases: a name and the coefficient of each mode.
+RING_SUM_CASES = (("monomial", {2: 1.0}), ("3-fold", {1: 1.0, 4: 0.5j}), ("generic", {0: 1.0, 1: 0.5j, 2: -0.25}))
+RING_SUM_RESOLUTION = (384, 384)
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -72,6 +80,28 @@ def step_costs(number: int, repeat: int) -> list[dict]:
     return records
 
 
+def ring_sum_costs(number: int, repeat: int) -> list[dict]:
+    """One record per RING_SUM_CASES entry: its modes, the rings and angles summed, and the microseconds per call."""
+    import numpy as np
+
+    from zeropack import FunctionalSpec, default_grid
+    from zeropack.poly import ring_abs_sums, vandermonde
+
+    spec = FunctionalSpec("planar", 2.0, starred=True)
+    grid = default_grid(spec, RING_SUM_RESOLUTION, degree=4)
+    core = grid.radii[grid.radii < spec.indicator_radius]
+    n_ang = grid.resolution[1]
+    records = []
+    for name, coefficients in RING_SUM_CASES:
+        c = np.zeros(max(coefficients) + 1, dtype=complex)
+        c[list(coefficients)] = list(coefficients.values())
+        rows = vandermonde(core, len(c)) * c
+        seconds = min(timeit.repeat(lambda: ring_abs_sums(rows, n_ang, 1.0), number=number, repeat=repeat))
+        records.append({"polynomial": name, "modes": sorted(coefficients), "rings": len(core), "angles": n_ang,
+                        "ring_abs_sums_us": seconds / number * 1e6})
+    return records
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, default=200, help="calls per timing")
@@ -87,6 +117,7 @@ def main(argv=None) -> int:
         "number": args.number,
         "repeat": args.repeat,
         "workspaces": step_costs(args.number, args.repeat),
+        "ring_sums": ring_sum_costs(args.number, args.repeat),
     }
     sys.stdout.write(json.dumps(out, indent=1) + "\n")
     return 0
