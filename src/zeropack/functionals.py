@@ -26,7 +26,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -67,16 +67,15 @@ class FunctionalSpec:
     """One geometry plus the parameters pinning one density functional.
 
     param is the core radius r in (0, 1) for the hyperbolic geometry and the
-    Gaussian exponent gamma > 0 for the planar one.  alpha dilates the weight
-    envelope (hyperbolic requires 0 < alpha <= 1); beta is the modulus exponent
-    of the planar family.  Every rule that differs between the geometries is a
-    property or method of the spec; no other module tests the geometry tag.
+    Gaussian exponent gamma > 0 for the planar one; beta is the modulus
+    exponent of the planar family.  Every rule that differs between the
+    geometries is a property or method of the spec; no other module tests the
+    geometry tag.
     """
 
     geometry: str
     param: float
     starred: bool = False
-    alpha: float = 1.0
     beta: float = 1.0
 
     def __post_init__(self):
@@ -85,19 +84,12 @@ class FunctionalSpec:
         if self.geometry == HYPERBOLIC:
             if not 0.0 < self.param < 1.0:
                 raise ConfigurationError(f"hyperbolic radius must lie in (0,1), got {self.param}")
-            if not 0.0 < self.alpha <= 1.0:
-                raise ConfigurationError(f"hyperbolic dilation must lie in (0,1], got {self.alpha}")
             if self.beta != 1.0:
                 raise ConfigurationError("the exponent family is planar only")
-        else:
-            if not 0.0 < self.param < math.inf:
-                raise ConfigurationError(f"gamma must be positive and finite, got {self.param}")
-            if not 0.0 < self.alpha < math.inf:
-                raise ConfigurationError(f"planar dilation must be positive and finite, got {self.alpha}")
+        elif not 0.0 < self.param < math.inf:
+            raise ConfigurationError(f"gamma must be positive and finite, got {self.param}")
         if not 0.0 < self.beta < math.inf:
             raise ConfigurationError(f"beta must be positive and finite, got {self.beta}")
-        if self.starred and self.alpha != 1.0:
-            raise ConfigurationError("dilated functionals are defined unstarred only")
 
     @property
     def indicator_radius(self) -> float:
@@ -130,12 +122,16 @@ class FunctionalSpec:
 
     @property
     def symmetry(self) -> int:
-        """Rotation order m of the minimizers' expected class z^j g(z^m): 3 planar, 1 hyperbolic.
+        """Rotation order m of the search's restart classes z^j g(z^m): 3 planar, 1 hyperbolic.
 
         The planar density is linked to Abrikosov's triangular vortex lattice,
-        whose 3-fold rotation the best planar minimizers carry.  Hyperbolic
-        minimizers share no order: at n = 10 the best is 3-fold at r = 0.9 and
-        has no rotation symmetry at r = 0.95.
+        so most planar restarts search 3-fold classes.  That allocates the
+        restarts; it is not a proven property of the minimizers.  With 12
+        restarts at seeds 0-3, the gamma = 8, n = 16 winners are 3-fold (those
+        from the full space only to within 1e-8 of the largest coefficient),
+        the gamma = 4, n = 18 winners have no rotation order, and the
+        hyperbolic r = 0.9, n = 10 winner is not 3-fold: all ten of its
+        coefficients are nonzero.
         """
         return 3 if self.geometry == PLANAR else 1
 
@@ -150,11 +146,6 @@ class FunctionalSpec:
         """Whether a gap run reports the variance estimate 1 - rho* (hyperbolic only)."""
         return self.geometry == HYPERBOLIC
 
-    @property
-    def undilated(self) -> "FunctionalSpec":
-        """The same geometry, parameter and exponent, unstarred and with alpha = 1."""
-        return replace(self, starred=False, alpha=1.0)
-
     def support(self, n: int) -> float:
         """Radius of the disk carrying the weight for degree bound n.
 
@@ -168,23 +159,23 @@ class FunctionalSpec:
         return max(3.0, math.sqrt((n * math.log(10.0 * n) + 40.0) / (2.0 * self.param)))
 
     def envelope(self, absz):
-        """Weight w and measure density m (w.r.t. dA) at |z|, with alpha in force.
+        """Weight w and measure density m (w.r.t. dA) at |z|.
 
-        Hyperbolic: w = 1 - (alpha|z|)^2, m = alpha^2 / w.  Planar:
-        w = exp(-alpha*gamma*|z|^2), m = 1.
+        Hyperbolic: w = 1 - |z|^2, m = 1 / w.  Planar: w = exp(-gamma*|z|^2),
+        m = 1.
         """
         if self.geometry == HYPERBOLIC:
-            w = 1.0 - (self.alpha * absz) ** 2
-            return w, self.alpha**2 / w
-        return np.exp(-self.alpha * self.param * absz**2), np.ones_like(absz)
+            w = 1.0 - absz**2
+            return w, 1.0 / w
+        return np.exp(-self.param * absz**2), np.ones_like(absz)
 
     def dbar_weight(self, absz):
-        """The dbar weight e^{-phi} = w^2 m of the undilated envelope at |z|.
+        """The dbar weight e^{-phi} = w^2 m of the envelope at |z|.
 
         That is 1 - |z|^2 (hyperbolic; negative off the unit disk, where the
         weight has no support) or exp(-2*gamma*|z|^2) (planar).
         """
-        w, m = self.undilated.envelope(absz)
+        w, m = self.envelope(absz)
         m *= w
         m *= w
         return m
@@ -304,12 +295,9 @@ def _ring_data(spec: FunctionalSpec, grid: QuadratureGrid):
     ind = r < spec.indicator_radius
     w, m = spec.envelope(r)
     mass = rw * m
-    # The hyperbolic core area stays undilated whatever alpha is; at alpha = 1
-    # it is summed exactly as C is, so the zero polynomial scores exactly 1.
-    area = grid.resolution[1] * float(np.sum(rw[ind] * spec.undilated.envelope(r[ind])[1]))
-    normalizer = area if spec.geometry == HYPERBOLIC else 1.0
+    core = grid.resolution[1] * float(np.sum(mass[ind]))
+    normalizer, c = (core, 1.0) if spec.geometry == HYPERBOLIC else (1.0, core)
     wm = mass / normalizer
-    c = grid.resolution[1] * float(np.sum(mass[ind])) / normalizer
     return np.where(ind | spec.starred, w**2 * wm, 0.0), np.where(ind, w * wm, 0.0), c, w, mass, ind
 
 
@@ -402,18 +390,17 @@ def boundary_mass(
     """The (L^1, L^2) masses of f in the boundary layer of relative width delta.
 
     The layer is the annulus A((1-delta)R, R) under the indicator radius R;
-    the masses are those of density()'s ell1/ell2 taken over it with the
-    undilated envelope.  Hyperbolic, for p = 1, 2:
+    the masses are those of density()'s ell1/ell2 taken over it.  Hyperbolic,
+    for p = 1, 2:
     (1/log(1/(1-r^2))) * integral of |f|^p (1-|z|^2)^(p-1) dA.  Planar:
     integral of |f|^(p*beta) exp(-p*gamma*|z|^2) dA.
     """
     if not 0.0 < delta <= 1.0:
         raise ConfigurationError(f"delta must lie in (0,1], got {delta}")
-    base = spec.undilated
-    outer = base.indicator_radius
+    outer = spec.indicator_radius
     grid = build_grid(((1.0 - delta) * outer, outer), resolution)
-    w, m = base.envelope(grid.radii)
-    return _masses(w, grid.ring_weights * m, *_ring_sums(f, grid, base.beta, slice(None)), base.log_normalizer)
+    w, m = spec.envelope(grid.radii)
+    return _masses(w, grid.ring_weights * m, *_ring_sums(f, grid, spec.beta, slice(None)), spec.log_normalizer)
 
 
 def gradient(
@@ -425,7 +412,9 @@ def gradient(
 
     Layout: entry 2j is d/d(Re c_j), entry 2j+1 is d/d(Im c_j).  |f| is
     floored at MODULUS_FLOOR where it divides, so a node where f = 0 (the
-    modulus is not differentiable there) contributes zero.
+    modulus is not differentiable there) contributes zero.  The search does
+    not call it: it is the node-sum reference that the optimizer's
+    ring-factored derivatives are tested against.
     """
     if grid is None:
         grid = default_grid(spec)

@@ -408,7 +408,7 @@ def lengths(*specs):
     """
     cases = []
     for spec in specs:
-        n, name = degree_schedule(spec), f"{spec.geometry}-{spec.param}-a{spec.alpha}"
+        n, name = degree_schedule(spec), f"{spec.geometry}-{spec.param}"
         assert n < 6
         cases += [
             pytest.param(spec, max(n - 1, 1), id=f"{name}-shorter"),
@@ -420,7 +420,7 @@ def lengths(*specs):
 
 @pytest.mark.parametrize(
     "spec,length",
-    lengths(planar(2.0), FunctionalSpec("planar", 2.0, alpha=0.8), HYP, FunctionalSpec("hyperbolic", 0.8, alpha=0.7)),
+    lengths(planar(2.0), HYP, FunctionalSpec("hyperbolic", 0.8)),
 )
 def test_correction_ring_sums_match_node_sums(spec, length, rng):
     # The bound's two sides, with the dbar weight, its Laplacian and the

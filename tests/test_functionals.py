@@ -34,19 +34,13 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         FunctionalSpec("planar", -1.0)
     with pytest.raises(ConfigurationError):
-        FunctionalSpec("hyperbolic", 0.5, alpha=1.3)
-    with pytest.raises(ConfigurationError):
         FunctionalSpec("hyperbolic", 0.5, beta=2.0)
     with pytest.raises(ConfigurationError):
         FunctionalSpec("spherical", 0.5)
-    with pytest.raises(ConfigurationError):
-        FunctionalSpec("planar", 1.0, starred=True, alpha=0.5)
     for value in (math.nan, math.inf, -math.inf):
-        for geometry, param in (("planar", 2.0), ("hyperbolic", 0.5)):
+        for geometry in ("planar", "hyperbolic"):
             with pytest.raises(ConfigurationError):
                 FunctionalSpec(geometry, value)
-            with pytest.raises(ConfigurationError):
-                FunctionalSpec(geometry, param, alpha=value)
         with pytest.raises(ConfigurationError):
             FunctionalSpec("planar", 2.0, beta=value)
 
@@ -210,65 +204,6 @@ def test_core_mass_is_laplacian_mass():
         assert abs(mass - spec.core_mass) < 1e-10 * spec.core_mass
 
 
-def test_density_dilated_alpha_one_reduces(rng):
-    r = 0.75
-    plain = FunctionalSpec("hyperbolic", r)
-    dil = FunctionalSpec("hyperbolic", r, alpha=1.0)
-    for _ in range(20):
-        f = random_poly(rng, 5)
-        assert abs(density(f, dil).value - density(f, plain).value) < 1e-12
-
-
-def test_density_dilated_rescaling_identity(rng):
-    # rho_{H,r,alpha}(f) = log(1/(1-a^2 r^2))/log(1/(1-r^2)) * rho_{H,ar,1}(f(z/a)),
-    # where f(z/a) has the coefficients c_k a^-k.
-    r, a = 0.8, 0.9
-    for _ in range(5):
-        f = random_poly(rng, 6)
-        f_shrunk = ComplexPolynomial(f.coeffs * (1 / a) ** np.arange(6))
-        lhs = density(f, FunctionalSpec("hyperbolic", r, alpha=a)).value
-        rhs = (
-            math.log(1 / (1 - a * a * r * r))
-            / hyperbolic_norm(r)
-            * density(f_shrunk, FunctionalSpec("hyperbolic", a * r)).value
-        )
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-
-
-def test_density_dilated_substitution_identity(rng):
-    # With g(z) = f((1-d) z), whose coefficients are c_k (1-d)^k, and
-    # alpha = 1-d the dilated functional equals the plain integrand of f over
-    # the shrunken disk D(0, (1-d) r).
-    r, d = 0.8, 0.2
-    rp = (1 - d) * r
-    grid = build_grid((0, rp), (128, 128))
-    for _ in range(5):
-        f = random_poly(rng, 6)
-        g = ComplexPolynomial(f.coeffs * (1 - d) ** np.arange(6))
-        lhs = density(g, FunctionalSpec("hyperbolic", r, alpha=1 - d)).value
-        rhs = (
-            integrate(
-                grid,
-                lambda z: ((1 - np.abs(z) ** 2) * np.abs(poly_eval(f, z)) - 1) ** 2 / (1 - np.abs(z) ** 2),
-            )
-            / hyperbolic_norm(r)
-        )
-        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-
-
-def test_planar_dilated_formula(rng):
-    # rho_{C,gamma,alpha}(f) = int_D (|f| e^{-alpha gamma |z|^2} - 1)^2 dA.
-    g, a = 2.0, 0.8
-    grid = build_grid((0, 1), (96, 96))
-    for _ in range(5):
-        f = random_poly(rng, 5)
-        lhs = density(f, FunctionalSpec("planar", g, alpha=a), grid).value
-        rhs = integrate(
-            grid, lambda z: (np.abs(poly_eval(f, z)) * np.exp(-a * g * np.abs(z) ** 2) - 1) ** 2
-        )
-        assert abs(lhs - rhs) < 1e-12
-
-
 def test_gradient_matches_finite_differences(rng):
     # Oracle: central differences of the density value, step 1e-6.
     h = 1e-6
@@ -370,7 +305,6 @@ def test_density_report_json_fields():
         "boundary_mass_l2",
         "geometry",
         "param",
-        "alpha",
         "beta",
         "starred",
         "grid_resolution",
@@ -449,12 +383,12 @@ def test_density_with_underflowing_powers(rng):
 
 
 def _node_envelope(spec, absz):
-    # The envelope written out node by node: hyperbolic w = 1 - (alpha|z|)^2,
-    # m = alpha^2/w; planar w = exp(-alpha*gamma*|z|^2), m = 1.
+    # The envelope written out node by node: hyperbolic w = 1 - |z|^2,
+    # m = 1/w; planar w = exp(-gamma*|z|^2), m = 1.
     if spec.geometry == "hyperbolic":
-        w = 1.0 - (spec.alpha * absz) ** 2
-        return w, spec.alpha**2 / w
-    return np.exp(-spec.alpha * spec.param * absz**2), np.ones_like(absz)
+        w = 1.0 - absz**2
+        return w, 1.0 / w
+    return np.exp(-spec.param * absz**2), np.ones_like(absz)
 
 
 def _node_masses(f, spec, grid):
@@ -478,27 +412,24 @@ def _node_masses(f, spec, grid):
 
 
 def _node_boundary_masses(f, spec, delta, resolution):
-    base = spec.undilated
-    R = base.indicator_radius
+    R = spec.indicator_radius
     grid = build_grid(((1.0 - delta) * R, R), resolution)
-    w, m = _node_envelope(base, np.abs(grid.nodes))
-    wf = w * np.abs(poly_eval(f, grid.nodes)) ** base.beta
-    return tuple(float(np.sum(wf**k * m * grid.weights)) / base.log_normalizer for k in (1, 2))
+    w, m = _node_envelope(spec, np.abs(grid.nodes))
+    wf = w * np.abs(poly_eval(f, grid.nodes)) ** spec.beta
+    return tuple(float(np.sum(wf**k * m * grid.weights)) / spec.log_normalizer for k in (1, 2))
 
 
 RING_CASES = [
     FunctionalSpec("planar", 2.0),
     FunctionalSpec("planar", 2.0, starred=True),
-    FunctionalSpec("planar", 2.0, alpha=0.8),
     FunctionalSpec("planar", 2.0, beta=1.5),
     FunctionalSpec("planar", 2.0, beta=0.5),
     FunctionalSpec("hyperbolic", 0.8),
     FunctionalSpec("hyperbolic", 0.8, starred=True),
-    FunctionalSpec("hyperbolic", 0.8, alpha=0.7),
 ]
 
 
-@pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-a{s.alpha}-b{s.beta}")
+@pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-b{s.beta}")
 def test_ring_masses_match_node_sums(spec, rng):
     # Every radial factor is evaluated once per ring and every node sum is a
     # ring sum against it, or at beta = 1 the Parseval sum of the
@@ -525,7 +456,7 @@ def test_ring_masses_match_node_sums(spec, rng):
                 assert abs(got_k - expect) <= 1e-13 * abs(expect), n
 
 
-@pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-a{s.alpha}-b{s.beta}")
+@pytest.mark.parametrize("spec", RING_CASES, ids=lambda s: f"{s.geometry}-starred{s.starred}-b{s.beta}")
 def test_quad_err_is_the_doubled_angle_change(spec, rng):
     # The grid with the same radii and twice the angles is this grid plus its
     # angle midpoints, where f turned by half an angle step lands: quad_err is
