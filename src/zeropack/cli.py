@@ -164,7 +164,7 @@ def cmd_lattice_scan(args) -> int:
         args.theta_min, args.theta_max, args.steps, args.beta, args.resolution,
         mapper=lambda fn, thetas: _map(fn, thetas, args.jobs),
     )
-    text = _json_text({"rows": [[t, v] for t, v in rows]}) if args.format == "json" else scan_csv(rows)
+    text = scan_csv(rows)
     if args.out is None:
         _write_text(text, None)
         return EXIT_OK
@@ -294,7 +294,6 @@ def build_parser() -> _Parser:
     p_scan = sub.add_parser("lattice-scan", help="cell-average density across lattice angles")
     common(p_scan, geometry=False, search=False)
     p_scan.add_argument("--jobs", type=_parse_jobs, default=1)
-    p_scan.add_argument("--format", choices=["json", "csv"], default="csv")
     p_scan.add_argument("--beta", type=float, default=1.0)
     p_scan.add_argument("--theta-min", type=float, default=math.pi / 3 - 0.3)
     p_scan.add_argument("--theta-max", type=float, default=math.pi / 3 + 0.3)

@@ -25,20 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .functionals import (
-    FunctionalSpec,
-    boundary_mass,
-    default_grid,
-    quadratic_parts,
-)
+from .functionals import FunctionalSpec, default_grid, quadratic_parts
 from .optimize import MinimizeResult, OptimizerConfig, degree_schedule, minimize
-from .poly import ComplexPolynomial, check_angles, gram_diagonal, ring_abs_sums, ring_vandermonde, vandermonde
+from .poly import ComplexPolynomial, check_angles, gram_diagonal, ring_abs_sums, ring_vandermonde
 from .quadrature import QuadratureGrid, build_grid
 
 __all__ = [
@@ -145,15 +139,17 @@ class CorrectionResult:
     l1_perturbation: float
     l2_perturbation: float
 
-    @cached_property
-    def u_values(self) -> np.ndarray:
-        """u at the grid's nodes, derived on first use by one ring product."""
-        return (self.u_coeffs @ vandermonde(self.grid.phases, self.u_coeffs.shape[1]).T).ravel()
-
     def orthogonality_residual(self) -> float:
-        """max_k |<u, z^k>| / ||u|| in the weighted inner product, via the dense Vandermonde matrix."""
-        V = vandermonde(self.grid.nodes, self.degree_bound)
-        inner = np.abs(V.conj().T @ (np.repeat(self.weight, self.grid.resolution[1]) * self.u_values))
+        """max_k |<u, z^k>| / ||u|| in the weighted inner product, one sum over the rings per mode k < degree_bound.
+
+        On ring j, z^k has the single Fourier mode k of size r_j^k, so
+        <u, z^k> = n_ang sum_j weight[j] r_j^k u_coeffs[j, k].  That is the
+        node sum for every k below n_ang: u carries only f's modes, and
+        minimal_correction refuses an f with more coefficients than angles.
+        """
+        n, n_ang = self.degree_bound, self.grid.resolution[1]
+        radial = self.grid.radii[:, None] ** np.arange(n)
+        inner = n_ang * np.abs(self.weight @ (radial * self.u_coeffs[:, :n]))
         return float(np.max(inner)) / math.sqrt(max(self.lhs, 1e-300))
 
 
@@ -303,6 +299,10 @@ def equality_gap(
     minimum; their difference is the finite-parameter gap that the equality
     theorems send to zero along subsequences.  The starred value is
     A - 2B + C of quadratic_parts, density()'s value without its diagnostics.
+
+    Every number about f (rho_unstarred, quad_err, the boundary masses)
+    comes from f's density report on the search grid, and every number
+    about the correction from the correction's grid at resolution.
     """
     if spec.starred:
         raise ConfigurationError("equality_gap takes the unstarred functional")
@@ -310,11 +310,8 @@ def equality_gap(
     if resolution is None:
         resolution = spec.default_resolution
     cut = default_cutoff(spec)
-    delta = cut.delta
     result = minimize(spec, n, config)
-    f = result.minimizer
-
-    corr = minimal_correction(f, spec, cut, resolution)
+    corr = minimal_correction(result.minimizer, spec, cut, resolution)
 
     starred_spec = replace(spec, starred=True)
     starred_grid = default_grid(starred_spec, resolution, degree=n)
@@ -325,20 +322,18 @@ def equality_gap(
     if not math.isfinite(rho_star):
         raise NumericError(f"non-finite starred density of the correction: {rho_star}")
 
-    bm1, bm2 = boundary_mass(f, spec, delta, resolution)
-
     return GapReport(
         geometry=spec.geometry,
         param=spec.param,
-        delta=delta,
+        delta=cut.delta,
         degree=n,
         rho_unstarred=result.value,
         rho_starred_nu=rho_star,
         gap=rho_star - result.value,
         dbar_lhs=corr.lhs,
         dbar_rhs=corr.rhs,
-        boundary_mass_l1=bm1,
-        boundary_mass_l2=bm2,
+        boundary_mass_l1=result.diagnostics.boundary_mass_l1,
+        boundary_mass_l2=result.diagnostics.boundary_mass_l2,
         sigma_sq_estimate=(1.0 - rho_star) if spec.reports_sigma_sq else None,
         exterior_mass_u=corr.exterior_mass_u,
         l1_perturbation=corr.l1_perturbation,

@@ -140,7 +140,6 @@ class QuasiperiodicCandidate:
     lattice: Lattice
     nu: complex
     beta: float
-    scale: float = 1.0
 
     def f0_values(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
@@ -157,18 +156,18 @@ class QuasiperiodicCandidate:
         return _sigma_prefactor(lat), self.nu + lat.eta1 / (2.0 * lat.omega1)
 
     def envelope(self, z) -> np.ndarray:
-        """g(z) = scale * |f0(z)|^beta * e^{-|z|^2}; doubly periodic by design.
+        """g(z) = |f0(z)|^beta * e^{-|z|^2}; doubly periodic by design.
 
-        Formed as scale * (|pref theta_1| exp(Re(c z^2) - |z|^2/beta))^beta, with
+        Formed as (|pref theta_1| exp(Re(c z^2) - |z|^2/beta))^beta, with
         one real exponent, so that neither factor is raised to beta alone (at
         theta = pi/3, beta = 60, |pref theta_1|^beta overflows where g does not).
         """
         z = np.asarray(z, dtype=complex)
         pref, c = self._modulus_factors()
         theta = _theta1(math.pi * z / (2.0 * self.lattice.omega1), self.lattice.tau)
-        return self.scale * (np.abs(pref * theta) * np.exp((c * z**2).real - np.abs(z) ** 2 / self.beta)) ** self.beta
+        return (np.abs(pref * theta) * np.exp((c * z**2).real - np.abs(z) ** 2 / self.beta)) ** self.beta
 
-    def periodicity_residual(self, n_points: int = PERIODICITY_POINTS, seed: int = 0) -> float:
+    def periodicity_residual(self, n_points: int = PERIODICITY_POINTS) -> float:
         """max |g(z + 2*omega_j) - g(z)| / max g(z) over random cell points z; NumericError if not finite.
 
         A few points are enough (PERIODICITY_POINTS, 8, by default).  By
@@ -181,7 +180,7 @@ class QuasiperiodicCandidate:
         to 3.0, 8 points read 0.88 to 1.05 times the 1000-point residual.
         z and both shifts go through one envelope call.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         u = rng.uniform(0.0, 1.0, n_points)
         v = rng.uniform(0.0, 1.0, n_points)
         lat = self.lattice
@@ -219,13 +218,12 @@ def abrikosov_candidate(lattice: Lattice, beta: float) -> QuasiperiodicCandidate
 def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tuple[float, float]:
     """The cell means of |f0|^beta e^{-|z|^2} and of its square, by the midpoint rule.
 
-    That is the candidate's envelope g (QuasiperiodicCandidate.envelope)
-    over its scale.  They equal large-disk averages only for a doubly
-    periodic g, so a periodicity residual above 1e-8 is a
-    ConfigurationError; it is checked at PERIODICITY_POINTS points.  The
-    nodes are z = 2u omega1 + 2v omega2 at u = (i + 1/2)/n_u,
-    v = (j + 1/2)/n_v, off the lattice points where |sigma| is only
-    Lipschitz.  A node's theta argument is pi u + pi tau v, and
+    That is the candidate's envelope g (QuasiperiodicCandidate.envelope).
+    They equal large-disk averages only for a doubly periodic g, so a
+    periodicity residual above 1e-8 is a ConfigurationError; it is checked
+    at PERIODICITY_POINTS points.  The nodes are z = 2u omega1 + 2v omega2
+    at u = (i + 1/2)/n_u, v = (j + 1/2)/n_v, off the lattice points where
+    |sigma| is only Lipschitz.  A node's theta argument is pi u + pi tau v, and
     sin(k(a + b)) = sin(ka) cos(kb) + cos(ka) sin(kb), so pref * theta_1
     on the grid is one (n_u x 2T) @ (2T x n_v) product of per-axis sines and
     cosines.  The column factors come from one complex exponential
@@ -294,23 +292,20 @@ def _cell_means(cand: QuasiperiodicCandidate, resolution: tuple[int, int]) -> tu
 def cell_average_density(
     cand: QuasiperiodicCandidate,
     resolution: tuple[int, int] = (256, 256),
-    optimize_scale: bool = True,
 ) -> float:
     """The cell average of (s*|f0|^beta*e^{-|z|^2} - 1)^2 w.r.t. normalized area.
 
     Equals the large-disk limit of the disk-averaged exponent-family density by
-    periodicity.  With optimize_scale the multiplicative normalization s is set
-    to its closed-form optimum m1/m2 (_cell_means), in which case the value is
-    1 - s*m1, mirroring the stationary-scaling form of the density.  Without
-    it s is cand.scale, and the value is the cell mean of (g - 1)^2 for the
-    candidate's envelope g.
+    periodicity.  The multiplicative normalization s is its closed-form
+    optimum m1/m2 (_cell_means), so the value is 1 - s*m1, mirroring the
+    stationary-scaling form of the density.
     """
     if resolution[0] < 16 or resolution[1] < 16:
         raise ConfigurationError(
             f"cell resolution {resolution} too coarse; use at least 16x16 (128x128 or more near pi/3)"
         )
     m1, m2 = _cell_means(cand, resolution)
-    s = (m1 / m2) if optimize_scale else cand.scale
+    s = m1 / m2
     return 1.0 - 2.0 * s * m1 + s * s * m2
 
 
@@ -334,7 +329,7 @@ def theta_scan(
 
     def row(theta: float) -> tuple[float, float]:
         cand = abrikosov_candidate(lattice_normalize(theta, beta), beta)
-        return theta, cell_average_density(cand, resolution, optimize_scale=True)
+        return theta, cell_average_density(cand, resolution)
 
     return list(mapper(row, [theta_min + i * (theta_max - theta_min) / (steps - 1) for i in range(steps)]))
 

@@ -51,7 +51,7 @@ def rand_polys(seed: int, count: int, n: int):
 def test_criterion_01_abrikosov_golden_value():
     t0 = time.time()
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
-    value = cell_average_density(cand, (256, 256), optimize_scale=True)
+    value = cell_average_density(cand, (256, 256))
     elapsed = time.time() - t0
     ok = abs(value - 0.061203) <= 5e-4 and elapsed < 60.0
     assert report(1, "Abrikosov golden value", ok, f"value={value:.6f} target=0.061203+-5e-4 time={elapsed:.1f}s")

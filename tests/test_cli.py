@@ -12,6 +12,7 @@ import pytest
 import zeropack
 from zeropack import ComplexPolynomial, ConfigurationError, FunctionalSpec, boundary_mass, theta_scan
 from zeropack.cli import main
+from zeropack.lattice_sigma import scan_csv
 
 
 def run(capsys, *argv):
@@ -110,10 +111,9 @@ def test_lattice_scan_stdout(capsys):
 def test_lattice_scan_rows_equal_theta_scan(capsys):
     # The CLI and theta_scan score the same angles: on the default window
     # np.linspace would differ from the CLI's angles at indices 3 and 17.
-    code, out, _ = run(capsys, "lattice-scan", "--format", "json", "--resolution", "32x32")
+    code, out, _ = run(capsys, "lattice-scan", "--resolution", "32x32")
     assert code == 0
-    rows = [tuple(row) for row in json.loads(out)["rows"]]
-    assert rows == theta_scan(math.pi / 3 - 0.3, math.pi / 3 + 0.3, 21, 1.0, (32, 32))
+    assert out == scan_csv(theta_scan(math.pi / 3 - 0.3, math.pi / 3 + 0.3, 21, 1.0, (32, 32)))
 
 
 def test_lattice_scan_refuses_a_window_before_scoring(tmp_path, capsys):
@@ -423,13 +423,12 @@ def test_one_error_class_per_exit_code():
 
 
 def test_minimize_rejects_csv_format(capsys):
-    # Only lattice-scan has two output formats; every other command refuses --format.
+    # Every command has one output format, and refuses --format.
     for command in ("minimize", "gap", "eval", "dbar-check"):
         code, _, _ = run(capsys, command, "--geometry", "planar", "--gamma", "1", "--format", "csv")
         assert code == 4
-    code, out, _ = run(capsys, "lattice-scan", "--steps", "2", "--resolution", "64x64", "--format", "json")
-    assert code == 0
-    assert len(json.loads(out)["rows"]) == 2
+    code, out, _ = run(capsys, "lattice-scan", "--steps", "2", "--resolution", "64x64", "--format", "csv")
+    assert code == 4 and out == ""
 
 
 def test_flags_a_command_ignores_are_usage_errors(capsys):
@@ -525,13 +524,12 @@ def test_nonfinite_geometry_parameters_are_usage_errors(tmp_path, capsys, value)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_lattice_scan_nonfinite_beta_is_usage_error(tmp_path, capsys, value, fmt):
-    out_path = tmp_path / f"scan.{fmt}"
+def test_lattice_scan_nonfinite_beta_is_usage_error(tmp_path, capsys, value):
+    out_path = tmp_path / "scan.csv"
     for out in ([], ["--out", str(out_path)]):
         code, stdout, err = run(
             capsys,
-            "lattice-scan", "--beta", value, "--steps", "3", "--resolution", "16x16", "--format", fmt, *out,
+            "lattice-scan", "--beta", value, "--steps", "3", "--resolution", "16x16", *out,
         )
         assert code == 4
         assert err.startswith("usage error:") and "beta" in err

@@ -27,7 +27,8 @@ from zeropack import (
     project_polynomial,
 )
 from zeropack import dbar
-from zeropack.poly import gram_diagonal
+from zeropack.cli import main
+from zeropack.poly import gram_diagonal, vandermonde
 
 from conftest import random_poly
 
@@ -180,7 +181,7 @@ def test_minimal_correction_zero():
     corr = minimal_correction(ComplexPolynomial([0.0]), HYP, CutoffSpec(0.1, 0.9))
     assert corr.lhs == 0.0
     assert corr.rhs == 0.0
-    assert np.max(np.abs(corr.u_values)) == 0.0
+    assert not np.any(corr.u_coeffs)
 
 
 def test_minimal_correction_bound_random(rng):
@@ -194,6 +195,30 @@ def test_minimal_correction_bound_random(rng):
         cp = minimal_correction(f, planar(8.0), cut_p)
         assert cp.lhs <= cp.rhs
         assert cp.orthogonality_residual() < 1e-9
+
+
+@pytest.mark.parametrize("spec", [planar(2.0), planar(8.0), HYP], ids=lambda s: f"{s.geometry}-{s.param}")
+def test_orthogonality_residual_matches_node_sums(spec, rng):
+    # u made non-orthogonal on purpose: adding c_k z^k for k < n, as c_k r^k
+    # on every ring, moves <u, z^k> by c_k ||z^k||^2, so the residual is of
+    # order 1.  The oracle takes u node by node, chi*f - nu + sum c_k z^k by
+    # Horner, and sums the weighted inner products over the nodes.
+    cut = default_cutoff(spec)
+    f = random_poly(rng, 4)
+    corr = minimal_correction(f, spec, cut, (48, 50))
+    n, grid = corr.degree_bound, corr.grid
+    c = random_poly(rng, n)
+    u_coeffs = corr.u_coeffs.copy()
+    u_coeffs[:, :n] += c.coeffs * grid.radii[:, None] ** np.arange(n)
+    z = grid.nodes
+    a2 = np.abs(z) ** 2
+    node_weight = (1.0 - a2 if spec.geometry == "hyperbolic" else np.exp(-2.0 * spec.param * a2)) * grid.weights
+    u = cutoff(z, cut) * poly_eval(f, z) - poly_eval(corr.nu, z) + poly_eval(c, z)
+    lhs = float(np.sum(node_weight * np.abs(u) ** 2))
+    want = max(abs(np.sum(node_weight * u * np.conj(z**k))) for k in range(n)) / math.sqrt(lhs)
+    assert want > 1e-2
+    got = dataclasses.replace(corr, u_coeffs=u_coeffs, lhs=lhs).orthogonality_residual()
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_minimal_correction_bound_minimizer():
@@ -328,6 +353,15 @@ def test_equality_gap_hyperbolic_small():
     }
 
 
+@pytest.mark.parametrize("spec", [planar(2.0), FunctionalSpec("hyperbolic", 0.8)], ids=lambda s: s.geometry)
+def test_gap_boundary_masses_are_the_search_reports(spec):
+    # Every number about f comes from f's density report on the search grid.
+    rep = equality_gap(spec, OptimizerConfig(restarts=2, seed=1), (48, 50))
+    diagnostics = rep.minimize_result.diagnostics
+    assert rep.boundary_mass_l1 == diagnostics.boundary_mass_l1
+    assert rep.boundary_mass_l2 == diagnostics.boundary_mass_l2
+
+
 def _horner_components(spec, cut, f, corr):
     """Exterior mass, core L^1 mass and cross term of u = chi*f - nu, node by node with Horner values."""
     z = corr.grid.nodes
@@ -437,12 +471,13 @@ def test_correction_ring_sums_match_node_sums(spec, length, rng):
     else:
         weight, laplacian = np.exp(-2.0 * spec.param * a2), 2.0 * spec.param
     chi_f = cutoff(z, cut) * poly_eval(f, z)
-    lhs = float(np.sum(np.abs(corr.u_values) ** 2 * weight * wts))
+    u = (corr.u_coeffs @ vandermonde(corr.grid.phases, corr.u_coeffs.shape[1]).T).ravel()
+    lhs = float(np.sum(np.abs(u) ** 2 * weight * wts))
     rhs = float(np.sum(np.abs(dbar_cutoff(z, cut)) ** 2 * np.abs(poly_eval(f, z)) ** 2 * weight / laplacian * wts))
     assert abs(corr.lhs - lhs) <= 1e-13 * lhs
     assert abs(corr.rhs - rhs) <= 1e-13 * rhs
     # u is chi*f minus nu at the nodes, with both evaluated by Horner.
-    residual = corr.u_values - (chi_f - poly_eval(corr.nu, z))
+    residual = u - (chi_f - poly_eval(corr.nu, z))
     assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(chi_f))
     projected = project_polynomial(lambda z: cutoff(z, cut) * poly_eval(f, z), spec, n, corr.grid)
     assert len(corr.nu.coeffs) == n and not np.any(corr.nu.coeffs[len(f.coeffs) :])
@@ -527,9 +562,10 @@ def test_nonfinite_starred_gap_value_is_numeric_error(monkeypatch):
         equality_gap(planar(2.0), OptimizerConfig(restarts=2), (32, 33))
 
 
-def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch):
+def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch, capsys, rng):
     # Ring grids derive nodes and weights on first use; the gap pipeline,
-    # from the search to the starred value, reads only their ring data.
+    # from the search to the starred value, reads only their ring data, and
+    # so do the correction's orthogonality residual and dbar-check.
     def ring_grids_refuse(name):
         derived = getattr(QuadratureGrid, name)
 
@@ -544,24 +580,13 @@ def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch):
     for spec in (planar(2.0), FunctionalSpec("hyperbolic", 0.7)):
         rep = equality_gap(spec, OptimizerConfig(restarts=2), (32, 33))
         assert math.isfinite(rep.gap)
+        corr = minimal_correction(random_poly(rng, 4), spec, default_cutoff(spec), (32, 33))
+        assert corr.orthogonality_residual() < 1e-9
+    capsys.readouterr()
+    assert main(["dbar-check", "--geometry", "planar", "--gamma", "2", "--restarts", "2", "--resolution", "32x33"]) == 0
+    assert capsys.readouterr().out.startswith("{")
     with pytest.raises(AssertionError, match="built its nodes"):
         build_grid((0, 1), (8, 8)).nodes
-
-
-def test_gap_pipeline_takes_u_to_no_node(monkeypatch, rng):
-    # The correction keeps u as per-ring Fourier coefficients; its node values
-    # are derived on first use, and nothing from the search to the report asks.
-    corr = minimal_correction(random_poly(rng, 4), planar(2.0), default_cutoff(planar(2.0)), (32, 33))
-    assert "u_values" not in corr.__dict__
-    assert corr.u_values.shape == (corr.grid.size,) and "u_values" in corr.__dict__
-
-    def refuse(corr):
-        raise AssertionError("the gap pipeline took u to the nodes")
-
-    monkeypatch.setattr(dbar.CorrectionResult, "u_values", property(refuse))
-    for spec in (planar(2.0), FunctionalSpec("hyperbolic", 0.7)):
-        rep = equality_gap(spec, OptimizerConfig(restarts=2), (32, 33))
-        assert math.isfinite(rep.gap)
 
 
 @pytest.mark.parametrize("spec", [planar(2.0), HYP], ids=lambda s: s.geometry)

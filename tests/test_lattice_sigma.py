@@ -261,7 +261,7 @@ def node_cell_means(cand, res):
     midpoint nodes, from two separate factors and T complex sines per node."""
     z = midpoint_nodes(cand.lattice, res)
     g = np.abs(cand.f0_values(z)) ** cand.beta * np.exp(-np.abs(z) ** 2)
-    assert np.max(np.abs(cand.envelope(z) - cand.scale * g)) < 1e-13 * np.max(cand.scale * g)
+    assert np.max(np.abs(cand.envelope(z) - g)) < 1e-13 * np.max(g)
     return np.mean(g), np.mean(g * g)
 
 
@@ -301,12 +301,8 @@ def test_cell_means_match_the_node_quadrature(theta, beta, res):
         assert len(_theta_series(cand.lattice.tau, PI * cand.lattice.tau.imag * v_max)[0]) >= 7
     m1, m2 = node_cell_means(cand, res)
     s = m1 / m2
-    checks = [
-        (cell_average_density(cand, res), 1.0 - 2.0 * s * m1 + s * s * m2),
-        (cell_average_density(cand, res, optimize_scale=False), 1.0 - 2.0 * m1 + m2),
-    ]
-    for got, want in checks:
-        assert abs(got - want) <= 1e-13 * abs(want)
+    want = 1.0 - 2.0 * s * m1 + s * s * m2
+    assert abs(cell_average_density(cand, res) - want) <= 1e-13 * abs(want)
 
 
 def test_cell_means_at_a_large_beta():
@@ -323,12 +319,11 @@ def test_cell_means_at_a_large_beta():
 def test_cell_means_of_an_unnormalized_candidate():
     # Another nu leaves the envelope non-periodic, with u^2 and uv terms in its
     # exponent; its cell means are no large-disk average, so the cell average
-    # refuses it, with the candidate's scale or the optimal one.
+    # refuses it.
     cand = abrikosov_candidate(lattice_normalize(1.2, 1.0), 1.0)
     off = QuasiperiodicCandidate(cand.lattice, cand.nu + 0.05 - 0.03j, 1.0)
-    for optimize_scale in (True, False):
-        with pytest.raises(ConfigurationError):
-            cell_average_density(off, (48, 80), optimize_scale)
+    with pytest.raises(ConfigurationError):
+        cell_average_density(off, (48, 80))
 
 
 def test_cell_means_refuse_bad_resolutions_bases_and_values():
@@ -408,18 +403,8 @@ def test_cell_means_peak_memory():
 
 def test_cell_average_golden_value():
     cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
-    val = cell_average_density(cand, (128, 128), optimize_scale=True)
+    val = cell_average_density(cand, (128, 128))
     assert abs(val - 0.061203) < 5e-4
-
-
-def test_cell_average_scaled_matches_unscaled_does_not():
-    # Resolves which normalization reproduces the documented minimum: the
-    # scale-optimized candidate does; the raw sigma normalization does not.
-    cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
-    scaled = cell_average_density(cand, (128, 128), optimize_scale=True)
-    unscaled = cell_average_density(cand, (128, 128), optimize_scale=False)
-    assert abs(scaled - 0.061203) < 5e-4
-    assert abs(unscaled - 0.061203) > 5e-3
 
 
 def test_cell_average_resolution_stability():
@@ -435,14 +420,8 @@ def test_cell_average_scale_identity():
     res = (128, 128)
     m1, m2 = node_cell_means(cand, res)
     s = m1 / m2
-    val = cell_average_density(cand, res, optimize_scale=True)
+    val = cell_average_density(cand, res)
     assert abs(val - (1.0 - s * m1)) < 1e-12
-
-
-def test_cell_average_zero_scale_edge():
-    cand = abrikosov_candidate(lattice_normalize(PI / 3, 1.0), 1.0)
-    zero_scale = QuasiperiodicCandidate(cand.lattice, cand.nu, cand.beta, scale=0.0)
-    assert cell_average_density(zero_scale, (32, 32), optimize_scale=False) == 1.0
 
 
 def test_cell_average_coarse_resolution_refused():
@@ -452,12 +431,13 @@ def test_cell_average_coarse_resolution_refused():
 
 
 def test_beta_two_abrikosov_ratio():
-    # Regression against the classical triangular-lattice ratio ~1.1595953
-    # from the Bose-Einstein condensate literature: value = 1 - 1/ratio.
-    cand = abrikosov_candidate(lattice_normalize(PI / 3, 2.0), 2.0)
-    val = cell_average_density(cand, (256, 256))
-    assert 0 < val < 1
-    assert abs(1.0 / (1.0 - val) - 1.1595953) < 1e-4
+    # At beta = 2, 1/(1 - value) is Abrikosov's beta_A: 1.1596 for the
+    # triangular and 1.18 for the square lattice (Kleiner, Roth & Autler,
+    # Phys. Rev. 133 (1964) A1226), to the digits published there.
+    for theta, beta_a, tol in ((PI / 3, 1.1596, 5e-5), (PI / 2, 1.18, 5e-3)):
+        val = cell_average_density(abrikosov_candidate(lattice_normalize(theta, 2.0), 2.0), (256, 256))
+        assert 0 < val < 1
+        assert abs(1.0 / (1.0 - val) - beta_a) < tol
 
 
 def test_theta_scan_minimum_at_pi_thirds():

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -165,6 +166,25 @@ def test_cli_outputs_compare_reads_the_scan_csv():
     assert shifted[:2] == ["2 of 3 rows differ", "theta column differs"]
     assert cli_outputs.csv_changes(old, old)[1:] == ["theta column identical", "no value changed"]
     assert cli_outputs.csv_changes(old, "{}") is None and cli_outputs.csv_changes("t,v\n1,2\n", old) is None
+
+
+def test_cli_outputs_runs_two_dbar_checks_per_seed(monkeypatch):
+    # After the bench's commands, which run no dbar-check, come the planar
+    # gamma=8 and hyperbolic r=0.9 corrections at each seed.
+    spec = importlib.util.spec_from_file_location("workloads", TOOLS.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    lines = cli_outputs.command_lines(workloads, [3, 4])
+    assert lines[-4:] == [
+        ["dbar-check", "--geometry", "planar", "--gamma", "8", "--seed", "3"],
+        ["dbar-check", "--geometry", "hyperbolic", "--r", "0.9", "--seed", "3"],
+        ["dbar-check", "--geometry", "planar", "--gamma", "8", "--seed", "4"],
+        ["dbar-check", "--geometry", "hyperbolic", "--r", "0.9", "--seed", "4"],
+    ]
+    bench = [cmd.argv for w in workloads.WORKLOADS for s in (3, 4) for cmd in workloads.commands(w, s)]
+    assert lines[:-4] == bench and not any(argv[0] == "dbar-check" for argv in bench)
 
 
 def test_step_costs_times_every_step_on_every_bench_workspace(capsys):

@@ -1,9 +1,10 @@
 """The bench commands' exit codes and stdout, and which of them differ between two runs.
 
 Run every command of ``bench/workloads.py``'s ``commands()`` for every
-workload at the given bench seeds, in process through ``zeropack.cli.main``,
-and write one JSON object mapping each command line to its exit code and
-stdout:
+workload at the given bench seeds, and two ``dbar-check`` commands per seed
+S (planar gamma=8 and hyperbolic r=0.9 at ``--seed S``; the bench runs no
+``dbar-check``), in process through ``zeropack.cli.main``, and write one
+JSON object mapping each command line to its exit code and stdout:
 
     python3 tools/cli_outputs.py --out outputs.json --seeds 3 4 5
 
@@ -43,9 +44,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# (geometry, parameter flag, value) of the dbar-check commands run at every seed.
+DBAR_CHECKS = (("planar", "--gamma", "8"), ("hyperbolic", "--r", "0.9"))
+
+
+def command_lines(workloads, seeds: list[int]) -> list[list[str]]:
+    """The argv of every command of the ``workloads`` module at every seed, then of the dbar-check commands."""
+    argvs = [cmd.argv for workload in workloads.WORKLOADS for seed in seeds for cmd in workloads.commands(workload, seed)]
+    return argvs + [
+        ["dbar-check", "--geometry", geometry, flag, value, "--seed", str(seed)]
+        for seed in seeds
+        for geometry, flag, value in DBAR_CHECKS
+    ]
+
 
 def run_commands(seeds: list[int]) -> dict[str, list]:
-    """Command line (argv joined by spaces) -> [exit code, stdout], for every workload at every seed."""
+    """Command line (argv joined by spaces) -> [exit code, stdout], for every command_lines entry."""
     # Leave no bytecode cache under bench/, which this tool only reads.
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
@@ -56,14 +70,12 @@ def run_commands(seeds: list[int]) -> dict[str, list]:
     from zeropack.cli import main
 
     outputs = {}
-    for workload in workloads.WORKLOADS:
-        for seed in seeds:
-            for cmd in workloads.commands(workload, seed):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = main(list(cmd.argv))
-                outputs[" ".join(cmd.argv)] = [code, out.getvalue()]
-                print(f"exit {code}: zeropack {' '.join(cmd.argv)}", file=sys.stderr)
+    for argv in command_lines(workloads, seeds):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        outputs[" ".join(argv)] = [code, out.getvalue()]
+        print(f"exit {code}: zeropack {' '.join(argv)}", file=sys.stderr)
     return outputs
 
 
