@@ -524,8 +524,11 @@ def test_nonfinite_geometry_parameters_are_usage_errors(tmp_path, capsys, value)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
-def test_lattice_scan_nonfinite_beta_is_usage_error(tmp_path, capsys, value):
-    out_path = tmp_path / "scan.csv"
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_lattice_scan_nonfinite_beta_is_usage_error(tmp_path, capsys, value, suffix):
+    # The --out name selects no format: lattice-scan writes CSV under any name,
+    # and a refused beta leaves no file under either.
+    out_path = tmp_path / f"scan.{suffix}"
     for out in ([], ["--out", str(out_path)]):
         code, stdout, err = run(
             capsys,
