@@ -2,11 +2,9 @@
 
 from .dbar import (
     CorrectionResult,
-    CutoffSpec,
     GapReport,
     cutoff,
     dbar_cutoff,
-    default_cutoff,
     equality_gap,
     minimal_correction,
     project_polynomial,
@@ -44,7 +42,6 @@ __all__ = [
     "ComplexPolynomial",
     "ConfigurationError",
     "CorrectionResult",
-    "CutoffSpec",
     "DEFAULT_RESOLUTION",
     "DensityReport",
     "FunctionalSpec",
@@ -62,7 +59,6 @@ __all__ = [
     "cell_average_density",
     "cutoff",
     "dbar_cutoff",
-    "default_cutoff",
     "default_grid",
     "degree_schedule",
     "density",

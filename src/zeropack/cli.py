@@ -21,11 +21,10 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .dbar import default_cutoff, equality_gap, minimal_correction
+from .dbar import equality_gap, minimal_correction
 from .errors import ConfigurationError, NumericError, ZeropackError
 from .functionals import DEFAULT_RESOLUTION, FunctionalSpec, default_grid, density
 from .lattice_sigma import scan_csv, theta_scan
@@ -243,15 +242,13 @@ def cmd_dbar_check(args) -> int:
         f = _load_poly(args.poly)
     else:
         f = minimize(spec, degree_schedule(spec), _optimizer_config(args)).minimizer
-    cut = default_cutoff(spec)
-    if args.delta is not None:
-        cut = replace(cut, delta=args.delta)
-    corr = minimal_correction(f, spec, cut, args.resolution)
+    delta = spec.default_delta if args.delta is None else args.delta
+    corr = minimal_correction(f, spec, delta, args.resolution)
     payload = _with_provenance(
         {
             "geometry": geometry,
             "param": param,
-            "delta": cut.delta,
+            "delta": delta,
             "degree": corr.degree_bound,
             "dbar_lhs": corr.lhs,
             "dbar_rhs": corr.rhs,

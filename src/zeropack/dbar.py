@@ -1,7 +1,8 @@
 """Cut-off functions, weighted projections and the minimal dbar correction.
 
 The correction pipeline: multiply a polynomial f by the radial Lipschitz
-cut-off chi (1 on the core disk, 0 off a slightly larger one), then repair
+cut-off chi (1 on D(0, (1-delta)R), 0 off D(0, R), where R is the core
+radius and delta the spec's boundary-layer width), then repair
 holomorphy by subtracting the minimal-norm solution u of dbar u = dbar(chi f)
 subject to polynomial growth of order n.  Solutions of that equation differ
 from chi*f by entire functions with the same growth, i.e. by polynomials with
@@ -36,11 +37,9 @@ from .poly import ComplexPolynomial, check_angles, gram_diagonal, ring_abs_sums,
 from .quadrature import QuadratureGrid, build_grid
 
 __all__ = [
-    "CutoffSpec",
     "CorrectionResult",
     "GapReport",
     "cutoff",
-    "default_cutoff",
     "dbar_cutoff",
     "project_polynomial",
     "minimal_correction",
@@ -48,49 +47,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Radial bump: 1 on D(0, (1-delta)r), 0 off D(0, r); r = 1 planar."""
-
-    delta: float
-    r: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError(f"delta must lie in (0,1), got {self.delta}")
-        if not 0.0 < self.r <= 1.0:
-            raise ConfigurationError(f"r must lie in (0,1], got {self.r}")
-
-
-def default_cutoff(spec: FunctionalSpec) -> CutoffSpec:
-    """Cut-off at the spec's core radius with its default boundary-layer width.
-
-    The cut-off needs a strict plateau, so the width pairing is clamped just
-    below 1 (planar gamma <= 1, hyperbolic r near 0).
-    """
-    return CutoffSpec(delta=min(spec.default_delta, 0.999999), r=spec.indicator_radius)
-
-
-def cutoff(z, spec: CutoffSpec):
-    """chi(z): 1, then ((1/delta) - |z|/(delta r))^2 on the annulus, then 0."""
+def cutoff(z, delta: float, radius: float):
+    """chi(z): 1, then ((1/delta) - |z|/(delta R))^2 on the annulus A((1-delta)R, R), then 0; R = radius."""
     s = np.abs(np.asarray(z, dtype=complex))
-    inner = (1.0 - spec.delta) * spec.r
-    ramp = ((spec.r - s) / (spec.delta * spec.r)) ** 2
-    out = np.where(s <= inner, 1.0, np.where(s <= spec.r, ramp, 0.0))
+    inner = (1.0 - delta) * radius
+    ramp = ((radius - s) / (delta * radius)) ** 2
+    out = np.where(s <= inner, 1.0, np.where(s <= radius, ramp, 0.0))
     return out if out.ndim else float(out)
 
 
-def dbar_cutoff(z, spec: CutoffSpec):
+def dbar_cutoff(z, delta: float, radius: float):
     """dbar chi = chi'(|z|) * z/(2|z|), supported on the cut-off annulus; at a radius z = r, |dbar chi| of its ring.
 
-    chi'(s) = -2(r - s)/(delta r)^2 there; the seam circles take their
+    chi'(s) = -2(R - s)/(delta R)^2 there; the seam circles take their
     annulus-side value (chi is Lipschitz, the seams have measure zero).
     """
     z = np.asarray(z, dtype=complex)
     s = np.abs(z)
-    inner = (1.0 - spec.delta) * spec.r
-    on_ramp = (s >= inner) & (s <= spec.r) & (s > 0)
-    slope = -2.0 * (spec.r - s) / (spec.delta * spec.r) ** 2
+    inner = (1.0 - delta) * radius
+    on_ramp = (s >= inner) & (s <= radius) & (s > 0)
+    slope = -2.0 * (radius - s) / (delta * radius) ** 2
     out = np.where(on_ramp, slope * z / np.maximum(2.0 * s, 1e-300), 0.0)
     return out if out.ndim else complex(out)
 
@@ -156,17 +132,18 @@ class CorrectionResult:
 def minimal_correction(
     f: ComplexPolynomial,
     spec: FunctionalSpec,
-    cut: CutoffSpec,
+    delta: float,
     resolution: tuple[int, int] | None = None,
 ) -> CorrectionResult:
     """Minimal-norm correction of chi*f, with the growth-control bound, computed per Fourier mode.
 
-    The grid covers the weight's support at the scheduled degree, split at
-    the cut-off seams so radial panels stay smooth.  lhs is the weighted L^2
-    mass of u; rhs is the annulus integral of |f|^2 |dbar chi|^2 against the
-    weight divided by the Laplacian of the obstacle extension: (1-|z|^2)^3 in
-    the hyperbolic case, e^{-2*gamma*|z|^2}/(2*gamma) in the planar one.  The
-    bound lhs <= rhs is the theorem being verified; it requires only
+    chi is the cut-off of width delta in (0, 1] at the spec's core radius R;
+    at delta = 1 its ramp spans the core.  The grid covers the weight's
+    support at the scheduled degree, split at the cut-off seams so radial
+    panels stay smooth.  lhs is the weighted L^2 mass of u; rhs is the
+    annulus integral of |f|^2 |dbar chi|^2 against the weight divided by the
+    Laplacian of the obstacle extension: (1-|z|^2)^3 in the hyperbolic case,
+    e^{-2*gamma*|z|^2}/(2*gamma) in the planar one.  The bound lhs <= rhs is the theorem being verified; it requires only
     boundedness of f.
 
     Weight and cut-off are radial, so everything is done per mode: on ring j,
@@ -178,15 +155,18 @@ def minimal_correction(
     modes stay distinct on the equispaced angles: a polynomial with more
     coefficients than the grid has angles is a ConfigurationError.
     """
+    if not 0.0 < delta <= 1.0:
+        raise ConfigurationError(f"delta must lie in (0,1], got {delta}")
     n = degree_schedule(spec)
     if resolution is None:
         resolution = spec.default_resolution
-    grid = build_grid((0.0, (1.0 - cut.delta) * cut.r, cut.r, spec.support(n)), resolution)
+    radius = spec.indicator_radius
+    grid = build_grid((0.0, (1.0 - delta) * radius, radius, spec.support(n)), resolution)
     check_angles(grid, len(f.coeffs))
     n_ang = grid.resolution[1]
     r = grid.radii
     weight = spec.dbar_weight(r) * grid.ring_weights
-    chi = cutoff(r, cut)
+    chi = cutoff(r, delta, radius)
     width = max(n, len(f.coeffs))
     radial = r[:, None] ** np.arange(width)
     lam = np.zeros(width)
@@ -199,7 +179,7 @@ def minimal_correction(
     with np.errstate(over="ignore", invalid="ignore"):
         f2 = n_ang * _ring_dot(f_coeffs, f_coeffs)
         u2 = n_ang * _ring_dot(u_coeffs, u_coeffs)
-        rhs = float((np.abs(dbar_cutoff(r, cut)) ** 2 * weight / spec.laplacian(r)) @ f2)
+        rhs = float((np.abs(dbar_cutoff(r, delta, radius)) ** 2 * weight / spec.laplacian(r)) @ f2)
         lhs = float(weight @ u2)
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NumericError(f"non-finite correction bound: lhs {lhs}, rhs {rhs}")
@@ -231,6 +211,8 @@ class GapReport:
 
     geometry: str
     param: float
+    # The boundary-layer width spec.default_delta: the cut-off's, and that of
+    # the boundary masses.
     delta: float
     degree: int
     rho_unstarred: float
@@ -294,24 +276,23 @@ def equality_gap(
     """Minimize, cut off, correct, and compare the starred value of the repair.
 
     Runs the unstarred minimization of spec at the scheduled degree, builds
-    the corrected polynomial nu = chi*f - u with the default boundary-layer
-    width, and reports the starred density of nu next to the unstarred
-    minimum; their difference is the finite-parameter gap that the equality
-    theorems send to zero along subsequences.  The starred value is
-    A - 2B + C of quadratic_parts, density()'s value without its diagnostics.
+    the corrected polynomial nu = chi*f - u with the cut-off in the spec's
+    boundary layer (width default_delta, that of f's boundary masses), and
+    reports the starred density of nu next to the unstarred minimum; their
+    difference is the finite-parameter gap that the equality theorems send
+    to zero along subsequences.  The starred value is A - 2B + C of
+    quadratic_parts, density()'s value without its diagnostics.
 
     Every number about f (rho_unstarred, quad_err, the boundary masses)
     comes from f's density report on the search grid, and every number
-    about the correction from the correction's grid at resolution.
+    about the correction from the correction's grid at resolution (by
+    default spec.default_resolution, as for the search).
     """
     if spec.starred:
         raise ConfigurationError("equality_gap takes the unstarred functional")
     n = degree_schedule(spec)
-    if resolution is None:
-        resolution = spec.default_resolution
-    cut = default_cutoff(spec)
     result = minimize(spec, n, config)
-    corr = minimal_correction(result.minimizer, spec, cut, resolution)
+    corr = minimal_correction(result.minimizer, spec, spec.default_delta, resolution)
 
     starred_spec = replace(spec, starred=True)
     starred_grid = default_grid(starred_spec, resolution, degree=n)
@@ -325,7 +306,7 @@ def equality_gap(
     return GapReport(
         geometry=spec.geometry,
         param=spec.param,
-        delta=cut.delta,
+        delta=spec.default_delta,
         degree=n,
         rho_unstarred=result.value,
         rho_starred_nu=rho_star,

@@ -114,7 +114,9 @@ class FunctionalSpec:
     def default_delta(self) -> float:
         """Boundary-layer width pairing: 1-r, or gamma^{-1/2} capped at 1 planar.
 
-        The cap keeps the planar pairing usable for gamma <= 1.
+        The one width of the layer A((1-delta)R, R): boundary_mass measures f
+        there and equality_gap's cut-off ramps there.  The cap keeps the
+        planar pairing usable for gamma <= 1, where the layer is the core.
         """
         if self.geometry == HYPERBOLIC:
             return 1.0 - self.param
@@ -338,8 +340,8 @@ def density(
     (equal at any stationary scaling): ell_k is the integral of (w|f|^beta)^k
     against m dA over the core, over the spec's log_normalizer, with w, m its
     envelope; for the hyperbolic geometry that is (1/log(1/(1-r^2))) times the
-    integral of |f|^k (1-|z|^2)^(k-1) dA over D(0, r).  The boundary masses use
-    the default boundary-layer pairing for the geometry.
+    integral of |f|^k (1-|z|^2)^(k-1) dA over D(0, r).  The boundary masses
+    are boundary_mass's, in the spec's boundary layer.
 
     quad_err is |value(f turned) - value(f)| / 2, with f turned by half an
     angle step onto the midpoints of the grid's angles (grid.half_turn): the
@@ -357,7 +359,7 @@ def density(
         t1, t2 = _ring_sums(f, grid, spec.beta, ind, grid.half_turn(len(f.coeffs)))
         quad_err = abs(float(a @ (t2 - s2)) - 2.0 * float(b @ (t1 - s1))) / 2.0
         ell1, ell2 = _masses(w[ind], mass[ind], s1[ind], s2[ind], spec.log_normalizer)
-        bm1, bm2 = boundary_mass(f, spec, spec.default_delta, grid.resolution)
+        bm1, bm2 = boundary_mass(f, spec, grid.resolution)
     if not all(map(math.isfinite, (value, quad_err, ell1, ell2, bm1, bm2))):
         raise NumericError(
             f"non-finite density: value {value}, quad_err {quad_err}, ell1 {ell1}, ell2 {ell2}, "
@@ -384,21 +386,19 @@ def _masses(w: np.ndarray, mass: np.ndarray, s1: np.ndarray, s2: np.ndarray, log
 def boundary_mass(
     f: ComplexPolynomial,
     spec: FunctionalSpec,
-    delta: float,
     resolution: tuple[int, int],
 ) -> tuple[float, float]:
-    """The (L^1, L^2) masses of f in the boundary layer of relative width delta.
+    """The (L^1, L^2) masses of f in the spec's boundary layer, where the gap's cut-off ramps.
 
-    The layer is the annulus A((1-delta)R, R) under the indicator radius R;
+    The layer is the annulus A((1-delta)R, R) of relative width
+    delta = spec.default_delta under the indicator radius R;
     the masses are those of density()'s ell1/ell2 taken over it.  Hyperbolic,
     for p = 1, 2:
     (1/log(1/(1-r^2))) * integral of |f|^p (1-|z|^2)^(p-1) dA.  Planar:
     integral of |f|^(p*beta) exp(-p*gamma*|z|^2) dA.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ConfigurationError(f"delta must lie in (0,1], got {delta}")
     outer = spec.indicator_radius
-    grid = build_grid(((1.0 - delta) * outer, outer), resolution)
+    grid = build_grid(((1.0 - spec.default_delta) * outer, outer), resolution)
     w, m = spec.envelope(grid.radii)
     return _masses(w, grid.ring_weights * m, *_ring_sums(f, grid, spec.beta, slice(None)), spec.log_normalizer)
 

@@ -13,7 +13,6 @@ import numpy as np
 
 from zeropack import (
     ComplexPolynomial,
-    CutoffSpec,
     FunctionalSpec,
     OptimizerConfig,
     abrikosov_candidate,
@@ -121,11 +120,10 @@ def test_criterion_05_dbar_bound():
     cases = []
     for geometry, param, delta in (("hyperbolic", 0.9, 0.1), ("planar", 8.0, 8**-0.5)):
         spec = FunctionalSpec(geometry, param)
-        cut = CutoffSpec(delta, 0.9 if geometry == "hyperbolic" else 1.0)
         res = minimize(spec, degree_schedule(spec), OptimizerConfig(restarts=3, seed=0))
         fs = [res.minimizer] + rand_polys(505, 20, 7)
         for f in fs:
-            corr = minimal_correction(f, spec, cut)
+            corr = minimal_correction(f, spec, delta)
             holds &= corr.lhs <= corr.rhs
             worst_orth = max(worst_orth, corr.orthogonality_residual())
         cases.append(f"{geometry}: lhs<=rhs for minimizer+20 random")
@@ -137,11 +135,10 @@ def test_criterion_06_cutoff_bounds():
     ok = True
     details = []
     for delta, r in ((0.1, 0.9), (0.3, 1.0), (0.05, 0.7)):
-        spec = CutoffSpec(delta, r)
         grid = build_grid(((1 - delta) * r, r), (128, 16))
-        l2 = integrate(grid, lambda z: np.abs(dbar_cutoff(z, spec)) ** 2)
+        l2 = integrate(grid, lambda z: np.abs(dbar_cutoff(z, delta, r)) ** 2)
         s = np.linspace((1 - delta) * r, r, 2000)
-        sup = float(np.max(np.abs(dbar_cutoff(s + 0j, spec)) ** 2))
+        sup = float(np.max(np.abs(dbar_cutoff(s + 0j, delta, r)) ** 2))
         ok &= l2 <= 4.0 / delta and sup <= (1.0 / (delta * r) ** 2) * (1 + 1e-12)
         details.append(f"(d={delta},r={r}): L2={l2:.3f}<=4/d={4/delta:.0f}")
     assert report(6, "cut-off bounds", ok, "; ".join(details))

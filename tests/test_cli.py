@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zeropack
-from zeropack import ComplexPolynomial, ConfigurationError, FunctionalSpec, boundary_mass, theta_scan
+from zeropack import theta_scan
 from zeropack.cli import main
 from zeropack.lattice_sigma import scan_csv
 
@@ -244,6 +243,11 @@ def test_dbar_check_delta_sets_the_cutoff_layer(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["delta"] == 0.2
     assert payload["bound_satisfied"] is True
+    # The full width is allowed: the ramp then spans the core.
+    code, stdout, err = run(capsys, "dbar-check", "--geometry", "hyperbolic", "--r", "0.5", "--delta", "1",
+                            "--resolution", "32x32")
+    assert code == 0, err
+    assert '"delta": 1.0' in stdout and json.loads(stdout)["bound_satisfied"] is True
 
 
 @pytest.mark.parametrize(
@@ -253,18 +257,13 @@ def test_dbar_check_delta_sets_the_cutoff_layer(tmp_path, capsys):
         pytest.param(["gap", "--geometry", "hyperbolic", "--r", "0.5,x"], "bad parameter list '0.5,x'", id="bad-sweep"),
         pytest.param(["lattice-scan", "--steps", "2", "--resolution", "16x16", "--jobs", "two"],
                      "--jobs must be an integer, got 'two'", id="jobs-not-int"),
-        pytest.param(["dbar-check", "--geometry", "hyperbolic", "--r", "0.5", "--delta", "1", "--resolution", "32x32"],
-                     "delta must lie in (0,1), got 1.0", id="dbar-delta-1"),
-        pytest.param(0.0, "delta must lie in (0,1], got 0.0", id="boundary-mass-delta-0"),
-        pytest.param(1.5, "delta must lie in (0,1], got 1.5", id="boundary-mass-delta-1.5"),
+        pytest.param(["dbar-check", "--geometry", "hyperbolic", "--r", "0.5", "--delta", "0", "--resolution", "32x32"],
+                     "delta must lie in (0,1], got 0.0", id="dbar-delta-0"),
+        pytest.param(["dbar-check", "--geometry", "hyperbolic", "--r", "0.5", "--delta", "1.5", "--resolution", "32x32"],
+                     "delta must lie in (0,1], got 1.5", id="dbar-delta-1.5"),
     ],
 )
 def test_invalid_input_is_refused_with_its_message(capsys, argv, message):
-    # A float stands for the delta of a direct boundary_mass call.
-    if isinstance(argv, float):
-        with pytest.raises(ConfigurationError, match=re.escape(message)):
-            boundary_mass(ComplexPolynomial([1.0]), FunctionalSpec("hyperbolic", 0.5), argv, (32, 32))
-        return
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert err.startswith(f"usage error: {message}\n"), err

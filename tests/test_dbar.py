@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from zeropack import (
     ComplexPolynomial,
     ConfigurationError,
-    CutoffSpec,
     FunctionalSpec,
     NumericError,
     OptimizerConfig,
@@ -15,7 +15,6 @@ from zeropack import (
     build_grid,
     cutoff,
     dbar_cutoff,
-    default_cutoff,
     default_grid,
     degree_schedule,
     density,
@@ -44,33 +43,29 @@ def obstacle(geometry, param, z):
     return FunctionalSpec(geometry, param).obstacle(z)
 
 
-def test_cutoff_spec_validation():
-    with pytest.raises(ConfigurationError):
-        CutoffSpec(delta=0.0, r=0.5)
-    with pytest.raises(ConfigurationError):
-        CutoffSpec(delta=1.0, r=0.5)
-    with pytest.raises(ConfigurationError):
-        CutoffSpec(delta=0.1, r=1.5)
+def test_correction_width_validation():
+    # The cut-off's width lies in (0, 1]; at 1 its ramp spans the core.
+    for delta in (0.0, 1.5):
+        with pytest.raises(ConfigurationError, match=re.escape(f"delta must lie in (0,1], got {delta}")):
+            minimal_correction(ComplexPolynomial([1.0]), HYP, delta, (16, 16))
 
 
 def test_cutoff_plateau_and_support():
-    spec = CutoffSpec(delta=0.2, r=0.8)
     inner = (1 - 0.2) * 0.8
-    assert cutoff(inner / 2, spec) == 1.0
-    assert dbar_cutoff(inner / 2, spec) == 0.0
-    assert cutoff(0.8, spec) == 0.0
-    assert cutoff(0.9, spec) == 0.0
-    assert dbar_cutoff(0.9, spec) == 0.0
+    assert cutoff(inner / 2, 0.2, 0.8) == 1.0
+    assert dbar_cutoff(inner / 2, 0.2, 0.8) == 0.0
+    assert cutoff(0.8, 0.2, 0.8) == 0.0
+    assert cutoff(0.9, 0.2, 0.8) == 0.0
+    assert dbar_cutoff(0.9, 0.2, 0.8) == 0.0
     # explicit ramp value mid-annulus
     s = (inner + 0.8) / 2
     expect = (1 / 0.2 - s / (0.2 * 0.8)) ** 2
-    assert abs(cutoff(s, spec) - expect) < 1e-14
+    assert abs(cutoff(s, 0.2, 0.8) - expect) < 1e-14
 
 
 def test_cutoff_sandwich(rng):
-    spec = CutoffSpec(delta=0.3, r=0.9)
     z = rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)
-    chi = cutoff(z, spec)
+    chi = cutoff(z, 0.3, 0.9)
     s = np.abs(z)
     assert np.all((chi >= 0) & (chi <= 1))
     assert np.all(chi[s <= (1 - 0.3) * 0.9] == 1.0)
@@ -80,29 +75,26 @@ def test_cutoff_sandwich(rng):
 @pytest.mark.parametrize("delta,r", CONFIGS)
 def test_dbar_cutoff_pointwise_bound(delta, r):
     # The explicit ramp attains |dbar chi|^2 <= 1/(delta r)^2, constant C = 1.
-    spec = CutoffSpec(delta=delta, r=r)
     s = np.linspace((1 - delta) * r, r, 1000)
-    vals = np.abs(dbar_cutoff(s + 0j, spec)) ** 2
+    vals = np.abs(dbar_cutoff(s + 0j, delta, r)) ** 2
     assert np.max(vals) <= (1.0 / (delta * r) ** 2) * (1 + 1e-12)
     # The bound is attained at the inner seam.
-    assert abs(np.abs(dbar_cutoff((1 - delta) * r + 0j, spec)) - 1.0 / (delta * r)) < 1e-12
+    assert abs(np.abs(dbar_cutoff((1 - delta) * r + 0j, delta, r)) - 1.0 / (delta * r)) < 1e-12
 
 
 @pytest.mark.parametrize("delta,r", CONFIGS)
 def test_dbar_cutoff_l2_bound(delta, r):
     # Closed form of the ramp: ||dbar chi||^2 = 2/(3 delta) - 1/2 <= 4/delta.
-    spec = CutoffSpec(delta=delta, r=r)
     grid = build_grid(((1 - delta) * r, r), (128, 16))
-    val = integrate(grid, lambda z: np.abs(dbar_cutoff(z, spec)) ** 2)
+    val = integrate(grid, lambda z: np.abs(dbar_cutoff(z, delta, r)) ** 2)
     assert val <= 4.0 / delta
     assert abs(val - (2.0 / (3.0 * delta) - 0.5)) < 1e-10
 
 
 def test_dbar_cutoff_radial_direction(rng):
     # dbar chi = chi'(|z|) * z/(2|z|): phase of z, radial slope.
-    spec = CutoffSpec(delta=0.2, r=0.8)
     z = 0.7 * np.exp(1j * rng.uniform(0, 2 * math.pi, 50))
-    vals = dbar_cutoff(z, spec)
+    vals = dbar_cutoff(z, 0.2, 0.8)
     slope = -2.0 * (0.8 - 0.7) / (0.2 * 0.8) ** 2
     expect = slope * z / (2 * 0.7)
     assert np.max(np.abs(vals - expect)) < 1e-13
@@ -128,18 +120,6 @@ def test_project_idempotent_planar_degree_64(rng):
     p = ComplexPolynomial(raw * scales)
     q = project_polynomial(lambda z: poly_eval(p, z), planar(1.0), n, grid)
     assert np.max(np.abs((q.coeffs - p.coeffs) / scales)) < 1e-10 * np.max(np.abs(raw))
-
-
-def test_rim_cut_is_one_edge():
-    # A hyperbolic cut-off at r = 1 puts its outer seam on the support's rim:
-    # the grid keeps two panels, and the bound's sides keep their values.
-    result = minimal_correction(
-        ComplexPolynomial([1, 0.3, 0.1]), FunctionalSpec("hyperbolic", 0.8), CutoffSpec(0.1, 1.0), (64, 64)
-    )
-    assert result.grid.edges == (0.0, 0.9, 1.0)
-    assert result.grid.radii.shape == (128,)
-    for value, ref in ((result.lhs, 0.0072576488374283986), (result.rhs, 0.02314767819757761)):
-        assert abs(value - ref) <= 1e-15 * ref
 
 
 def test_project_rejects_non_ring_grids():
@@ -178,21 +158,19 @@ def test_project_orthogonality_residuals(rng):
 
 
 def test_minimal_correction_zero():
-    corr = minimal_correction(ComplexPolynomial([0.0]), HYP, CutoffSpec(0.1, 0.9))
+    corr = minimal_correction(ComplexPolynomial([0.0]), HYP, 0.1)
     assert corr.lhs == 0.0
     assert corr.rhs == 0.0
     assert not np.any(corr.u_coeffs)
 
 
 def test_minimal_correction_bound_random(rng):
-    cut_h = CutoffSpec(0.1, 0.9)
-    cut_p = CutoffSpec(8**-0.5, 1.0)
     for _ in range(5):
         f = random_poly(rng, 6)
-        ch = minimal_correction(f, HYP, cut_h)
+        ch = minimal_correction(f, HYP, 0.1)
         assert ch.lhs <= ch.rhs
         assert ch.orthogonality_residual() < 1e-9
-        cp = minimal_correction(f, planar(8.0), cut_p)
+        cp = minimal_correction(f, planar(8.0), 8**-0.5)
         assert cp.lhs <= cp.rhs
         assert cp.orthogonality_residual() < 1e-9
 
@@ -203,9 +181,9 @@ def test_orthogonality_residual_matches_node_sums(spec, rng):
     # on every ring, moves <u, z^k> by c_k ||z^k||^2, so the residual is of
     # order 1.  The oracle takes u node by node, chi*f - nu + sum c_k z^k by
     # Horner, and sums the weighted inner products over the nodes.
-    cut = default_cutoff(spec)
+    delta = spec.default_delta
     f = random_poly(rng, 4)
-    corr = minimal_correction(f, spec, cut, (48, 50))
+    corr = minimal_correction(f, spec, delta, (48, 50))
     n, grid = corr.degree_bound, corr.grid
     c = random_poly(rng, n)
     u_coeffs = corr.u_coeffs.copy()
@@ -213,7 +191,7 @@ def test_orthogonality_residual_matches_node_sums(spec, rng):
     z = grid.nodes
     a2 = np.abs(z) ** 2
     node_weight = (1.0 - a2 if spec.geometry == "hyperbolic" else np.exp(-2.0 * spec.param * a2)) * grid.weights
-    u = cutoff(z, cut) * poly_eval(f, z) - poly_eval(corr.nu, z) + poly_eval(c, z)
+    u = cutoff(z, delta, spec.indicator_radius) * poly_eval(f, z) - poly_eval(corr.nu, z) + poly_eval(c, z)
     lhs = float(np.sum(node_weight * np.abs(u) ** 2))
     want = max(abs(np.sum(node_weight * u * np.conj(z**k))) for k in range(n)) / math.sqrt(lhs)
     assert want > 1e-2
@@ -223,13 +201,13 @@ def test_orthogonality_residual_matches_node_sums(spec, rng):
 
 def test_minimal_correction_bound_minimizer():
     res = minimize(HYP, 5, OptimizerConfig(restarts=2, seed=1))
-    corr = minimal_correction(res.minimizer, HYP, CutoffSpec(0.1, 0.9))
+    corr = minimal_correction(res.minimizer, HYP, 0.1)
     assert corr.lhs <= corr.rhs
     assert corr.nu.degree() <= corr.degree_bound - 1
 
 
 def test_minimal_correction_planar_degree_bound(rng):
-    corr = minimal_correction(random_poly(rng, 5), planar(4.0), CutoffSpec(0.3, 1.0))
+    corr = minimal_correction(random_poly(rng, 5), planar(4.0), 0.3)
     assert corr.degree_bound == 8
     assert corr.nu.degree() <= 7
 
@@ -237,10 +215,10 @@ def test_minimal_correction_planar_degree_bound(rng):
 def test_minimal_correction_minimality(rng):
     # Perturbing the projection along any monomial strictly increases the norm.
     f = random_poly(rng, 5)
-    corr = minimal_correction(f, FunctionalSpec("hyperbolic", 0.8), CutoffSpec(0.2, 0.8))
+    corr = minimal_correction(f, FunctionalSpec("hyperbolic", 0.8), 0.2)
     grid = corr.grid
     wv = (1 - np.abs(grid.nodes) ** 2) * grid.weights
-    chi_f = cutoff(grid.nodes, CutoffSpec(0.2, 0.8)) * poly_eval(f, grid.nodes)
+    chi_f = cutoff(grid.nodes, 0.2, 0.8) * poly_eval(f, grid.nodes)
     base = float(np.sum(wv * np.abs(chi_f - poly_eval(corr.nu, grid.nodes)) ** 2))
     for k in range(corr.degree_bound):
         pert = corr.nu.coeffs.copy()
@@ -252,7 +230,7 @@ def test_minimal_correction_minimality(rng):
 def test_obstacle_planar_seam():
     g = 3.0
     assert abs(obstacle("planar", g, 1.0 + 0j) - 2 * g) < 1e-12
-    assert abs(obstacle("planar", g, 0.999999 + 0j) - 2 * g) < 1e-4
+    assert abs(obstacle("planar", g, 1.0 - 1e-6 + 0j) - 2 * g) < 1e-4
     # harmonic branch outside
     assert abs(obstacle("planar", g, 2.0 + 0j) - (2 * g * math.log(4.0) + 2 * g)) < 1e-12
 
@@ -362,14 +340,35 @@ def test_gap_boundary_masses_are_the_search_reports(spec):
     assert rep.boundary_mass_l2 == diagnostics.boundary_mass_l2
 
 
-def _horner_components(spec, cut, f, corr):
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_planar_gap_cuts_off_in_the_layer_of_its_boundary_masses(gamma):
+    # At gamma <= 1 the spec's boundary layer is the whole core: the cut-off
+    # ramps over it, and the boundary masses are the core's ell masses.
+    spec = planar(gamma)
+    rep = equality_gap(spec, OptimizerConfig(restarts=2, seed=1), (48, 51))
+    assert rep.delta == spec.default_delta == 1.0
+    assert rep.dbar_lhs <= rep.dbar_rhs
+    diagnostics = rep.minimize_result.diagnostics
+    assert abs(rep.boundary_mass_l1 - diagnostics.ell1) <= 1e-12 * diagnostics.ell1
+    assert abs(rep.boundary_mass_l2 - diagnostics.ell2) <= 1e-12 * diagnostics.ell2
+
+
+def test_full_width_cutoff_drops_the_repeated_zero_edge(rng):
+    # (1 - delta) R = 0 is the grid's first edge, so the core is one panel.
+    spec = planar(1.0)
+    corr = minimal_correction(random_poly(rng, 3), spec, 1.0, (32, 33))
+    assert corr.grid.edges == (0.0, 1.0, spec.support(degree_schedule(spec)))
+    assert corr.lhs <= corr.rhs and corr.orthogonality_residual() < 1e-9
+
+
+def _horner_components(spec, delta, f, corr):
     """Exterior mass, core L^1 mass and cross term of u = chi*f - nu, node by node with Horner values."""
     z = corr.grid.nodes
     absz = np.abs(z)
     w, m = spec.envelope(absz)
     w1 = w * m * corr.grid.weights / spec.log_normalizer
     core = absz < spec.indicator_radius
-    chi_f = cutoff(z, cut) * poly_eval(f, z)
+    chi_f = cutoff(z, delta, spec.indicator_radius) * poly_eval(f, z)
     u = chi_f - poly_eval(corr.nu, z)
     cross = np.abs(u) ** 2 - 2.0 * np.real(chi_f * np.conj(u))
     return (
@@ -393,11 +392,10 @@ def test_equality_gap_planar_small():
     # The terms come from the correction of the minimizer; recomputed node by
     # node, with f and nu evaluated by Horner on the correction grid, they agree.
     spec = planar(2.0)
-    cut = CutoffSpec(rep.delta, 1.0)
-    corr = minimal_correction(rep.minimize_result.minimizer, spec, cut, (96, 96))
+    corr = minimal_correction(rep.minimize_result.minimizer, spec, rep.delta, (96, 96))
     got = (rep.exterior_mass_u, rep.l1_perturbation, rep.l2_perturbation)
     assert (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation) == got
-    for value, ref in zip(got, _horner_components(spec, cut, rep.minimize_result.minimizer, corr)):
+    for value, ref in zip(got, _horner_components(spec, rep.delta, rep.minimize_result.minimizer, corr)):
         assert abs(value - ref) <= 1e-12 * ref
     with pytest.raises(ConfigurationError):
         equality_gap(FunctionalSpec("planar", 2.0, starred=True))
@@ -429,9 +427,9 @@ def test_equality_gap_planar_proof_component_chains():
 def test_minimal_correction_nonfinite_is_numeric_error():
     # The overflow is refused as a NumericError, with no warning on the way.
     huge = ComplexPolynomial([1e300, 1e300])
-    for geometry, param, r in (("planar", 2.0, 1.0), ("hyperbolic", 0.8, 0.8)):
+    for geometry, param in (("planar", 2.0), ("hyperbolic", 0.8)):
         with pytest.raises(NumericError):
-            minimal_correction(huge, FunctionalSpec(geometry, param), CutoffSpec(0.2, r), (32, 32))
+            minimal_correction(huge, FunctionalSpec(geometry, param), 0.2, (32, 32))
 
 
 def lengths(*specs):
@@ -460,26 +458,26 @@ def test_correction_ring_sums_match_node_sums(spec, length, rng):
     # The bound's two sides, with the dbar weight, its Laplacian and the
     # cut-off written out node by node on the correction's own grid, and nu
     # against the node-based projection of chi*f.
-    cut = default_cutoff(spec)
+    delta, radius = spec.default_delta, spec.indicator_radius
     n = degree_schedule(spec)
     f = random_poly(rng, length)
-    corr = minimal_correction(f, spec, cut, (64, 64))
+    corr = minimal_correction(f, spec, delta, (64, 64))
     z, wts = corr.grid.nodes, corr.grid.weights
     a2 = np.abs(z) ** 2
     if spec.geometry == "hyperbolic":
         weight, laplacian = 1.0 - a2, (1.0 - a2) ** -2
     else:
         weight, laplacian = np.exp(-2.0 * spec.param * a2), 2.0 * spec.param
-    chi_f = cutoff(z, cut) * poly_eval(f, z)
+    chi_f = cutoff(z, delta, radius) * poly_eval(f, z)
     u = (corr.u_coeffs @ vandermonde(corr.grid.phases, corr.u_coeffs.shape[1]).T).ravel()
     lhs = float(np.sum(np.abs(u) ** 2 * weight * wts))
-    rhs = float(np.sum(np.abs(dbar_cutoff(z, cut)) ** 2 * np.abs(poly_eval(f, z)) ** 2 * weight / laplacian * wts))
+    rhs = float(np.sum(np.abs(dbar_cutoff(z, delta, radius)) ** 2 * np.abs(poly_eval(f, z)) ** 2 * weight / laplacian * wts))
     assert abs(corr.lhs - lhs) <= 1e-13 * lhs
     assert abs(corr.rhs - rhs) <= 1e-13 * rhs
     # u is chi*f minus nu at the nodes, with both evaluated by Horner.
     residual = u - (chi_f - poly_eval(corr.nu, z))
     assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(chi_f))
-    projected = project_polynomial(lambda z: cutoff(z, cut) * poly_eval(f, z), spec, n, corr.grid)
+    projected = project_polynomial(lambda z: cutoff(z, delta, radius) * poly_eval(f, z), spec, n, corr.grid)
     assert len(corr.nu.coeffs) == n and not np.any(corr.nu.coeffs[len(f.coeffs) :])
     assert np.max(np.abs(corr.nu.coeffs - projected.coeffs)) <= 1e-13 * np.max(np.abs(projected.coeffs))
     # The per-ring weight, expanded to the nodes, is the node weight.  Near
@@ -497,15 +495,15 @@ def test_proof_components_match_horner_node_sums(spec, length, rng):
     # g(z^3) (a monomial too when f has 3 coefficients): u carries f's
     # modes, so its node sums take one angle per ring and a third of the
     # angles.
-    cut = default_cutoff(spec)
+    delta = spec.default_delta
     monomial, threefold = np.zeros(length, dtype=complex), np.zeros(length, dtype=complex)
     monomial[-1] = 0.6 + 0.8j
     threefold[::3] = random_poly(rng, len(range(0, length, 3))).coeffs
     for f in (random_poly(rng, length), ComplexPolynomial(monomial), ComplexPolynomial(threefold)):
         for resolution in ((64, 66), (256, 258)):
-            corr = minimal_correction(f, spec, cut, resolution)
+            corr = minimal_correction(f, spec, delta, resolution)
             got = (corr.exterior_mass_u, corr.l1_perturbation, corr.l2_perturbation)
-            for value, ref in zip(got, _horner_components(spec, cut, f, corr)):
+            for value, ref in zip(got, _horner_components(spec, delta, f, corr)):
                 assert abs(value - ref) <= 1e-12 * ref
 
 
@@ -532,7 +530,7 @@ def test_radial_factors_see_one_value_per_ring(spec, monkeypatch, rng):
     density(random_poly(rng, 4), spec, grid)
     assert seen and max(seen) <= len(grid.radii)
     seen.clear()
-    corr = minimal_correction(random_poly(rng, 4), spec, default_cutoff(spec), resolution)
+    corr = minimal_correction(random_poly(rng, 4), spec, spec.default_delta, resolution)
     assert seen and max(seen) <= len(corr.grid.radii) < corr.grid.nodes.size
     seen.clear()
     equality_gap(spec, OptimizerConfig(restarts=2), resolution)
@@ -544,7 +542,7 @@ def test_radial_factors_see_one_value_per_ring(spec, monkeypatch, rng):
 def test_starred_gap_value_is_the_density_value(spec):
     resolution = (64, 64)
     rep = equality_gap(spec, OptimizerConfig(restarts=2, seed=1), resolution)
-    corr = minimal_correction(rep.minimize_result.minimizer, spec, default_cutoff(spec), resolution)
+    corr = minimal_correction(rep.minimize_result.minimizer, spec, spec.default_delta, resolution)
     starred = FunctionalSpec(spec.geometry, spec.param, starred=True)
     assert rep.rho_starred_nu == density(corr.nu, starred, default_grid(starred, resolution, degree=rep.degree)).value
     assert rep.gap == rep.rho_starred_nu - rep.rho_unstarred
@@ -580,7 +578,7 @@ def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch, capsys, rng):
     for spec in (planar(2.0), FunctionalSpec("hyperbolic", 0.7)):
         rep = equality_gap(spec, OptimizerConfig(restarts=2), (32, 33))
         assert math.isfinite(rep.gap)
-        corr = minimal_correction(random_poly(rng, 4), spec, default_cutoff(spec), (32, 33))
+        corr = minimal_correction(random_poly(rng, 4), spec, spec.default_delta, (32, 33))
         assert corr.orthogonality_residual() < 1e-9
     capsys.readouterr()
     assert main(["dbar-check", "--geometry", "planar", "--gamma", "2", "--restarts", "2", "--resolution", "32x33"]) == 0
@@ -593,8 +591,7 @@ def test_gap_pipeline_builds_no_ring_grid_nodes(monkeypatch, capsys, rng):
 def test_correction_needs_an_angle_per_coefficient(spec, rng):
     # Past n_ang coefficients the equispaced angles alias mode k + n_ang onto
     # k, and neither Parseval nor the node sums integrate |u|^2 exactly.
-    cut = default_cutoff(spec)
-    corr = minimal_correction(random_poly(rng, 33, scale=0.1), spec, cut, (32, 33))
+    corr = minimal_correction(random_poly(rng, 33, scale=0.1), spec, spec.default_delta, (32, 33))
     assert corr.u_coeffs.shape == (len(corr.grid.radii), 33)
     with pytest.raises(ConfigurationError, match="degree bound 40 needs at least 40 angles per ring; the grid has 33"):
-        minimal_correction(random_poly(rng, 40, scale=0.1), spec, cut, (32, 33))
+        minimal_correction(random_poly(rng, 40, scale=0.1), spec, spec.default_delta, (32, 33))

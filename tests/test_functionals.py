@@ -149,43 +149,45 @@ def test_ell_zero_and_constant():
 
 
 def test_boundary_mass_zero_poly():
-    assert boundary_mass(ZERO, FunctionalSpec("hyperbolic", 0.8), 0.2, (96, 128)) == (0.0, 0.0)
-    assert boundary_mass(ZERO, FunctionalSpec("planar", 4.0), 0.5, (96, 128)) == (0.0, 0.0)
+    assert boundary_mass(ZERO, FunctionalSpec("hyperbolic", 0.8), (96, 128)) == (0.0, 0.0)
+    assert boundary_mass(ZERO, FunctionalSpec("planar", 4.0), (96, 128)) == (0.0, 0.0)
 
 
 def test_boundary_mass_full_layer_is_density_ell(rng):
-    # With delta = 1 the layer is the whole core disk, so the pair equals the
-    # ell masses of density() on the same disk grid.
+    # At planar gamma <= 1, delta = 1 and the layer is the whole core disk,
+    # so the pair equals the ell masses of density() on the same disk grid.
     res = (64, 48)
     for spec in (
-        FunctionalSpec("hyperbolic", 0.8),
-        FunctionalSpec("planar", 2.0),
-        FunctionalSpec("planar", 2.0, beta=2.0),
+        FunctionalSpec("planar", 1.0),
+        FunctionalSpec("planar", 0.5),
+        FunctionalSpec("planar", 0.5, beta=2.0),
     ):
+        assert spec.default_delta == 1.0
         grid = build_grid((0, spec.indicator_radius), res)
         for _ in range(3):
             f = random_poly(rng, 6)
             rep = density(f, spec, grid)
-            l1, l2 = boundary_mass(f, spec, 1.0, res)
+            l1, l2 = boundary_mass(f, spec, res)
             assert abs(l1 - rep.ell1) <= 1e-12 * abs(rep.ell1)
             assert abs(l2 - rep.ell2) <= 1e-12 * abs(rep.ell2)
 
 
 def test_boundary_mass_cauchy_schwarz(rng):
     # (1/L) int_A |f| dA <= sqrt(ell-type L2 mass) * sqrt(annulus hyperbolic area / L).
-    r, delta = 0.8, 0.15
+    r = 0.8
+    delta = FunctionalSpec("hyperbolic", r).default_delta
     L = hyperbolic_norm(r)
     area_ratio = 1.0 - math.log(1.0 / (1.0 - r * r * (1 - delta) ** 2)) / L
     for _ in range(20):
         f = random_poly(rng, 7)
-        b1, b2 = boundary_mass(f, FunctionalSpec("hyperbolic", r), delta, (96, 128))
+        b1, b2 = boundary_mass(f, FunctionalSpec("hyperbolic", r), (96, 128))
         assert b1 <= math.sqrt(b2) * math.sqrt(area_ratio) + 1e-9
 
 
 def test_boundary_mass_full_layer_allowed():
-    # delta = 1 covers the whole disk; needed by the planar pairing at gamma = 1.
+    # delta = 1 covers the whole disk: the planar pairing at gamma = 1.
     f = ComplexPolynomial([1.0])
-    val, _ = boundary_mass(f, FunctionalSpec("planar", 1.0), 1.0, (96, 128))
+    val, _ = boundary_mass(f, FunctionalSpec("planar", 1.0), (96, 128))
     assert abs(val - (1 - math.exp(-1.0))) < 1e-10
 
 
@@ -451,7 +453,7 @@ def test_ring_masses_match_node_sums(spec, rng):
             got = dict(zip(("A", "B", "C"), quadratic_parts(f, spec, grid)), value=rep.value, ell1=rep.ell1, ell2=rep.ell2)
             for key, expect in ref.items():
                 assert abs(got[key] - expect) <= 1e-13 * abs(expect), (n, key)
-            bm = boundary_mass(f, spec, spec.default_delta, (64, n_ang))
+            bm = boundary_mass(f, spec, (64, n_ang))
             for got_k, expect in zip(bm, _node_boundary_masses(f, spec, spec.default_delta, (64, n_ang))):
                 assert abs(got_k - expect) <= 1e-13 * abs(expect), n
 

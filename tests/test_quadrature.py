@@ -9,7 +9,6 @@ from zeropack import (
     FunctionalSpec,
     NumericError,
     build_grid,
-    default_cutoff,
     default_grid,
     density,
     integrate,
@@ -210,7 +209,7 @@ def test_ring_sums_hold_no_node_arrays(rng):
     spec, hyp = FunctionalSpec("planar", 8.0), FunctionalSpec("hyperbolic", 0.85)
     for evaluate in (
         lambda: density(random_poly(rng, 16), spec, default_grid(spec, (1024, 1024))),
-        lambda: minimal_correction(random_poly(rng, 3), hyp, default_cutoff(hyp), (768, 768)),
+        lambda: minimal_correction(random_poly(rng, 3), hyp, hyp.default_delta, (768, 768)),
     ):
         tracemalloc.start()
         try:

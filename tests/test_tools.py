@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -125,6 +126,7 @@ def test_cli_outputs_compare_keeps_counts_apart_from_values():
     assert lines == [
         "stdout differs: minimize x",
         "  keys only in new: restarts[].certificate",
+        "  values changed at: restarts[].steps, restarts[].value",
         "  largest relative float change 0.0002 at restarts[0].value: 0.5 -> 0.5001",
         "  largest absolute float change 0.0001 at restarts[0].value: 0.5 -> 0.5001",
         "  largest integer change 3 at restarts[0].steps: 0 -> 3",
@@ -142,10 +144,25 @@ def test_cli_outputs_compare_gives_the_absolute_float_change():
     old = {"gap": 0.5, "quad_err": 2.8114e-17}
     new = {"gap": 0.5 + 2.0**-50, "quad_err": 2.8158e-17}
     assert cli_outputs.json_changes(json.dumps(old), json.dumps(new)) == [
+        "values changed at: gap, quad_err",
         "largest relative float change 0.00157 at quad_err: 2.8114e-17 -> 2.8158e-17",
         "largest absolute float change 8.88e-16 at gap: 0.5 -> 0.5000000000000009",
         "no integer at a shared key path changed",
     ]
+
+
+def test_cli_outputs_compare_names_the_changed_key_paths():
+    # Every shared key path whose value changed is named once, indices
+    # collapsed, whatever the value's type; an int read back as an equal
+    # float is no change.
+    report = lambda delta, lhs, ok: {"delta": delta, "dbar_lhs": lhs, "degree": 2, "ok": ok}
+    old = {"reports": [report(0.5, 0.1, True), report(0.75, 0.2, True)], "summary": {"gaps": [1.0, 2.0]}}
+    new = {"reports": [report(0.5, 0.1, True), report(1.0, 0.2000008, False)],
+           "summary": {"gaps": [1.0, 2.0000001]}}
+    new["reports"][0]["degree"] = 2.0
+    lines = cli_outputs.json_changes(json.dumps(old), json.dumps(new))
+    assert lines[0] == "values changed at: reports[].dbar_lhs, reports[].delta, reports[].ok, summary.gaps[]"
+    assert not any(line.startswith("values changed at") for line in cli_outputs.json_changes("{}", '{"a": 1}'))
 
 
 def test_cli_outputs_compare_reads_the_scan_csv():
@@ -187,7 +204,40 @@ def test_cli_outputs_runs_two_dbar_checks_per_seed(monkeypatch):
     assert lines[:-4] == bench and not any(argv[0] == "dbar-check" for argv in bench)
 
 
-def test_step_costs_times_every_step_on_every_bench_workspace(capsys):
+def _bench_pins():
+    spec = importlib.util.spec_from_file_location("bench_run", TOOLS.parent / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.BLAS_PINS
+
+
+def _isolate_pins(monkeypatch):
+    """Unpin BLAS in the environment, and undo what a tool's main does to the process on teardown."""
+    pins = _bench_pins()
+    for name in pins:
+        monkeypatch.setenv(name, "7")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, "run", raising=False)
+    return pins
+
+
+def test_value_panel_pins_blas_before_the_panel_runs(monkeypatch, tmp_path):
+    pins = _isolate_pins(monkeypatch)
+    seen = {}
+
+    def run_panel():
+        seen.update({k: os.environ[k] for k in pins})
+        return []
+
+    monkeypatch.setattr(value_panel, "run_panel", run_panel)
+    assert value_panel.main(["--out", str(tmp_path / "panel.json")]) == 0
+    assert seen == pins and set(pins.values()) == {"1"}
+    assert json.loads((tmp_path / "panel.json").read_text()) == []
+
+
+def test_step_costs_times_every_step_on_every_bench_workspace(capsys, monkeypatch):
+    pins = _isolate_pins(monkeypatch)
     # One call per timing: the layout, not the speed.  The planar search
     # cycles through the classes (3, 0), (3, 1), (3, 2) and the full space.
     assert step_costs.main(["--number", "1", "--repeat", "1"]) == 0
@@ -205,3 +255,4 @@ def test_step_costs_times_every_step_on_every_bench_workspace(capsys):
     ]
     assert all(r["ring_abs_sums_us"] > 0.0 and r["rings"] == 384 for r in out["ring_sums"])
     assert (out["number"], out["repeat"]) == (1, 1)
+    assert {k: os.environ[k] for k in pins} == pins

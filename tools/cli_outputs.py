@@ -14,7 +14,8 @@ List the commands whose exit code or stdout differ between two such files
     python3 tools/cli_outputs.py --compare old.json new.json
 
 Under each command whose stdout differs and is JSON on both sides come the
-key paths that only one side has (list indices written ``[]``), the largest
+key paths that only one side has and the shared key paths whose value
+changed (list indices written ``[]`` in both), the largest
 relative and the largest absolute change of a float, and the largest change
 of an integer (a step count) found at the same key path on both sides.
 Floats and integers are kept apart so that a count leaving 0 cannot hide a
@@ -110,21 +111,24 @@ def _largest_changes(moves: list[tuple[str, float, float]], kind: str) -> list[s
 def json_changes(old_stdout: str, new_stdout: str) -> list[str] | None:
     """What moved between two JSON outputs, one line per finding; None when either output is not JSON.
 
-    The key paths only one side has, with list indices collapsed to ``[]``;
-    then the largest relative change |new - old| / |old| and the largest
-    absolute change |new - old| of a number that is a float on either side
-    (one leaving 0 changes by inf relative), and the largest change
-    |new - old| of a number that is an integer on both sides.
+    The key paths only one side has, and the shared key paths whose value
+    changed, with list indices collapsed to ``[]``; then the largest
+    relative change |new - old| / |old| and the largest absolute change
+    |new - old| of a number that is a float on either side (one leaving 0
+    changes by inf relative), and the largest change |new - old| of a
+    number that is an integer on both sides.
     """
     try:
         old, new = leaves(json.loads(old_stdout)), leaves(json.loads(new_stdout))
     except json.JSONDecodeError:
         return None
     lines = []
-    for side, only in (("old", old.keys() - new.keys()), ("new", new.keys() - old.keys())):
-        if only:
-            paths = sorted({re.sub(r"\[\d+\]", "[]", p) for p in only})
-            lines.append(f"keys only in {side}: {', '.join(paths)}")
+    changed = [p for p in old.keys() & new.keys() if old[p] != new[p]]
+    for label, where in (("keys only in old", old.keys() - new.keys()), ("keys only in new", new.keys() - old.keys()),
+                         ("values changed at", changed)):
+        if where:
+            paths = sorted({re.sub(r"\[\d+\]", "[]", p) for p in where})
+            lines.append(f"{label}: {', '.join(paths)}")
     shared = [p for p in old.keys() & new.keys() if _is_number(old[p]) and _is_number(new[p])]
     ints = {p for p in shared if isinstance(old[p], int) and isinstance(new[p], int)}
     floats = [p for p in shared if p not in ints]

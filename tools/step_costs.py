@@ -16,8 +16,8 @@ on one rotation period of the angles, 1, 128 and 384 of them.
 
 Each cost is the fastest of ``--repeat`` timings of ``--number`` calls, in
 microseconds per call: on a shared machine the slower timings measure the
-other load.  BLAS is pinned to one thread before numpy loads, as
-bench/run.py pins it, and the checkout's ``src`` is imported, whatever
+other load.  BLAS is pinned to one thread before numpy loads, with
+bench/run.py's ``BLAS_PINS``, and the checkout's ``src`` is imported, whatever
 zeropack is installed.
 """
 
@@ -31,15 +31,14 @@ import sys
 import timeit
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 SEARCHES = (("planar", 8.0), ("hyperbolic", 0.9))
 RESTARTS = 12
 # The ring_abs_sums cases: a name and the coefficient of each mode.
 RING_SUM_CASES = (("monomial", {2: 1.0}), ("3-fold", {1: 1.0, 4: 0.5j}), ("generic", {0: 1.0, 1: 0.5j, 2: -0.25}))
 RING_SUM_RESOLUTION = (384, 384)
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
-                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 def step_costs(number: int, repeat: int) -> list[dict]:
@@ -107,8 +106,12 @@ def main(argv=None) -> int:
     parser.add_argument("--number", type=int, default=200, help="calls per timing")
     parser.add_argument("--repeat", type=int, default=7, help="timings per step, of which the fastest counts")
     args = parser.parse_args(argv)
-    for name in BLAS_THREADS:
-        os.environ[name] = "1"
+    # Leave no bytecode cache under bench/, which this tool only reads.
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import BLAS_PINS
+
+    os.environ.update(BLAS_PINS)
     import numpy as np
 
     out = {

@@ -19,18 +19,23 @@ lowest value in either panel:
 A panel written before records carried ``fallback_steps`` reads ``n/a``
 in the totals it enters.  The searches are those of ``zeropack minimize --restarts 12 --seed
 S``; the checkout's ``src`` is imported, whatever zeropack is installed.
+BLAS is pinned before numpy loads, with bench/run.py's ``BLAS_PINS``:
+another thread count can sum in another order and move a seed-sensitive
+search to another basin.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 SEARCHES = (("planar", 4.0), ("planar", 8.0), ("planar", 16.0), ("hyperbolic", 0.9), ("hyperbolic", 0.95))
 SEEDS = range(12)
@@ -144,6 +149,12 @@ def main(argv=None) -> int:
         old, new = (json.loads(Path(p).read_text()) for p in args.compare)
         sys.stdout.write(compare(old, new))
         return 0
+    # Leave no bytecode cache under bench/, which this tool only reads.
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import BLAS_PINS
+
+    os.environ.update(BLAS_PINS)
     Path(args.out).write_text(json.dumps(run_panel(), indent=1) + "\n")
     return 0
 
